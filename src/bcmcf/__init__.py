@@ -29,7 +29,6 @@ from .frontier import FrontierPoint
 from .generate import generate_instance
 from .mcc import (
     InternalSolverError,
-    LexCost,
     ResidualGraph,
     find_negative_cycle,
     lambda_cost,
@@ -79,7 +78,6 @@ __all__ = [
     "Instance",
     "InstanceError",
     "InternalSolverError",
-    "LexCost",
     "ParseError",
     "RatioResult",
     "ResidualGraph",

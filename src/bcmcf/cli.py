@@ -2,12 +2,13 @@
 
 Commands: solve, frontier, oracle, validate, gen.  Exit codes: 0 success,
 1 infeasibility found by validate, 2 usage or parse errors, 3 enumeration
-guard exceeded.
+guard of the oracle exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -111,36 +112,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise CliError(str(exc), EXIT_GUARD) from None
     except (ValueError, fptas.CyclicGraphError) as exc:
         raise CliError(str(exc), EXIT_USAGE) from None
-    flow = _restore_flow(original, inst, sol.flow)
-    sol = Solution(
-        flow=flow,
-        objective=sol.objective,
-        algorithm=sol.algorithm,
-        iterations=sol.iterations,
-        lam=sol.lam,
-        frontier_segment=sol.frontier_segment,
-        search_probes=sol.search_probes,
-        refine_probes=sol.refine_probes,
-    )
+    sol = dataclasses.replace(sol, flow=_restore_flow(original, inst, sol.flow))
     _write_text(args.output, _solution_text(sol, args.format))
     return EXIT_OK
-
-
-def _frontier_guard(inst: Instance, guard: int) -> None:
-    size = 1
-    for e in inst.edges:
-        size *= e.capacity + 1
-        if size > guard:
-            raise CliError(
-                f"assignment space exceeds guard {guard}; refusing to enumerate",
-                EXIT_GUARD,
-            )
 
 
 def cmd_frontier(args: argparse.Namespace) -> int:
     original = _load_instance(args.instance)
     inst = preprocess(original)
-    _frontier_guard(inst, args.guard)
     points = exact.enumerate_frontier(inst)
     lines = [f"{format_fraction(p.cost)} {format_fraction(p.fee)}" for p in points]
     lines.append(f"budget {inst.budget}")
@@ -155,13 +134,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         sol = oracle.oracle_optimum(inst, guard=args.guard)
     except oracle.EnumerationGuardError as exc:
         raise CliError(str(exc), EXIT_GUARD) from None
-    flow = _restore_flow(original, inst, sol.flow)
-    sol = Solution(
-        flow=flow,
-        objective=sol.objective,
-        algorithm=sol.algorithm,
-        iterations=sol.iterations,
-    )
+    sol = dataclasses.replace(sol, flow=_restore_flow(original, inst, sol.flow))
     _write_text(args.output, _solution_text(sol, args.format))
     return EXIT_OK
 
@@ -231,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_frontier = sub.add_parser("frontier", help="emit Pareto frontier plot data")
     add_instance_arg(p_frontier)
-    p_frontier.add_argument("--guard", type=int, default=oracle.DEFAULT_GUARD)
     add_common(p_frontier)
     p_frontier.set_defaults(func=cmd_frontier)
 

@@ -205,12 +205,6 @@ def solve_exact(inst: Instance) -> Solution:
             x_under = verdict.x_maxfee
 
 
-def _pair_solve(circ: Instance, lam: Fraction) -> tuple[Flow, Flow]:
-    x_min = min_cost_circulation(circ, lambda_cost(circ, lam, "min"))
-    x_max = min_cost_circulation(circ, lambda_cost(circ, lam, "max"))
-    return x_min, x_max
-
-
 def enumerate_frontier(inst: Instance) -> list[FrontierPoint]:
     """All extreme points of the Pareto frontier, by increasing fee.
 
@@ -224,27 +218,26 @@ def enumerate_frontier(inst: Instance) -> list[FrontierPoint]:
     circ = circulation_form(inst)
     stats = instance_stats(inst)
 
-    def solve_point(lam: Fraction, fee_direction: str) -> Flow:
-        flow = min_cost_circulation(circ, lambda_cost(circ, lam, fee_direction))
-        return project_flow(inst, flow)
+    def solve_point(lam: Fraction) -> Flow:
+        return project_flow(inst, min_cost_circulation(circ, lambda_cost(circ, lam, "min")))
 
     def as_point(flow: Flow) -> FrontierPoint:
         return FrontierPoint(flow.cost, flow.fee, flow, Fraction(0), None)
 
-    top = as_point(solve_point(Fraction(0), "min"))
-    bottom = as_point(solve_point(stats.lambda_above_all_slopes(), "min"))
+    top = as_point(solve_point(Fraction(0)))
+    bottom = as_point(solve_point(stats.lambda_above_all_slopes()))
     if (top.cost, top.fee) == (bottom.cost, bottom.fee):
         return attach_lambda_intervals([bottom])
 
     def expand(p_low: FrontierPoint, p_high: FrontierPoint) -> list[FrontierPoint]:
         """Extreme points strictly between two known ones (fee order)."""
         lam = edge_multiplier(p_low, p_high)
-        x_min, x_max = _pair_solve(circ, lam)
-        chord_value = p_low.cost + lam * p_low.fee
-        if x_min.cost + lam * x_min.fee == chord_value:
+        verdict = lambda_callback(circ, lam)
+        x_min = verdict.x_minfee
+        if x_min.cost + lam * x_min.fee == p_low.cost + lam * p_low.fee:
             return []  # the chord is a frontier segment
         q_low = as_point(project_flow(inst, x_min))
-        q_high = as_point(project_flow(inst, x_max))
+        q_high = as_point(project_flow(inst, verdict.x_maxfee))
         between = expand(p_low, q_low) + [q_low]
         if (q_high.cost, q_high.fee) != (q_low.cost, q_low.fee):
             between.append(q_high)  # q_low-q_high is itself a segment

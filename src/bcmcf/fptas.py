@@ -414,7 +414,6 @@ def _reduced_for_packing(inst: Instance) -> tuple[Instance, list[int], bool]:
         source=inst.source,
         sink=inst.sink,
         budget=inst.budget,
-        node_origin=inst.node_origin,
     )
     return reduced, keep, budget_row
 

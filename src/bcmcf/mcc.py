@@ -1,55 +1,45 @@
 """Exact minimum-cost circulation by negative-cycle canceling.
 
-Costs are two-level lexicographic rationals (:class:`LexCost`), so a single
-solve can return, among all minimum-cost circulations, the one with the
-smallest or largest total usage fee.  All arithmetic is exact; with integral
-capacities the returned circulation is integral.
+Costs, capacities and labels are plain Python ints.  :func:`lambda_cost`
+packs a multiplier's scaled cost and a fee tie-break into one int per edge,
+so a single solve returns, among all minimum-cost circulations, the one
+with the smallest or largest total usage fee.  With integral capacities the
+returned circulation is integral.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .model import Flow, Instance, instance_stats
+from .model import Flow, Instance
 
 
 class InternalSolverError(RuntimeError):
     """A defensive iteration cap fired; indicates a solver bug, not bad input."""
 
 
-class LexCost(NamedTuple):
-    """A two-level cost compared lexicographically (primary first)."""
-
-    primary: Fraction
-    secondary: Fraction
-
-    def __add__(self, other: "LexCost") -> "LexCost":  # type: ignore[override]
-        return LexCost(self[0] + other[0], self[1] + other[1])
-
-    def __neg__(self) -> "LexCost":
-        return LexCost(-self[0], -self[1])
-
-
-LEX_ZERO = LexCost(Fraction(0), Fraction(0))
-
-
-def lambda_cost(inst: Instance, lam: Fraction, fee_direction: str) -> list[LexCost]:
-    """Edge costs ``cost + lam * fee`` with the fee as lexicographic tie-break.
+def lambda_cost(inst: Instance, lam: Fraction, fee_direction: str) -> list[int]:
+    """Edge costs ``cost + lam * fee`` with the fee as tie-break, packed into ints.
 
     ``fee_direction`` "min" prefers the smallest total fee among primary
     optima, "max" the largest.  The return arc, having zero cost and fee,
-    naturally gets (0, 0).
+    gets 0.
     """
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError(f"multiplier {lam} is negative")
     if fee_direction not in ("min", "max"):
         raise ValueError(f"fee_direction must be 'min' or 'max', got {fee_direction!r}")
+    p, q = lam.numerator, lam.denominator
     sign = 1 if fee_direction == "min" else -1
-    return [
-        LexCost(e.cost + lam * e.fee, Fraction(sign * e.fee)) for e in inst.edges
-    ]
+    # For lam = p/q edge e costs (q*c_e + p*b_e)*K + sign*b_e with K > sum(b).
+    # A simple residual cycle holds at most one of the two arcs of each edge,
+    # so its fee term is below K in absolute value; the only exception, an
+    # edge's forward arc with its own backward arc, sums to 0.  A cycle's
+    # packed sign is therefore its lexicographic (primary, fee) sign.
+    k = sum(e.fee for e in inst.edges) + 1
+    return [(q * e.cost + p * e.fee) * k + sign * e.fee for e in inst.edges]
 
 
 class ResidualGraph:
@@ -60,21 +50,22 @@ class ResidualGraph:
     def __init__(
         self,
         inst: Instance,
-        costs: Sequence[LexCost],
-        flow: Sequence[Fraction] | None = None,
+        costs: Sequence[int],
+        flow: Sequence[Fraction | int] | None = None,
     ) -> None:
         if len(costs) != inst.edge_count:
             raise ValueError("one cost per edge required")
+        x = flow if flow is not None else [0] * inst.edge_count
         self.inst = inst
         self.node_count = inst.node_count
-        x = [Fraction(v) for v in flow] if flow is not None else [Fraction(0)] * inst.edge_count
         self.tails: list[int] = []
         self.heads: list[int] = []
-        self.costs: list[LexCost] = []
-        self.caps: list[Fraction] = []
-        for e, c, xv in zip(inst.edges, costs, x):
-            if not 0 <= xv <= e.capacity:
-                raise ValueError("initial flow violates capacity bounds")
+        self.costs: list[int] = []
+        self.caps: list[int] = []
+        for e, c, v in zip(inst.edges, costs, x):
+            xv = int(v)
+            if xv != v or not 0 <= xv <= e.capacity:
+                raise ValueError("initial flow is not integral within capacity bounds")
             self.tails.append(e.tail)
             self.heads.append(e.head)
             self.costs.append(c)
@@ -84,13 +75,7 @@ class ResidualGraph:
             self.costs.append(-c)
             self.caps.append(xv)
 
-    def cycle_cost(self, cycle: Sequence[int]) -> LexCost:
-        total = LEX_ZERO
-        for a in cycle:
-            total += self.costs[a]
-        return total
-
-    def apply_cycle(self, cycle: Sequence[int]) -> Fraction:
+    def apply_cycle(self, cycle: Sequence[int]) -> int:
         """Saturate the cycle: push its bottleneck residual capacity around it."""
         amount = min(self.caps[a] for a in cycle)
         if amount <= 0:
@@ -100,38 +85,32 @@ class ResidualGraph:
             self.caps[a ^ 1] += amount
         return amount
 
-    def flow_values(self) -> list[Fraction]:
+    def flow_values(self) -> list[int]:
         # backward residual capacity of edge i is exactly its flow
         return [self.caps[2 * i + 1] for i in range(self.inst.edge_count)]
 
 
-def find_negative_cycle(rg: ResidualGraph, lengths: Sequence[LexCost] | None = None):
-    """A simple cycle of strictly negative total length, or None.
+def find_negative_cycle(rg: ResidualGraph):
+    """A simple cycle of strictly negative total cost, or None.
 
     Bellman-Ford label correction from an implicit super-source (all labels
     start at zero), scanning residual arcs in index order so the result is a
     deterministic function of the input.  Only arcs with positive residual
     capacity participate.
     """
-    if lengths is None:
-        lengths = rg.costs
     n = rg.node_count
-    arcs = [a for a in range(len(rg.caps)) if rg.caps[a] > 0]
-    tails, heads = rg.tails, rg.heads
-    dist: list[LexCost] = [LEX_ZERO] * (n + 1)
-    pred: list[int] = [-1] * (n + 1)
+    tails, heads, costs = rg.tails, rg.heads, rg.costs
+    arcs = [(tails[a], heads[a], costs[a], a) for a, cap in enumerate(rg.caps) if cap > 0]
+    dist = [0] * (n + 1)
+    pred = [-1] * (n + 1)
 
     improved_node = -1
-    for round_no in range(n):
+    for _ in range(n):
         changed = False
-        for a in arcs:
-            u = tails[a]
-            du = dist[u]
-            la = lengths[a]
-            cand = (du[0] + la[0], du[1] + la[1])
-            v = heads[a]
+        for u, v, c, a in arcs:
+            cand = dist[u] + c
             if cand < dist[v]:
-                dist[v] = LexCost(*cand)
+                dist[v] = cand
                 pred[v] = a
                 changed = True
                 improved_node = v
@@ -155,127 +134,27 @@ def find_negative_cycle(rg: ResidualGraph, lengths: Sequence[LexCost] | None = N
         if node == v:
             break
     cycle = list(reversed(cycle_rev))
-    total = sum((lengths[a] for a in cycle), LEX_ZERO)
-    if not total < LEX_ZERO:
+    if not sum(costs[a] for a in cycle) < 0:
         raise InternalSolverError("extracted predecessor cycle is not negative")
     return cycle
 
 
-def _karp_min_mean_cycle(rg: ResidualGraph):
-    """Minimum lexicographic-mean residual cycle via the k-edge walk table.
+def min_cost_circulation(inst: Instance, costs: Sequence[int]) -> Flow:
+    """Minimum cost circulation under int edge costs, by negative-cycle canceling.
 
-    Returns (cycle, mean) or None when no arc is open.  Walk weights start
-    from an implicit zero source so every node is reachable.
+    Starts at the zero circulation and saturates the first negative residual
+    cycle Bellman-Ford finds until none remains, which certifies optimality.
+    Every cancel pushes an integral amount >= 1 around a cycle of cost <= -1,
+    so the objective, which starts at 0 and never drops below
+    ``-sum(u_e * |w_e|)``, falls by at least 1 each time: more cancels than
+    that sum means a solver bug and raises :class:`InternalSolverError`.
     """
-    n = rg.node_count
-    arcs = [a for a in range(len(rg.caps)) if rg.caps[a] > 0]
-    if not arcs:
-        return None
-    # dist[k][v]: min weight of a k-edge walk ending at v, with parent arcs
-    dist: list[list[LexCost | None]] = [[None] * (n + 1) for _ in range(n + 1)]
-    parent: list[list[int]] = [[-1] * (n + 1) for _ in range(n + 1)]
-    for v in range(1, n + 1):
-        dist[0][v] = LEX_ZERO
-    for k in range(1, n + 1):
-        row_prev = dist[k - 1]
-        row = dist[k]
-        par = parent[k]
-        for a in arcs:
-            du = row_prev[rg.tails[a]]
-            if du is None:
-                continue
-            cand = du + rg.costs[a]
-            v = rg.heads[a]
-            if row[v] is None or cand < row[v]:
-                row[v] = cand
-                par[v] = a
-
-    best_mean: LexCost | None = None
-    best_node = -1
-    for v in range(1, n + 1):
-        dn = dist[n][v]
-        if dn is None:
-            continue
-        worst: LexCost | None = None
-        for k in range(n):
-            dk = dist[k][v]
-            if dk is None:
-                continue
-            diff = dn + (-dk)
-            mean = LexCost(diff[0] / (n - k), diff[1] / (n - k))
-            if worst is None or mean > worst:
-                worst = mean
-        if worst is not None and (best_mean is None or worst < best_mean):
-            best_mean = worst
-            best_node = v
-    if best_mean is None:
-        return None
-    # walk the n-edge parent chain from the minimizing node, then peel the
-    # simple cycles out of it; one of them attains the minimum mean
-    chain = []
-    v = best_node
-    for k in range(n, 0, -1):
-        a = parent[k][v]
-        chain.append(a)
-        v = rg.tails[a]
-    chain.reverse()
-    best_cycle = None
-    stack_nodes = [v]
-    stack_arcs: list[int] = []
-    index = {v: 0}
-    for a in chain:
-        node = rg.heads[a]
-        stack_arcs.append(a)
-        if node in index:
-            start = index[node]
-            cyc = stack_arcs[start:]
-            total = rg.cycle_cost(cyc)
-            mean = LexCost(total[0] / len(cyc), total[1] / len(cyc))
-            if best_cycle is None or mean < best_cycle[1]:
-                best_cycle = (cyc, mean)
-            for dropped in stack_nodes[start + 1 :]:
-                del index[dropped]
-            del stack_nodes[start + 1 :]
-            del stack_arcs[start:]
-        else:
-            stack_nodes.append(node)
-            index[node] = len(stack_nodes) - 1
-    if best_cycle is None:
-        raise InternalSolverError("no repeated node on a walk of length n")
-    return best_cycle
-
-
-def min_cost_circulation(
-    inst: Instance,
-    costs: Sequence[LexCost],
-    *,
-    min_mean_canceling: bool = False,
-    iteration_cap: int | None = None,
-) -> Flow:
-    """Lexicographically minimum cost circulation from negative-cycle canceling.
-
-    Starts at the zero circulation and saturates negative residual cycles
-    until none remain, which certifies optimality.  The default cancels the
-    first cycle Bellman-Ford finds; ``min_mean_canceling`` switches to
-    minimum-mean cycle selection for termination robustness on adversarial
-    inputs.  ``iteration_cap`` is a defensive bound, by default scaled with
-    the instance's total cost/fee magnitudes.
-    """
-    if iteration_cap is None:
-        stats = instance_stats(inst)
-        iteration_cap = max(4096, inst.edge_count * max(1, stats.cbar) * max(1, stats.bbar))
     rg = ResidualGraph(inst, costs)
-    for _ in range(iteration_cap):
-        if min_mean_canceling:
-            found = _karp_min_mean_cycle(rg)
-            if found is None or not found[1] < LEX_ZERO:
-                break
-            cycle = found[0]
-        else:
-            maybe = find_negative_cycle(rg)
-            if maybe is None:
-                break
-            cycle = maybe
+    cap = sum(e.capacity * abs(w) for e, w in zip(inst.edges, costs)) + 1
+    for _ in range(cap):
+        cycle = find_negative_cycle(rg)
+        if cycle is None:
+            break
         rg.apply_cycle(cycle)
     else:
         raise InternalSolverError("negative-cycle canceling exceeded its iteration cap")

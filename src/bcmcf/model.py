@@ -52,8 +52,8 @@ class Instance:
     edge order is significant (flows are reported positionally).  Parallel
     edges and self-loops are permitted.  ``return_arc_index`` marks the
     edge added by :func:`add_return_arc`, turning the instance into
-    circulation form.  ``node_origin``/``edge_origin`` record the original
-    node ids / edge positions after :func:`preprocess` compaction.
+    circulation form.  ``edge_origin`` records the original edge positions
+    after :func:`preprocess` compaction.
     """
 
     node_count: int
@@ -62,7 +62,6 @@ class Instance:
     sink: int
     budget: int
     return_arc_index: int | None = None
-    node_origin: tuple[int, ...] | None = field(default=None, compare=False)
     edge_origin: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -79,8 +78,6 @@ class Instance:
         for i, e in enumerate(self.edges):
             if not (1 <= e.tail <= self.node_count and 1 <= e.head <= self.node_count):
                 raise InstanceError(f"edge {i} endpoint outside 1..{self.node_count}")
-        if self.node_origin is not None and len(self.node_origin) != self.node_count:
-            raise InstanceError("node_origin length mismatch")
         if self.edge_origin is not None and len(self.edge_origin) != len(self.edges):
             raise InstanceError("edge_origin length mismatch")
 
@@ -256,7 +253,7 @@ def preprocess(inst: Instance) -> Instance:
     No flow can pass through such nodes, so removing them and their incident
     edges preserves every feasible flow.  Removal is iterated to a fixed
     point; surviving nodes are renumbered contiguously and the mapping back
-    to the original ids/edge positions is recorded on the result.
+    to the original edge positions is recorded on the result.
     """
     alive_nodes = set(range(1, inst.node_count + 1))
     alive_edges = list(range(inst.edge_count))
@@ -287,10 +284,6 @@ def preprocess(inst: Instance) -> Instance:
         replace(inst.edges[i], tail=renum[inst.edges[i].tail], head=renum[inst.edges[i].head])
         for i in alive_edges
     )
-    node_origin = tuple(
-        inst.node_origin[old - 1] if inst.node_origin is not None else old
-        for old in old_ids
-    )
     edge_origin = tuple(
         inst.edge_origin[i] if inst.edge_origin is not None else i for i in alive_edges
     )
@@ -301,7 +294,6 @@ def preprocess(inst: Instance) -> Instance:
         sink=renum[inst.sink],
         budget=inst.budget,
         return_arc_index=None,
-        node_origin=node_origin,
         edge_origin=edge_origin,
     )
 
@@ -323,7 +315,6 @@ def add_return_arc(inst: Instance) -> Instance:
         sink=inst.sink,
         budget=inst.budget,
         return_arc_index=inst.edge_count,
-        node_origin=inst.node_origin,
         edge_origin=None,
     )
 
@@ -343,7 +334,6 @@ def circulation_form(inst: Instance) -> Instance:
         source=inst.source,
         sink=inst.sink,
         budget=inst.budget,
-        node_origin=inst.node_origin,
         edge_origin=None,
     )
     return add_return_arc(widened)

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from bcmcf import enumerate_frontier, generate_instance, preprocess
 from bcmcf.cli import main
-from bcmcf.model import parse_instance, parse_solution
+from bcmcf.model import format_fraction, parse_instance, parse_solution, serialize_instance
+from bcmcf.oracle import DEFAULT_GUARD
 
 I1_TEXT = "p bcmcf 2 2 2\nn 1 s\nn 2 t\na 1 2 2 -4 2\na 1 2 2 -1 0\n"
 I0_TEXT = "p bcmcf 2 1 0\nn 1 s\nn 2 t\na 1 2 1 1 0\n"
@@ -90,8 +92,21 @@ class TestFrontier:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["0 0", "budget 0"]
 
-    def test_guard_exit(self, i1_path, capsys):
-        assert main(["frontier", i1_path, "--guard", "2"]) == 3
+    def test_beyond_enumeration_guard(self, tmp_path, capsys):
+        # the frontier solver never enumerates, so an instance whose
+        # assignment space is far past the oracle's guard is still answered
+        inst = generate_instance(nodes=8, edges=32, max_capacity=3, seed=7)
+        size = 1
+        for e in preprocess(inst).edges:
+            size *= e.capacity + 1
+        assert size > DEFAULT_GUARD
+        path = tmp_path / "big.bcmcf"
+        path.write_text(serialize_instance(inst))
+        assert main(["frontier", str(path)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        points = enumerate_frontier(preprocess(inst))
+        expected = [f"{format_fraction(p.cost)} {format_fraction(p.fee)}" for p in points]
+        assert lines == expected + [f"budget {inst.budget}"]
 
 
 class TestOracleCommand:

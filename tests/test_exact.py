@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -181,6 +182,35 @@ class TestSolveExact:
             report = validate_flow(inst, sol.flow)
             assert report.ok
             assert sol.flow.fee <= inst.budget
+
+    def test_extreme_magnitudes_scale_exactly(self):
+        # costs up to 1e6, then capacities and budget times 1e5: the feasible
+        # polytope scales by 1e5, so the optimum must scale by exactly 1e5
+        scale = 10**5
+        nonzero = binding = 0
+        for seed in range(16):
+            inst = preprocess(
+                generate_instance(
+                    nodes=2 + seed % 3,
+                    edges=3 + seed % 5,
+                    max_cost=10**6,
+                    budget_mode=("tight", "tight", "zero")[seed % 3],
+                    seed=700 + seed,
+                )
+            )
+            base = solve_exact(inst)
+            assert base.objective == oracle_optimum(inst).objective
+            big = replace(
+                inst,
+                edges=tuple(replace(e, capacity=e.capacity * scale) for e in inst.edges),
+                budget=inst.budget * scale,
+            )
+            sol = solve_exact(big)
+            assert sol.objective == base.objective * scale
+            assert validate_flow(big, sol.flow).ok
+            nonzero += base.objective != 0
+            binding += sol.lam > 0
+        assert nonzero >= 8 and binding >= 4
 
     def test_probe_budget(self, inst_two_parallel):
         stats = instance_stats(inst_two_parallel)

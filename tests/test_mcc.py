@@ -1,4 +1,4 @@
-"""Tests for lexicographic min-cost circulation and negative-cycle search."""
+"""Tests for integer min-cost circulation and negative-cycle search."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 from bcmcf import (
     EdgeData,
     Instance,
-    LexCost,
+    InternalSolverError,
     ResidualGraph,
     add_return_arc,
     find_negative_cycle,
@@ -18,25 +18,28 @@ from bcmcf import (
     min_cost_circulation,
     preprocess,
 )
-from bcmcf.mcc import LEX_ZERO
 from bcmcf.oracle import iter_integral_values
 
 
-def lex_optimum_by_enumeration(circ: Instance, costs) -> tuple[Fraction, Fraction]:
-    """Exhaustive lexicographic minimum over all integral circulations."""
+def lex_optimum_by_enumeration(
+    circ: Instance, lam: Fraction, fee_direction: str
+) -> tuple[Fraction, Fraction]:
+    """Exhaustive lexicographic minimum of (cost + lam * fee, +-fee) over all
+    integral circulations, computed from the instance without packing."""
+    sign = 1 if fee_direction == "min" else -1
     best = None
     for vals in iter_integral_values(circ):
-        primary = sum((c.primary * v for c, v in zip(costs, vals)), Fraction(0))
-        secondary = sum((c.secondary * v for c, v in zip(costs, vals)), Fraction(0))
-        key = (primary, secondary)
+        primary = sum((e.cost + lam * e.fee) * v for e, v in zip(circ.edges, vals))
+        secondary = sum(sign * e.fee * v for e, v in zip(circ.edges, vals))
+        key = (Fraction(primary), Fraction(secondary))
         if best is None or key < best:
             best = key
     assert best is not None  # the zero circulation always exists
     return best
 
 
-def plain_costs(inst: Instance) -> list[LexCost]:
-    return [LexCost(Fraction(e.cost), Fraction(0)) for e in inst.edges]
+def plain_costs(inst: Instance) -> list[int]:
+    return [e.cost for e in inst.edges]
 
 
 def triangle(c_last: int) -> Instance:
@@ -49,6 +52,15 @@ def triangle(c_last: int) -> Instance:
     )
 
 
+def solve_at(circ: Instance, lam: Fraction, fee_direction: str):
+    return min_cost_circulation(circ, lambda_cost(circ, lam, fee_direction))
+
+
+def primary_and_secondary(flow, lam: Fraction, fee_direction: str) -> tuple[Fraction, Fraction]:
+    sign = 1 if fee_direction == "min" else -1
+    return (flow.cost + lam * flow.fee, sign * flow.fee)
+
+
 class TestFindNegativeCycle:
     def test_negative_triangle(self):
         inst = triangle(1)
@@ -56,7 +68,7 @@ class TestFindNegativeCycle:
         cycle = find_negative_cycle(rg)
         assert cycle is not None
         assert sorted(cycle) == [0, 2, 4]  # forward arcs of the three edges
-        assert rg.cycle_cost(cycle) == LexCost(Fraction(-1), Fraction(0))
+        assert sum(rg.costs[a] for a in cycle) == -1
 
     def test_zero_sum_triangle_is_not_negative(self):
         inst = triangle(2)
@@ -69,7 +81,7 @@ class TestFindNegativeCycle:
         rg = ResidualGraph(circ, plain_costs(circ))
         cycle = find_negative_cycle(rg)
         assert cycle is not None
-        assert rg.cycle_cost(cycle) < LEX_ZERO
+        assert sum(rg.costs[a] for a in cycle) < 0
 
     def test_deterministic(self, inst_two_parallel):
         circ = add_return_arc(inst_two_parallel)
@@ -78,82 +90,106 @@ class TestFindNegativeCycle:
         ]
         assert runs[0] == runs[1] == runs[2]
 
+    def test_graph_holds_ints_only(self, inst_two_parallel):
+        circ = add_return_arc(inst_two_parallel)
+        rg = ResidualGraph(circ, lambda_cost(circ, Fraction(1, 3), "max"))
+        assert all(type(v) is int for v in rg.costs + rg.caps)
+
+    def test_fractional_initial_flow_rejected(self, inst_two_parallel):
+        circ = add_return_arc(inst_two_parallel)
+        with pytest.raises(ValueError):
+            ResidualGraph(circ, plain_costs(circ), flow=[Fraction(1, 2), 0, 0])
+
 
 class TestLambdaCost:
+    # inst_two_parallel: edges (cost -4, fee 2) and (cost -1, fee 0), so
+    # the packing factor is sum(fee) + 1 = 3
+
     def test_direct_formula(self, inst_two_parallel):
         costs = lambda_cost(inst_two_parallel, Fraction(2), "min")
-        assert costs[0] == LexCost(Fraction(0), Fraction(2))
-        assert costs[1] == LexCost(Fraction(-1), Fraction(0))
+        assert costs == [(-4 + 2 * 2) * 3 + 2, -1 * 3]
 
     def test_zero_multiplier_identity(self, inst_two_parallel):
         costs = lambda_cost(inst_two_parallel, Fraction(0), "min")
-        assert [c.primary for c in costs] == [-4, -1]
+        assert costs == [-4 * 3 + 2, -1 * 3]
 
     def test_small_rational_multiplier(self, inst_two_parallel):
+        # lam = 1/200 scales the primary by the denominator: 200 * (-399/100)
         costs = lambda_cost(inst_two_parallel, Fraction(1, 200), "min")
-        assert costs[0].primary == Fraction(-399, 100)
+        assert costs == [-798 * 3 + 2, -200 * 3]
 
     def test_max_direction_negates_secondary(self, inst_two_parallel):
-        costs = lambda_cost(inst_two_parallel, Fraction(1), "max")
-        assert costs[0].secondary == -2
+        low = lambda_cost(inst_two_parallel, Fraction(1), "min")
+        high = lambda_cost(inst_two_parallel, Fraction(1), "max")
+        assert low[0] - high[0] == 2 * 2
+        assert low[1] == high[1]
 
     def test_return_arc_gets_zero(self, inst_two_parallel):
         circ = add_return_arc(inst_two_parallel)
-        assert lambda_cost(circ, Fraction(3), "min")[-1] == LEX_ZERO
+        assert lambda_cost(circ, Fraction(3), "min")[-1] == 0
 
     def test_negative_multiplier_rejected(self, inst_two_parallel):
         with pytest.raises(ValueError):
             lambda_cost(inst_two_parallel, Fraction(-1), "min")
 
+    def test_bad_direction_rejected(self, inst_two_parallel):
+        with pytest.raises(ValueError):
+            lambda_cost(inst_two_parallel, Fraction(1), "sideways")
+
+    def test_fee_never_outweighs_a_primary_unit(self):
+        # one edge of cost -1 whose fee is the whole fee volume: at lam = 0 the
+        # min-fee solve must still route it, which needs the packing factor
+        # above sum(fee)
+        inst = Instance(
+            node_count=2, edges=(EdgeData(1, 2, 1, -1, 10**6),), source=1, sink=2, budget=0
+        )
+        flow = solve_at(add_return_arc(inst), Fraction(0), "min")
+        assert flow.values[0] == 1
+        assert flow.cost == -1
+
 
 class TestMinCostCirculation:
     def test_plain_costs_saturate_both(self, inst_two_parallel):
         circ = add_return_arc(inst_two_parallel)
-        costs = [LexCost(Fraction(e.cost), Fraction(e.fee)) for e in circ.edges]
-        flow = min_cost_circulation(circ, costs)
+        flow = solve_at(circ, Fraction(0), "min")
         assert flow.values[:2] == (2, 2)
         assert flow.cost == -10
         assert flow.fee == 4
-        assert (flow.cost, flow.fee)[0] == lex_optimum_by_enumeration(circ, costs)[0]
+        assert flow.cost == lex_optimum_by_enumeration(circ, Fraction(0), "min")[0]
 
     def test_min_fee_tie_break(self, inst_two_parallel):
         # primary cost + 2*fee makes the fee-carrying edge worthless (0/unit);
         # the min-fee tie-break must leave it empty
         circ = add_return_arc(inst_two_parallel)
-        costs = [
-            LexCost(Fraction(e.cost + 2 * e.fee), Fraction(e.fee)) for e in circ.edges
-        ]
-        flow = min_cost_circulation(circ, costs)
+        flow = solve_at(circ, Fraction(2), "min")
         assert flow.values[:2] == (0, 2)
         assert flow.cost == -2
         assert flow.fee == 0
-        enum_primary, enum_secondary = lex_optimum_by_enumeration(circ, costs)
+        enum_primary, enum_secondary = lex_optimum_by_enumeration(circ, Fraction(2), "min")
         assert enum_primary == -2 and enum_secondary == 0
 
     def test_max_fee_tie_break(self, inst_two_parallel):
         circ = add_return_arc(inst_two_parallel)
-        costs = [
-            LexCost(Fraction(e.cost + 2 * e.fee), Fraction(-e.fee)) for e in circ.edges
-        ]
-        flow = min_cost_circulation(circ, costs)
+        flow = solve_at(circ, Fraction(2), "max")
         assert flow.values[:2] == (2, 2)
         assert flow.fee == 4
-        enum_primary, enum_secondary = lex_optimum_by_enumeration(circ, costs)
+        enum_primary, enum_secondary = lex_optimum_by_enumeration(circ, Fraction(2), "max")
         assert enum_secondary == -4
+
+    def test_flows_are_fractions_at_the_boundary(self, inst_two_parallel):
+        flow = solve_at(add_return_arc(inst_two_parallel), Fraction(2), "max")
+        assert all(type(v) is Fraction for v in flow.values)
 
     def test_nonnegative_costs_give_zero_circulation(self):
         for seed in range(20):
             inst = generate_instance(nodes=2 + seed % 4, edges=1 + seed % 7, seed=seed)
             circ = add_return_arc(inst)
-            costs = [
-                LexCost(Fraction(abs(e.cost)), Fraction(e.fee)) for e in circ.edges
-            ]
-            flow = min_cost_circulation(circ, costs)
+            flow = min_cost_circulation(circ, [abs(e.cost) for e in circ.edges])
             assert all(v == 0 for v in flow.values)
 
     def test_no_negative_cycle_remains(self, inst_two_hop):
         circ = add_return_arc(inst_two_hop)
-        costs = [LexCost(Fraction(e.cost), Fraction(e.fee)) for e in circ.edges]
+        costs = lambda_cost(circ, Fraction(0), "min")
         flow = min_cost_circulation(circ, costs)
         rg = ResidualGraph(circ, costs, flow=flow.values)
         assert find_negative_cycle(rg) is None
@@ -170,11 +206,14 @@ class TestMinCostCirculation:
                 )
             )
             circ = add_return_arc(inst)
-            costs = [LexCost(Fraction(e.cost), Fraction(e.fee)) for e in circ.edges]
-            flow = min_cost_circulation(circ, costs)
-            enum_primary, enum_secondary = lex_optimum_by_enumeration(circ, costs)
-            assert flow.cost == enum_primary
-            assert flow.fee == enum_secondary
+            for lam, fee_direction in (
+                (Fraction(0), "min"),
+                (Fraction(1 + seed % 3, 2), ("min", "max")[seed % 2]),
+            ):
+                flow = solve_at(circ, lam, fee_direction)
+                assert primary_and_secondary(flow, lam, fee_direction) == (
+                    lex_optimum_by_enumeration(circ, lam, fee_direction)
+                )
 
     def test_tie_breaking_never_hurts_primary(self):
         for seed in range(25):
@@ -183,29 +222,17 @@ class TestMinCostCirculation:
             )
             circ = add_return_arc(inst)
             lam = Fraction(seed % 5, 3)
-            low = min_cost_circulation(circ, lambda_cost(circ, lam, "min"))
-            high = min_cost_circulation(circ, lambda_cost(circ, lam, "max"))
+            low = solve_at(circ, lam, "min")
+            high = solve_at(circ, lam, "max")
             assert low.cost + lam * low.fee == high.cost + lam * high.fee
             assert low.fee <= high.fee
 
-    def test_min_mean_switch_agrees(self):
-        for seed in range(15):
-            inst = preprocess(
-                generate_instance(nodes=2 + seed % 4, edges=1 + seed % 6, seed=200 + seed)
-            )
-            circ = add_return_arc(inst)
-            costs = [LexCost(Fraction(e.cost), Fraction(e.fee)) for e in circ.edges]
-            plain = min_cost_circulation(circ, costs)
-            karp = min_cost_circulation(circ, costs, min_mean_canceling=True)
-            assert plain.cost == karp.cost
-            assert plain.fee == karp.fee
-
 
 class TestIterationCap:
-    def test_tiny_cap_raises(self, inst_two_parallel):
-        from bcmcf import InternalSolverError
-
+    def test_tiny_cap_raises(self, inst_two_parallel, monkeypatch):
+        # a no-op cancel leaves the same negative cycle in place forever; the
+        # proven bound on the number of cancels must stop the loop
+        monkeypatch.setattr(ResidualGraph, "apply_cycle", lambda self, cycle: 1)
         circ = add_return_arc(inst_two_parallel)
-        costs = [LexCost(Fraction(e.cost), Fraction(e.fee)) for e in circ.edges]
         with pytest.raises(InternalSolverError):
-            min_cost_circulation(circ, costs, iteration_cap=1)
+            solve_at(circ, Fraction(0), "min")

@@ -150,7 +150,6 @@ class TestPreprocess:
         )
         result = preprocess(padded)
         assert result == inst_two_parallel
-        assert result.node_origin == (1, 2)
 
     def test_dead_chain_removed_iteratively(self):
         # b has no outgoing edge, so b dies; then a loses its only head use
@@ -163,7 +162,6 @@ class TestPreprocess:
         )
         result = preprocess(inst)
         assert result.node_count == 2
-        assert result.node_origin == (1, 4)
         assert result.edge_origin == (2,)
         # fixed point: rescanning finds nothing else to remove
         assert all(
