@@ -7,8 +7,9 @@ one for the budget row, repeatedly routes the cycle minimizing
 (fee-weighted length)/(-cost), and finally scales the accumulated flow
 down to feasibility.  On acyclic graphs every candidate cycle is a path
 between source and sink (in one orientation or the other) plus the
-matching zero-cost closure arc, so an exact parametric path oracle
-replaces the bisection cycle oracle.
+matching zero-cost closure arc, so an exact min-ratio path search, a
+Dinkelbach iteration over integer-scaled lengths, replaces the bisection
+cycle oracle.
 
 Dual lengths are floats; routed amounts are converted exactly to rationals
 when accumulated, so the returned flow conserves exactly and the final
@@ -185,17 +186,15 @@ def min_ratio_cycle(
 
 
 # ---------------------------------------------------------------------------
-# exact path oracle on acyclic graphs: sequential parametric search
+# exact path oracle on acyclic graphs: Dinkelbach iteration over ints
 # ---------------------------------------------------------------------------
 
 
-def topological_order(inst: Instance, *, skip_return_arc: bool = True) -> list[int]:
+def topological_order(inst: Instance) -> list[int]:
     """Topological node order; raises CyclicGraphError on a directed cycle."""
     indeg = [0] * (inst.node_count + 1)
     out: list[list[int]] = [[] for _ in range(inst.node_count + 1)]
-    for i, e in enumerate(inst.edges):
-        if skip_return_arc and i == inst.return_arc_index:
-            continue
+    for e in inst.edges:
         indeg[e.head] += 1
         out[e.tail].append(e.head)
     queue = [v for v in range(1, inst.node_count + 1) if indeg[v] == 0]
@@ -212,37 +211,59 @@ def topological_order(inst: Instance, *, skip_return_arc: bool = True) -> list[i
     return order
 
 
+def _scaled_ints(values: Sequence[Fraction | float]) -> tuple[list[int], int]:
+    """Return (ints, scale) with ints[i] == values[i] * scale exactly.
+
+    Every float, int and Fraction is exactly p/q, and ``scale`` is the least
+    common multiple of the q's.  For floats that is a power of two, so the
+    conversion stays exact over the whole float range.
+    """
+    ratios = [x.as_integer_ratio() for x in values]
+    # pairwise: unpacking a generator into math.lcm leaves its resized
+    # argument tuples in the interpreter's free lists, raising peak memory
+    scale = 1
+    for _, q in ratios:
+        scale = math.lcm(scale, q)
+    return [p * (scale // q) for p, q in ratios], scale
+
+
 def _dag_min_value_path(
     inst: Instance,
     order: Sequence[int],
-    out_edges: Sequence[Sequence[int]],
-    weights: Sequence[Fraction],
-    dens: Sequence[Fraction],
+    out_edges: Sequence[Sequence[tuple[int, int]]],
+    weights: Sequence[int],
+    dens: Sequence[int],
     source: int,
     sink: int,
-) -> tuple[Fraction, Fraction, list[int]] | None:
+) -> tuple[int, int, list[int]] | None:
     """Minimize (total weight, -total den) lexicographically over s-t paths.
 
-    The secondary criterion prefers larger denominators among equal-weight
-    paths, so a zero-weight qualifying path is found whenever one exists.
-    Returns (weight, den, edge list) or None if the sink is unreachable.
+    ``out_edges[v]`` lists (edge index, head) pairs.  The secondary criterion
+    prefers larger denominators among equal-weight paths, so a zero-weight
+    qualifying path is found whenever one exists.  Returns (weight, den,
+    edge list) or None if the sink is unreachable.
     """
-    label: dict[int, tuple[Fraction, Fraction]] = {source: (Fraction(0), Fraction(0))}
-    pred: dict[int, int] = {}
+    size = inst.node_count + 1
+    label_w: list[int | None] = [None] * size
+    label_d = [0] * size
+    pred = [-1] * size
+    label_w[source] = 0
     for v in order:
-        if v not in label:
+        w0 = label_w[v]
+        if w0 is None:
             continue
-        w0, d0 = label[v]
-        for i in out_edges[v]:
-            e = inst.edges[i]
-            cand = (w0 + weights[i], d0 - dens[i])
-            cur = label.get(e.head)
-            if cur is None or cand < cur:
-                label[e.head] = cand
-                pred[e.head] = i
-    if sink not in label:
+        d0 = label_d[v]
+        for i, head in out_edges[v]:
+            w = w0 + weights[i]
+            d = d0 + dens[i]
+            cur = label_w[head]
+            if cur is None or w < cur or (w == cur and d > label_d[head]):
+                label_w[head] = w
+                label_d[head] = d
+                pred[head] = i
+    value = label_w[sink]
+    if value is None:
         return None
-    w, negd = label[sink]
     path = []
     node = sink
     while node != source:
@@ -250,7 +271,7 @@ def _dag_min_value_path(
         path.append(i)
         node = inst.edges[i].tail
     path.reverse()
-    return w, -negd, path
+    return value, label_d[sink], path
 
 
 def min_ratio_path_dag(
@@ -259,135 +280,60 @@ def min_ratio_path_dag(
     den: Sequence[Fraction | float],
     source: int | None = None,
     sink: int | None = None,
-    rel_tol: float | None = None,
 ) -> RatioResult | None:
     """Exact minimum-ratio source-sink path on an acyclic graph.
 
-    Simulates the topological-order shortest-path recursion with labels
-    linear in the ratio parameter.  Each comparison whose outcome flips
-    inside the current parameter interval is resolved by the sign of the
-    concrete shortest-path value at the breakpoint: negative means the
-    breakpoint exceeds the optimal ratio, positive that it falls short,
-    zero pins it exactly.  Inputs are converted to rationals, so the
-    returned ratio is exact.  ``rel_tol`` is accepted for interface parity
-    with the cycle oracle and ignored.
+    Dinkelbach (Newton) iteration over Python ints.  Numerators and
+    denominators are scaled exactly to ints (``_scaled_ints``), which
+    changes every path's ratio by one positive constant.  From the
+    maximum-denominator path, each pass minimizes the integer weights
+    D*a - N*d of the current path's ratio N/D with ties broken towards
+    larger denominators; a negative minimum is a path with a smaller ratio,
+    and a zero minimum ends the search at the optimal ratio.  The returned
+    numerator, denominator and ratio are exact rationals in the input units.
 
     Raises CyclicGraphError when the graph is not acyclic; returns None if
     no source-sink path has positive denominator.
     """
-    del rel_tol
     source = inst.source if source is None else source
     sink = inst.sink if sink is None else sink
-    nums = [Fraction(x) for x in num]
-    dens = [Fraction(x) for x in den]
+    nums, num_scale = _scaled_ints(num)
+    dens, den_scale = _scaled_ints(den)
     if any(x < 0 for x in nums):
         raise ValueError("ratio numerators must be nonnegative")
-    order = topological_order(inst, skip_return_arc=False)
-    out_edges: list[list[int]] = [[] for _ in range(inst.node_count + 1)]
+    order = topological_order(inst)
+    out_edges: list[list[tuple[int, int]]] = [[] for _ in range(inst.node_count + 1)]
     for i, e in enumerate(inst.edges):
-        out_edges[e.tail].append(i)
+        out_edges[e.tail].append((i, e.head))
 
-    # reachability and a finite starting bracket from the max-denominator path
-    maxden: dict[int, Fraction] = {source: Fraction(0)}
-    mpred: dict[int, int] = {}
-    for v in order:
-        if v not in maxden:
-            continue
-        for i in out_edges[v]:
-            cand = maxden[v] + dens[i]
-            head = inst.edges[i].head
-            if head not in maxden or cand > maxden[head]:
-                maxden[head] = cand
-                mpred[head] = i
-    if sink not in maxden or maxden[sink] <= 0:
+    # reachability and the starting point: the maximum-denominator path
+    got = _dag_min_value_path(inst, order, out_edges, [0] * len(dens), dens, source, sink)
+    if got is None or got[1] <= 0:
         return None
-    seed: list[int] = []
-    node = sink
-    while node != source:
-        i = mpred[node]
-        seed.append(i)
-        node = inst.edges[i].tail
-    hi = sum(nums[i] for i in seed) / maxden[sink]
-    lo = Fraction(0)
+    _, d, path = got
+    n = sum(nums[i] for i in path)
 
-    def concrete_sign(lam: Fraction) -> int:
-        """Sign test at a breakpoint; also detects lam as the exact optimum."""
-        got = _dag_min_value_path(
-            inst,
-            order,
-            out_edges,
-            [nums[i] - lam * dens[i] for i in range(len(nums))],
-            dens,
-            source,
-            sink,
+    # A negative value at ratio n/d needs n > 0, so it comes from a path with
+    # den > 0 and a smaller ratio: paths with den <= 0 score at least 0.
+    # Bound: path k minimizes N - lam_{k-1}*D and path k+1 beats path k at
+    # lam_k, which together give (lam_{k-1} - lam_k)(D_k - D_{k+1}) > 0.  So
+    # after the first step the denominator strictly falls; it starts at the
+    # maximum D_0 and stays a positive int, so at most D_0 + 2 passes run.
+    for _ in range(d + 2):
+        weights = [d * a - n * b for a, b in zip(nums, dens)]
+        value, d_next, path = _dag_min_value_path(
+            inst, order, out_edges, weights, dens, source, sink
         )
-        assert got is not None  # sink reachable
-        value, d, _ = got
         if value < 0:
-            return 1  # some qualifying path beats lam: optimum is below lam
-        if value > 0:
-            return -1
-        return 0 if d > 0 else -1  # zero value counts only with positive den
-
-    if concrete_sign(hi) == 0:
-        lam_star = hi
-    else:
-        # symbolic labels a + b*lam, decided on the open interval (lo, hi)
-        label: dict[int, tuple[Fraction, Fraction]] = {source: (Fraction(0), Fraction(0))}
-        lam_star = None
-        for v in order:
-            if v not in label:
-                continue
-            a0, b0 = label[v]
-            for i in out_edges[v]:
-                cand = (a0 + nums[i], b0 - dens[i])
-                head = inst.edges[i].head
-                cur = label.get(head)
-                if cur is None:
-                    label[head] = cand
-                    continue
-                da, db = cand[0] - cur[0], cand[1] - cur[1]
-                if da == 0 and db == 0:
-                    continue
-                if db != 0:
-                    crossing = -da / db
-                    if lo < crossing < hi:
-                        sign = concrete_sign(crossing)
-                        if sign == 0:
-                            lam_star = crossing
-                            break
-                        if sign > 0:
-                            hi = crossing
-                        else:
-                            lo = crossing
-                mid = (lo + hi) / 2
-                if cand[0] + cand[1] * mid < cur[0] + cur[1] * mid:
-                    label[head] = cand
-            if lam_star is not None:
-                break
-        if lam_star is None:
-            a, b = label[sink]
-            if b == 0:
-                raise InternalSolverError("sink label lost its parametric slope")
-            lam_star = -a / b
-            if not lo <= lam_star <= hi:
-                raise InternalSolverError("parametric root escaped its bracket")
-
-    got = _dag_min_value_path(
-        inst,
-        order,
-        out_edges,
-        [nums[i] - lam_star * dens[i] for i in range(len(nums))],
-        dens,
-        source,
-        sink,
-    )
-    assert got is not None
-    value, d, path = got
-    if value != 0 or d <= 0:
-        raise InternalSolverError("optimal-ratio path failed its zero-value check")
-    nsum = sum(nums[i] for i in path)
-    return RatioResult(tuple(path), nsum, d, nsum / d)
+            d = d_next
+            n = sum(nums[i] for i in path)
+            continue
+        if value > 0 or d_next <= 0:
+            raise InternalSolverError("optimal-ratio path failed its zero-value check")
+        numerator = Fraction(sum(nums[i] for i in path), num_scale)
+        denominator = Fraction(d_next, den_scale)
+        return RatioResult(tuple(path), numerator, denominator, numerator / denominator)
+    raise InternalSolverError("path oracle exceeded its proven pass bound")
 
 
 # ---------------------------------------------------------------------------
@@ -596,11 +542,11 @@ def solve_gk_acyclic(
 
     Every circulation cycle is a simple path between source and sink (in
     either orientation) closed by the matching zero-cost closure arc, so
-    the oracle is the exact parametric path search on the original graph,
-    run in both directions; its exactness lets the internal accuracy relax
-    to eps/3.  ``oracle_audit``, when given, is invoked after every oracle
-    call with (graph, num, den, source, sink, result) for shadow
-    verification.
+    the oracle is the exact min-ratio path search on the original graph (a
+    Dinkelbach iteration over integer-scaled lengths), run in both
+    directions; its exactness lets the internal accuracy relax to eps/3.
+    ``oracle_audit``, when given, is invoked after every oracle call with
+    (graph, num, den, source, sink, result) for shadow verification.
     """
     if not 0 < eps < 1:
         raise ValueError(f"epsilon {eps} outside (0, 1)")

@@ -6,12 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcmcf import (
     CyclicGraphError,
     EdgeData,
     Flow,
     Instance,
+    InternalSolverError,
     add_return_arc,
     generate_instance,
     min_ratio_cycle,
@@ -25,7 +28,41 @@ from bcmcf import (
 )
 from bcmcf.fptas import _gk_loop, _reduced_for_packing, min_ratio_cycle as mrc
 from bcmcf.model import circulation_form
-from bcmcf.oracle import exhaustive_min_ratio_cycle, exhaustive_min_ratio_path
+from bcmcf.oracle import (
+    exhaustive_min_ratio_cycle,
+    exhaustive_min_ratio_path,
+    iter_source_sink_paths,
+)
+
+
+@st.composite
+def small_dag_ratio_inputs(draw):
+    """A DAG on at most 6 nodes with Fraction or float numerators and any-sign dens."""
+    n = draw(st.integers(2, 6))
+    pairs = st.tuples(st.integers(1, n - 1), st.integers(1, n - 1)).map(
+        lambda p: (min(p), max(p) + 1)
+    )
+    arcs = draw(st.lists(pairs, min_size=1, max_size=12))
+    inst = Instance(
+        node_count=n,
+        edges=tuple(EdgeData(t, h, 1, 0, 0) for t, h in arcs),
+        source=1,
+        sink=n,
+        budget=0,
+    )
+    numbers = st.one_of(
+        st.fractions(min_value=0, max_value=50, max_denominator=12),
+        st.floats(min_value=0, max_value=1e30, allow_subnormal=True),
+    )
+    num = draw(st.lists(numbers, min_size=len(arcs), max_size=len(arcs)))
+    den = draw(
+        st.lists(
+            st.one_of(st.integers(-3, 6), st.fractions(-3, 6, max_denominator=5)),
+            min_size=len(arcs),
+            max_size=len(arcs),
+        )
+    )
+    return inst, num, den
 
 
 class TestMinRatioCycle:
@@ -159,6 +196,85 @@ class TestMinRatioPathDag:
             assert result is not None
             assert result.ratio == best[1]
         assert checked >= 25
+
+
+    def test_extreme_float_magnitudes_scale_exactly(self):
+        # dual lengths reach the oracle as floats anywhere in 1e-120..1e120;
+        # the int scaling must keep the ratio exact and the tie rule intact
+        rng = random.Random(23)
+        checked = ties = 0
+        for seed in range(80):
+            inst = preprocess(
+                generate_instance(
+                    nodes=3 + seed % 5,
+                    edges=3 + seed % 10,
+                    acyclic=True,
+                    seed=1300 + seed,
+                )
+            )
+            den = [float(-e.cost) for e in inst.edges]
+            if seed % 2:
+                num = [10.0 ** rng.uniform(-120, 120) for _ in inst.edges]
+            else:
+                # an exact power-of-two multiple of the positive dens: every
+                # path of positive-den edges ties at the extreme ratio c
+                c = 2.0 ** rng.randint(-398, 398)
+                num = [c * d if d > 0 else c for d in den]
+            result = min_ratio_path_dag(inst, num, den)
+            best = exhaustive_min_ratio_path(inst, num, den)
+            if best is None:
+                assert result is None
+                continue
+            checked += 1
+            assert result is not None
+            assert result.ratio == best[1]
+            assert result.numerator == sum(Fraction(num[i]) for i in result.edges)
+            assert result.denominator == sum(Fraction(den[i]) for i in result.edges)
+            optimal_dens = []
+            for path in iter_source_sink_paths(inst):
+                d = sum(Fraction(den[i]) for i in path)
+                if d > 0 and sum(Fraction(num[i]) for i in path) / d == best[1]:
+                    optimal_dens.append(d)
+            assert result.denominator == max(optimal_dens)
+            ties += len(optimal_dens) > 1
+        assert checked >= 30
+        assert ties >= 5
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(small_dag_ratio_inputs())
+    def test_property_matches_enumeration(self, case):
+        inst, num, den = case
+        result = min_ratio_path_dag(inst, num, den)
+        best = exhaustive_min_ratio_path(inst, num, den)
+        if best is None:
+            assert result is None
+        else:
+            assert result is not None
+            assert result.ratio == best[1]
+            assert result.numerator / result.denominator == result.ratio
+
+    def test_non_improving_pass_hits_the_proven_bound(self, monkeypatch):
+        # a pass that keeps reporting a negative value without a better path
+        # would loop forever: the D_0 + 2 pass bound must raise instead
+        from bcmcf import fptas as fptas_mod
+
+        inst = Instance(
+            node_count=3,
+            edges=(EdgeData(1, 2, 1, -1, 0), EdgeData(2, 3, 1, -1, 0)),
+            source=1,
+            sink=3,
+            budget=0,
+        )
+        calls = []
+
+        def stuck(inst, order, out_edges, weights, dens, source, sink):
+            calls.append(1)
+            return -1, 2, [0, 1]
+
+        monkeypatch.setattr(fptas_mod, "_dag_min_value_path", stuck)
+        with pytest.raises(InternalSolverError, match="proven pass bound"):
+            min_ratio_path_dag(inst, [1, 1], [1, 1])
+        assert len(calls) == 1 + (2 + 2)  # the max-den pass, then D_0 + 2
 
 
 class TestSolveGk:
