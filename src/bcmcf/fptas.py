@@ -3,17 +3,18 @@
 The circulation form of the problem is a packing LP over negative-cost
 cycles: pack cycle flow against edge capacities and the fee budget.  The
 multiplicative-weights loop keeps a positive length per capacity row and
-one for the budget row, repeatedly routes the cycle minimizing
-(fee-weighted length)/(-cost), and finally scales the accumulated flow
-down to feasibility.  On acyclic graphs every candidate cycle is a path
-between source and sink (in one orientation or the other) plus the
-matching zero-cost closure arc, so an exact min-ratio path search, a
-Dinkelbach iteration over integer-scaled lengths, replaces the bisection
-cycle oracle.
+one for the budget row, and repeatedly routes the cycle minimizing
+(fee-weighted length)/(-cost).  Every oracle answer also bounds the optimum
+by weak duality, and the loop stops once the routed flow, scaled to
+feasibility, certifiably reaches (1 - eps) of that bound.  On acyclic
+graphs every candidate cycle is a path between source and sink (in one
+orientation or the other) plus the matching zero-cost closure arc, so an
+exact min-ratio path search, a Dinkelbach iteration over integer-scaled
+lengths, replaces the bisection cycle oracle.
 
 Dual lengths are floats; routed amounts are converted exactly to rationals
 when accumulated, so the returned flow conserves exactly and the final
-feasibility repair is an exact comparison, not an epsilon test.
+scaling to feasibility is an exact comparison, not an epsilon test.
 """
 
 from __future__ import annotations
@@ -48,17 +49,19 @@ class DualState:
     budget_length: float | None
     log_shift: float = 0.0
 
-    def log_objective(self, capacities: Sequence[int], budget: int) -> float:
+    def objective(self, capacities: Sequence[int], budget: int) -> float:
+        """The dual objective of the stored lengths (without ``log_shift``)."""
         total = sum(u * y for u, y in zip(capacities, self.lengths))
         if self.budget_length is not None:
             total += budget * self.budget_length
-        return math.log(total) + self.log_shift
+        return total
+
+    def log_objective(self, capacities: Sequence[int], budget: int) -> float:
+        return math.log(self.objective(capacities, budget)) + self.log_shift
 
     def renormalize(self, capacities: Sequence[int], budget: int) -> float:
         """Divide stored lengths by their objective; returns the factor."""
-        total = sum(u * y for u, y in zip(capacities, self.lengths))
-        if self.budget_length is not None:
-            total += budget * self.budget_length
+        total = self.objective(capacities, budget)
         self.lengths = [y / total for y in self.lengths]
         if self.budget_length is not None:
             self.budget_length /= total
@@ -68,12 +71,18 @@ class DualState:
 
 @dataclass(frozen=True)
 class RatioResult:
-    """A cycle or path with its ratio numerator/denominator sums."""
+    """A cycle or path with its ratio numerator/denominator sums.
+
+    ``lower`` is a proven lower bound on the minimum ratio over all
+    candidates with positive denominator: the ratio itself for an exact
+    oracle, the bracket's lower end for the bisection oracle.
+    """
 
     edges: tuple[int, ...]
     numerator: float | Fraction
     denominator: float | Fraction
     ratio: float | Fraction
+    lower: float | Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +96,14 @@ def _negative_cycle_float(
     heads: Sequence[int],
     weights: Sequence[float],
 ) -> list[int] | None:
-    """Bellman-Ford negative cycle in float arithmetic (all-zero start labels)."""
+    """Bellman-Ford negative cycle in float arithmetic (all-zero start labels).
+
+    Returns None only after a full pass without relaxation.  A broken
+    predecessor walk raises InternalSolverError: a relaxation in pass k
+    comes from a tail relaxed in pass k or k-1, so the last node relaxed in
+    pass n has a predecessor chain of at least n arcs, and n steps back from
+    it lie on a cycle of the predecessor graph.
+    """
     n = node_count
     m = len(weights)
     dist = [0.0] * (n + 1)
@@ -107,21 +123,19 @@ def _negative_cycle_float(
     v = improved
     for _ in range(n):
         if pred[v] < 0:
-            return None
+            raise InternalSolverError("negative-cycle walk reached a root before a cycle")
         v = tails[pred[v]]
     cycle_rev = []
     node = v
-    seen = set()
-    while True:
+    for _ in range(n):
         a = pred[node]
-        if a < 0 or node in seen:
-            return None
-        seen.add(node)
+        if a < 0:
+            raise InternalSolverError("negative-cycle walk reached a root before a cycle")
         cycle_rev.append(a)
         node = tails[a]
         if node == v:
-            break
-    return list(reversed(cycle_rev))
+            return list(reversed(cycle_rev))
+    raise InternalSolverError("negative-cycle walk did not close within n arcs")
 
 
 def min_ratio_cycle(
@@ -138,7 +152,9 @@ def min_ratio_cycle(
     parametric length stays nonnegative).  Bisection narrows to relative
     width ``rel_tol`` and returns the best cycle seen, whose ratio is then
     within (1 + rel_tol) of the true minimum over cycles with positive
-    denominator; returns None when no such cycle exists.
+    denominator; the result's ``lower`` is the bracket's lower end, which
+    the last cycle-free parametric test proved.  Returns None when no such
+    cycle exists.
     """
     if not 0 < rel_tol < 1:
         raise ValueError(f"rel_tol {rel_tol} outside (0, 1)")
@@ -154,6 +170,12 @@ def min_ratio_cycle(
 
     def ratio_of(cycle: Sequence[int]) -> float:
         d = sum(den[a] for a in cycle)
+        if d <= 0:
+            # exactly, a negative cycle under num - lam * den has den > 0
+            raise InternalSolverError(
+                f"negative-cycle search returned a cycle with denominator sum {d}: "
+                "float cancellation in the parametric lengths"
+            )
         return sum(num[a] for a in cycle) / d
 
     best = tuple(seed)
@@ -182,7 +204,7 @@ def min_ratio_cycle(
             hi = min(mid, best_ratio)  # best is a real cycle: its ratio bounds the minimum
     d = sum(den[a] for a in best)
     nsum = sum(num[a] for a in best)
-    return RatioResult(best, nsum, d, nsum / d)
+    return RatioResult(best, nsum, d, nsum / d, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +354,8 @@ def min_ratio_path_dag(
             raise InternalSolverError("optimal-ratio path failed its zero-value check")
         numerator = Fraction(sum(nums[i] for i in path), num_scale)
         denominator = Fraction(d_next, den_scale)
-        return RatioResult(tuple(path), numerator, denominator, numerator / denominator)
+        ratio = numerator / denominator
+        return RatioResult(tuple(path), numerator, denominator, ratio, ratio)
     raise InternalSolverError("path oracle exceeded its proven pass bound")
 
 
@@ -364,22 +387,36 @@ def _reduced_for_packing(inst: Instance) -> tuple[Instance, list[int], bool]:
     return reduced, keep, budget_row
 
 
+# Relative slack on the stop test.  It absorbs float rounding in the loads,
+# the routed profit, the dual objective and the oracle's bracket end, each
+# off by about (arcs + iterations) units in the last place.
+CERTIFICATE_MARGIN = 1e-9
+
+
 def _gk_loop(
     reduced: Instance,
     budget_row: bool,
     eps_prime: float,
+    target: float,
     oracle: Oracle,
     oracle_edge_count: int,
     iteration_cap: int | None,
 ) -> tuple[dict[tuple[int, ...], Fraction], int, float]:
-    """Run the width-controlled packing loop.
+    """Run the width-controlled packing loop until a certified gap closes.
 
-    Returns (routed columns, iterations, final down-scale factor).
+    Returns (routed columns, iterations, upper bound on the optimum).
     ``oracle`` sees numerator lengths indexed like ``reduced`` edges plus
     possibly a trailing return arc (always zero there).  Oracle calls are
     lazy: the previously returned column keeps being routed while its ratio
     stays within (1 + eps_prime) of the last oracle answer, which the
     monotone growth of all lengths makes sound.
+
+    Weak duality: lengths divided by any lower bound on the minimum column
+    ratio are dual feasible, so every real oracle call bounds the optimum
+    by (dual objective)/(its ``lower``).  The loop stops once the routed
+    flow divided by its worst row load reaches ``target`` times the least
+    such bound, or, as the scheme's proven fallback, once the dual
+    objective reaches 1.
     """
     m = reduced.edge_count
     rows = m + (1 if budget_row else 0)
@@ -387,15 +424,14 @@ def _gk_loop(
     capacities = [e.capacity for e in reduced.edges]
     fees = [e.fee for e in reduced.edges]
     if m == 0:
-        return {}, 0, 1.0  # no edges means no columns: the zero flow stands
+        return {}, 0, 0.0  # no edges means no columns: the zero flow stands
 
-    # start value delta and the final scale factor are handled in log space:
-    # delta underflows a float for small accuracies, but only length ratios
-    # ever reach the oracle
+    # start value delta is handled in log space: it underflows a float for
+    # small accuracies, but only length ratios ever reach the oracle
     log_delta = math.log1p(eps_prime) - math.log((1.0 + eps_prime) * rows) / eps_prime
-    scale = (math.log1p(eps_prime) - log_delta) / math.log1p(eps_prime)
     if iteration_cap is None:
-        iteration_cap = 4 * rows * (int(scale) + 1) + 64
+        phases = (math.log1p(eps_prime) - log_delta) / math.log1p(eps_prime)
+        iteration_cap = 4 * rows * (int(phases) + 1) + 64
 
     dual = DualState(
         lengths=[1.0 / u for u in capacities],
@@ -409,19 +445,15 @@ def _gk_loop(
         nums.extend([0.0] * (oracle_edge_count - m))
         return nums
 
-    def column_ratio(edges: tuple[int, ...], nums: Sequence[float]) -> float:
-        den = 0.0
-        num = 0.0
-        for i in edges:
-            num += nums[i]
-            if i < m:
-                den -= reduced.edges[i].cost
-        return num / den if den > 0 else math.inf
-
     routed: dict[tuple[int, ...], Fraction] = {}
     iterations = 0
     current: tuple[int, ...] | None = None
     threshold = math.inf
+    bound = math.inf
+    loads = [0.0] * m
+    fee_load = 0.0
+    worst = 0.0  # max over rows of load / capacity
+    profit = 0.0
     while dual.log_objective(capacities, budget) < 0.0:
         iterations += 1
         if iterations > iteration_cap:
@@ -430,24 +462,38 @@ def _gk_loop(
             # thresholds are length ratios, so they rescale with the lengths
             threshold /= dual.renormalize(capacities, budget)
         nums = numerators()
-        if current is None or column_ratio(current, nums) > threshold:
+        # every column has positive gain: both oracles return only columns
+        # with a positive denominator sum
+        if current is None or sum(nums[i] for i in current) / gain > threshold:
             answer = oracle(nums)
             if answer is None:
+                bound = 0.0
                 break  # no qualifying column at all: optimum is the zero flow
             current = tuple(answer.edges)
-            threshold = (1.0 + eps_prime) * column_ratio(current, nums)
-        cycle_fee = sum(fees[i] for i in current if i < m)
-        amount = min(capacities[i] for i in current if i < m)
-        if budget_row and cycle_fee > 0:
-            amount = min(amount, budget / cycle_fee)
+            edges = [i for i in current if i < m]
+            gain = -sum(reduced.edges[i].cost for i in edges)
+            threshold = (1.0 + eps_prime) * (sum(nums[i] for i in current) / gain)
+            if answer.lower > 0:
+                # stored lengths: log_shift cancels out of the ratio
+                bound = min(bound, dual.objective(capacities, budget) / answer.lower)
+            cycle_fee = sum(fees[i] for i in edges)
+            amount = min(capacities[i] for i in edges)
+            if budget_row and cycle_fee > 0:
+                amount = min(amount, budget / cycle_fee)
         routed[current] = routed.get(current, Fraction(0)) + Fraction(amount)
-        for i in current:
-            if i < m:
-                dual.lengths[i] *= 1.0 + eps_prime * amount / capacities[i]
+        profit += amount * gain
+        for i in edges:
+            loads[i] += amount
+            worst = max(worst, loads[i] / capacities[i])
+            dual.lengths[i] *= 1.0 + eps_prime * amount / capacities[i]
         if budget_row and cycle_fee > 0:
             assert dual.budget_length is not None
+            fee_load += amount * cycle_fee
+            worst = max(worst, fee_load / budget)
             dual.budget_length *= 1.0 + eps_prime * amount * cycle_fee / budget
-    return routed, iterations, scale
+        if profit >= target * bound * (1.0 + CERTIFICATE_MARGIN) * worst:
+            break
+    return routed, iterations, bound
 
 
 def _assemble_flow(
@@ -455,15 +501,17 @@ def _assemble_flow(
     reduced: Instance,
     keep: Sequence[int],
     routed: dict[tuple[int, ...], Fraction],
-    scale: float,
     budget_row: bool,
 ) -> Flow:
-    """Exactly accumulate routed columns, scale down, and repair feasibility.
+    """Exactly accumulate routed columns and scale them to feasibility.
 
     Every float routing amount converts exactly to a rational, and each
     column's edges receive the same amount, so conservation holds exactly.
-    The final division by the worst constraint-violation ratio is the exact
-    counterpart of the framework's log-scale correction plus float slop.
+    The flow is divided by its exact worst row load over the capacity rows
+    and the budget row, the exact counterpart of the loop's float stop
+    test.  Every routed amount fills a row of its column, so unless nothing
+    was routed that load is 1 or more, save for float rounding on the
+    budget row.
     """
     m = reduced.edge_count
     values = [Fraction(0)] * m
@@ -471,23 +519,11 @@ def _assemble_flow(
         for i in edges:
             if i < m:
                 values[i] += amount
-    factor = Fraction(scale)
-    if factor > 0:
-        values = [v / factor for v in values]
-    worst = Fraction(1)
-    for v, e in zip(values, reduced.edges):
-        if e.capacity > 0:
-            ratio = v / e.capacity
-            if ratio > worst:
-                worst = ratio
-    fee_total = sum(
-        (Fraction(e.fee) * v for e, v in zip(reduced.edges, values)), Fraction(0)
-    )
-    if budget_row and reduced.budget > 0:
-        ratio = fee_total / reduced.budget
-        if ratio > worst:
-            worst = ratio
-    if worst > 1:
+    worst = max((v / e.capacity for v, e in zip(values, reduced.edges)), default=Fraction(0))
+    if budget_row:
+        fee_total = sum((e.fee * v for e, v in zip(reduced.edges, values)), Fraction(0))
+        worst = max(worst, fee_total / reduced.budget)
+    if worst > 0:
         values = [v / worst for v in values]
 
     full = [Fraction(0)] * inst.edge_count
@@ -504,10 +540,13 @@ def solve_gk(
 ) -> Solution:
     """(1 - eps)-approximate solver for general graphs.
 
-    The internal accuracy is eps/4: the loop's own loss, the lazy
-    re-pricing, and the bisection oracle's (1 + eps/4) slack together stay
-    within the advertised factor.  The budget-zero case drops fee-carrying
-    edges and the budget row entirely.
+    The loop stops at a certified (1 - eps) gap: the routed flow, scaled to
+    feasibility, reaches (1 - eps) of the weak-duality bound that the
+    bisection oracle's proven bracket ends give.  Should that never happen,
+    the internal accuracy eps/4 of the loop's proven stop keeps the loop's
+    own loss, the lazy re-pricing and the oracle's (1 + eps/4) slack within
+    the advertised factor.  The budget-zero case drops fee-carrying edges
+    and the budget row entirely.
     """
     if not 0 < eps < 1:
         raise ValueError(f"epsilon {eps} outside (0, 1)")
@@ -519,10 +558,10 @@ def solve_gk(
     def oracle(nums: Sequence[float]) -> RatioResult | None:
         return min_ratio_cycle(circ, nums, den, rel_tol=eps_prime)
 
-    routed, iterations, scale = _gk_loop(
-        reduced, budget_row, eps_prime, oracle, circ.edge_count, iteration_cap
+    routed, iterations, _ = _gk_loop(
+        reduced, budget_row, eps_prime, 1.0 - eps, oracle, circ.edge_count, iteration_cap
     )
-    flow = _assemble_flow(inst, reduced, keep, routed, scale, budget_row)
+    flow = _assemble_flow(inst, reduced, keep, routed, budget_row)
     return Solution(
         flow=flow, objective=flow.cost, algorithm="gk", iterations=iterations
     )
@@ -544,7 +583,9 @@ def solve_gk_acyclic(
     either orientation) closed by the matching zero-cost closure arc, so
     the oracle is the exact min-ratio path search on the original graph (a
     Dinkelbach iteration over integer-scaled lengths), run in both
-    directions; its exactness lets the internal accuracy relax to eps/3.
+    directions; its exactness lets the internal accuracy of the loop's
+    proven stop relax to eps/3.  As in ``solve_gk``, the loop stops at a
+    certified (1 - eps) gap, here against the exact minimum ratio.
     ``oracle_audit``, when given, is invoked after every oracle call with
     (graph, num, den, source, sink, result) for shadow verification.
     """
@@ -574,17 +615,15 @@ def solve_gk_acyclic(
             result = backward
         if result is None:
             return None
+        ratio = float(result.ratio)
         return RatioResult(
-            result.edges,
-            float(result.numerator),
-            float(result.denominator),
-            float(result.ratio),
+            result.edges, float(result.numerator), float(result.denominator), ratio, ratio
         )
 
-    routed, iterations, scale = _gk_loop(
-        reduced, budget_row, eps_prime, oracle, reduced.edge_count, iteration_cap
+    routed, iterations, _ = _gk_loop(
+        reduced, budget_row, eps_prime, 1.0 - eps, oracle, reduced.edge_count, iteration_cap
     )
-    flow = _assemble_flow(inst, reduced, keep, routed, scale, budget_row)
+    flow = _assemble_flow(inst, reduced, keep, routed, budget_row)
     return Solution(
         flow=flow, objective=flow.cost, algorithm="gk-acyclic", iterations=iterations
     )

@@ -22,11 +22,18 @@ from bcmcf import (
     oracle_optimum,
     preprocess,
     rescale_bicriteria,
+    solve_exact,
     solve_gk,
     solve_gk_acyclic,
     validate_flow,
 )
-from bcmcf.fptas import _gk_loop, _reduced_for_packing, min_ratio_cycle as mrc
+from bcmcf import fptas as fptas_mod
+from bcmcf.fptas import (
+    _gk_loop,
+    _negative_cycle_float,
+    _reduced_for_packing,
+    min_ratio_cycle as mrc,
+)
 from bcmcf.model import circulation_form
 from bcmcf.oracle import (
     exhaustive_min_ratio_cycle,
@@ -123,6 +130,54 @@ class TestMinRatioCycle:
             checked += 1
             assert float(result.ratio) <= (1.0 + rel_tol) * float(best[1]) * (1 + 1e-12)
         assert checked >= 20
+
+    def test_broken_predecessor_walk_raises(self):
+        # a weight that falls on every read relaxes 1 -> 2 in both passes,
+        # so node 2 is still improving in pass n = 2 while its predecessor
+        # chain is one arc long: the walk back reaches the root
+        class Falling:
+            reads = 0
+
+            def __len__(self):
+                return 1
+
+            def __getitem__(self, index):
+                self.reads += 1
+                return -float(self.reads)
+
+        with pytest.raises(InternalSolverError, match="root before a cycle"):
+            _negative_cycle_float(2, [1], [2], Falling())
+
+    def test_nonpositive_denominator_cycle_raises(self, inst_two_parallel, monkeypatch):
+        # the two closure arcs form a cycle with denominator 0, which an exact
+        # negative-cycle test can never return
+        circ = circulation_form(inst_two_parallel)
+        monkeypatch.setattr(fptas_mod, "_negative_cycle_float", lambda *args: [2, 3])
+        with pytest.raises(InternalSolverError, match="float cancellation"):
+            mrc(circ, [1.0, 1.0, 0.0, 0.0], [4.0, 1.0, 0.0, 0.0], rel_tol=0.1)
+
+    def test_lower_end_bounds_the_minimum_ratio(self):
+        # a coarse tolerance, so that some answers are not the optimal cycle
+        # and only the bracket's lower end, not the answer's ratio, is a bound
+        rng = random.Random(7)
+        checked = suboptimal = 0
+        for seed in range(80):
+            inst = preprocess(
+                generate_instance(nodes=2 + seed % 6, edges=2 + seed % 9, seed=900 + seed)
+            )
+            if inst.node_count > 8:
+                continue
+            num = [rng.uniform(0.0, 4.0) for _ in inst.edges]
+            den = [float(-e.cost) for e in inst.edges]
+            result = mrc(inst, num, den, rel_tol=0.5)
+            best = exhaustive_min_ratio_cycle(inst, num, den)
+            if best is None:
+                continue
+            checked += 1
+            suboptimal += result.ratio > float(best[1]) * (1 + 1e-12)
+            assert 0 < result.lower <= float(best[1]) * (1 + 1e-12)
+            assert result.ratio <= 1.5 * result.lower * (1 + 1e-12)
+        assert checked >= 40 and suboptimal >= 3
 
 
 class TestMinRatioPathDag:
@@ -328,15 +383,13 @@ class TestSolveGk:
         def oracle(nums):
             return mrc(circ, nums, den, rel_tol=0.1)
 
-        routed, _, _ = _gk_loop(reduced, budget_row, 0.1, oracle, circ.edge_count, None)
+        routed, _, _ = _gk_loop(reduced, budget_row, 0.1, 0.9, oracle, circ.edge_count, None)
         assert routed
         for cycle in routed:
             cost = sum(circ.edges[i].cost for i in cycle)
             assert cost < 0
 
     def test_dual_objective_strictly_increases(self, inst_two_parallel, monkeypatch):
-        from bcmcf import fptas as fptas_mod
-
         trace: list[float] = []
         original = fptas_mod.DualState.log_objective
 
@@ -346,10 +399,74 @@ class TestSolveGk:
             return value
 
         monkeypatch.setattr(fptas_mod.DualState, "log_objective", recording)
-        solve_gk(inst_two_parallel, 0.25)
+        bounds = record_loop_bounds(monkeypatch)
+        sol = solve_gk(inst_two_parallel, 0.25)
         assert len(trace) > 2
         assert all(b > a for a, b in zip(trace, trace[1:]))
-        assert trace[-1] >= 0  # the loop only stops once the objective reaches 1
+        # the loop stops once the objective reaches 1 (log 0) or once the
+        # certified gap closes; here the gap closes long before
+        reached_one = trace[-1] >= 0
+        gap_closed = -float(sol.objective) >= 0.75 * bounds[-1]
+        assert gap_closed and not reached_one
+
+    @pytest.mark.parametrize(
+        "max_capacity, budget_mode, seed", [(3, "tight", 7), (10, "slack", 14)]
+    )
+    @pytest.mark.parametrize("eps", [0.5, 0.25, 0.1])
+    def test_float_cancellation_instances(self, max_capacity, budget_mode, seed, eps):
+        # at eps <= 0.25 the loop used to run long enough for float
+        # cancellation to hand the cycle oracle a zero-denominator cycle
+        inst = preprocess(
+            generate_instance(
+                12, 48, max_capacity=max_capacity, budget_mode=budget_mode, seed=seed
+            )
+        )
+        sol = solve_gk(inst, eps)
+        assert validate_flow(inst, sol.flow).ok
+        assert sol.flow.fee <= inst.budget
+        assert sol.objective <= (1 - Fraction(eps)) * solve_exact(inst).objective
+
+
+def record_loop_bounds(monkeypatch) -> list[float]:
+    """Patch ``_gk_loop`` to record every upper bound it returns."""
+    bounds: list[float] = []
+    original = fptas_mod._gk_loop
+
+    def recording(*args):
+        result = original(*args)
+        bounds.append(result[2])
+        return result
+
+    monkeypatch.setattr(fptas_mod, "_gk_loop", recording)
+    return bounds
+
+
+@pytest.mark.parametrize("acyclic", [False, True])
+@pytest.mark.parametrize("eps", [0.5, 0.25])
+def test_loop_bound_covers_the_optimum(eps, acyclic, monkeypatch):
+    # the first 12 seeds are the instances of
+    # TestSolveGk.test_guarantee_on_random_instances (or their acyclic
+    # counterparts); only 3 of those have a nonzero optimum, so 24 more follow
+    solver = solve_gk_acyclic if acyclic else solve_gk
+    bounds = record_loop_bounds(monkeypatch)
+    nonzero = 0
+    for seed in range(36):
+        inst = preprocess(
+            generate_instance(
+                nodes=2 + seed % 5,
+                edges=1 + seed % 9,
+                budget_mode=("tight", "slack", "zero")[seed % 3],
+                acyclic=acyclic,
+                seed=1000 + seed,
+            )
+        )
+        sol = solver(inst, eps)
+        optimum = -oracle_optimum(inst).objective
+        nonzero += optimum > 0
+        # the stop test's own float margin
+        assert bounds[-1] * (1 + fptas_mod.CERTIFICATE_MARGIN) >= optimum
+        assert -sol.objective <= optimum
+    assert nonzero >= 9
 
 
 class TestSolveGkAcyclic:
