@@ -103,9 +103,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if args.algorithm == "exact":
             sol = exact.solve_exact(inst)
         elif args.algorithm == "gk":
-            sol = fptas.solve_gk(inst, args.epsilon, iteration_cap=args.iteration_cap)
+            sol = fptas.solve_gk(inst, args.epsilon)
         elif args.algorithm == "gk-acyclic":
-            sol = fptas.solve_gk_acyclic(inst, args.epsilon, iteration_cap=args.iteration_cap)
+            sol = fptas.solve_gk_acyclic(inst, args.epsilon)
         else:
             sol = oracle.oracle_optimum(inst, guard=args.guard)
     except oracle.EnumerationGuardError as exc:
@@ -194,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algorithm", "-a", choices=ALGORITHMS, default="exact")
     p_solve.add_argument("--epsilon", "-e", type=float, default=None,
                          help="accuracy for the gk solvers, in (0, 1)")
-    p_solve.add_argument("--iteration-cap", type=int, default=None,
-                         help="override the gk solvers' defensive iteration cap")
     p_solve.add_argument("--guard", type=int, default=oracle.DEFAULT_GUARD,
                          help="enumeration guard for --algorithm oracle")
     p_solve.add_argument("--format", choices=("structured", "text"), default="structured")

@@ -1,19 +1,20 @@
-"""Exact solver: multiplier trichotomy test, grid binary search, frontier.
+"""Exact solver: multiplier trichotomy test, one multiplier search, frontier.
 
 The budget-constrained optimum is a point of the lower-left (cost, fee)
 Pareto frontier on or below the budget line.  For a multiplier ``lam``, a
 pair of lexicographic min-cost-circulation solves under costs
 ``cost + lam * fee`` (fee-minimal and fee-maximal among optima) reveals
 whether ``lam`` is below, inside, or above the closed interval of optimal
-multipliers.  A binary search over a grid fine enough to separate frontier
-slopes brackets that interval; the optimum is then recovered as a convex
-combination of the two corner flows of the frontier segment crossing the
-budget line.
+multipliers.  A chord-first search, safeguarded by bisection over a grid
+of multipliers, narrows a bracket until one probe lands inside that
+interval; the optimum is then a convex combination of that probe's two
+witness flows meeting the budget line.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,8 +29,6 @@ from .model import (
     instance_stats,
     project_flow,
 )
-
-_REFINE_CAP = 100_000
 
 
 class VerdictKind(enum.Enum):
@@ -99,110 +98,87 @@ def budget_combination(x1: Flow, x2: Flow, budget: Fraction | int) -> Flow:
     return combine_flows(x1, x2, alpha)
 
 
-def _point(flow: Flow) -> tuple[Fraction, Fraction]:
-    return (flow.cost, flow.fee)
-
-
 def solve_exact(inst: Instance) -> Solution:
     """Optimal budget-constrained min-cost flow, exactly.
 
-    Probes lam = 0 first (handles a slack budget outright), then binary
-    searches the multiplier grid with spacing 1/(2*cbar^2) up to bbar.  An
-    INSIDE probe short-circuits; otherwise the search ends with a
-    bracketing BELOW/ABOVE pair and the crossing segment's corners are
-    recovered by chord probes: probing the multiplier of the chord through
-    the current corner candidates either certifies the chord as a frontier
-    segment (INSIDE) or discovers a strictly better extreme point, so the
-    recovery terminates after finitely many probes (one, when the bracket
-    already holds a single frontier segment).
+    Probes lam = 0 first (handles a slack budget outright), then lam = bbar,
+    the top of the multiplier grid k/(2*cbar^2), and, only if that verdicts
+    BELOW, a multiplier above every frontier slope.  One loop then shrinks
+    the BELOW/ABOVE bracket: each round probes the chord multiplier of the
+    bracket's two corner flows, plus the middle grid point inside the
+    bracket when the chord did not halve the number of such points.  The
+    first INSIDE probe ends the search and its multiplier is returned, so
+    when the optimal multiplier interval holds more than one point the
+    probe order picks the answer.  ``iterations`` counts every probe.
     """
     circ = circulation_form(inst)
     budget = Fraction(inst.budget)
-    probes = 0
-
-    def probe(lam: Fraction) -> CallbackVerdict:
-        nonlocal probes
-        probes += 1
-        return lambda_callback(circ, lam)
-
-    def finish(flow: Flow, lam: Fraction, refine_probes: int, segment=None) -> Solution:
-        flow = project_flow(inst, flow)
-        return Solution(
-            flow=flow,
-            objective=flow.cost,
-            algorithm="exact",
-            iterations=probes + refine_probes,
-            lam=lam,
-            frontier_segment=segment,
-            search_probes=probes,
-            refine_probes=refine_probes,
-        )
-
-    def inside_flow(verdict: CallbackVerdict) -> Flow:
-        return budget_combination(verdict.x_minfee, verdict.x_maxfee, budget)
-
-    v0 = probe(Fraction(0))
-    if v0.is_inside:
-        # fee-minimal unconstrained optimum; feasible since fee <= budget
-        return finish(v0.x_minfee, Fraction(0), 0)
-
     stats = instance_stats(inst)
     denom = 2 * stats.cbar * stats.cbar
-    k_max = 2 * stats.bbar * stats.cbar * stats.cbar
-    if stats.cbar == 0 or k_max == 0:
-        raise InternalSolverError("lam=0 verdict BELOW on an instance with empty grid")
+    k_max = stats.bbar * denom
+    lo = hi = None  # multipliers of the bracket's BELOW and ABOVE ends
+    x_over = x_under = None  # optima there, with fee above / below the budget
 
-    v_top = probe(Fraction(k_max, denom))
-    if v_top.is_inside:
-        seg = (_point(v_top.x_minfee), _point(v_top.x_maxfee))
-        return finish(inside_flow(v_top), Fraction(k_max, denom), 0, seg)
+    def grid_inside() -> tuple[int, int]:
+        """Count and middle of the k in 1..k_max with lo < k/denom < hi."""
+        first = math.floor(lo * denom) + 1
+        last = min(math.ceil(hi * denom) - 1, k_max)
+        return max(last - first + 1, 0), (first + last) // 2
 
-    if v_top.kind is VerdictKind.BELOW:
-        # optimal interval lies beyond the grid; bracket with a multiplier
-        # larger than any frontier slope (its optimum has the minimum fee, 0)
-        lam_inf = stats.lambda_above_all_slopes()
-        v_inf = probe(lam_inf)
-        if v_inf.is_inside:
-            seg = (_point(v_inf.x_minfee), _point(v_inf.x_maxfee))
-            return finish(inside_flow(v_inf), lam_inf, 0, seg)
-        if v_inf.kind is not VerdictKind.ABOVE:
-            raise InternalSolverError("beyond-slope multiplier did not verdict ABOVE")
-        below, above = v_top, v_inf
-    else:
-        lo, hi = 0, k_max
-        lo_v, hi_v = v0, v_top
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            v_mid = probe(Fraction(mid, denom))
-            if v_mid.is_inside:
-                seg = (_point(v_mid.x_minfee), _point(v_mid.x_maxfee))
-                return finish(inside_flow(v_mid), Fraction(mid, denom), 0, seg)
-            if v_mid.kind is VerdictKind.BELOW:
-                lo, lo_v = mid, v_mid
-            else:
-                hi, hi_v = mid, v_mid
-        below, above = lo_v, hi_v
+    def multipliers():
+        """The multipliers to probe, in order; reads the bracket the loop updates."""
+        yield Fraction(0)
+        if k_max == 0:
+            raise InternalSolverError("lam=0 verdict BELOW on an instance with empty grid")
+        yield Fraction(stats.bbar)
+        if hi is None:
+            # the optimal interval lies beyond the grid
+            yield stats.lambda_above_all_slopes()
+            if hi is None:
+                raise InternalSolverError("beyond-slope multiplier did not verdict ABOVE")
+        while True:
+            before, _ = grid_inside()
+            yield edge_multiplier(x_under, x_over)
+            count, middle = grid_inside()
+            if count > before // 2:
+                yield Fraction(middle, denom)
 
-    # corner recovery between the bracketing verdicts: over-budget corner
-    # from the BELOW side, under-budget corner from the ABOVE side
-    x_over = below.x_maxfee
-    x_under = above.x_minfee
-    refine = 0
-    while True:
-        refine += 1
-        if refine > _REFINE_CAP:
-            raise InternalSolverError("corner refinement exceeded its probe cap")
-        lam = (x_under.cost - x_over.cost) / (x_over.fee - x_under.fee)
+    # Probe cap.  The opening takes 3 probes only when lam = bbar verdicts
+    # BELOW, which leaves no grid point inside the bracket; otherwise 2, with
+    # k_max - 1 grid points inside.  A round that starts with n >= 1 of them
+    # ends with at most n // 2 (the chord halved them, or the middle probe
+    # dropped the middle point and one side), so at most bitlen(k_max - 1)
+    # rounds probe the grid; after them the bracket fits in one grid gap, as
+    # after the paper's bisection.  The chord lies strictly inside the
+    # bracket, and a BELOW (ABOVE) verdict there yields an optimum with fee
+    # strictly below x_over's (above x_under's): otherwise x_over (x_under)
+    # would be optimal at the chord, and with it the other corner, making
+    # the verdict INSIDE.  Fees are integers, so the gap x_over.fee -
+    # x_under.fee, at most bbar and at least 2 around the integer budget,
+    # allows at most bbar - 1 chord probes.  Grid probes never widen it, as
+    # optimal fees fall with lam.
+    cap = k_max.bit_length() + stats.bbar + 2
+    probes = 0
+    for lam in multipliers():
+        if probes == cap:
+            raise InternalSolverError(f"multiplier search exceeded its cap of {cap} probes")
+        probes += 1
         verdict = lambda_callback(circ, lam)
         if verdict.is_inside:
-            seg = (_point(verdict.x_minfee), _point(verdict.x_maxfee))
-            return finish(inside_flow(verdict), lam, refine, seg)
+            if lam == 0:
+                # fee-minimal unconstrained optimum; feasible since fee <= budget
+                flow = verdict.x_minfee
+            else:
+                flow = budget_combination(verdict.x_minfee, verdict.x_maxfee, budget)
+            flow = project_flow(inst, flow)
+            return Solution(
+                flow=flow, objective=flow.cost, algorithm="exact", iterations=probes, lam=lam
+            )
+        # keep the optimum nearest the budget as the new corner
         if verdict.kind is VerdictKind.BELOW:
-            # every optimum at lam overshoots: its fee-minimal one is a
-            # strictly better over-budget corner
-            x_over = verdict.x_minfee
+            lo, x_over = lam, verdict.x_minfee
         else:
-            x_under = verdict.x_maxfee
+            hi, x_under = lam, verdict.x_maxfee
 
 
 def enumerate_frontier(inst: Instance) -> list[FrontierPoint]:

@@ -400,7 +400,6 @@ def _gk_loop(
     target: float,
     oracle: Oracle,
     oracle_edge_count: int,
-    iteration_cap: int | None,
 ) -> tuple[dict[tuple[int, ...], Fraction], int, float]:
     """Run the width-controlled packing loop until a certified gap closes.
 
@@ -429,9 +428,8 @@ def _gk_loop(
     # start value delta is handled in log space: it underflows a float for
     # small accuracies, but only length ratios ever reach the oracle
     log_delta = math.log1p(eps_prime) - math.log((1.0 + eps_prime) * rows) / eps_prime
-    if iteration_cap is None:
-        phases = (math.log1p(eps_prime) - log_delta) / math.log1p(eps_prime)
-        iteration_cap = 4 * rows * (int(phases) + 1) + 64
+    phases = (math.log1p(eps_prime) - log_delta) / math.log1p(eps_prime)
+    iteration_cap = 4 * rows * (int(phases) + 1) + 64
 
     dual = DualState(
         lengths=[1.0 / u for u in capacities],
@@ -532,12 +530,7 @@ def _assemble_flow(
     return Flow.from_values(inst, full)
 
 
-def solve_gk(
-    inst: Instance,
-    eps: float,
-    *,
-    iteration_cap: int | None = None,
-) -> Solution:
+def solve_gk(inst: Instance, eps: float) -> Solution:
     """(1 - eps)-approximate solver for general graphs.
 
     The loop stops at a certified (1 - eps) gap: the routed flow, scaled to
@@ -559,7 +552,7 @@ def solve_gk(
         return min_ratio_cycle(circ, nums, den, rel_tol=eps_prime)
 
     routed, iterations, _ = _gk_loop(
-        reduced, budget_row, eps_prime, 1.0 - eps, oracle, circ.edge_count, iteration_cap
+        reduced, budget_row, eps_prime, 1.0 - eps, oracle, circ.edge_count
     )
     flow = _assemble_flow(inst, reduced, keep, routed, budget_row)
     return Solution(
@@ -571,7 +564,6 @@ def solve_gk_acyclic(
     inst: Instance,
     eps: float,
     *,
-    iteration_cap: int | None = None,
     oracle_audit: Callable[
         [Instance, Sequence[float], Sequence[float], int, int, RatioResult | None], None
     ]
@@ -621,7 +613,7 @@ def solve_gk_acyclic(
         )
 
     routed, iterations, _ = _gk_loop(
-        reduced, budget_row, eps_prime, 1.0 - eps, oracle, reduced.edge_count, iteration_cap
+        reduced, budget_row, eps_prime, 1.0 - eps, oracle, reduced.edge_count
     )
     flow = _assemble_flow(inst, reduced, keep, routed, budget_row)
     return Solution(

@@ -24,11 +24,12 @@ class FrontierPoint:
     lambda_high: Fraction | None
 
 
-def edge_multiplier(p_low: FrontierPoint, p_high: FrontierPoint) -> Fraction:
-    """Multiplier at which the segment between two frontier points is optimal.
+def edge_multiplier(p_low: FrontierPoint | Flow, p_high: FrontierPoint | Flow) -> Fraction:
+    """Multiplier at which two (cost, fee) points have equal cost + lam * fee.
 
     ``p_low`` has the smaller fee.  The value is the negated slope of the
-    segment in cost-per-fee form.
+    chord between them in cost-per-fee form; for two adjacent frontier
+    points it is the multiplier at which their segment is optimal.
     """
     return (p_low.cost - p_high.cost) / (p_high.fee - p_low.fee)
 

@@ -146,9 +146,6 @@ class Stats:
 
     cbar: int
     bbar: int
-    max_abs_value: int
-    max_abs_cost: int
-    max_capacity: int
 
     def lambda_above_all_slopes(self) -> Fraction:
         """A multiplier strictly larger than any frontier edge slope."""
@@ -156,17 +153,9 @@ class Stats:
 
 
 def instance_stats(inst: Instance) -> Stats:
-    cbar = sum(abs(e.capacity * e.cost) for e in inst.edges)
-    bbar = sum(e.capacity * e.fee for e in inst.edges)
-    numbers = [inst.budget]
-    for e in inst.edges:
-        numbers.extend((e.capacity, abs(e.cost), e.fee))
     return Stats(
-        cbar=cbar,
-        bbar=bbar,
-        max_abs_value=max(numbers),
-        max_abs_cost=max((abs(e.cost) for e in inst.edges), default=0),
-        max_capacity=max((e.capacity for e in inst.edges), default=0),
+        cbar=sum(abs(e.capacity * e.cost) for e in inst.edges),
+        bbar=sum(e.capacity * e.fee for e in inst.edges),
     )
 
 
@@ -477,11 +466,9 @@ def parse_fraction(token: str) -> Fraction:
 class Solution:
     """A solver answer: a flow, its exact objective, and run metadata.
 
-    ``lam`` is the multiplier certificate of parametric solvers;
-    ``frontier_segment`` holds the two frontier corner points whose convex
-    combination produced the flow, when one was taken.  ``search_probes``
-    counts binary-search probes and ``refine_probes`` the extra corner
-    refinement probes of the exact solver.
+    ``iterations`` counts every multiplier probe of the exact solver and
+    every loop iteration of the packing solvers.  ``lam`` is the multiplier
+    certificate of parametric solvers.
     """
 
     flow: Flow
@@ -489,9 +476,6 @@ class Solution:
     algorithm: str
     iterations: int
     lam: Fraction | None = None
-    frontier_segment: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]] | None = None
-    search_probes: int | None = None
-    refine_probes: int | None = None
 
 
 @dataclass(frozen=True)

@@ -88,13 +88,13 @@ def test_exact_matches_oracle(corpus):
 
 
 def test_search_probe_bound(corpus, corpus_exact):
-    """Binary-search probes stay within the grid's logarithmic budget."""
+    """All multiplier probes stay within the grid's logarithmic budget."""
     failures = []
     for inst, sol in zip(corpus, corpus_exact):
         stats = instance_stats(inst)
         grid = 2 * stats.bbar * stats.cbar**2 + 1
         bound = (grid - 1).bit_length() + 2 if grid > 1 else 2
-        probes = sol.search_probes or 0
+        probes = sol.iterations
         if probes > bound:
             failures.append(f"{probes} probes > bound {bound} on {inst}")
     report("probe bound (ceil(log2(2*bbar*cbar^2+1)) + 2)", failures)

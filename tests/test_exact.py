@@ -6,11 +6,15 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bcmcf.exact as exact_mod
 from bcmcf import (
     EdgeData,
     Flow,
     Instance,
+    InternalSolverError,
     VerdictKind,
     add_return_arc,
     budget_combination,
@@ -25,6 +29,31 @@ from bcmcf import (
     validate_flow,
 )
 from bcmcf.oracle import iter_integral_values
+
+
+def probe_cap(inst: Instance) -> int:
+    """The proven probe cap of ``solve_exact``: bitlen(2*bbar*cbar^2) + bbar + 2."""
+    stats = instance_stats(inst)
+    return (2 * stats.bbar * stats.cbar**2).bit_length() + stats.bbar + 2
+
+
+@st.composite
+def small_instances(draw) -> Instance:
+    """At most 5 edges of capacity at most 3 and cost magnitude at most 1e6.
+
+    The budget is often the fee of a frontier extreme point, where the
+    optimal multiplier interval is wider than one point.
+    """
+    n = draw(st.integers(2, 4))
+    node = st.integers(1, n)
+    edge = st.builds(
+        EdgeData, node, node, st.integers(0, 3), st.integers(-(10**6), 10**6), st.integers(0, 5)
+    )
+    edges = tuple(draw(st.lists(edge, min_size=1, max_size=5)))
+    inst = Instance(node_count=n, edges=edges, source=1, sink=n, budget=0)
+    fees = [int(p.fee) for p in oracle_frontier(inst)]
+    budget = draw(st.sampled_from(fees) | st.integers(0, fees[-1] + 1))
+    return replace(inst, budget=budget)
 
 
 def optima_fee_range(circ: Instance, lam: Fraction) -> tuple[Fraction, Fraction]:
@@ -147,11 +176,11 @@ class TestSolveExact:
         )
         sol = solve_exact(inst)
         assert sol.objective == 0
-        assert sol.search_probes <= 3
+        assert sol.iterations <= 3
 
     def test_crossing_between_near_parallel_segments(self):
         # two frontier segments whose multipliers (1/4 and 1/5) both fall in
-        # one grid gap of width 1/8; corner refinement must still land the
+        # one grid gap of width 1/8; the chord probes must still land the
         # exact crossing on the second segment
         inst = Instance(
             node_count=2,
@@ -164,7 +193,6 @@ class TestSolveExact:
         reference = oracle_optimum(inst)
         assert sol.objective == reference.objective == Fraction(-6, 5)
         assert sol.lam == Fraction(1, 5)
-        assert sol.refine_probes is not None and sol.refine_probes >= 1
 
     def test_matches_oracle_on_random_instances(self):
         for seed in range(40):
@@ -216,7 +244,41 @@ class TestSolveExact:
         stats = instance_stats(inst_two_parallel)
         bound = (2 * stats.bbar * stats.cbar**2 + 1).bit_length() + 2
         sol = solve_exact(inst_two_parallel)
-        assert sol.search_probes is not None and sol.search_probes <= bound
+        assert sol.iterations <= bound
+
+    def test_zero_budget_stops_at_grid_top(self):
+        # the optimal multiplier interval [1/2, inf) holds bbar = 2, so the
+        # second opening probe is INSIDE and its multiplier is returned
+        inst = Instance(
+            node_count=2, edges=(EdgeData(1, 2, 1, -1, 2),), source=1, sink=2, budget=0
+        )
+        sol = solve_exact(inst)
+        assert sol.objective == 0
+        assert sol.lam == instance_stats(inst).bbar == 2
+        assert sol.iterations == 2
+
+    def test_probe_cap_raises(self, inst_two_parallel, monkeypatch):
+        # after the two real opening probes (BELOW at 0, ABOVE at bbar) every
+        # verdict repeats the first one, so the bracket never closes
+        real = exact_mod.lambda_callback
+        verdicts = []
+
+        def stalled(circ, lam):
+            verdicts.append(real(circ, lam) if len(verdicts) < 2 else verdicts[0])
+            return verdicts[-1]
+
+        monkeypatch.setattr(exact_mod, "lambda_callback", stalled)
+        with pytest.raises(InternalSolverError, match="cap"):
+            solve_exact(inst_two_parallel)
+        assert len(verdicts) == probe_cap(inst_two_parallel)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(small_instances())
+    def test_matches_oracle_within_probe_cap(self, inst):
+        sol = solve_exact(inst)
+        assert sol.objective == oracle_optimum(inst).objective
+        assert validate_flow(inst, sol.flow).ok
+        assert sol.iterations <= probe_cap(inst)
 
 
 class TestEnumerateFrontier:

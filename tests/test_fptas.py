@@ -383,7 +383,7 @@ class TestSolveGk:
         def oracle(nums):
             return mrc(circ, nums, den, rel_tol=0.1)
 
-        routed, _, _ = _gk_loop(reduced, budget_row, 0.1, 0.9, oracle, circ.edge_count, None)
+        routed, _, _ = _gk_loop(reduced, budget_row, 0.1, 0.9, oracle, circ.edge_count)
         assert routed
         for cycle in routed:
             cost = sum(circ.edges[i].cost for i in cycle)

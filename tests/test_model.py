@@ -114,8 +114,6 @@ class TestStats:
         stats = instance_stats(inst_two_parallel)
         assert stats.cbar == 10
         assert stats.bbar == 4
-        assert stats.max_abs_cost == 4
-        assert stats.max_capacity == 2
 
     def test_single_edge(self, inst_single_positive):
         stats = instance_stats(inst_single_positive)
@@ -132,8 +130,13 @@ class TestStats:
             inst = generate_instance(nodes=2 + seed % 5, edges=1 + seed % 9, seed=seed)
             stats = instance_stats(inst)
             m = inst.edge_count
-            assert stats.cbar <= m * stats.max_capacity * stats.max_abs_cost
-            assert stats.bbar <= m * stats.max_capacity * stats.max_abs_value
+            max_capacity = max(e.capacity for e in inst.edges)
+            max_abs_cost = max(abs(e.cost) for e in inst.edges)
+            max_abs_value = max(
+                [inst.budget] + [v for e in inst.edges for v in (e.capacity, abs(e.cost), e.fee)]
+            )
+            assert stats.cbar <= m * max_capacity * max_abs_cost
+            assert stats.bbar <= m * max_capacity * max_abs_value
 
 
 class TestPreprocess:
