@@ -1,9 +1,9 @@
 """Budget-constrained minimum cost flow solvers.
 
 Exact solution via lexicographic min-cost-circulation solves driven by a
-chord-first multiplier search with a grid-bisection safeguard, a packing-LP
-approximation scheme with minimum-ratio cycle/path oracles, and a
-brute-force oracle for desk-scale verification.
+chord search over multipliers, a packing-LP approximation scheme with
+minimum-ratio cycle/path oracles, and a brute-force oracle for desk-scale
+verification.
 """
 
 from .exact import (

@@ -5,16 +5,14 @@ Pareto frontier on or below the budget line.  For a multiplier ``lam``, a
 pair of lexicographic min-cost-circulation solves under costs
 ``cost + lam * fee`` (fee-minimal and fee-maximal among optima) reveals
 whether ``lam`` is below, inside, or above the closed interval of optimal
-multipliers.  A chord-first search, safeguarded by bisection over a grid
-of multipliers, narrows a bracket until one probe lands inside that
-interval; the optimum is then a convex combination of that probe's two
-witness flows meeting the budget line.
+multipliers.  A chord search narrows a bracket until one probe lands
+inside that interval; the optimum is then a convex combination of that
+probe's two witness flows meeting the budget line.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,60 +102,40 @@ def solve_exact(inst: Instance) -> Solution:
     Probes lam = 0 first (handles a slack budget outright), then lam = bbar,
     the top of the multiplier grid k/(2*cbar^2), and, only if that verdicts
     BELOW, a multiplier above every frontier slope.  One loop then shrinks
-    the BELOW/ABOVE bracket: each round probes the chord multiplier of the
-    bracket's two corner flows, plus the middle grid point inside the
-    bracket when the chord did not halve the number of such points.  The
-    first INSIDE probe ends the search and its multiplier is returned, so
-    when the optimal multiplier interval holds more than one point the
-    probe order picks the answer.  ``iterations`` counts every probe.
+    the BELOW/ABOVE bracket by probing the chord multiplier of the
+    bracket's two corner flows.  The first INSIDE probe ends the search and
+    its multiplier is returned, so when the optimal multiplier interval
+    holds more than one point the probe order picks the answer.
+    ``iterations`` counts every probe.
     """
     circ = circulation_form(inst)
     budget = Fraction(inst.budget)
     stats = instance_stats(inst)
-    denom = 2 * stats.cbar * stats.cbar
-    k_max = stats.bbar * denom
-    lo = hi = None  # multipliers of the bracket's BELOW and ABOVE ends
-    x_over = x_under = None  # optima there, with fee above / below the budget
-
-    def grid_inside() -> tuple[int, int]:
-        """Count and middle of the k in 1..k_max with lo < k/denom < hi."""
-        first = math.floor(lo * denom) + 1
-        last = min(math.ceil(hi * denom) - 1, k_max)
-        return max(last - first + 1, 0), (first + last) // 2
+    x_over = x_under = None  # bracket corners: optima with fee above / below the budget
 
     def multipliers():
         """The multipliers to probe, in order; reads the bracket the loop updates."""
         yield Fraction(0)
-        if k_max == 0:
+        if stats.bbar == 0 or stats.cbar == 0:
             raise InternalSolverError("lam=0 verdict BELOW on an instance with empty grid")
         yield Fraction(stats.bbar)
-        if hi is None:
+        if x_under is None:
             # the optimal interval lies beyond the grid
             yield stats.lambda_above_all_slopes()
-            if hi is None:
+            if x_under is None:
                 raise InternalSolverError("beyond-slope multiplier did not verdict ABOVE")
         while True:
-            before, _ = grid_inside()
             yield edge_multiplier(x_under, x_over)
-            count, middle = grid_inside()
-            if count > before // 2:
-                yield Fraction(middle, denom)
 
-    # Probe cap.  The opening takes 3 probes only when lam = bbar verdicts
-    # BELOW, which leaves no grid point inside the bracket; otherwise 2, with
-    # k_max - 1 grid points inside.  A round that starts with n >= 1 of them
-    # ends with at most n // 2 (the chord halved them, or the middle probe
-    # dropped the middle point and one side), so at most bitlen(k_max - 1)
-    # rounds probe the grid; after them the bracket fits in one grid gap, as
-    # after the paper's bisection.  The chord lies strictly inside the
-    # bracket, and a BELOW (ABOVE) verdict there yields an optimum with fee
-    # strictly below x_over's (above x_under's): otherwise x_over (x_under)
-    # would be optimal at the chord, and with it the other corner, making
-    # the verdict INSIDE.  Fees are integers, so the gap x_over.fee -
-    # x_under.fee, at most bbar and at least 2 around the integer budget,
-    # allows at most bbar - 1 chord probes.  Grid probes never widen it, as
-    # optimal fees fall with lam.
-    cap = k_max.bit_length() + stats.bbar + 2
+    # Probe cap.  The opening takes at most 3 probes.  The chord lies
+    # strictly inside the bracket, and a BELOW (ABOVE) verdict there yields
+    # an optimum with fee strictly below x_over's (above x_under's):
+    # otherwise x_over (x_under) would be optimal at the chord, and with it
+    # the other corner, making the verdict INSIDE.  Fees are integers in
+    # 0..bbar, so the gap x_over.fee - x_under.fee, at most bbar and at least
+    # 2 around the integer budget, allows at most bbar - 2 chord probes that
+    # are not INSIDE; the next one is.
+    cap = stats.bbar + 2
     probes = 0
     for lam in multipliers():
         if probes == cap:
@@ -176,9 +154,9 @@ def solve_exact(inst: Instance) -> Solution:
             )
         # keep the optimum nearest the budget as the new corner
         if verdict.kind is VerdictKind.BELOW:
-            lo, x_over = lam, verdict.x_minfee
+            x_over = verdict.x_minfee
         else:
-            hi, x_under = lam, verdict.x_maxfee
+            x_under = verdict.x_maxfee
 
 
 def enumerate_frontier(inst: Instance) -> list[FrontierPoint]:

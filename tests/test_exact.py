@@ -32,9 +32,8 @@ from bcmcf.oracle import iter_integral_values
 
 
 def probe_cap(inst: Instance) -> int:
-    """The proven probe cap of ``solve_exact``: bitlen(2*bbar*cbar^2) + bbar + 2."""
-    stats = instance_stats(inst)
-    return (2 * stats.bbar * stats.cbar**2).bit_length() + stats.bbar + 2
+    """The proven probe cap of ``solve_exact``: bbar + 2."""
+    return instance_stats(inst).bbar + 2
 
 
 @st.composite
