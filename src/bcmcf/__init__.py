@@ -20,7 +20,6 @@ from .fptas import (
     RatioResult,
     min_ratio_cycle,
     min_ratio_path_dag,
-    rescale_bicriteria,
     solve_gk,
     solve_gk_acyclic,
     topological_order,
@@ -108,7 +107,6 @@ __all__ = [
     "parse_solution",
     "preprocess",
     "project_flow",
-    "rescale_bicriteria",
     "serialize_instance",
     "solve_exact",
     "solve_gk",

@@ -127,18 +127,6 @@ def cmd_frontier(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    original = _load_instance(args.instance)
-    inst = preprocess(original)
-    try:
-        sol = oracle.oracle_optimum(inst, guard=args.guard)
-    except oracle.EnumerationGuardError as exc:
-        raise CliError(str(exc), EXIT_GUARD) from None
-    sol = dataclasses.replace(sol, flow=_restore_flow(original, inst, sol.flow))
-    _write_text(args.output, _solution_text(sol, args.format))
-    return EXIT_OK
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     try:
@@ -205,12 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_frontier)
     p_frontier.set_defaults(func=cmd_frontier)
 
-    p_oracle = sub.add_parser("oracle", help="brute-force optimum (desk scale)")
+    p_oracle = sub.add_parser("oracle", help="brute-force optimum (desk scale); same as solve -a oracle")
     add_instance_arg(p_oracle)
     p_oracle.add_argument("--guard", type=int, default=oracle.DEFAULT_GUARD)
     p_oracle.add_argument("--format", choices=("structured", "text"), default="structured")
     add_common(p_oracle)
-    p_oracle.set_defaults(func=cmd_oracle)
+    p_oracle.set_defaults(func=cmd_solve, algorithm="oracle", epsilon=None)
 
     p_validate = sub.add_parser("validate", help="check a solution document")
     p_validate.add_argument("instance")

@@ -14,7 +14,9 @@ lengths, replaces the bisection cycle oracle.
 
 Dual lengths are floats; routed amounts are converted exactly to rationals
 when accumulated, so the returned flow conserves exactly and the final
-scaling to feasibility is an exact comparison, not an epsilon test.
+scaling to feasibility is an exact comparison, not an epsilon test.  The
+cycle oracle's parametric tests run the exact lane's negative-cycle
+detector, ``mcc.find_negative_cycle``, on float lengths.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .mcc import InternalSolverError
+from .mcc import InternalSolverError, find_negative_cycle
 from .model import Flow, Instance, Solution, circulation_form
 
 
@@ -90,54 +92,6 @@ class RatioResult:
 # ---------------------------------------------------------------------------
 
 
-def _negative_cycle_float(
-    node_count: int,
-    tails: Sequence[int],
-    heads: Sequence[int],
-    weights: Sequence[float],
-) -> list[int] | None:
-    """Bellman-Ford negative cycle in float arithmetic (all-zero start labels).
-
-    Returns None only after a full pass without relaxation.  A broken
-    predecessor walk raises InternalSolverError: a relaxation in pass k
-    comes from a tail relaxed in pass k or k-1, so the last node relaxed in
-    pass n has a predecessor chain of at least n arcs, and n steps back from
-    it lie on a cycle of the predecessor graph.
-    """
-    n = node_count
-    m = len(weights)
-    dist = [0.0] * (n + 1)
-    pred = [-1] * (n + 1)
-    improved = -1
-    for _ in range(n):
-        changed = False
-        for a in range(m):
-            cand = dist[tails[a]] + weights[a]
-            if cand < dist[heads[a]]:
-                dist[heads[a]] = cand
-                pred[heads[a]] = a
-                changed = True
-                improved = heads[a]
-        if not changed:
-            return None
-    v = improved
-    for _ in range(n):
-        if pred[v] < 0:
-            raise InternalSolverError("negative-cycle walk reached a root before a cycle")
-        v = tails[pred[v]]
-    cycle_rev = []
-    node = v
-    for _ in range(n):
-        a = pred[node]
-        if a < 0:
-            raise InternalSolverError("negative-cycle walk reached a root before a cycle")
-        cycle_rev.append(a)
-        node = tails[a]
-        if node == v:
-            return list(reversed(cycle_rev))
-    raise InternalSolverError("negative-cycle walk did not close within n arcs")
-
-
 def min_ratio_cycle(
     inst: Instance,
     num: Sequence[float],
@@ -160,11 +114,10 @@ def min_ratio_cycle(
         raise ValueError(f"rel_tol {rel_tol} outside (0, 1)")
     if any(x < 0 for x in num):
         raise ValueError("ratio numerators must be nonnegative")
-    tails = [e.tail for e in inst.edges]
-    heads = [e.head for e in inst.edges]
+    arcs = [(e.tail, e.head, a) for a, e in enumerate(inst.edges)]
 
     # a qualifying cycle exists iff some cycle has negative total -den
-    seed = _negative_cycle_float(inst.node_count, tails, heads, [-d for d in den])
+    seed = find_negative_cycle(inst.node_count, arcs, [-d for d in den])
     if seed is None:
         return None
 
@@ -188,11 +141,8 @@ def min_ratio_cycle(
         if hi <= lo * (1.0 + rel_tol) or hi - lo <= 1e-14 * hi:
             break
         mid = 0.5 * (lo + hi) if lo > 0 else hi / 2.0
-        found = _negative_cycle_float(
-            inst.node_count,
-            tails,
-            heads,
-            [num[a] - mid * den[a] for a in range(inst.edge_count)],
+        found = find_negative_cycle(
+            inst.node_count, arcs, [num[a] - mid * den[a] for a in range(inst.edge_count)]
         )
         if found is None:
             lo = mid
@@ -560,15 +510,7 @@ def solve_gk(inst: Instance, eps: float) -> Solution:
     )
 
 
-def solve_gk_acyclic(
-    inst: Instance,
-    eps: float,
-    *,
-    oracle_audit: Callable[
-        [Instance, Sequence[float], Sequence[float], int, int, RatioResult | None], None
-    ]
-    | None = None,
-) -> Solution:
+def solve_gk_acyclic(inst: Instance, eps: float) -> Solution:
     """(1 - eps)-approximate solver for acyclic graphs.
 
     Every circulation cycle is a simple path between source and sink (in
@@ -578,8 +520,6 @@ def solve_gk_acyclic(
     directions; its exactness lets the internal accuracy of the loop's
     proven stop relax to eps/3.  As in ``solve_gk``, the loop stops at a
     certified (1 - eps) gap, here against the exact minimum ratio.
-    ``oracle_audit``, when given, is invoked after every oracle call with
-    (graph, num, den, source, sink, result) for shadow verification.
     """
     if not 0 < eps < 1:
         raise ValueError(f"epsilon {eps} outside (0, 1)")
@@ -593,15 +533,9 @@ def solve_gk_acyclic(
     eps_prime = eps / 3.0
     den = [float(-e.cost) for e in reduced.edges]
 
-    def directed_best(nums: Sequence[float], src: int, dst: int) -> RatioResult | None:
-        result = min_ratio_path_dag(reduced, nums[: reduced.edge_count], den, src, dst)
-        if oracle_audit is not None:
-            oracle_audit(reduced, nums[: reduced.edge_count], den, src, dst, result)
-        return result
-
     def oracle(nums: Sequence[float]) -> RatioResult | None:
-        forward = directed_best(nums, reduced.source, reduced.sink)
-        backward = directed_best(nums, reduced.sink, reduced.source)
+        forward = min_ratio_path_dag(reduced, nums, den, reduced.source, reduced.sink)
+        backward = min_ratio_path_dag(reduced, nums, den, reduced.sink, reduced.source)
         result = forward
         if backward is not None and (result is None or backward.ratio < result.ratio):
             result = backward
@@ -619,15 +553,3 @@ def solve_gk_acyclic(
     return Solution(
         flow=flow, objective=flow.cost, algorithm="gk-acyclic", iterations=iterations
     )
-
-
-def rescale_bicriteria(flow: Flow, eps: float | Fraction) -> Flow:
-    """Divide a budget-overrunning flow by (1 + eps).
-
-    Turns a solution overshooting the budget by at most a (1 + eps) factor
-    into a feasible one; costs and fees scale linearly and exactly.
-    """
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError(f"epsilon {eps} outside (0, 1)")
-    return flow.scaled(Fraction(1) / (1 + eps))

@@ -4,7 +4,9 @@ Costs, capacities and labels are plain Python ints.  :func:`lambda_cost`
 packs a multiplier's scaled cost and a fee tie-break into one int per edge,
 so a single solve returns, among all minimum-cost circulations, the one
 with the smallest or largest total usage fee.  With integral capacities the
-returned circulation is integral.
+returned circulation is integral.  :func:`find_negative_cycle` is the
+package's one negative-cycle detector: this lane calls it with int costs,
+the approximation lane's cycle oracle with float lengths.
 """
 
 from __future__ import annotations
@@ -85,56 +87,75 @@ class ResidualGraph:
             self.caps[a ^ 1] += amount
         return amount
 
+    def arcs(self) -> list[tuple[int, int, int]]:
+        """Arcs with positive residual capacity, as (tail, head, arc) in index order."""
+        tails, heads = self.tails, self.heads
+        return [(tails[a], heads[a], a) for a, cap in enumerate(self.caps) if cap > 0]
+
     def flow_values(self) -> list[int]:
         # backward residual capacity of edge i is exactly its flow
         return [self.caps[2 * i + 1] for i in range(self.inst.edge_count)]
 
 
-def find_negative_cycle(rg: ResidualGraph):
-    """A simple cycle of strictly negative total cost, or None.
+def find_negative_cycle(
+    node_count: int,
+    arcs: Sequence[tuple[int, int, int]],
+    weights: Sequence[int] | Sequence[float],
+) -> list[int] | None:
+    """A simple cycle of strictly negative total weight, as arc ids, or None.
 
-    Bellman-Ford label correction from an implicit super-source (all labels
-    start at zero), scanning residual arcs in index order so the result is a
-    deterministic function of the input.  Only arcs with positive residual
-    capacity participate.
+    The package's one negative-cycle detector.  ``arcs`` holds static
+    ``(tail, head, arc_id)`` triples over nodes 1..node_count and
+    ``weights[arc_id]`` is an int (the exact lane's packed costs) or a
+    float (the approximation lane's parametric lengths).  Bellman-Ford label
+    correction from an implicit super-source: all labels start at zero and
+    every pass scans ``arcs`` in the given order, so the result is a
+    deterministic function of the input.  Returns None only after a full
+    pass without relaxation.
+
+    Otherwise one predecessor walk extracts the cycle.  A relaxation in pass
+    k comes from a tail relaxed in pass k or k-1, so the last node relaxed
+    in pass n has a predecessor chain of at least n arcs, and n steps back
+    from it lie on a cycle of the predecessor graph.  A walk that reaches a
+    root, does not close within n arcs, or closes on a cycle that is not
+    negative raises InternalSolverError.
     """
-    n = rg.node_count
-    tails, heads, costs = rg.tails, rg.heads, rg.costs
-    arcs = [(tails[a], heads[a], costs[a], a) for a, cap in enumerate(rg.caps) if cap > 0]
-    dist = [0] * (n + 1)
+    n = node_count
+    # labels take the weights' type: int labels under float weights would
+    # send every addition and comparison through CPython's mixed-type path
+    zero = type(weights[arcs[0][2]])() if arcs else 0
+    dist = [zero] * (n + 1)
     pred = [-1] * (n + 1)
-
-    improved_node = -1
     for _ in range(n):
-        changed = False
-        for u, v, c, a in arcs:
-            cand = dist[u] + c
+        improved = -1
+        for u, v, a in arcs:
+            cand = dist[u] + weights[a]
             if cand < dist[v]:
                 dist[v] = cand
                 pred[v] = a
-                changed = True
-                improved_node = v
-        if not changed:
+                improved = v
+        if improved < 0:
             return None
-    # a relaxation succeeded on the n-th pass: the predecessor graph
-    # contains a negative cycle; walk back n steps to land on it
-    v = improved_node
+    tail_of = {a: u for u, _, a in arcs}
+    v = improved
     for _ in range(n):
         if pred[v] < 0:
-            raise InternalSolverError("predecessor chain broke during cycle walk")
-        v = tails[pred[v]]
+            raise InternalSolverError("negative-cycle walk reached a root before a cycle")
+        v = tail_of[pred[v]]
     cycle_rev = []
     node = v
-    while True:
+    for _ in range(n):
         a = pred[node]
         if a < 0:
-            raise InternalSolverError("predecessor chain broke during cycle walk")
+            raise InternalSolverError("negative-cycle walk reached a root before a cycle")
         cycle_rev.append(a)
-        node = tails[a]
+        node = tail_of[a]
         if node == v:
             break
-    cycle = list(reversed(cycle_rev))
-    if not sum(costs[a] for a in cycle) < 0:
+    else:
+        raise InternalSolverError("negative-cycle walk did not close within n arcs")
+    cycle = cycle_rev[::-1]
+    if not sum(weights[a] for a in cycle) < 0:
         raise InternalSolverError("extracted predecessor cycle is not negative")
     return cycle
 
@@ -152,7 +173,7 @@ def min_cost_circulation(inst: Instance, costs: Sequence[int]) -> Flow:
     rg = ResidualGraph(inst, costs)
     cap = sum(e.capacity * abs(w) for e, w in zip(inst.edges, costs)) + 1
     for _ in range(cap):
-        cycle = find_negative_cycle(rg)
+        cycle = find_negative_cycle(rg.node_count, rg.arcs(), rg.costs)
         if cycle is None:
             break
         rg.apply_cycle(cycle)

@@ -25,13 +25,13 @@ from bcmcf import (
     oracle_optimum,
     parse_instance,
     preprocess,
-    rescale_bicriteria,
     serialize_instance,
     solve_exact,
     solve_gk,
     solve_gk_acyclic,
     validate_flow,
 )
+from bcmcf import fptas
 from bcmcf.frontier import edge_multiplier
 from bcmcf.model import Flow, Instance, circulation_form
 from bcmcf.oracle import (
@@ -197,22 +197,27 @@ def test_fptas_guarantee(corpus, corpus_optima, eps):
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.25, 0.1])
-def test_fptas_acyclic_guarantee(dag_corpus, eps):
+def test_fptas_acyclic_guarantee(dag_corpus, eps, monkeypatch):
     """Acyclic scheme meets the bound; every oracle call is shadow-checked."""
     failures = []
+    path_oracle = fptas.min_ratio_path_dag
 
-    def audit(graph, num, den, source, sink, result):
+    def audited(graph, num, den, source, sink):
+        result = path_oracle(graph, num, den, source, sink)
         if graph.node_count > 12:
-            return
+            return result
         best = exhaustive_min_ratio_path(graph, num, den, source, sink)
         if best is None:
             assert result is None
         else:
             assert result is not None and result.ratio == best[1]
+        return result
+
+    monkeypatch.setattr(fptas, "min_ratio_path_dag", audited)
 
     for inst in dag_corpus:
         ref = oracle_optimum(inst)
-        sol = solve_gk_acyclic(inst, eps, oracle_audit=audit)
+        sol = solve_gk_acyclic(inst, eps)
         check = validate_flow(inst, sol.flow)
         if not check.ok or sol.flow.fee > inst.budget:
             failures.append(f"infeasible output on {inst}")
@@ -273,7 +278,7 @@ def test_rescaling(corpus, corpus_optima):
             if not inst.budget < x.fee <= (1 + eps) * inst.budget:
                 continue
             checked += 1
-            scaled = rescale_bicriteria(x, eps)
+            scaled = x.scaled(Fraction(1) / (1 + eps))
             if not validate_flow(unbudgeted, scaled).ok:
                 failures.append(f"rescaled flow infeasible on {inst}")
             if scaled.fee > inst.budget:

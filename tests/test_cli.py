@@ -117,6 +117,13 @@ class TestOracleCommand:
     def test_guard_exit(self, i1_path, capsys):
         assert main(["oracle", i1_path, "--guard", "2"]) == 3
 
+    def test_same_output_as_solve_algorithm_oracle(self, i1_path, capsys):
+        for fmt in ("structured", "text"):
+            assert main(["oracle", i1_path, "--format", fmt]) == 0
+            short = capsys.readouterr().out
+            assert main(["solve", "-a", "oracle", i1_path, "--format", fmt]) == 0
+            assert capsys.readouterr().out == short
+
 
 class TestValidate:
     def write_solution(self, tmp_path, values):

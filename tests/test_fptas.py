@@ -21,7 +21,6 @@ from bcmcf import (
     min_ratio_path_dag,
     oracle_optimum,
     preprocess,
-    rescale_bicriteria,
     solve_exact,
     solve_gk,
     solve_gk_acyclic,
@@ -30,10 +29,10 @@ from bcmcf import (
 from bcmcf import fptas as fptas_mod
 from bcmcf.fptas import (
     _gk_loop,
-    _negative_cycle_float,
     _reduced_for_packing,
     min_ratio_cycle as mrc,
 )
+from bcmcf.mcc import find_negative_cycle
 from bcmcf.model import circulation_form
 from bcmcf.oracle import (
     exhaustive_min_ratio_cycle,
@@ -146,13 +145,13 @@ class TestMinRatioCycle:
                 return -float(self.reads)
 
         with pytest.raises(InternalSolverError, match="root before a cycle"):
-            _negative_cycle_float(2, [1], [2], Falling())
+            find_negative_cycle(2, [(1, 2, 0)], Falling())
 
     def test_nonpositive_denominator_cycle_raises(self, inst_two_parallel, monkeypatch):
         # the two closure arcs form a cycle with denominator 0, which an exact
         # negative-cycle test can never return
         circ = circulation_form(inst_two_parallel)
-        monkeypatch.setattr(fptas_mod, "_negative_cycle_float", lambda *args: [2, 3])
+        monkeypatch.setattr(fptas_mod, "find_negative_cycle", lambda *args: [2, 3])
         with pytest.raises(InternalSolverError, match="float cancellation"):
             mrc(circ, [1.0, 1.0, 0.0, 0.0], [4.0, 1.0, 0.0, 0.0], rel_tol=0.1)
 
@@ -498,16 +497,21 @@ class TestSolveGkAcyclic:
         with pytest.raises(CyclicGraphError, match="solve_gk"):
             solve_gk_acyclic(inst, 0.25)
 
-    def test_shadow_audit_matches_enumeration(self):
+    def test_shadow_audit_matches_enumeration(self, monkeypatch):
         calls = []
+        path_oracle = fptas_mod.min_ratio_path_dag
 
-        def audit(graph, num, den, source, sink, result):
+        def audited(graph, num, den, source, sink):
+            result = path_oracle(graph, num, den, source, sink)
             best = exhaustive_min_ratio_path(graph, num, den, source, sink)
             if best is None:
                 assert result is None
             else:
                 assert result is not None and result.ratio == best[1]
             calls.append(1)
+            return result
+
+        monkeypatch.setattr(fptas_mod, "min_ratio_path_dag", audited)
 
         for seed in range(6):
             inst = preprocess(
@@ -515,7 +519,7 @@ class TestSolveGkAcyclic:
                     nodes=3 + seed, edges=4 + seed, acyclic=True, seed=1100 + seed
                 )
             )
-            sol = solve_gk_acyclic(inst, 0.5, oracle_audit=audit)
+            sol = solve_gk_acyclic(inst, 0.5)
             assert validate_flow(inst, sol.flow).ok
         assert calls
 
@@ -523,18 +527,13 @@ class TestSolveGkAcyclic:
 class TestRescale:
     def test_fee_scales_down_exactly(self, inst_two_parallel):
         x = Flow.from_values(inst_two_parallel, [Fraction(11, 10), Fraction(0)])
-        scaled = rescale_bicriteria(x, Fraction(1, 10))
+        scaled = x.scaled(Fraction(1) / (1 + Fraction(1, 10)))
         assert scaled.fee == 2
         assert scaled.values[0] == 1
         assert scaled.cost == x.cost / (1 + Fraction(1, 10))
 
     def test_linearity(self, inst_two_parallel):
         x = Flow.from_values(inst_two_parallel, [Fraction(11, 10), Fraction(11, 5)])
-        scaled = rescale_bicriteria(x, Fraction(1, 10))
+        scaled = x.scaled(Fraction(1) / (1 + Fraction(1, 10)))
         assert scaled.values == (1, 2)
         assert scaled.cost == -6
-
-    def test_zero_epsilon_rejected(self, inst_two_parallel):
-        x = Flow.from_values(inst_two_parallel, [1, 1])
-        with pytest.raises(ValueError):
-            rescale_bicriteria(x, 0)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcmcf import (
     EdgeData,
@@ -18,7 +20,7 @@ from bcmcf import (
     min_cost_circulation,
     preprocess,
 )
-from bcmcf.oracle import iter_integral_values
+from bcmcf.oracle import iter_integral_values, iter_simple_cycles
 
 
 def lex_optimum_by_enumeration(
@@ -56,6 +58,28 @@ def solve_at(circ: Instance, lam: Fraction, fee_direction: str):
     return min_cost_circulation(circ, lambda_cost(circ, lam, fee_direction))
 
 
+def search(rg: ResidualGraph):
+    """The detector on a residual graph, as ``min_cost_circulation`` calls it."""
+    return find_negative_cycle(rg.node_count, rg.arcs(), rg.costs)
+
+
+@st.composite
+def weighted_digraphs(draw):
+    """A digraph on at most 6 nodes and 10 arcs, self-loops and parallel arcs
+    allowed, with int weights in [-5, 5]."""
+    n = draw(st.integers(2, 6))
+    node = st.integers(1, n)
+    arcs = draw(st.lists(st.tuples(node, node, st.integers(-5, 5)), max_size=10))
+    inst = Instance(
+        node_count=n,
+        edges=tuple(EdgeData(t, h, 1, w, 0) for t, h, w in arcs),
+        source=1,
+        sink=2,
+        budget=0,
+    )
+    return inst, [w for _, _, w in arcs]
+
+
 def primary_and_secondary(flow, lam: Fraction, fee_direction: str) -> tuple[Fraction, Fraction]:
     sign = 1 if fee_direction == "min" else -1
     return (flow.cost + lam * flow.fee, sign * flow.fee)
@@ -65,7 +89,7 @@ class TestFindNegativeCycle:
     def test_negative_triangle(self):
         inst = triangle(1)
         rg = ResidualGraph(inst, plain_costs(inst))
-        cycle = find_negative_cycle(rg)
+        cycle = search(rg)
         assert cycle is not None
         assert sorted(cycle) == [0, 2, 4]  # forward arcs of the three edges
         assert sum(rg.costs[a] for a in cycle) == -1
@@ -73,22 +97,35 @@ class TestFindNegativeCycle:
     def test_zero_sum_triangle_is_not_negative(self):
         inst = triangle(2)
         rg = ResidualGraph(inst, plain_costs(inst))
-        assert find_negative_cycle(rg) is None
+        assert search(rg) is None
 
     def test_circulation_form_cycle(self, inst_two_parallel):
         # both source-sink edges close a negative cycle through the return arc
         circ = add_return_arc(inst_two_parallel)
         rg = ResidualGraph(circ, plain_costs(circ))
-        cycle = find_negative_cycle(rg)
+        cycle = search(rg)
         assert cycle is not None
         assert sum(rg.costs[a] for a in cycle) < 0
 
     def test_deterministic(self, inst_two_parallel):
         circ = add_return_arc(inst_two_parallel)
-        runs = [
-            find_negative_cycle(ResidualGraph(circ, plain_costs(circ))) for _ in range(3)
-        ]
+        runs = [search(ResidualGraph(circ, plain_costs(circ))) for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(weighted_digraphs())
+    def test_property_matches_cycle_enumeration(self, case):
+        inst, weights = case
+        arcs = [(e.tail, e.head, i) for i, e in enumerate(inst.edges)]
+        cycle = find_negative_cycle(inst.node_count, arcs, weights)
+        negative = any(sum(weights[i] for i in c) < 0 for c in iter_simple_cycles(inst))
+        assert (cycle is None) == (not negative)
+        if cycle is not None:
+            edges = [inst.edges[i] for i in cycle]
+            assert all(a.head == b.tail for a, b in zip(edges, edges[1:] + edges[:1]))
+            assert len({e.tail for e in edges}) == len(edges)
+            assert sum(weights[i] for i in cycle) < 0
+        assert find_negative_cycle(inst.node_count, arcs, [float(w) for w in weights]) == cycle
 
     def test_graph_holds_ints_only(self, inst_two_parallel):
         circ = add_return_arc(inst_two_parallel)
@@ -192,7 +229,7 @@ class TestMinCostCirculation:
         costs = lambda_cost(circ, Fraction(0), "min")
         flow = min_cost_circulation(circ, costs)
         rg = ResidualGraph(circ, costs, flow=flow.values)
-        assert find_negative_cycle(rg) is None
+        assert search(rg) is None
 
     def test_matches_enumeration_on_random_instances(self):
         for seed in range(40):
