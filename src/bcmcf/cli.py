@@ -1,8 +1,8 @@
 """Command line interface.
 
 Commands: solve, frontier, oracle, validate, gen.  Exit codes: 0 success,
-1 infeasibility found by validate, 2 usage or parse errors, 3 enumeration
-guard of the oracle exceeded.
+1 infeasibility found by validate, 2 usage or parse errors or an output
+file that cannot be written, 3 enumeration guard of the oracle exceeded.
 """
 
 from __future__ import annotations
@@ -56,8 +56,11 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_USAGE) from None
 
 
 def _load_instance(path: str) -> Instance:

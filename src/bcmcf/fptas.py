@@ -6,11 +6,16 @@ multiplicative-weights loop keeps a positive length per capacity row and
 one for the budget row, and repeatedly routes the cycle minimizing
 (fee-weighted length)/(-cost).  Every oracle answer also bounds the optimum
 by weak duality, and the loop stops once the routed flow, scaled to
-feasibility, certifiably reaches (1 - eps) of that bound.  On acyclic
-graphs every candidate cycle is a path between source and sink (in one
-orientation or the other) plus the matching zero-cost closure arc, so an
-exact min-ratio path search, a Dinkelbach iteration over integer-scaled
-lengths, replaces the bisection cycle oracle.
+feasibility, certifiably reaches (1 - eps) of that bound.
+
+Both oracles are Newton (Dinkelbach) iterations on the ratio: test at the
+current column's ratio, jump to any better column the test finds, and stop
+once a test certifies the ratio.  The general cycle oracle tests float
+lengths at the ratio divided by (1 + tolerance), so its answer is nearly
+minimal.  On acyclic graphs every candidate cycle is a path between source
+and sink (in one orientation or the other) plus the matching zero-cost
+closure arc, so an exact min-ratio path search over integer-scaled lengths
+replaces it.
 
 Dual lengths are floats; routed amounts are converted exactly to rationals
 when accumulated, so the returned flow conserves exactly and the final
@@ -73,22 +78,21 @@ class DualState:
 
 @dataclass(frozen=True)
 class RatioResult:
-    """A cycle or path with its ratio numerator/denominator sums.
+    """A cycle or path with its ratio and a proven lower end.
 
     ``lower`` is a proven lower bound on the minimum ratio over all
-    candidates with positive denominator: the ratio itself for an exact
-    oracle, the bracket's lower end for the bisection oracle.
+    candidates with positive denominator: the ratio itself for the exact
+    path oracle, the last cycle-free parametric test's threshold for the
+    cycle oracle.
     """
 
     edges: tuple[int, ...]
-    numerator: float | Fraction
-    denominator: float | Fraction
     ratio: float | Fraction
     lower: float | Fraction
 
 
 # ---------------------------------------------------------------------------
-# cycle oracle: bisection on the parametric lengths num - lam * den
+# cycle oracle: Newton steps on the parametric lengths num - lam * den
 # ---------------------------------------------------------------------------
 
 
@@ -98,17 +102,23 @@ def min_ratio_cycle(
     den: Sequence[float],
     rel_tol: float,
 ) -> RatioResult | None:
-    """Nearly minimum-ratio simple cycle by bisection on the ratio value.
+    """Nearly minimum-ratio simple cycle by Newton steps on the ratio value.
 
     Requires num >= 0 per edge.  A cycle with ratio below ``lam`` exists
     exactly when the lengths num - lam * den admit a negative cycle (cycles
     with nonpositive denominator can never look negative there since their
-    parametric length stays nonnegative).  Bisection narrows to relative
-    width ``rel_tol`` and returns the best cycle seen, whose ratio is then
-    within (1 + rel_tol) of the true minimum over cycles with positive
-    denominator; the result's ``lower`` is the bracket's lower end, which
-    the last cycle-free parametric test proved.  Returns None when no such
-    cycle exists.
+    parametric length stays nonnegative).  From a cycle with positive
+    denominator, each step tests ``lam = r / (1 + rel_tol)`` for the current
+    cycle's ratio r: a negative cycle found there has a ratio below ``lam``
+    and becomes the current cycle, and a cycle-free test proves every ratio
+    at least ``lam``.  The returned ratio is then within (1 + rel_tol) of
+    the true minimum over cycles with positive denominator, and ``lower``
+    is that ``lam``.  Returns None when no such cycle exists.
+
+    Each step divides a positive ratio by more than 1 + rel_tol, positive
+    ratios never fall below (least positive num)/(sum of positive dens),
+    and a zero ratio stops at the next test; more steps than that allows, or
+    a step whose ratio does not fall, raises InternalSolverError.
     """
     if not 0 < rel_tol < 1:
         raise ValueError(f"rel_tol {rel_tol} outside (0, 1)")
@@ -117,8 +127,8 @@ def min_ratio_cycle(
     arcs = [(e.tail, e.head, a) for a, e in enumerate(inst.edges)]
 
     # a qualifying cycle exists iff some cycle has negative total -den
-    seed = find_negative_cycle(inst.node_count, arcs, [-d for d in den])
-    if seed is None:
+    cycle = find_negative_cycle(inst.node_count, arcs, [-d for d in den])
+    if cycle is None:
         return None
 
     def ratio_of(cycle: Sequence[int]) -> float:
@@ -131,30 +141,23 @@ def min_ratio_cycle(
             )
         return sum(num[a] for a in cycle) / d
 
-    best = tuple(seed)
-    best_ratio = ratio_of(seed)
-    lo = 0.0
-    hi = best_ratio
-    for _ in range(200):
-        # the width floor is relative: early ratios can sit many orders of
-        # magnitude below 1 while still needing relative resolution
-        if hi <= lo * (1.0 + rel_tol) or hi - lo <= 1e-14 * hi:
-            break
-        mid = 0.5 * (lo + hi) if lo > 0 else hi / 2.0
+    ratio = ratio_of(cycle)
+    steps = 2
+    if ratio > 0:
+        floor = math.log(min(x for x in num if x > 0)) - math.log(sum(d for d in den if d > 0))
+        steps += math.ceil((math.log(ratio) - floor) / math.log1p(rel_tol))
+    for _ in range(steps):
+        lam = ratio / (1.0 + rel_tol)
         found = find_negative_cycle(
-            inst.node_count, arcs, [num[a] - mid * den[a] for a in range(inst.edge_count)]
+            inst.node_count, arcs, [num[a] - lam * den[a] for a in range(inst.edge_count)]
         )
         if found is None:
-            lo = mid
-        else:
-            r = ratio_of(found)
-            if r < best_ratio:
-                best = tuple(found)
-                best_ratio = r
-            hi = min(mid, best_ratio)  # best is a real cycle: its ratio bounds the minimum
-    d = sum(den[a] for a in best)
-    nsum = sum(num[a] for a in best)
-    return RatioResult(best, nsum, d, nsum / d, lo)
+            return RatioResult(tuple(cycle), ratio, lam)
+        found_ratio = ratio_of(found)
+        if not found_ratio < ratio:
+            raise InternalSolverError("cycle oracle step did not lower the ratio")
+        cycle, ratio = found, found_ratio
+    raise InternalSolverError("cycle oracle exceeded its proven step bound")
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +265,8 @@ def min_ratio_path_dag(
     D*a - N*d of the current path's ratio N/D with ties broken towards
     larger denominators; a negative minimum is a path with a smaller ratio,
     and a zero minimum ends the search at the optimal ratio.  The returned
-    numerator, denominator and ratio are exact rationals in the input units.
+    ratio, which is also its ``lower``, is an exact rational in the input
+    units.
 
     Raises CyclicGraphError when the graph is not acyclic; returns None if
     no source-sink path has positive denominator.
@@ -302,10 +306,8 @@ def min_ratio_path_dag(
             continue
         if value > 0 or d_next <= 0:
             raise InternalSolverError("optimal-ratio path failed its zero-value check")
-        numerator = Fraction(sum(nums[i] for i in path), num_scale)
-        denominator = Fraction(d_next, den_scale)
-        ratio = numerator / denominator
-        return RatioResult(tuple(path), numerator, denominator, ratio, ratio)
+        ratio = Fraction(sum(nums[i] for i in path), num_scale) / Fraction(d_next, den_scale)
+        return RatioResult(tuple(path), ratio, ratio)
     raise InternalSolverError("path oracle exceeded its proven pass bound")
 
 
@@ -338,7 +340,7 @@ def _reduced_for_packing(inst: Instance) -> tuple[Instance, list[int], bool]:
 
 
 # Relative slack on the stop test.  It absorbs float rounding in the loads,
-# the routed profit, the dual objective and the oracle's bracket end, each
+# the routed profit, the dual objective and the oracle's lower end, each
 # off by about (arcs + iterations) units in the last place.
 CERTIFICATE_MARGIN = 1e-9
 
@@ -349,13 +351,13 @@ def _gk_loop(
     eps_prime: float,
     target: float,
     oracle: Oracle,
-    oracle_edge_count: int,
 ) -> tuple[dict[tuple[int, ...], Fraction], int, float]:
     """Run the width-controlled packing loop until a certified gap closes.
 
     Returns (routed columns, iterations, upper bound on the optimum).
-    ``oracle`` sees numerator lengths indexed like ``reduced`` edges plus
-    possibly a trailing return arc (always zero there).  Oracle calls are
+    ``oracle`` sees one numerator length per ``reduced`` edge and may return
+    columns through extra arcs of its own, which carry no length, cost or
+    fee (the cycle oracle's closure arcs).  Oracle calls are
     lazy: the previously returned column keeps being routed while its ratio
     stays within (1 + eps_prime) of the last oracle answer, which the
     monotone growth of all lengths makes sound.
@@ -389,9 +391,7 @@ def _gk_loop(
 
     def numerators() -> list[float]:
         mu = dual.budget_length or 0.0
-        nums = [y + b * mu for y, b in zip(dual.lengths, fees)]
-        nums.extend([0.0] * (oracle_edge_count - m))
-        return nums
+        return [y + b * mu for y, b in zip(dual.lengths, fees)]
 
     routed: dict[tuple[int, ...], Fraction] = {}
     iterations = 0
@@ -412,7 +412,7 @@ def _gk_loop(
         nums = numerators()
         # every column has positive gain: both oracles return only columns
         # with a positive denominator sum
-        if current is None or sum(nums[i] for i in current) / gain > threshold:
+        if current is None or sum(nums[i] for i in edges) / gain > threshold:
             answer = oracle(nums)
             if answer is None:
                 bound = 0.0
@@ -420,7 +420,7 @@ def _gk_loop(
             current = tuple(answer.edges)
             edges = [i for i in current if i < m]
             gain = -sum(reduced.edges[i].cost for i in edges)
-            threshold = (1.0 + eps_prime) * (sum(nums[i] for i in current) / gain)
+            threshold = (1.0 + eps_prime) * (sum(nums[i] for i in edges) / gain)
             if answer.lower > 0:
                 # stored lengths: log_shift cancels out of the ratio
                 bound = min(bound, dual.objective(capacities, budget) / answer.lower)
@@ -484,8 +484,8 @@ def solve_gk(inst: Instance, eps: float) -> Solution:
     """(1 - eps)-approximate solver for general graphs.
 
     The loop stops at a certified (1 - eps) gap: the routed flow, scaled to
-    feasibility, reaches (1 - eps) of the weak-duality bound that the
-    bisection oracle's proven bracket ends give.  Should that never happen,
+    feasibility, reaches (1 - eps) of the weak-duality bound that the cycle
+    oracle's proven lower ends give.  Should that never happen,
     the internal accuracy eps/4 of the loop's proven stop keeps the loop's
     own loss, the lazy re-pricing and the oracle's (1 + eps/4) slack within
     the advertised factor.  The budget-zero case drops fee-carrying edges
@@ -499,11 +499,10 @@ def solve_gk(inst: Instance, eps: float) -> Solution:
     den = [float(-e.cost) for e in circ.edges]  # zero on the closure arcs
 
     def oracle(nums: Sequence[float]) -> RatioResult | None:
-        return min_ratio_cycle(circ, nums, den, rel_tol=eps_prime)
+        # the two closure arcs carry no length
+        return min_ratio_cycle(circ, [*nums, 0.0, 0.0], den, rel_tol=eps_prime)
 
-    routed, iterations, _ = _gk_loop(
-        reduced, budget_row, eps_prime, 1.0 - eps, oracle, circ.edge_count
-    )
+    routed, iterations, _ = _gk_loop(reduced, budget_row, eps_prime, 1.0 - eps, oracle)
     flow = _assemble_flow(inst, reduced, keep, routed, budget_row)
     return Solution(
         flow=flow, objective=flow.cost, algorithm="gk", iterations=iterations
@@ -516,15 +515,17 @@ def solve_gk_acyclic(inst: Instance, eps: float) -> Solution:
     Every circulation cycle is a simple path between source and sink (in
     either orientation) closed by the matching zero-cost closure arc, so
     the oracle is the exact min-ratio path search on the original graph (a
-    Dinkelbach iteration over integer-scaled lengths), run in both
-    directions; its exactness lets the internal accuracy of the loop's
-    proven stop relax to eps/3.  As in ``solve_gk``, the loop stops at a
-    certified (1 - eps) gap, here against the exact minimum ratio.
+    Dinkelbach iteration over integer-scaled lengths).  Every path runs
+    forward in a topological order, so only the orientation whose start
+    comes first can hold one, and the search runs in that one; its
+    exactness lets the internal accuracy of the loop's proven stop relax to
+    eps/3.  As in ``solve_gk``, the loop stops at a certified (1 - eps) gap,
+    here against the exact minimum ratio.
     """
     if not 0 < eps < 1:
         raise ValueError(f"epsilon {eps} outside (0, 1)")
     try:
-        topological_order(inst)
+        order = topological_order(inst)
     except CyclicGraphError:
         raise CyclicGraphError(
             "graph contains a directed cycle; use solve_gk instead"
@@ -532,23 +533,14 @@ def solve_gk_acyclic(inst: Instance, eps: float) -> Solution:
     reduced, keep, budget_row = _reduced_for_packing(inst)
     eps_prime = eps / 3.0
     den = [float(-e.cost) for e in reduced.edges]
+    start, end = inst.source, inst.sink
+    if order.index(end) < order.index(start):
+        start, end = end, start
 
     def oracle(nums: Sequence[float]) -> RatioResult | None:
-        forward = min_ratio_path_dag(reduced, nums, den, reduced.source, reduced.sink)
-        backward = min_ratio_path_dag(reduced, nums, den, reduced.sink, reduced.source)
-        result = forward
-        if backward is not None and (result is None or backward.ratio < result.ratio):
-            result = backward
-        if result is None:
-            return None
-        ratio = float(result.ratio)
-        return RatioResult(
-            result.edges, float(result.numerator), float(result.denominator), ratio, ratio
-        )
+        return min_ratio_path_dag(reduced, nums, den, start, end)
 
-    routed, iterations, _ = _gk_loop(
-        reduced, budget_row, eps_prime, 1.0 - eps, oracle, reduced.edge_count
-    )
+    routed, iterations, _ = _gk_loop(reduced, budget_row, eps_prime, 1.0 - eps, oracle)
     flow = _assemble_flow(inst, reduced, keep, routed, budget_row)
     return Solution(
         flow=flow, objective=flow.cost, algorithm="gk-acyclic", iterations=iterations

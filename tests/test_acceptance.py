@@ -228,7 +228,7 @@ def test_fptas_acyclic_guarantee(dag_corpus, eps, monkeypatch):
 
 @pytest.mark.parametrize("rel_tol", [0.1, 0.01])
 def test_cycle_oracle_quality(rel_tol):
-    """Bisection cycle oracle lands within (1 + rel_tol) of exhaustive search."""
+    """Newton cycle oracle lands within (1 + rel_tol) of exhaustive search."""
     rng = random.Random(314)
     failures = []
     checked = 0

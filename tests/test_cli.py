@@ -80,6 +80,11 @@ class TestSolve:
         assert doc.values == (1, 2, 0)
         assert doc.objective == -6
 
+    def test_unwritable_output_is_usage_error(self, i1_path, tmp_path, capsys):
+        missing = tmp_path / "missing" / "sol.txt"
+        assert main(["solve", i1_path, "-o", str(missing)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
 
 class TestFrontier:
     def test_two_points_and_budget_line(self, i1_path, capsys):
@@ -161,6 +166,13 @@ class TestValidate:
             assert main(["solve", "-a", algo, i1_path, "-o", str(out_path)] + extra) == 0
             assert main(["validate", i1_path, str(out_path)]) == 0
             capsys.readouterr()
+
+    def test_unwritable_output_is_usage_error(self, i1_path, tmp_path, capsys):
+        # exit 1 would read as "infeasible": a write failure is a usage error
+        flow = self.write_solution(tmp_path, ["1", "2"])
+        missing = tmp_path / "missing" / "report.txt"
+        assert main(["validate", i1_path, flow, "-o", str(missing)]) == 2
+        assert "cannot write" in capsys.readouterr().err
 
 
 class TestGen:

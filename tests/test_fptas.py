@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -69,6 +70,33 @@ def small_dag_ratio_inputs(draw):
         )
     )
     return inst, num, den
+
+
+@st.composite
+def small_cycle_ratio_inputs(draw):
+    """A digraph on at most 6 nodes and 10 arcs, self-loops and parallel arcs
+    allowed, with float numerators in {0} and [1e-30, 1e30] and int-valued
+    dens of any sign.  Some numerators are small multiples of one drawn
+    scale, so that cycle ratios often lie within a factor 1 + rel_tol."""
+    n = draw(st.integers(2, 6))
+    node = st.integers(1, n)
+    arcs = draw(st.lists(st.tuples(node, node), min_size=1, max_size=10))
+    inst = Instance(
+        node_count=n,
+        edges=tuple(EdgeData(t, h, 1, 0, 0) for t, h in arcs),
+        source=1,
+        sink=2,
+        budget=0,
+    )
+    scale = draw(st.floats(min_value=1e-30, max_value=1e29))
+    numbers = st.one_of(
+        st.just(0.0),
+        st.floats(min_value=1e-30, max_value=1e30),
+        st.integers(1, 10).map(lambda k: k * scale),
+    )
+    num = draw(st.lists(numbers, min_size=len(arcs), max_size=len(arcs)))
+    den = draw(st.lists(st.integers(-5, 5).map(float), min_size=len(arcs), max_size=len(arcs)))
+    return inst, num, den, draw(st.sampled_from([0.5, 0.1]))
 
 
 class TestMinRatioCycle:
@@ -157,7 +185,7 @@ class TestMinRatioCycle:
 
     def test_lower_end_bounds_the_minimum_ratio(self):
         # a coarse tolerance, so that some answers are not the optimal cycle
-        # and only the bracket's lower end, not the answer's ratio, is a bound
+        # and only the oracle's lower end, not the answer's ratio, is a bound
         rng = random.Random(7)
         checked = suboptimal = 0
         for seed in range(80):
@@ -177,6 +205,67 @@ class TestMinRatioCycle:
             assert 0 < result.lower <= float(best[1]) * (1 + 1e-12)
             assert result.ratio <= 1.5 * result.lower * (1 + 1e-12)
         assert checked >= 40 and suboptimal >= 3
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(small_cycle_ratio_inputs())
+    def test_property_matches_enumeration(self, case):
+        inst, num, den, rel_tol = case
+        result = min_ratio_cycle(inst, num, den, rel_tol=rel_tol)
+        best = exhaustive_min_ratio_cycle(inst, num, den)
+        if best is None:
+            assert result is None
+            return
+        assert result is not None
+        tails = [inst.edges[a].tail for a in result.edges]
+        heads = [inst.edges[a].head for a in result.edges]
+        assert heads == tails[1:] + tails[:1]  # closed
+        assert len(set(tails)) == len(tails)  # simple
+        minimum = float(best[1])
+        slack = 1e-12
+        assert result.lower <= minimum * (1 + slack)
+        assert minimum <= result.ratio * (1 + slack)
+        assert result.ratio <= (1 + rel_tol) * result.lower * (1 + slack)
+
+    def test_non_improving_step_raises(self, inst_two_parallel, monkeypatch):
+        # a test that keeps finding the current cycle would loop forever
+        circ = add_return_arc(inst_two_parallel)
+        calls = []
+
+        def stuck(node_count, arcs, weights):
+            calls.append(1)
+            return [0, 2]
+
+        monkeypatch.setattr(fptas_mod, "find_negative_cycle", stuck)
+        with pytest.raises(InternalSolverError, match="did not lower the ratio"):
+            mrc(circ, [3.0, 1.0, 1.0], [4.0, 1.0, 0.0], rel_tol=0.1)
+        assert len(calls) == 2  # the seed search, then one step
+
+    def test_slow_steps_hit_the_proven_bound(self, monkeypatch):
+        # each step finds a cycle whose ratio falls by less than 1 + rel_tol:
+        # the step bound, from the seed's ratio 1 down to the least positive
+        # num over the sum of positive dens, must raise
+        loops = 60
+        inst = Instance(
+            node_count=2,
+            edges=tuple(EdgeData(1, 1, 1, -1, 0) for _ in range(loops)),
+            source=1,
+            sink=2,
+            budget=0,
+        )
+        num = [1.0 - i / 1000 for i in range(loops)]
+        den = [1.0] * loops
+        calls = []
+
+        def slow(node_count, arcs, weights):
+            calls.append(1)
+            return [len(calls) - 1]
+
+        monkeypatch.setattr(fptas_mod, "find_negative_cycle", slow)
+        with pytest.raises(InternalSolverError, match="proven step bound"):
+            mrc(inst, num, den, rel_tol=0.1)
+        steps = math.ceil(math.log(loops / min(num)) / math.log1p(0.1)) + 2
+        assert steps < loops
+        assert len(calls) == 1 + steps  # the seed search, then the bound
 
 
 class TestMinRatioPathDag:
@@ -282,14 +371,15 @@ class TestMinRatioPathDag:
             checked += 1
             assert result is not None
             assert result.ratio == best[1]
-            assert result.numerator == sum(Fraction(num[i]) for i in result.edges)
-            assert result.denominator == sum(Fraction(den[i]) for i in result.edges)
+            numerator = sum(Fraction(num[i]) for i in result.edges)
+            denominator = sum(Fraction(den[i]) for i in result.edges)
+            assert numerator / denominator == result.ratio
             optimal_dens = []
             for path in iter_source_sink_paths(inst):
                 d = sum(Fraction(den[i]) for i in path)
                 if d > 0 and sum(Fraction(num[i]) for i in path) / d == best[1]:
                     optimal_dens.append(d)
-            assert result.denominator == max(optimal_dens)
+            assert denominator == max(optimal_dens)
             ties += len(optimal_dens) > 1
         assert checked >= 30
         assert ties >= 5
@@ -305,7 +395,9 @@ class TestMinRatioPathDag:
         else:
             assert result is not None
             assert result.ratio == best[1]
-            assert result.numerator / result.denominator == result.ratio
+            numerator = sum(Fraction(num[i]) for i in result.edges)
+            denominator = sum(Fraction(den[i]) for i in result.edges)
+            assert numerator / denominator == result.ratio
 
     def test_non_improving_pass_hits_the_proven_bound(self, monkeypatch):
         # a pass that keeps reporting a negative value without a better path
@@ -380,9 +472,9 @@ class TestSolveGk:
         den = [float(-e.cost) for e in circ.edges]
 
         def oracle(nums):
-            return mrc(circ, nums, den, rel_tol=0.1)
+            return mrc(circ, [*nums, 0.0, 0.0], den, rel_tol=0.1)
 
-        routed, _, _ = _gk_loop(reduced, budget_row, 0.1, 0.9, oracle, circ.edge_count)
+        routed, _, _ = _gk_loop(reduced, budget_row, 0.1, 0.9, oracle)
         assert routed
         for cycle in routed:
             cost = sum(circ.edges[i].cost for i in cycle)
@@ -522,6 +614,46 @@ class TestSolveGkAcyclic:
             sol = solve_gk_acyclic(inst, 0.5)
             assert validate_flow(inst, sol.flow).ok
         assert calls
+
+    @pytest.mark.parametrize("eps", [0.5, 0.25])
+    def test_sink_to_source_paths(self, eps, monkeypatch):
+        # with source and sink swapped, every path runs from the sink to the
+        # source: the oracle must search that orientation
+        found = []
+        path_oracle = fptas_mod.min_ratio_path_dag
+
+        def recording(graph, num, den, source, sink):
+            result = path_oracle(graph, num, den, source, sink)
+            found.append(result is not None and source == graph.sink)
+            return result
+
+        monkeypatch.setattr(fptas_mod, "min_ratio_path_dag", recording)
+        nonzero = 0
+        for seed in range(24):
+            dag = generate_instance(
+                nodes=3 + seed % 5,
+                edges=4 + seed % 9,
+                budget_mode=("tight", "slack", "zero")[seed % 3],
+                acyclic=True,
+                seed=1200 + seed,
+            )
+            inst = preprocess(
+                Instance(
+                    node_count=dag.node_count,
+                    edges=dag.edges,
+                    source=dag.sink,
+                    sink=dag.source,
+                    budget=dag.budget,
+                )
+            )
+            sol = solve_gk_acyclic(inst, eps)
+            reference = oracle_optimum(inst)
+            assert validate_flow(inst, sol.flow).ok
+            assert sol.flow.fee <= inst.budget
+            assert sol.objective <= (1 - Fraction(eps)) * reference.objective
+            nonzero += reference.objective < 0
+        assert nonzero >= 8
+        assert sum(found) >= 8
 
 
 class TestRescale:
