@@ -3,12 +3,17 @@
 Commands: solve, frontier, oracle, validate, gen.  Exit codes: 0 success,
 1 infeasibility found by validate, 2 usage or parse errors or an output
 file that cannot be written, 3 enumeration guard of the oracle exceeded.
+
+The argument parser is built once per process, on the first call of
+:func:`main`, and reused: parsing keeps no state between calls, and argparse
+looks up ``sys.stdout`` and ``sys.stderr`` only when it prints.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from fractions import Fraction
 
@@ -164,6 +169,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def positive_int(token: str) -> int:
+    """A ``--guard`` value: the assignment space is never below 1, so neither is a guard."""
+    value = int(token)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bcmcf",
@@ -185,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algorithm", "-a", choices=ALGORITHMS, default="exact")
     p_solve.add_argument("--epsilon", "-e", type=float, default=None,
                          help="accuracy for the gk solvers, in (0, 1)")
-    p_solve.add_argument("--guard", type=int, default=oracle.DEFAULT_GUARD,
+    p_solve.add_argument("--guard", type=positive_int, default=oracle.DEFAULT_GUARD,
                          help="enumeration guard for --algorithm oracle")
     p_solve.add_argument("--format", choices=("structured", "text"), default="structured")
     add_common(p_solve)
@@ -198,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="brute-force optimum (desk scale); same as solve -a oracle")
     add_instance_arg(p_oracle)
-    p_oracle.add_argument("--guard", type=int, default=oracle.DEFAULT_GUARD)
+    p_oracle.add_argument("--guard", type=positive_int, default=oracle.DEFAULT_GUARD)
     p_oracle.add_argument("--format", choices=("structured", "text"), default="structured")
     add_common(p_oracle)
     p_oracle.set_defaults(func=cmd_solve, algorithm="oracle", epsilon=None)
@@ -225,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if hasattr(args, "input_path") and args.instance is None:
         args.instance = args.input_path
     try:

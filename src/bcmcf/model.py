@@ -99,14 +99,20 @@ class Flow:
 
     @classmethod
     def from_values(cls, inst: Instance, values: Iterable[Fraction | int]) -> Flow:
-        vals = tuple(Fraction(v) for v in values)
-        if len(vals) != inst.edge_count:
+        """A flow with ``values`` on ``inst``'s edges, in edge order.
+
+        The cost and fee totals are summed over the values as given, so an
+        int circulation is summed in ints and each total becomes a
+        ``Fraction`` once; the stored values are always ``Fraction``.
+        """
+        raw = tuple(values)
+        if len(raw) != inst.edge_count:
             raise InstanceError(
-                f"flow has {len(vals)} values for {inst.edge_count} edges"
+                f"flow has {len(raw)} values for {inst.edge_count} edges"
             )
-        cost = sum((e.cost * v for e, v in zip(inst.edges, vals)), Fraction(0))
-        fee = sum((e.fee * v for e, v in zip(inst.edges, vals)), Fraction(0))
-        return cls(vals, cost, fee)
+        cost = sum(e.cost * v for e, v in zip(inst.edges, raw))
+        fee = sum(e.fee * v for e, v in zip(inst.edges, raw))
+        return cls(tuple(map(Fraction, raw)), Fraction(cost), Fraction(fee))
 
     def scaled(self, factor: Fraction) -> Flow:
         factor = Fraction(factor)
@@ -331,10 +337,11 @@ def circulation_form(inst: Instance) -> Instance:
 def project_flow(base: Instance, flow: Flow) -> Flow:
     """Restrict a circulation-form flow to the base instance's own edges.
 
-    The closure arcs carry no cost or fee, so aggregates are recomputed
-    from the kept coordinates only.
+    :func:`circulation_form` appends both closure arcs with zero cost and
+    zero fee, so the dropped coordinates contribute nothing to either total
+    and the flow's cost and fee carry over without re-summing.
     """
-    return Flow.from_values(base, flow.values[: base.edge_count])
+    return Flow(flow.values[: base.edge_count], flow.cost, flow.fee)
 
 
 # ---------------------------------------------------------------------------

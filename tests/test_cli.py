@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bcmcf import enumerate_frontier, generate_instance, preprocess
-from bcmcf.cli import main
+from bcmcf.cli import build_parser, main
 from bcmcf.model import format_fraction, parse_instance, parse_solution, serialize_instance
 from bcmcf.oracle import DEFAULT_GUARD
 
@@ -122,6 +122,16 @@ class TestOracleCommand:
     def test_guard_exit(self, i1_path, capsys):
         assert main(["oracle", i1_path, "--guard", "2"]) == 3
 
+    @pytest.mark.parametrize("command", [["oracle"], ["solve", "-a", "oracle"]])
+    @pytest.mark.parametrize("guard", ["0", "-1"])
+    def test_guard_below_one_is_usage_error(self, i1_path, capsys, command, guard):
+        # the assignment space is at least 1, so such a guard is a usage
+        # error, not a guard that every instance exceeds
+        with pytest.raises(SystemExit) as exc:
+            main(command + [i1_path, "--guard", guard])
+        assert exc.value.code == 2
+        assert "--guard" in capsys.readouterr().err
+
     def test_same_output_as_solve_algorithm_oracle(self, i1_path, capsys):
         for fmt in ("structured", "text"):
             assert main(["oracle", i1_path, "--format", fmt]) == 0
@@ -214,3 +224,42 @@ class TestGkAcyclic:
         path.write_text(text)
         assert main(["solve", "-a", "gk-acyclic", "-e", "0.5", str(path)]) == 2
         assert "solve_gk" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def run(self, argv, capsys):
+        """Exit code, stdout and stderr of one ``main`` call."""
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on --help and usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_calls_in_one_process_match_calls_on_their_own(self, i1_path, capsys):
+        sequence = [
+            ["oracle", i1_path],
+            ["solve", "-a", "gk", "-e", "0.5", i1_path],
+            ["solve", "-a", "nonesuch", i1_path],
+            ["--help"],
+            ["solve", i1_path],
+            ["solve", i1_path, "--format", "text"],
+        ]
+        build_parser.cache_clear()
+        shared = [self.run(argv, capsys) for argv in sequence]
+        assert build_parser.cache_info().misses == 1
+        alone = []
+        for argv in sequence:
+            build_parser.cache_clear()
+            alone.append(self.run(argv, capsys))
+        assert shared == alone
+        codes = [code for code, _, _ in shared]
+        assert codes == [0, 0, 2, 0, 0, 0]
+        assert "invalid choice: 'nonesuch'" in shared[2][2]
+        assert shared[3][1].startswith("usage: bcmcf")
+        default = parse_solution(shared[4][1])
+        assert default.algorithm == "exact"
+        assert default.lam == 2
+        assert "algorithm: exact" in shared[5][1]
+        args = build_parser().parse_args(["solve", i1_path])
+        assert (args.algorithm, args.epsilon) == ("exact", None)

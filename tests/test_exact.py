@@ -18,6 +18,7 @@ from bcmcf import (
     VerdictKind,
     add_return_arc,
     budget_combination,
+    circulation_form,
     enumerate_frontier,
     generate_instance,
     instance_stats,
@@ -25,9 +26,11 @@ from bcmcf import (
     oracle_frontier,
     oracle_optimum,
     preprocess,
+    project_flow,
     solve_exact,
     validate_flow,
 )
+from bcmcf.mcc import lambda_cost, min_cost_circulation
 from bcmcf.oracle import iter_integral_values
 
 
@@ -142,6 +145,29 @@ class TestBudgetCombination:
         x2 = Flow.from_values(inst_two_parallel, [2, 0])
         with pytest.raises(ValueError):
             budget_combination(x1, x2, 1)
+
+
+class TestProjectFlow:
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(
+        st.integers(2, 7),
+        st.integers(1, 14),
+        st.integers(1, 10),
+        st.integers(0, 10**6),
+        st.fractions(0, 1, max_denominator=9),
+    )
+    def test_keeps_the_totals_of_the_kept_values(self, nodes, edges, cap, seed, t):
+        """The closure arcs carry no cost or fee: projecting must not change a total."""
+        inst = preprocess(generate_instance(nodes, edges, max_capacity=cap, seed=seed))
+        circ = circulation_form(inst)
+        top = instance_stats(inst).lambda_above_all_slopes()
+        x_low = min_cost_circulation(circ, lambda_cost(circ, top, "min"))
+        x_high = min_cost_circulation(circ, lambda_cost(circ, Fraction(0), "max"))
+        combo = budget_combination(x_low, x_high, x_low.fee + t * (x_high.fee - x_low.fee))
+        for x in (x_low, x_high, combo):
+            projected = project_flow(inst, x)
+            assert projected == Flow.from_values(inst, x.values[: inst.edge_count])
+            assert type(projected.cost) is Fraction and type(projected.fee) is Fraction
 
 
 class TestSolveExact:

@@ -190,6 +190,33 @@ class TestPreprocess:
         assert preprocess(inst).node_count == 3
 
 
+class TestFlowTotals:
+    def test_int_fraction_and_mixed_values_agree(self, inst_two_hop):
+        ints = Flow.from_values(inst_two_hop, [2, 1, 1])
+        fractions = Flow.from_values(inst_two_hop, [Fraction(2), Fraction(1), Fraction(1)])
+        mixed = Flow.from_values(inst_two_hop, [2, Fraction(2, 2), 1])
+        assert ints == fractions == mixed
+        for flow in (ints, fractions, mixed):
+            assert all(type(v) is Fraction for v in flow.values)
+            assert type(flow.cost) is Fraction and type(flow.fee) is Fraction
+
+    def test_fractional_totals_are_exact(self, inst_two_parallel):
+        flow = Flow.from_values(inst_two_parallel, [Fraction(1, 3), 2])
+        assert flow.cost == Fraction(-4, 3) - 2
+        assert flow.fee == Fraction(2, 3)
+        assert type(flow.cost) is Fraction and type(flow.fee) is Fraction
+
+    def test_empty_instance_has_zero_totals(self):
+        inst = Instance(node_count=2, edges=(), source=1, sink=2, budget=0)
+        flow = Flow.from_values(inst, [])
+        assert flow == zero_flow(inst)
+        assert type(flow.cost) is Fraction and type(flow.fee) is Fraction
+
+    def test_arity_mismatch_raises(self, inst_two_parallel):
+        with pytest.raises(InstanceError):
+            Flow.from_values(inst_two_parallel, [1, 2, 0])
+
+
 class TestValidateFlow:
     def test_valid_flow(self, inst_two_parallel):
         flow = Flow.from_values(inst_two_parallel, [1, 2])
