@@ -43,9 +43,7 @@ from .model import (
     SolutionDocument,
     Stats,
     ValidationReport,
-    add_return_arc,
     circulation_form,
-    combine_flows,
     format_fraction,
     format_solution,
     instance_stats,
@@ -85,10 +83,8 @@ __all__ = [
     "Stats",
     "ValidationReport",
     "VerdictKind",
-    "add_return_arc",
     "budget_combination",
     "circulation_form",
-    "combine_flows",
     "enumerate_frontier",
     "enumerate_integral_flows",
     "find_negative_cycle",

@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import functools
 import sys
-from fractions import Fraction
 
 from . import exact, fptas, oracle
 from .generate import BUDGET_MODES, generate_instance
@@ -29,6 +28,7 @@ from .model import (
     parse_instance,
     parse_solution,
     preprocess,
+    restore_flow,
     serialize_instance,
     validate_flow,
 )
@@ -75,16 +75,6 @@ def _load_instance(path: str) -> Instance:
         raise CliError(f"{path}: {exc}", EXIT_USAGE) from None
 
 
-def _restore_flow(original: Instance, worked: Instance, flow: Flow) -> Flow:
-    """Lift a flow on a preprocessed instance back to original edge indices."""
-    if worked.edge_origin is None:
-        return flow
-    values = [Fraction(0)] * original.edge_count
-    for idx, v in zip(worked.edge_origin, flow.values):
-        values[idx] = v
-    return Flow(tuple(values), flow.cost, flow.fee)
-
-
 def _solution_text(sol: Solution, fmt: str) -> str:
     if fmt == "structured":
         return format_solution(sol)
@@ -120,7 +110,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise CliError(str(exc), EXIT_GUARD) from None
     except (ValueError, fptas.CyclicGraphError) as exc:
         raise CliError(str(exc), EXIT_USAGE) from None
-    sol = dataclasses.replace(sol, flow=_restore_flow(original, inst, sol.flow))
+    sol = dataclasses.replace(sol, flow=restore_flow(original, inst, sol.flow))
     _write_text(args.output, _solution_text(sol, args.format))
     return EXIT_OK
 

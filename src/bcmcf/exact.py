@@ -21,9 +21,9 @@ from .mcc import InternalSolverError, lambda_cost, min_cost_circulation
 from .model import (
     Flow,
     Instance,
+    InstanceError,
     Solution,
     circulation_form,
-    combine_flows,
     instance_stats,
     project_flow,
 )
@@ -56,7 +56,7 @@ class CallbackVerdict:
 def lambda_callback(circ: Instance, lam: Fraction) -> CallbackVerdict:
     """Decide where ``lam`` sits relative to the optimal multiplier interval.
 
-    ``circ`` must be in circulation form (return arc present).  Verdicts:
+    ``circ`` must be in circulation form (see ``circulation_form``).  Verdicts:
     BELOW when even the fee-minimal optimum overshoots the budget, ABOVE
     when the fee-maximal optimum undershoots it (only for lam > 0; at
     lam = 0 a slack budget means the unconstrained optimum already wins,
@@ -82,10 +82,13 @@ def lambda_callback(circ: Instance, lam: Fraction) -> CallbackVerdict:
 def budget_combination(x1: Flow, x2: Flow, budget: Fraction | int) -> Flow:
     """Convex combination of two flows meeting the budget with equality.
 
-    Requires fee(x1) <= budget <= fee(x2).  Returns x1 unchanged when both
-    fees coincide.
+    Requires flows of equal arity with fee(x1) <= budget <= fee(x2); the
+    combination ``alpha*x1 + (1-alpha)*x2`` keeps exact totals.  Returns x1
+    unchanged when both fees coincide.
     """
     budget = Fraction(budget)
+    if len(x1.values) != len(x2.values):
+        raise InstanceError("flows have different arities")
     if not x1.fee <= budget <= x2.fee:
         raise ValueError(
             f"budget {budget} not between fees {x1.fee} and {x2.fee}"
@@ -93,7 +96,12 @@ def budget_combination(x1: Flow, x2: Flow, budget: Fraction | int) -> Flow:
     if x2.fee == x1.fee:
         return x1
     alpha = (x2.fee - budget) / (x2.fee - x1.fee)
-    return combine_flows(x1, x2, alpha)
+    beta = 1 - alpha
+    return Flow(
+        tuple(alpha * a + beta * b for a, b in zip(x1.values, x2.values)),
+        alpha * x1.cost + beta * x2.cost,
+        alpha * x1.fee + beta * x2.fee,
+    )
 
 
 def solve_exact(inst: Instance) -> Solution:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .mcc import InternalSolverError, find_negative_cycle
-from .model import Flow, Instance, Solution, circulation_form
+from .model import Flow, Instance, Solution, circulation_form, restore_flow
 
 
 class CyclicGraphError(ValueError):
@@ -253,10 +253,10 @@ def min_ratio_path_dag(
     inst: Instance,
     num: Sequence[Fraction | float],
     den: Sequence[Fraction | float],
-    source: int | None = None,
-    sink: int | None = None,
+    source: int,
+    sink: int,
 ) -> RatioResult | None:
-    """Exact minimum-ratio source-sink path on an acyclic graph.
+    """Exact minimum-ratio ``source``-``sink`` path on an acyclic graph.
 
     Dinkelbach (Newton) iteration over Python ints.  Numerators and
     denominators are scaled exactly to ints (``_scaled_ints``), which
@@ -271,8 +271,6 @@ def min_ratio_path_dag(
     Raises CyclicGraphError when the graph is not acyclic; returns None if
     no source-sink path has positive denominator.
     """
-    source = inst.source if source is None else source
-    sink = inst.sink if sink is None else sink
     nums, num_scale = _scaled_ints(num)
     dens, den_scale = _scaled_ints(den)
     if any(x < 0 for x in nums):
@@ -318,25 +316,26 @@ def min_ratio_path_dag(
 Oracle = Callable[[Sequence[float]], RatioResult | None]
 
 
-def _reduced_for_packing(inst: Instance) -> tuple[Instance, list[int], bool]:
+def _reduced_for_packing(inst: Instance) -> Instance:
     """Drop zero-capacity edges, and fee-carrying edges when the budget is 0.
 
-    Returns (reduced instance, original index per kept edge, budget row kept).
+    The result keeps the budget, so the loop keeps a budget row exactly
+    when it is positive, and records each kept edge's position in ``inst``
+    as its ``edge_origin``.
     """
-    budget_row = inst.budget > 0
     keep = [
         i
         for i, e in enumerate(inst.edges)
-        if e.capacity > 0 and (budget_row or e.fee == 0)
+        if e.capacity > 0 and (inst.budget > 0 or e.fee == 0)
     ]
-    reduced = Instance(
+    return Instance(
         node_count=inst.node_count,
         edges=tuple(inst.edges[i] for i in keep),
         source=inst.source,
         sink=inst.sink,
         budget=inst.budget,
+        edge_origin=tuple(keep),
     )
-    return reduced, keep, budget_row
 
 
 # Relative slack on the stop test.  It absorbs float rounding in the loads,
@@ -347,7 +346,6 @@ CERTIFICATE_MARGIN = 1e-9
 
 def _gk_loop(
     reduced: Instance,
-    budget_row: bool,
     eps_prime: float,
     target: float,
     oracle: Oracle,
@@ -370,8 +368,9 @@ def _gk_loop(
     objective reaches 1.
     """
     m = reduced.edge_count
-    rows = m + (1 if budget_row else 0)
     budget = reduced.budget
+    budget_row = budget > 0
+    rows = m + (1 if budget_row else 0)
     capacities = [e.capacity for e in reduced.edges]
     fees = [e.fee for e in reduced.edges]
     if m == 0:
@@ -447,9 +446,7 @@ def _gk_loop(
 def _assemble_flow(
     inst: Instance,
     reduced: Instance,
-    keep: Sequence[int],
     routed: dict[tuple[int, ...], Fraction],
-    budget_row: bool,
 ) -> Flow:
     """Exactly accumulate routed columns and scale them to feasibility.
 
@@ -459,7 +456,7 @@ def _assemble_flow(
     and the budget row, the exact counterpart of the loop's float stop
     test.  Every routed amount fills a row of its column, so unless nothing
     was routed that load is 1 or more, save for float rounding on the
-    budget row.
+    budget row.  The scaled flow is lifted back onto ``inst``'s edges.
     """
     m = reduced.edge_count
     values = [Fraction(0)] * m
@@ -468,16 +465,12 @@ def _assemble_flow(
             if i < m:
                 values[i] += amount
     worst = max((v / e.capacity for v, e in zip(values, reduced.edges)), default=Fraction(0))
-    if budget_row:
+    if reduced.budget > 0:
         fee_total = sum((e.fee * v for e, v in zip(reduced.edges, values)), Fraction(0))
         worst = max(worst, fee_total / reduced.budget)
     if worst > 0:
         values = [v / worst for v in values]
-
-    full = [Fraction(0)] * inst.edge_count
-    for i, v in zip(keep, values):
-        full[i] = v
-    return Flow.from_values(inst, full)
+    return restore_flow(inst, reduced, Flow.from_values(reduced, values))
 
 
 def solve_gk(inst: Instance, eps: float) -> Solution:
@@ -493,7 +486,7 @@ def solve_gk(inst: Instance, eps: float) -> Solution:
     """
     if not 0 < eps < 1:
         raise ValueError(f"epsilon {eps} outside (0, 1)")
-    reduced, keep, budget_row = _reduced_for_packing(inst)
+    reduced = _reduced_for_packing(inst)
     eps_prime = eps / 4.0
     circ = circulation_form(reduced)
     den = [float(-e.cost) for e in circ.edges]  # zero on the closure arcs
@@ -502,8 +495,8 @@ def solve_gk(inst: Instance, eps: float) -> Solution:
         # the two closure arcs carry no length
         return min_ratio_cycle(circ, [*nums, 0.0, 0.0], den, rel_tol=eps_prime)
 
-    routed, iterations, _ = _gk_loop(reduced, budget_row, eps_prime, 1.0 - eps, oracle)
-    flow = _assemble_flow(inst, reduced, keep, routed, budget_row)
+    routed, iterations, _ = _gk_loop(reduced, eps_prime, 1.0 - eps, oracle)
+    flow = _assemble_flow(inst, reduced, routed)
     return Solution(
         flow=flow, objective=flow.cost, algorithm="gk", iterations=iterations
     )
@@ -530,7 +523,7 @@ def solve_gk_acyclic(inst: Instance, eps: float) -> Solution:
         raise CyclicGraphError(
             "graph contains a directed cycle; use solve_gk instead"
         ) from None
-    reduced, keep, budget_row = _reduced_for_packing(inst)
+    reduced = _reduced_for_packing(inst)
     eps_prime = eps / 3.0
     den = [float(-e.cost) for e in reduced.edges]
     start, end = inst.source, inst.sink
@@ -540,8 +533,8 @@ def solve_gk_acyclic(inst: Instance, eps: float) -> Solution:
     def oracle(nums: Sequence[float]) -> RatioResult | None:
         return min_ratio_path_dag(reduced, nums, den, start, end)
 
-    routed, iterations, _ = _gk_loop(reduced, budget_row, eps_prime, 1.0 - eps, oracle)
-    flow = _assemble_flow(inst, reduced, keep, routed, budget_row)
+    routed, iterations, _ = _gk_loop(reduced, eps_prime, 1.0 - eps, oracle)
+    flow = _assemble_flow(inst, reduced, routed)
     return Solution(
         flow=flow, objective=flow.cost, algorithm="gk-acyclic", iterations=iterations
     )

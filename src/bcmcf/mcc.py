@@ -25,8 +25,8 @@ def lambda_cost(inst: Instance, lam: Fraction, fee_direction: str) -> list[int]:
     """Edge costs ``cost + lam * fee`` with the fee as tie-break, packed into ints.
 
     ``fee_direction`` "min" prefers the smallest total fee among primary
-    optima, "max" the largest.  The return arc, having zero cost and fee,
-    gets 0.
+    optima, "max" the largest.  The closure arcs of ``circulation_form``,
+    having zero cost and fee, get 0.
     """
     lam = Fraction(lam)
     if lam < 0:

@@ -9,7 +9,7 @@ as an exact :class:`fractions.Fraction`; nothing in this module rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -51,9 +51,10 @@ class Instance:
     Nodes are numbered ``1..node_count``.  ``edges`` is an ordered tuple;
     edge order is significant (flows are reported positionally).  Parallel
     edges and self-loops are permitted.  ``return_arc_index`` marks the
-    edge added by :func:`add_return_arc`, turning the instance into
-    circulation form.  ``edge_origin`` records the original edge positions
-    after :func:`preprocess` compaction.
+    sink-to-source arc of an instance that :func:`circulation_form` closed.
+    ``edge_origin`` gives, for each edge of a derived instance, its position
+    in the instance it was derived from; :func:`restore_flow` lifts flows
+    back along it.
     """
 
     node_count: int
@@ -123,21 +124,6 @@ class Flow:
         )
 
 
-def combine_flows(x1: Flow, x2: Flow, alpha: Fraction) -> Flow:
-    """Convex combination ``alpha*x1 + (1-alpha)*x2`` with exact aggregates."""
-    alpha = Fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha {alpha} outside [0, 1]")
-    if len(x1.values) != len(x2.values):
-        raise InstanceError("flows have different arities")
-    beta = 1 - alpha
-    return Flow(
-        tuple(alpha * a + beta * b for a, b in zip(x1.values, x2.values)),
-        alpha * x1.cost + beta * x2.cost,
-        alpha * x1.fee + beta * x2.fee,
-    )
-
-
 def zero_flow(inst: Instance) -> Flow:
     return Flow((Fraction(0),) * inst.edge_count, Fraction(0), Fraction(0))
 
@@ -204,9 +190,8 @@ def validate_flow(inst: Instance, flow: Flow) -> ValidationReport:
     """Re-check capacities, conservation, and the budget with exact arithmetic.
 
     Conservation is required at every node except source and sink; in
-    circulation form (return arc present) the return arc makes those two
-    balance as well, but they are still exempted here so the same check
-    applies to both forms.
+    circulation form the closure arcs make those two balance as well, but
+    they are still exempted here so the same check applies to both forms.
     """
     if len(flow.values) != inst.edge_count:
         raise InstanceError(
@@ -247,8 +232,8 @@ def preprocess(inst: Instance) -> Instance:
 
     No flow can pass through such nodes, so removing them and their incident
     edges preserves every feasible flow.  Removal is iterated to a fixed
-    point; surviving nodes are renumbered contiguously and the mapping back
-    to the original edge positions is recorded on the result.
+    point; surviving nodes are renumbered contiguously and each surviving
+    edge's position in ``inst`` is recorded as the result's ``edge_origin``.
     """
     alive_nodes = set(range(1, inst.node_count + 1))
     alive_edges = list(range(inst.edge_count))
@@ -275,63 +260,51 @@ def preprocess(inst: Instance) -> Instance:
 
     old_ids = sorted(alive_nodes)
     renum = {old: new for new, old in enumerate(old_ids, start=1)}
-    edges = tuple(
-        replace(inst.edges[i], tail=renum[inst.edges[i].tail], head=renum[inst.edges[i].head])
-        for i in alive_edges
-    )
-    edge_origin = tuple(
-        inst.edge_origin[i] if inst.edge_origin is not None else i for i in alive_edges
-    )
+    kept = [inst.edges[i] for i in alive_edges]
+    edges = tuple(EdgeData(renum[e.tail], renum[e.head], e.capacity, e.cost, e.fee) for e in kept)
     return Instance(
         node_count=len(old_ids),
         edges=edges,
         source=renum[inst.source],
         sink=renum[inst.sink],
         budget=inst.budget,
-        return_arc_index=None,
-        edge_origin=edge_origin,
+        edge_origin=tuple(alive_edges),
     )
 
 
-def add_return_arc(inst: Instance) -> Instance:
-    """Append a sink-to-source edge with zero cost and fee (circulation form).
+def restore_flow(parent: Instance, derived: Instance, flow: Flow) -> Flow:
+    """Lift a flow on ``derived`` back onto the edges of ``parent``.
 
-    The capacity is the sum of all edge capacities: no source-sink flow can
-    exceed that, so it is a finite stand-in for an uncapacitated arc and
-    keeps all arithmetic integral.
+    ``derived.edge_origin`` maps each of its edges to a position in
+    ``parent``; every other parent edge gets zero flow.  Dropped edges carry
+    no flow, so the cost and fee totals carry over unchanged.
     """
-    if inst.return_arc_index is not None:
-        raise InstanceError("instance already has a return arc")
-    ret = EdgeData(inst.sink, inst.source, inst.total_capacity(), 0, 0)
-    return Instance(
-        node_count=inst.node_count,
-        edges=inst.edges + (ret,),
-        source=inst.source,
-        sink=inst.sink,
-        budget=inst.budget,
-        return_arc_index=inst.edge_count,
-        edge_origin=None,
-    )
+    values = [Fraction(0)] * parent.edge_count
+    for i, v in zip(derived.edge_origin, flow.values):
+        values[i] = v
+    return Flow(tuple(values), flow.cost, flow.fee)
 
 
 def circulation_form(inst: Instance) -> Instance:
     """Close the instance into circulation form for the cycle-based solvers.
 
-    Appends a free source-to-sink arc and then the return arc.  Conservation
-    never binds at source or sink, so the net source-sink value of a feasible
-    flow may take either sign; one zero-cost, zero-fee arc per orientation
-    lets a circulation represent both.  Capacities are the total capacity,
-    which neither orientation can exceed.
+    Appends a free source-to-sink closure arc and then the sink-to-source
+    return arc.  Conservation never binds at source or sink, so the net
+    source-sink value of a feasible flow may take either sign; one
+    zero-cost, zero-fee arc per orientation lets a circulation represent
+    both.  Both get the total capacity, which neither orientation can
+    exceed, so all arithmetic stays integral.
     """
-    widened = Instance(
+    u = inst.total_capacity()
+    closure = EdgeData(inst.source, inst.sink, u, 0, 0), EdgeData(inst.sink, inst.source, u, 0, 0)
+    return Instance(
         node_count=inst.node_count,
-        edges=inst.edges + (EdgeData(inst.source, inst.sink, inst.total_capacity(), 0, 0),),
+        edges=inst.edges + closure,
         source=inst.source,
         sink=inst.sink,
         budget=inst.budget,
-        edge_origin=None,
+        return_arc_index=inst.edge_count + 1,
     )
-    return add_return_arc(widened)
 
 
 def project_flow(base: Instance, flow: Flow) -> Flow:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .frontier import FrontierPoint, attach_lambda_intervals
 from .model import Flow, Instance, Solution, zero_flow
 
 DEFAULT_GUARD = 10**7
@@ -33,9 +34,9 @@ def _check_guard(inst: Instance, guard: int) -> None:
 def iter_integral_values(inst: Instance, guard: int = DEFAULT_GUARD) -> Iterator[tuple[int, ...]]:
     """Yield every integral edge assignment satisfying capacity and conservation.
 
-    Conservation is enforced at all nodes except source and sink; if the
-    instance is in circulation form (``return_arc_index`` set) it is
-    enforced everywhere.  Partial assignments are pruned as soon as some
+    Conservation is enforced at all nodes except source and sink; on an
+    instance that ``circulation_form`` closed (``return_arc_index`` set) it
+    is enforced everywhere.  Partial assignments are pruned as soon as some
     node's balance can no longer be repaired by its unassigned edges.
     """
     _check_guard(inst, guard)
@@ -199,10 +200,8 @@ def lower_left_hull(points: Sequence[tuple[int, int]]) -> list[int]:
     return hull
 
 
-def oracle_frontier(inst: Instance, guard: int = DEFAULT_GUARD):
+def oracle_frontier(inst: Instance, guard: int = DEFAULT_GUARD) -> list[FrontierPoint]:
     """Exact Pareto frontier extreme points, cheapest-cost-first per fee."""
-    from .frontier import FrontierPoint, attach_lambda_intervals
-
     cloud = build_point_cloud(inst, guard)
     hull = lower_left_hull(cloud.points)
     points = [

@@ -14,9 +14,9 @@ from bcmcf import (
     EdgeData,
     Flow,
     Instance,
+    InstanceError,
     InternalSolverError,
     VerdictKind,
-    add_return_arc,
     budget_combination,
     circulation_form,
     enumerate_frontier,
@@ -28,6 +28,8 @@ from bcmcf import (
     preprocess,
     project_flow,
     solve_exact,
+    solve_gk,
+    solve_gk_acyclic,
     validate_flow,
 )
 from bcmcf.mcc import lambda_cost, min_cost_circulation
@@ -79,7 +81,7 @@ class TestLambdaCallback:
         [(1, VerdictKind.BELOW), (2, VerdictKind.INSIDE), (3, VerdictKind.ABOVE)],
     )
     def test_two_parallel_verdicts(self, inst_two_parallel, lam, expected):
-        circ = add_return_arc(inst_two_parallel)
+        circ = circulation_form(inst_two_parallel)
         verdict = lambda_callback(circ, Fraction(lam))
         assert verdict.kind is expected
         # witness fees are exactly the extremes of the optimal face
@@ -88,7 +90,7 @@ class TestLambdaCallback:
         assert verdict.x_maxfee.fee == hi
 
     def test_inside_brackets_budget(self, inst_two_parallel):
-        circ = add_return_arc(inst_two_parallel)
+        circ = circulation_form(inst_two_parallel)
         verdict = lambda_callback(circ, Fraction(2))
         assert verdict.x_minfee.fee <= circ.budget <= verdict.x_maxfee.fee
 
@@ -96,7 +98,7 @@ class TestLambdaCallback:
         slack = Instance(
             node_count=2, edges=inst_two_parallel.edges, source=1, sink=2, budget=100
         )
-        verdict = lambda_callback(add_return_arc(slack), Fraction(0))
+        verdict = lambda_callback(circulation_form(slack), Fraction(0))
         assert verdict.kind is VerdictKind.INSIDE
 
     def test_monotone_pattern_on_random_instances(self):
@@ -109,7 +111,7 @@ class TestLambdaCallback:
                     seed=500 + seed,
                 )
             )
-            circ = add_return_arc(inst)
+            circ = circulation_form(inst)
             top = instance_stats(inst).lambda_above_all_slopes()
             kinds = [
                 lambda_callback(circ, Fraction(k) * top / 11).kind for k in range(12)
@@ -145,6 +147,12 @@ class TestBudgetCombination:
         x2 = Flow.from_values(inst_two_parallel, [2, 0])
         with pytest.raises(ValueError):
             budget_combination(x1, x2, 1)
+
+    def test_arity_mismatch(self, inst_two_parallel, inst_two_hop):
+        x1 = Flow.from_values(inst_two_parallel, [0, 2])
+        x2 = Flow.from_values(inst_two_hop, [2, 2, 0])
+        with pytest.raises(InstanceError):
+            budget_combination(x1, x2, 2)
 
 
 class TestProjectFlow:
@@ -352,6 +360,36 @@ class TestCallbackPreconditions:
             lambda_callback(inst_two_parallel, Fraction(1))
 
     def test_rejects_negative_multiplier(self, inst_two_parallel):
-        circ = add_return_arc(inst_two_parallel)
+        circ = circulation_form(inst_two_parallel)
         with pytest.raises(ValueError):
             lambda_callback(circ, Fraction(-1))
+
+
+class TestSinkToSourceValue:
+    """One edge from sink to source: the optimum sends its net value backwards."""
+
+    @pytest.fixture
+    def backwards(self) -> Instance:
+        return Instance(
+            node_count=2, edges=(EdgeData(2, 1, 1, -1, 0),), source=1, sink=2, budget=0
+        )
+
+    def test_oracle_optimum(self, backwards):
+        assert oracle_optimum(backwards).objective == -1
+
+    def test_callback_witness(self, backwards):
+        verdict = lambda_callback(circulation_form(backwards), Fraction(0))
+        assert verdict.kind is VerdictKind.INSIDE
+        assert verdict.x_minfee.cost == verdict.x_maxfee.cost == -1
+
+    def test_solve_exact(self, backwards):
+        sol = solve_exact(backwards)
+        assert sol.objective == -1
+        assert sol.flow.values == (1,)
+        assert validate_flow(backwards, sol.flow).ok
+
+    @pytest.mark.parametrize("solver", [solve_gk, solve_gk_acyclic])
+    def test_approximation_schemes(self, backwards, solver):
+        sol = solver(backwards, 0.5)
+        assert validate_flow(backwards, sol.flow).ok
+        assert -1 <= sol.objective <= Fraction(1, 2) * -1

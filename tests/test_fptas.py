@@ -16,7 +16,7 @@ from bcmcf import (
     Flow,
     Instance,
     InternalSolverError,
-    add_return_arc,
+    circulation_form,
     generate_instance,
     min_ratio_cycle,
     min_ratio_path_dag,
@@ -101,19 +101,20 @@ def small_cycle_ratio_inputs(draw):
 
 class TestMinRatioCycle:
     def test_picks_cheaper_cycle(self, inst_two_parallel):
-        # unit lengths everywhere, unit budget length: the fee-carrying edge's
-        # cycle has ratio (2+1+1)/4 = 1, the other (1+1)/1 = 2
-        circ = add_return_arc(inst_two_parallel)
-        num = [2.0 + 1.0, 0.0 + 1.0, 1.0]
-        den = [4.0, 1.0, 0.0]
+        # unit lengths everywhere, unit budget length: closed by the return
+        # arc (edge 3), the fee-carrying edge's cycle has ratio (2+1+1)/4 = 1,
+        # the other (1+1)/1 = 2; the two closure arcs' cycle has den 0
+        circ = circulation_form(inst_two_parallel)
+        num = [2.0 + 1.0, 0.0 + 1.0, 1.0, 1.0]
+        den = [4.0, 1.0, 0.0, 0.0]
         result = min_ratio_cycle(circ, num, den, rel_tol=0.01)
         assert result is not None
-        assert frozenset(result.edges) == frozenset({0, 2})
+        assert frozenset(result.edges) == frozenset({0, 3})
         assert result.ratio == pytest.approx(1.0)
 
     def test_no_negative_cycle_returns_none(self, inst_single_positive):
-        circ = add_return_arc(inst_single_positive)
-        num = [1.0, 1.0]
+        circ = circulation_form(inst_single_positive)
+        num = [1.0, 1.0, 1.0]
         den = [float(-e.cost) for e in circ.edges]
         assert min_ratio_cycle(circ, num, den, rel_tol=0.1) is None
 
@@ -132,7 +133,7 @@ class TestMinRatioCycle:
 
     def test_rel_tol_validated(self, inst_two_parallel):
         with pytest.raises(ValueError):
-            min_ratio_cycle(add_return_arc(inst_two_parallel), [0.0] * 3, [0.0] * 3, rel_tol=0.0)
+            min_ratio_cycle(circulation_form(inst_two_parallel), [0.0] * 4, [0.0] * 4, rel_tol=0.0)
 
     @pytest.mark.parametrize("rel_tol", [0.1, 0.01])
     def test_within_tolerance_of_exhaustive(self, rel_tol):
@@ -228,16 +229,16 @@ class TestMinRatioCycle:
 
     def test_non_improving_step_raises(self, inst_two_parallel, monkeypatch):
         # a test that keeps finding the current cycle would loop forever
-        circ = add_return_arc(inst_two_parallel)
+        circ = circulation_form(inst_two_parallel)
         calls = []
 
         def stuck(node_count, arcs, weights):
             calls.append(1)
-            return [0, 2]
+            return [0, 3]
 
         monkeypatch.setattr(fptas_mod, "find_negative_cycle", stuck)
         with pytest.raises(InternalSolverError, match="did not lower the ratio"):
-            mrc(circ, [3.0, 1.0, 1.0], [4.0, 1.0, 0.0], rel_tol=0.1)
+            mrc(circ, [3.0, 1.0, 1.0, 1.0], [4.0, 1.0, 0.0, 0.0], rel_tol=0.1)
         assert len(calls) == 2  # the seed search, then one step
 
     def test_slow_steps_hit_the_proven_bound(self, monkeypatch):
@@ -277,7 +278,7 @@ class TestMinRatioPathDag:
             sink=3,
             budget=0,
         )
-        result = min_ratio_path_dag(inst, [1, 1, 3], [1, 1, 1])
+        result = min_ratio_path_dag(inst, [1, 1, 3], [1, 1, 1], inst.source, inst.sink)
         assert result is not None
         assert result.edges == (0, 1)
         assert result.ratio == 1
@@ -290,7 +291,7 @@ class TestMinRatioPathDag:
             sink=3,
             budget=0,
         )
-        result = min_ratio_path_dag(inst, [2, 3], [2, 3])
+        result = min_ratio_path_dag(inst, [2, 3], [2, 3], inst.source, inst.sink)
         assert result is not None
         assert result.edges == (0, 1)
         assert result.ratio == 1
@@ -303,7 +304,7 @@ class TestMinRatioPathDag:
             sink=3,
             budget=0,
         )
-        assert min_ratio_path_dag(inst, [1, 1], [-1, 0]) is None
+        assert min_ratio_path_dag(inst, [1, 1], [-1, 0], inst.source, inst.sink) is None
 
     def test_cycle_detected(self):
         inst = Instance(
@@ -314,7 +315,7 @@ class TestMinRatioPathDag:
             budget=0,
         )
         with pytest.raises(CyclicGraphError):
-            min_ratio_path_dag(inst, [1, 1, 1], [1, 1, 1])
+            min_ratio_path_dag(inst, [1, 1, 1], [1, 1, 1], inst.source, inst.sink)
 
     def test_exact_against_enumeration(self):
         rng = random.Random(9)
@@ -330,7 +331,7 @@ class TestMinRatioPathDag:
             )
             num = [Fraction(rng.randint(0, 40), 7) for _ in inst.edges]
             den = [Fraction(-e.cost) for e in inst.edges]
-            result = min_ratio_path_dag(inst, num, den)
+            result = min_ratio_path_dag(inst, num, den, inst.source, inst.sink)
             best = exhaustive_min_ratio_path(inst, num, den)
             if best is None:
                 assert result is None
@@ -363,7 +364,7 @@ class TestMinRatioPathDag:
                 # path of positive-den edges ties at the extreme ratio c
                 c = 2.0 ** rng.randint(-398, 398)
                 num = [c * d if d > 0 else c for d in den]
-            result = min_ratio_path_dag(inst, num, den)
+            result = min_ratio_path_dag(inst, num, den, inst.source, inst.sink)
             best = exhaustive_min_ratio_path(inst, num, den)
             if best is None:
                 assert result is None
@@ -388,7 +389,7 @@ class TestMinRatioPathDag:
     @given(small_dag_ratio_inputs())
     def test_property_matches_enumeration(self, case):
         inst, num, den = case
-        result = min_ratio_path_dag(inst, num, den)
+        result = min_ratio_path_dag(inst, num, den, inst.source, inst.sink)
         best = exhaustive_min_ratio_path(inst, num, den)
         if best is None:
             assert result is None
@@ -419,7 +420,7 @@ class TestMinRatioPathDag:
 
         monkeypatch.setattr(fptas_mod, "_dag_min_value_path", stuck)
         with pytest.raises(InternalSolverError, match="proven pass bound"):
-            min_ratio_path_dag(inst, [1, 1], [1, 1])
+            min_ratio_path_dag(inst, [1, 1], [1, 1], inst.source, inst.sink)
         assert len(calls) == 1 + (2 + 2)  # the max-den pass, then D_0 + 2
 
 
@@ -467,14 +468,14 @@ class TestSolveGk:
             assert sol.objective <= (1 - Fraction(eps)) * reference.objective
 
     def test_routed_cycles_qualify(self, inst_two_parallel):
-        reduced, _, budget_row = _reduced_for_packing(inst_two_parallel)
+        reduced = _reduced_for_packing(inst_two_parallel)
         circ = circulation_form(reduced)
         den = [float(-e.cost) for e in circ.edges]
 
         def oracle(nums):
             return mrc(circ, [*nums, 0.0, 0.0], den, rel_tol=0.1)
 
-        routed, _, _ = _gk_loop(reduced, budget_row, 0.1, 0.9, oracle)
+        routed, _, _ = _gk_loop(reduced, 0.1, 0.9, oracle)
         assert routed
         for cycle in routed:
             cost = sum(circ.edges[i].cost for i in cycle)

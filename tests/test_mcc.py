@@ -13,7 +13,7 @@ from bcmcf import (
     Instance,
     InternalSolverError,
     ResidualGraph,
-    add_return_arc,
+    circulation_form,
     find_negative_cycle,
     generate_instance,
     lambda_cost,
@@ -101,14 +101,14 @@ class TestFindNegativeCycle:
 
     def test_circulation_form_cycle(self, inst_two_parallel):
         # both source-sink edges close a negative cycle through the return arc
-        circ = add_return_arc(inst_two_parallel)
+        circ = circulation_form(inst_two_parallel)
         rg = ResidualGraph(circ, plain_costs(circ))
         cycle = search(rg)
         assert cycle is not None
         assert sum(rg.costs[a] for a in cycle) < 0
 
     def test_deterministic(self, inst_two_parallel):
-        circ = add_return_arc(inst_two_parallel)
+        circ = circulation_form(inst_two_parallel)
         runs = [search(ResidualGraph(circ, plain_costs(circ))) for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
 
@@ -128,14 +128,14 @@ class TestFindNegativeCycle:
         assert find_negative_cycle(inst.node_count, arcs, [float(w) for w in weights]) == cycle
 
     def test_graph_holds_ints_only(self, inst_two_parallel):
-        circ = add_return_arc(inst_two_parallel)
+        circ = circulation_form(inst_two_parallel)
         rg = ResidualGraph(circ, lambda_cost(circ, Fraction(1, 3), "max"))
         assert all(type(v) is int for v in rg.costs + rg.caps)
 
     def test_fractional_initial_flow_rejected(self, inst_two_parallel):
-        circ = add_return_arc(inst_two_parallel)
+        circ = circulation_form(inst_two_parallel)
         with pytest.raises(ValueError):
-            ResidualGraph(circ, plain_costs(circ), flow=[Fraction(1, 2), 0, 0])
+            ResidualGraph(circ, plain_costs(circ), flow=[Fraction(1, 2), 0, 0, 0])
 
 
 class TestLambdaCost:
@@ -162,8 +162,9 @@ class TestLambdaCost:
         assert low[1] == high[1]
 
     def test_return_arc_gets_zero(self, inst_two_parallel):
-        circ = add_return_arc(inst_two_parallel)
-        assert lambda_cost(circ, Fraction(3), "min")[-1] == 0
+        circ = circulation_form(inst_two_parallel)
+        # both closure arcs, the return arc last
+        assert lambda_cost(circ, Fraction(3), "min")[-2:] == [0, 0]
 
     def test_negative_multiplier_rejected(self, inst_two_parallel):
         with pytest.raises(ValueError):
@@ -180,14 +181,14 @@ class TestLambdaCost:
         inst = Instance(
             node_count=2, edges=(EdgeData(1, 2, 1, -1, 10**6),), source=1, sink=2, budget=0
         )
-        flow = solve_at(add_return_arc(inst), Fraction(0), "min")
+        flow = solve_at(circulation_form(inst), Fraction(0), "min")
         assert flow.values[0] == 1
         assert flow.cost == -1
 
 
 class TestMinCostCirculation:
     def test_plain_costs_saturate_both(self, inst_two_parallel):
-        circ = add_return_arc(inst_two_parallel)
+        circ = circulation_form(inst_two_parallel)
         flow = solve_at(circ, Fraction(0), "min")
         assert flow.values[:2] == (2, 2)
         assert flow.cost == -10
@@ -197,7 +198,7 @@ class TestMinCostCirculation:
     def test_min_fee_tie_break(self, inst_two_parallel):
         # primary cost + 2*fee makes the fee-carrying edge worthless (0/unit);
         # the min-fee tie-break must leave it empty
-        circ = add_return_arc(inst_two_parallel)
+        circ = circulation_form(inst_two_parallel)
         flow = solve_at(circ, Fraction(2), "min")
         assert flow.values[:2] == (0, 2)
         assert flow.cost == -2
@@ -206,7 +207,7 @@ class TestMinCostCirculation:
         assert enum_primary == -2 and enum_secondary == 0
 
     def test_max_fee_tie_break(self, inst_two_parallel):
-        circ = add_return_arc(inst_two_parallel)
+        circ = circulation_form(inst_two_parallel)
         flow = solve_at(circ, Fraction(2), "max")
         assert flow.values[:2] == (2, 2)
         assert flow.fee == 4
@@ -214,18 +215,18 @@ class TestMinCostCirculation:
         assert enum_secondary == -4
 
     def test_flows_are_fractions_at_the_boundary(self, inst_two_parallel):
-        flow = solve_at(add_return_arc(inst_two_parallel), Fraction(2), "max")
+        flow = solve_at(circulation_form(inst_two_parallel), Fraction(2), "max")
         assert all(type(v) is Fraction for v in flow.values)
 
     def test_nonnegative_costs_give_zero_circulation(self):
         for seed in range(20):
             inst = generate_instance(nodes=2 + seed % 4, edges=1 + seed % 7, seed=seed)
-            circ = add_return_arc(inst)
+            circ = circulation_form(inst)
             flow = min_cost_circulation(circ, [abs(e.cost) for e in circ.edges])
             assert all(v == 0 for v in flow.values)
 
     def test_no_negative_cycle_remains(self, inst_two_hop):
-        circ = add_return_arc(inst_two_hop)
+        circ = circulation_form(inst_two_hop)
         costs = lambda_cost(circ, Fraction(0), "min")
         flow = min_cost_circulation(circ, costs)
         rg = ResidualGraph(circ, costs, flow=flow.values)
@@ -242,7 +243,7 @@ class TestMinCostCirculation:
                     seed=seed,
                 )
             )
-            circ = add_return_arc(inst)
+            circ = circulation_form(inst)
             for lam, fee_direction in (
                 (Fraction(0), "min"),
                 (Fraction(1 + seed % 3, 2), ("min", "max")[seed % 2]),
@@ -257,7 +258,7 @@ class TestMinCostCirculation:
             inst = preprocess(
                 generate_instance(nodes=2 + seed % 4, edges=1 + seed % 7, seed=100 + seed)
             )
-            circ = add_return_arc(inst)
+            circ = circulation_form(inst)
             lam = Fraction(seed % 5, 3)
             low = solve_at(circ, lam, "min")
             high = solve_at(circ, lam, "max")
@@ -270,6 +271,6 @@ class TestIterationCap:
         # a no-op cancel leaves the same negative cycle in place forever; the
         # proven bound on the number of cancels must stop the loop
         monkeypatch.setattr(ResidualGraph, "apply_cycle", lambda self, cycle: 1)
-        circ = add_return_arc(inst_two_parallel)
+        circ = circulation_form(inst_two_parallel)
         with pytest.raises(InternalSolverError):
             solve_at(circ, Fraction(0), "min")

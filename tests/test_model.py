@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcmcf import (
     EdgeData,
@@ -14,7 +16,7 @@ from bcmcf import (
     InstanceError,
     ParseError,
     Solution,
-    add_return_arc,
+    circulation_form,
     format_solution,
     generate_instance,
     instance_stats,
@@ -22,9 +24,12 @@ from bcmcf import (
     parse_solution,
     preprocess,
     serialize_instance,
+    solve_exact,
     validate_flow,
     zero_flow,
 )
+from bcmcf.fptas import _reduced_for_packing
+from bcmcf.model import restore_flow
 
 I1_TEXT = """\
 p bcmcf 2 2 2
@@ -190,6 +195,50 @@ class TestPreprocess:
         assert preprocess(inst).node_count == 3
 
 
+@st.composite
+def padded_instances(draw) -> Instance:
+    """A generated instance with one more dead node and one more zero-capacity
+    edge, each inserted at a drawn edge position."""
+    n = draw(st.integers(2, 6))
+    inst = generate_instance(
+        n,
+        draw(st.integers(1, 10)),
+        max_capacity=draw(st.integers(1, 3)),
+        budget_mode=draw(st.sampled_from(["tight", "slack", "zero"])),
+        seed=draw(st.integers(0, 10**6)),
+    )
+    node = st.integers(1, n)
+    into_dead = EdgeData(draw(node), n + 1, 2, -3, 1)
+    zero_cap = EdgeData(draw(node), draw(node), 0, -5, 0)
+    edges = list(inst.edges)
+    for e in (into_dead, zero_cap):
+        edges.insert(draw(st.integers(0, len(edges))), e)
+    return Instance(n + 1, tuple(edges), inst.source, inst.sink, inst.budget)
+
+
+class TestRestoreFlow:
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(padded_instances())
+    def test_lifts_back_through_preprocess_and_packing_reduction(self, raw):
+        pre = preprocess(raw)
+        red = _reduced_for_packing(raw)
+        assert pre.edge_count < raw.edge_count and red.edge_count < raw.edge_count
+        # each chain ends at an instance whose optimum is lifted back to raw
+        for chain in ([raw, pre], [raw, red], [raw, pre, _reduced_for_packing(pre)],
+                      [raw, red, preprocess(red)]):
+            flow = solve_exact(chain[-1]).flow
+            lifted, origin = flow, list(range(chain[-1].edge_count))
+            for parent, derived in zip(chain[-2::-1], chain[:0:-1]):
+                lifted = restore_flow(parent, derived, lifted)
+                origin = [derived.edge_origin[i] for i in origin]
+            assert validate_flow(raw, lifted).ok
+            assert (lifted.cost, lifted.fee) == (flow.cost, flow.fee)
+            assert lifted == Flow.from_values(raw, lifted.values)
+            assert [lifted.values[i] for i in origin] == list(flow.values)
+            dropped = set(range(raw.edge_count)) - set(origin)
+            assert dropped and all(lifted.values[i] == 0 for i in dropped)
+
+
 class TestFlowTotals:
     def test_int_fraction_and_mixed_values_agree(self, inst_two_hop):
         ints = Flow.from_values(inst_two_hop, [2, 1, 1])
@@ -254,26 +303,24 @@ class TestValidateFlow:
 
 class TestReturnArc:
     def test_capacity_is_total(self, inst_two_parallel):
-        circ = add_return_arc(inst_two_parallel)
-        ret = circ.edges[-1]
+        circ = circulation_form(inst_two_parallel)
+        assert circ.edges[:2] == inst_two_parallel.edges
+        closure, ret = circ.edges[2:]
+        assert (closure.tail, closure.head) == (1, 2)
         assert (ret.tail, ret.head) == (2, 1)
-        assert ret.capacity == 4
-        assert ret.cost == 0 and ret.fee == 0
-        assert circ.return_arc_index == 2
+        assert closure.capacity == ret.capacity == 4
+        assert closure.cost == closure.fee == ret.cost == ret.fee == 0
+        assert circ.return_arc_index == 3
 
     def test_single_edge(self, inst_single_positive):
-        circ = add_return_arc(inst_single_positive)
+        circ = circulation_form(inst_single_positive)
         assert circ.edges[-1].capacity == 1
 
     def test_zero_capacity_instance(self):
         inst = Instance(
             node_count=2, edges=(EdgeData(1, 2, 0, -5, 0),), source=1, sink=2, budget=0
         )
-        assert add_return_arc(inst).edges[-1].capacity == 0
-
-    def test_double_add_rejected(self, inst_two_parallel):
-        with pytest.raises(InstanceError):
-            add_return_arc(add_return_arc(inst_two_parallel))
+        assert circulation_form(inst).edges[-1].capacity == 0
 
 
 class TestSolutionDocument:

@@ -10,7 +10,7 @@ from bcmcf import (
     EdgeData,
     EnumerationGuardError,
     Instance,
-    add_return_arc,
+    circulation_form,
     enumerate_integral_flows,
     generate_instance,
     oracle_frontier,
@@ -34,11 +34,14 @@ class TestEnumerate:
         }
 
     def test_circulation_form_couples_return_arc(self, inst_two_parallel):
-        circ = add_return_arc(inst_two_parallel)
+        # conservation everywhere: the return arc (edge 3) carries what the
+        # two edges and the closure arc (edge 2) send from source to sink
+        circ = circulation_form(inst_two_parallel)
         flows = enumerate_integral_flows(circ)
-        assert len(flows) == 9
+        assert len(flows) == 27  # x0 + x1 + x2 <= 4 with x0, x1 <= 2
         for f in flows:
-            assert f.values[2] == f.values[0] + f.values[1]
+            assert f.values[3] == f.values[0] + f.values[1] + f.values[2]
+        assert len({f.values[:2] for f in flows}) == 9
 
     def test_conservation_enforced_at_middle_nodes(self, inst_two_hop):
         for f in enumerate_integral_flows(inst_two_hop):
@@ -162,9 +165,9 @@ class TestOracleFrontier:
 
 class TestCycleEnumeration:
     def test_simple_cycles_of_circulation_form(self, inst_two_parallel):
-        circ = add_return_arc(inst_two_parallel)
+        circ = circulation_form(inst_two_parallel)
         cycles = {frozenset(c) for c in iter_simple_cycles(circ)}
-        assert cycles == {frozenset({0, 2}), frozenset({1, 2})}
+        assert cycles == {frozenset({0, 3}), frozenset({1, 3}), frozenset({2, 3})}
 
     def test_self_loop_is_a_cycle(self):
         inst = Instance(
@@ -177,12 +180,13 @@ class TestCycleEnumeration:
         assert (0,) in set(iter_simple_cycles(inst))
 
     def test_min_ratio_by_enumeration(self, inst_two_parallel):
-        circ = add_return_arc(inst_two_parallel)
-        # unit dual lengths, denominators -cost
-        num = [e.fee * 1 + 1 for e in circ.edges[:-1]] + [0]
+        circ = circulation_form(inst_two_parallel)
+        # unit dual lengths on the instance's edges, none on the closure arcs,
+        # denominators -cost; the closure arcs' own cycle has den 0
+        num = [e.fee * 1 + 1 for e in circ.edges[:-2]] + [0, 0]
         den = [-e.cost for e in circ.edges]
         best = exhaustive_min_ratio_cycle(circ, num, den)
         assert best is not None
         cycle, ratio = best
-        assert frozenset(cycle) == frozenset({0, 2})
+        assert frozenset(cycle) == frozenset({0, 3})
         assert ratio == Fraction(3, 4)
