@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .frontier import FrontierPoint, attach_lambda_intervals, edge_multiplier
 from .mcc import InternalSolverError, lambda_cost, min_cost_circulation
@@ -53,7 +54,9 @@ class CallbackVerdict:
         return self.kind is VerdictKind.INSIDE
 
 
-def lambda_callback(circ: Instance, lam: Fraction) -> CallbackVerdict:
+def lambda_callback(
+    circ: Instance, lam: Fraction, start: Sequence[Fraction | int] | None = None
+) -> CallbackVerdict:
     """Decide where ``lam`` sits relative to the optimal multiplier interval.
 
     ``circ`` must be in circulation form (see ``circulation_form``).  Verdicts:
@@ -61,14 +64,19 @@ def lambda_callback(circ: Instance, lam: Fraction) -> CallbackVerdict:
     when the fee-maximal optimum undershoots it (only for lam > 0; at
     lam = 0 a slack budget means the unconstrained optimum already wins,
     hence INSIDE), INSIDE otherwise.
+
+    The fee-minimal solve starts from ``start``, values of a circulation of
+    ``circ`` (zero when omitted), typically a nearby multiplier's optimum; the
+    fee-maximal solve starts from the fee-minimal optimum, which differs
+    from it only on ties.  The start moves no verdict or (cost, fee) point.
     """
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError(f"multiplier {lam} is negative")
     if circ.return_arc_index is None:
         raise ValueError("lambda_callback needs a circulation-form instance")
-    x_min = min_cost_circulation(circ, lambda_cost(circ, lam, "min"))
-    x_max = min_cost_circulation(circ, lambda_cost(circ, lam, "max"))
+    x_min = min_cost_circulation(circ, lambda_cost(circ, lam, "min"), start)
+    x_max = min_cost_circulation(circ, lambda_cost(circ, lam, "max"), x_min.values)
     budget = circ.budget
     if x_min.fee > budget:
         kind = VerdictKind.BELOW
@@ -114,7 +122,8 @@ def solve_exact(inst: Instance) -> Solution:
     bracket's two corner flows.  The first INSIDE probe ends the search and
     its multiplier is returned, so when the optimal multiplier interval
     holds more than one point the probe order picks the answer.
-    ``iterations`` counts every probe.
+    ``iterations`` counts every probe.  Each probe's solves start from the
+    bracket corner the probe before it kept, which moves no verdict.
     """
     circ = circulation_form(inst)
     budget = Fraction(inst.budget)
@@ -145,11 +154,12 @@ def solve_exact(inst: Instance) -> Solution:
     # are not INSIDE; the next one is.
     cap = stats.bbar + 2
     probes = 0
+    start = None  # the last corner kept, a warm start for the next probe
     for lam in multipliers():
         if probes == cap:
             raise InternalSolverError(f"multiplier search exceeded its cap of {cap} probes")
         probes += 1
-        verdict = lambda_callback(circ, lam)
+        verdict = lambda_callback(circ, lam, start)
         if verdict.is_inside:
             if lam == 0:
                 # fee-minimal unconstrained optimum; feasible since fee <= budget
@@ -163,8 +173,10 @@ def solve_exact(inst: Instance) -> Solution:
         # keep the optimum nearest the budget as the new corner
         if verdict.kind is VerdictKind.BELOW:
             x_over = verdict.x_minfee
+            start = x_over.values
         else:
             x_under = verdict.x_maxfee
+            start = x_under.values
 
 
 def enumerate_frontier(inst: Instance) -> list[FrontierPoint]:
@@ -175,35 +187,35 @@ def enumerate_frontier(inst: Instance) -> list[FrontierPoint]:
     multiplier; an improvement exposes one or two new extreme points,
     otherwise the chord is a frontier segment.  The number of solves is
     linear in the number of extreme points, which desk-scale instances keep
-    small but is not polynomially bounded in general.
+    small but is not polynomially bounded in general.  Every solve but the
+    first starts from a known extreme point's circulation: the bottom one
+    from the top one, each chord probe from its lower-fee end.
     """
     circ = circulation_form(inst)
     stats = instance_stats(inst)
+    # the recursion runs on circulations of circ, whose (cost, fee) are the
+    # points' own, so each solve can start from a neighbouring point's
+    top = min_cost_circulation(circ, lambda_cost(circ, Fraction(0), "min"))
+    bottom = min_cost_circulation(
+        circ, lambda_cost(circ, stats.lambda_above_all_slopes(), "min"), top.values
+    )
 
-    def solve_point(lam: Fraction) -> Flow:
-        return project_flow(inst, min_cost_circulation(circ, lambda_cost(circ, lam, "min")))
-
-    def as_point(flow: Flow) -> FrontierPoint:
-        return FrontierPoint(flow.cost, flow.fee, flow, Fraction(0), None)
-
-    top = as_point(solve_point(Fraction(0)))
-    bottom = as_point(solve_point(stats.lambda_above_all_slopes()))
-    if (top.cost, top.fee) == (bottom.cost, bottom.fee):
-        return attach_lambda_intervals([bottom])
-
-    def expand(p_low: FrontierPoint, p_high: FrontierPoint) -> list[FrontierPoint]:
+    def expand(x_low: Flow, x_high: Flow) -> list[Flow]:
         """Extreme points strictly between two known ones (fee order)."""
-        lam = edge_multiplier(p_low, p_high)
-        verdict = lambda_callback(circ, lam)
-        x_min = verdict.x_minfee
-        if x_min.cost + lam * x_min.fee == p_low.cost + lam * p_low.fee:
+        lam = edge_multiplier(x_low, x_high)
+        verdict = lambda_callback(circ, lam, x_low.values)
+        q_low, q_high = verdict.x_minfee, verdict.x_maxfee
+        if q_low.cost + lam * q_low.fee == x_low.cost + lam * x_low.fee:
             return []  # the chord is a frontier segment
-        q_low = as_point(project_flow(inst, x_min))
-        q_high = as_point(project_flow(inst, verdict.x_maxfee))
-        between = expand(p_low, q_low) + [q_low]
+        between = expand(x_low, q_low) + [q_low]
         if (q_high.cost, q_high.fee) != (q_low.cost, q_low.fee):
             between.append(q_high)  # q_low-q_high is itself a segment
-        return between + expand(q_high, p_high)
+        return between + expand(q_high, x_high)
 
-    points = [bottom] + expand(bottom, top) + [top]
-    return attach_lambda_intervals(points)
+    if (top.cost, top.fee) == (bottom.cost, bottom.fee):
+        extremes = [bottom]
+    else:
+        extremes = [bottom] + expand(bottom, top) + [top]
+    return attach_lambda_intervals([
+        FrontierPoint(x.cost, x.fee, project_flow(inst, x), Fraction(0), None) for x in extremes
+    ])

@@ -3,15 +3,18 @@
 Costs, capacities and labels are plain Python ints.  :func:`lambda_cost`
 packs a multiplier's scaled cost and a fee tie-break into one int per edge,
 so a single solve returns, among all minimum-cost circulations, the one
-with the smallest or largest total usage fee.  With integral capacities the
-returned circulation is integral.  :func:`find_negative_cycle` is the
-package's one negative-cycle detector: this lane calls it with int costs,
-the approximation lane's cycle oracle with float lengths.
+with the smallest or largest total usage fee.  A solve starts from any
+integral circulation, so a caller can warm-start it from the optimum of a
+nearby solve.  With integral capacities the returned circulation is
+integral.  :func:`find_negative_cycle` is the package's one negative-cycle
+detector: this lane calls it with int costs, the approximation lane's cycle
+oracle with float lengths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter, le, neg, sub
 from typing import Sequence
 
 from .model import Flow, Instance
@@ -44,10 +47,18 @@ def lambda_cost(inst: Instance, lam: Fraction, fee_direction: str) -> list[int]:
     return [(q * e.cost + p * e.fee) * k + sign * e.fee for e in inst.edges]
 
 
+def _interleave(forward: list[int], backward: list[int]) -> list[int]:
+    """One list holding ``forward[i]`` at 2i and ``backward[i]`` at 2i+1."""
+    out = forward + backward
+    out[0::2], out[1::2] = forward, backward
+    return out
+
+
 class ResidualGraph:
     """Residual arcs of a circulation: arc 2i runs edge i forward at cost
     +cost_i, arc 2i+1 backward at -cost_i.  Capacities are kept current as
-    cycles are applied."""
+    cycles are applied.  An initial ``flow`` must be an integral circulation
+    within the capacity bounds, else ``ValueError``."""
 
     def __init__(
         self,
@@ -57,25 +68,33 @@ class ResidualGraph:
     ) -> None:
         if len(costs) != inst.edge_count:
             raise ValueError("one cost per edge required")
-        x = flow if flow is not None else [0] * inst.edge_count
-        self.inst = inst
+        edges = inst.edges
+        tails = list(map(attrgetter("tail"), edges))
+        heads = list(map(attrgetter("head"), edges))
+        caps = list(map(attrgetter("capacity"), edges))
+        if flow is None:
+            x = [0] * len(edges)
+        else:
+            # int and Fraction both carry numerator and denominator, so an
+            # integral value is read as an int without an int() round trip
+            if any(map((1).__ne__, map(attrgetter("denominator"), flow))):
+                raise ValueError("initial flow is not integral")
+            x = list(map(attrgetter("numerator"), flow))
+            if len(x) != len(edges):
+                raise ValueError("one initial flow value per edge required")
+            if min(x, default=0) < 0 or not all(map(le, x, caps)):
+                raise ValueError("initial flow is not within capacity bounds")
+            imbalance = [0] * (inst.node_count + 1)
+            for t, h, v in zip(tails, heads, x):
+                imbalance[t] -= v
+                imbalance[h] += v
+            if any(imbalance):
+                raise ValueError("initial flow breaks conservation: not a circulation")
         self.node_count = inst.node_count
-        self.tails: list[int] = []
-        self.heads: list[int] = []
-        self.costs: list[int] = []
-        self.caps: list[int] = []
-        for e, c, v in zip(inst.edges, costs, x):
-            xv = int(v)
-            if xv != v or not 0 <= xv <= e.capacity:
-                raise ValueError("initial flow is not integral within capacity bounds")
-            self.tails.append(e.tail)
-            self.heads.append(e.head)
-            self.costs.append(c)
-            self.caps.append(e.capacity - xv)
-            self.tails.append(e.head)
-            self.heads.append(e.tail)
-            self.costs.append(-c)
-            self.caps.append(xv)
+        self.tails = _interleave(tails, heads)
+        self.heads = _interleave(heads, tails)
+        self.costs = _interleave(list(costs), list(map(neg, costs)))
+        self.caps = _interleave(list(map(sub, caps, x)), x)
 
     def apply_cycle(self, cycle: Sequence[int]) -> int:
         """Saturate the cycle: push its bottleneck residual capacity around it."""
@@ -94,7 +113,7 @@ class ResidualGraph:
 
     def flow_values(self) -> list[int]:
         # backward residual capacity of edge i is exactly its flow
-        return [self.caps[2 * i + 1] for i in range(self.inst.edge_count)]
+        return self.caps[1::2]
 
 
 def find_negative_cycle(
@@ -160,18 +179,25 @@ def find_negative_cycle(
     return cycle
 
 
-def min_cost_circulation(inst: Instance, costs: Sequence[int]) -> Flow:
+def min_cost_circulation(
+    inst: Instance, costs: Sequence[int], start: Sequence[Fraction | int] | None = None
+) -> Flow:
     """Minimum cost circulation under int edge costs, by negative-cycle canceling.
 
-    Starts at the zero circulation and saturates the first negative residual
+    Starts at the circulation ``start`` (integral values, one per edge; the
+    zero circulation when omitted) and saturates the first negative residual
     cycle Bellman-Ford finds until none remains, which certifies optimality.
-    Every cancel pushes an integral amount >= 1 around a cycle of cost <= -1,
-    so the objective, which starts at 0 and never drops below
-    ``-sum(u_e * |w_e|)``, falls by at least 1 each time: more cancels than
-    that sum means a solver bug and raises :class:`InternalSolverError`.
+    A start that breaks a capacity bound or flow conservation raises
+    ``ValueError``: canceling keeps every node's imbalance, so it could not
+    repair one.  Every cancel pushes an integral amount >= 1 around a cycle
+    of cost <= -1, so the objective, which starts at ``w . start`` and never
+    drops below ``-sum(u_e * |w_e|)``, falls by at least 1 each time: more
+    cancels than ``w . start + sum(u_e * |w_e|)``, at most twice that sum,
+    means a solver bug and raises :class:`InternalSolverError`.
     """
-    rg = ResidualGraph(inst, costs)
-    cap = sum(e.capacity * abs(w) for e, w in zip(inst.edges, costs)) + 1
+    rg = ResidualGraph(inst, costs, start)
+    bound = sum(e.capacity * abs(w) for e, w in zip(inst.edges, costs))
+    cap = sum(w * v for w, v in zip(costs, rg.flow_values())) + bound + 1
     for _ in range(cap):
         cycle = find_negative_cycle(rg.node_count, rg.arcs(), rg.costs)
         if cycle is None:

@@ -115,14 +115,6 @@ class Flow:
         fee = sum(e.fee * v for e, v in zip(inst.edges, raw))
         return cls(tuple(map(Fraction, raw)), Fraction(cost), Fraction(fee))
 
-    def scaled(self, factor: Fraction) -> Flow:
-        factor = Fraction(factor)
-        return Flow(
-            tuple(v * factor for v in self.values),
-            self.cost * factor,
-            self.fee * factor,
-        )
-
 
 def zero_flow(inst: Instance) -> Flow:
     return Flow((Fraction(0),) * inst.edge_count, Fraction(0), Fraction(0))

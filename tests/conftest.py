@@ -2,9 +2,37 @@
 
 from __future__ import annotations
 
+import contextlib
+from fractions import Fraction
+from typing import Iterator
+
 import pytest
 
-from bcmcf import EdgeData, Instance, generate_instance, preprocess
+import bcmcf.mcc as mcc_mod
+from bcmcf import EdgeData, Flow, Instance, generate_instance, preprocess
+
+
+def scaled_flow(x: Flow, factor: Fraction) -> Flow:
+    """``x`` with every value and both totals multiplied by ``factor``."""
+    return Flow(tuple(v * factor for v in x.values), x.cost * factor, x.fee * factor)
+
+
+@contextlib.contextmanager
+def recorded_searches() -> Iterator[list]:
+    """Record every ``find_negative_cycle`` result of the exact lane, in order.
+
+    A cycle is one cancel; None ends a solve.
+    """
+    real = mcc_mod.find_negative_cycle
+    results: list = []
+
+    def recording(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mcc_mod, "find_negative_cycle", recording)
+        yield results
 
 
 @pytest.fixture

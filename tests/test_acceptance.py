@@ -39,7 +39,7 @@ from bcmcf.oracle import (
     exhaustive_min_ratio_path,
     iter_integral_values,
 )
-from conftest import corpus_instances, dag_corpus_instances
+from conftest import corpus_instances, dag_corpus_instances, scaled_flow
 
 
 def report(name: str, failures: list[str]) -> None:
@@ -278,7 +278,7 @@ def test_rescaling(corpus, corpus_optima):
             if not inst.budget < x.fee <= (1 + eps) * inst.budget:
                 continue
             checked += 1
-            scaled = x.scaled(Fraction(1) / (1 + eps))
+            scaled = scaled_flow(x, Fraction(1) / (1 + eps))
             if not validate_flow(unbudgeted, scaled).ok:
                 failures.append(f"rescaled flow infeasible on {inst}")
             if scaled.fee > inst.budget:

@@ -34,6 +34,7 @@ from bcmcf import (
 )
 from bcmcf.mcc import lambda_cost, min_cost_circulation
 from bcmcf.oracle import iter_integral_values
+from conftest import recorded_searches
 
 
 def probe_cap(inst: Instance) -> int:
@@ -296,8 +297,8 @@ class TestSolveExact:
         real = exact_mod.lambda_callback
         verdicts = []
 
-        def stalled(circ, lam):
-            verdicts.append(real(circ, lam) if len(verdicts) < 2 else verdicts[0])
+        def stalled(circ, lam, start=None):
+            verdicts.append(real(circ, lam, start) if len(verdicts) < 2 else verdicts[0])
             return verdicts[-1]
 
         monkeypatch.setattr(exact_mod, "lambda_callback", stalled)
@@ -352,6 +353,47 @@ class TestEnumerateFrontier:
             ]
             for s1, s2 in zip(slopes, slopes[1:]):
                 assert abs(s1 - s2) >= Fraction(1, cbar**2)
+
+
+class TestWarmStarts:
+    """The exact lane's solves start from neighbouring optima; this pins the
+    wiring by comparing cancels with a run whose solves all start at zero."""
+
+    INSTANCES = [
+        preprocess(generate_instance(nodes=8, edges=20, max_capacity=5, seed=seed))
+        for seed in range(8)
+    ]
+
+    @staticmethod
+    def cancels_and_answers(solver, cold: bool):
+        with recorded_searches() as found, pytest.MonkeyPatch.context() as mp:
+            if cold:
+                real = exact_mod.min_cost_circulation
+                mp.setattr(
+                    exact_mod,
+                    "min_cost_circulation",
+                    lambda circ, costs, start=None: real(circ, costs),
+                )
+            answers = [solver(inst) for inst in TestWarmStarts.INSTANCES]
+        return sum(cycle is not None for cycle in found), answers
+
+    def test_frontier_cancels_fewer_cycles(self):
+        cold, cold_points = self.cancels_and_answers(enumerate_frontier, cold=True)
+        warm, warm_points = self.cancels_and_answers(enumerate_frontier, cold=False)
+        assert warm < cold
+
+        def summary(frontiers):
+            return [[(p.cost, p.fee, p.lambda_low, p.lambda_high) for p in f] for f in frontiers]
+
+        assert summary(warm_points) == summary(cold_points)
+
+    def test_solve_exact_cancels_fewer_cycles(self):
+        cold, cold_sols = self.cancels_and_answers(solve_exact, cold=True)
+        warm, warm_sols = self.cancels_and_answers(solve_exact, cold=False)
+        assert warm < cold
+        assert [(s.objective, s.lam, s.iterations) for s in warm_sols] == [
+            (s.objective, s.lam, s.iterations) for s in cold_sols
+        ]
 
 
 class TestCallbackPreconditions:

@@ -40,6 +40,7 @@ from bcmcf.oracle import (
     exhaustive_min_ratio_path,
     iter_source_sink_paths,
 )
+from conftest import scaled_flow
 
 
 @st.composite
@@ -660,13 +661,13 @@ class TestSolveGkAcyclic:
 class TestRescale:
     def test_fee_scales_down_exactly(self, inst_two_parallel):
         x = Flow.from_values(inst_two_parallel, [Fraction(11, 10), Fraction(0)])
-        scaled = x.scaled(Fraction(1) / (1 + Fraction(1, 10)))
+        scaled = scaled_flow(x, Fraction(1) / (1 + Fraction(1, 10)))
         assert scaled.fee == 2
         assert scaled.values[0] == 1
         assert scaled.cost == x.cost / (1 + Fraction(1, 10))
 
     def test_linearity(self, inst_two_parallel):
         x = Flow.from_values(inst_two_parallel, [Fraction(11, 10), Fraction(11, 5)])
-        scaled = x.scaled(Fraction(1) / (1 + Fraction(1, 10)))
+        scaled = scaled_flow(x, Fraction(1) / (1 + Fraction(1, 10)))
         assert scaled.values == (1, 2)
         assert scaled.cost == -6

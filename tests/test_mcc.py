@@ -21,6 +21,7 @@ from bcmcf import (
     preprocess,
 )
 from bcmcf.oracle import iter_integral_values, iter_simple_cycles
+from conftest import recorded_searches
 
 
 def lex_optimum_by_enumeration(
@@ -78,6 +79,26 @@ def weighted_digraphs(draw):
         budget=0,
     )
     return inst, [w for _, _, w in arcs]
+
+
+@st.composite
+def warm_start_cases(draw):
+    """A generated instance in circulation form, two multipliers and a fee
+    direction."""
+    inst = generate_instance(
+        nodes=draw(st.integers(2, 6)),
+        edges=draw(st.integers(2, 12)),
+        max_capacity=draw(st.integers(1, 4)),
+        budget_mode=draw(st.sampled_from(("tight", "slack", "zero"))),
+        seed=draw(st.integers(0, 10**6)),
+    )
+    multiplier = st.builds(Fraction, st.integers(0, 6), st.integers(1, 4))
+    return (
+        circulation_form(preprocess(inst)),
+        draw(multiplier),
+        draw(multiplier),
+        draw(st.sampled_from(("min", "max"))),
+    )
 
 
 def primary_and_secondary(flow, lam: Fraction, fee_direction: str) -> tuple[Fraction, Fraction]:
@@ -274,3 +295,49 @@ class TestIterationCap:
         circ = circulation_form(inst_two_parallel)
         with pytest.raises(InternalSolverError):
             solve_at(circ, Fraction(0), "min")
+
+
+class TestWarmStart:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(warm_start_cases())
+    def test_any_start_reaches_the_cold_optimum(self, case):
+        circ, lam, other_lam, fee_direction = case
+        costs = lambda_cost(circ, lam, fee_direction)
+        cold = min_cost_circulation(circ, costs)
+        other_direction = "max" if fee_direction == "min" else "min"
+        starts = (
+            [0] * circ.edge_count,
+            solve_at(circ, other_lam, fee_direction).values,
+            solve_at(circ, lam, other_direction).values,
+        )
+        bound = sum(e.capacity * abs(w) for e, w in zip(circ.edges, costs))
+        for start in starts:
+            with recorded_searches() as found:
+                warm = min_cost_circulation(circ, costs, start)
+            assert (warm.cost, warm.fee) == (cold.cost, cold.fee)
+            cancels = len(found) - 1
+            assert found[-1] is None and None not in found[:-1]
+            # the objective starts at w . start and falls by >= 1 per cancel
+            start_value = sum(w * v for w, v in zip(costs, start))
+            assert cancels <= start_value + bound <= 2 * bound
+        with recorded_searches() as found:
+            again = min_cost_circulation(circ, costs, cold.values)
+        assert found == [None]
+        assert again.values == cold.values
+
+    # inst_two_parallel in circulation form: edges 0 and 1 run 1 -> 2 with
+    # capacity 2, closure arc 2 runs 1 -> 2 and return arc 3 runs 2 -> 1, both
+    # with capacity 4
+    @pytest.mark.parametrize(
+        "start, message",
+        [
+            ([Fraction(1, 2), 0, 0, Fraction(1, 2)], "integral"),
+            ([3, 0, 0, 3], "capacity"),
+            ([1, 0, 0, 0], "not a circulation"),
+        ],
+        ids=["fractional", "over-capacity", "unbalanced"],
+    )
+    def test_bad_start_rejected(self, inst_two_parallel, start, message):
+        circ = circulation_form(inst_two_parallel)
+        with pytest.raises(ValueError, match=message):
+            min_cost_circulation(circ, plain_costs(circ), start)
