@@ -8,6 +8,7 @@ verification.
 
 from .exact import (
     CallbackVerdict,
+    FrontierPoint,
     VerdictKind,
     budget_combination,
     enumerate_frontier,
@@ -24,7 +25,6 @@ from .fptas import (
     solve_gk_acyclic,
     topological_order,
 )
-from .frontier import FrontierPoint
 from .generate import generate_instance
 from .mcc import (
     InternalSolverError,
@@ -53,14 +53,8 @@ from .model import (
     project_flow,
     serialize_instance,
     validate_flow,
-    zero_flow,
 )
-from .oracle import (
-    EnumerationGuardError,
-    enumerate_integral_flows,
-    oracle_frontier,
-    oracle_optimum,
-)
+from .oracle import EnumerationGuardError, oracle_optimum
 
 __version__ = "0.1.0"
 
@@ -86,7 +80,6 @@ __all__ = [
     "budget_combination",
     "circulation_form",
     "enumerate_frontier",
-    "enumerate_integral_flows",
     "find_negative_cycle",
     "format_fraction",
     "format_solution",
@@ -97,7 +90,6 @@ __all__ = [
     "min_cost_circulation",
     "min_ratio_cycle",
     "min_ratio_path_dag",
-    "oracle_frontier",
     "oracle_optimum",
     "parse_instance",
     "parse_solution",
@@ -109,5 +101,4 @@ __all__ = [
     "solve_gk_acyclic",
     "topological_order",
     "validate_flow",
-    "zero_flow",
 ]

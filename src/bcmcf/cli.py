@@ -95,6 +95,8 @@ def _solution_text(sol: Solution, fmt: str) -> str:
 def cmd_solve(args: argparse.Namespace) -> int:
     if args.algorithm in ("gk", "gk-acyclic") and args.epsilon is None:
         raise CliError(f"--epsilon is required for --algorithm {args.algorithm}", EXIT_USAGE)
+    if args.algorithm in ("exact", "oracle") and args.epsilon is not None:
+        raise CliError(f"--epsilon does not apply to --algorithm {args.algorithm}", EXIT_USAGE)
     original = _load_instance(args.instance)
     inst = preprocess(original)
     try:
@@ -181,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_instance_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument("instance", nargs="?", default=None,
                        help="instance file ('-' for stdin)")
-        p.add_argument("--input", dest="input_path", default=None,
-                       help="instance file, alternative to the positional argument")
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     add_instance_arg(p_solve)
@@ -230,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(args, "input_path") and args.instance is None:
-        args.instance = args.input_path
     try:
         if hasattr(args, "instance") and args.instance is None:
             raise CliError("no instance file given", EXIT_USAGE)

@@ -116,10 +116,6 @@ class Flow:
         return cls(tuple(map(Fraction, raw)), Fraction(cost), Fraction(fee))
 
 
-def zero_flow(inst: Instance) -> Flow:
-    return Flow((Fraction(0),) * inst.edge_count, Fraction(0), Fraction(0))
-
-
 @dataclass(frozen=True)
 class Stats:
     """Exact instance magnitudes used to size multiplier grids and caps.
@@ -511,7 +507,10 @@ def parse_solution(text: str) -> SolutionDocument:
             elif kind == "flows":
                 count = int(tokens[1])
             elif kind == "f":
-                values[int(tokens[1])] = parse_fraction(tokens[2])
+                index = int(tokens[1])
+                if index in values:
+                    raise ParseError(lineno, f"duplicate flow line for edge {index}")
+                values[index] = parse_fraction(tokens[2])
             elif kind == "end":
                 break
             else:

@@ -21,7 +21,6 @@ from bcmcf import (
     instance_stats,
     lambda_callback,
     min_ratio_cycle,
-    oracle_frontier,
     oracle_optimum,
     parse_instance,
     preprocess,
@@ -32,14 +31,11 @@ from bcmcf import (
     validate_flow,
 )
 from bcmcf import fptas
-from bcmcf.frontier import edge_multiplier
+from bcmcf.exact import edge_multiplier
 from bcmcf.model import Flow, Instance, circulation_form
-from bcmcf.oracle import (
-    exhaustive_min_ratio_cycle,
-    exhaustive_min_ratio_path,
-    iter_integral_values,
-)
+from bcmcf.oracle import iter_integral_values
 from conftest import corpus_instances, dag_corpus_instances, scaled_flow
+from reference_oracles import exhaustive_min_ratio_cycle, exhaustive_min_ratio_path, oracle_frontier
 
 
 def report(name: str, failures: list[str]) -> None:

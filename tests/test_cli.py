@@ -47,13 +47,27 @@ class TestSolve:
         assert main(["solve", "--algorithm", "gk", i1_path]) == 2
         assert "--epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithm", ["exact", "oracle"])
+    def test_epsilon_without_gk_is_usage_error(self, i1_path, capsys, algorithm):
+        # only the gk solvers read epsilon; elsewhere it would be ignored
+        assert main(["solve", "-a", algorithm, "-e", "0.25", i1_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--epsilon" in captured.err
+
     def test_oracle_algorithm(self, i1_path, capsys):
         assert main(["solve", "--algorithm", "oracle", i1_path]) == 0
         assert parse_solution(capsys.readouterr().out).objective == -6
 
     def test_input_flag(self, i1_path, capsys):
-        assert main(["solve", "--input", i1_path]) == 0
-        capsys.readouterr()
+        # the instance is positional only; a second spelling was dropped
+        # silently whenever both were given
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", i1_path, "--input", "/nonexistent"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--input" in captured.err
 
     def test_missing_instance(self, capsys):
         assert main(["solve"]) == 2

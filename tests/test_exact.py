@@ -23,7 +23,6 @@ from bcmcf import (
     generate_instance,
     instance_stats,
     lambda_callback,
-    oracle_frontier,
     oracle_optimum,
     preprocess,
     project_flow,
@@ -35,6 +34,7 @@ from bcmcf import (
 from bcmcf.mcc import lambda_cost, min_cost_circulation
 from bcmcf.oracle import iter_integral_values
 from conftest import recorded_searches
+from reference_oracles import oracle_frontier
 
 
 def probe_cap(inst: Instance) -> int:

@@ -35,12 +35,12 @@ from bcmcf.fptas import (
 )
 from bcmcf.mcc import find_negative_cycle
 from bcmcf.model import circulation_form
-from bcmcf.oracle import (
+from conftest import scaled_flow
+from reference_oracles import (
     exhaustive_min_ratio_cycle,
     exhaustive_min_ratio_path,
     iter_source_sink_paths,
 )
-from conftest import scaled_flow
 
 
 @st.composite

@@ -20,8 +20,9 @@ from bcmcf import (
     min_cost_circulation,
     preprocess,
 )
-from bcmcf.oracle import iter_integral_values, iter_simple_cycles
+from bcmcf.oracle import iter_integral_values
 from conftest import recorded_searches
+from reference_oracles import iter_simple_cycles
 
 
 def lex_optimum_by_enumeration(

@@ -26,7 +26,6 @@ from bcmcf import (
     serialize_instance,
     solve_exact,
     validate_flow,
-    zero_flow,
 )
 from bcmcf.fptas import _reduced_for_packing
 from bcmcf.model import restore_flow
@@ -258,7 +257,7 @@ class TestFlowTotals:
     def test_empty_instance_has_zero_totals(self):
         inst = Instance(node_count=2, edges=(), source=1, sink=2, budget=0)
         flow = Flow.from_values(inst, [])
-        assert flow == zero_flow(inst)
+        assert flow == Flow((), Fraction(0), Fraction(0))
         assert type(flow.cost) is Fraction and type(flow.fee) is Fraction
 
     def test_arity_mismatch_raises(self, inst_two_parallel):
@@ -277,7 +276,7 @@ class TestValidateFlow:
     def test_zero_flow_always_validates(self):
         for seed in range(40):
             inst = generate_instance(nodes=2 + seed % 5, edges=1 + seed % 9, seed=seed)
-            report = validate_flow(inst, zero_flow(inst))
+            report = validate_flow(inst, Flow.from_values(inst, [0] * inst.edge_count))
             assert report.ok
             assert report.cost == 0
             assert report.fee == 0
@@ -345,3 +344,10 @@ class TestSolutionDocument:
     def test_malformed_document(self):
         with pytest.raises(ParseError):
             parse_solution("bcmcf-solution 1\nalgorithm exact\nend\n")
+
+    def test_duplicate_flow_line(self):
+        text = "bcmcf-solution 1\nalgorithm exact\nobjective 0\nflows 1\nf 0 1\nf 0 5\nend\n"
+        with pytest.raises(ParseError) as exc:
+            parse_solution(text)
+        assert exc.value.line == 6
+        assert "duplicate" in exc.value.message

@@ -1,4 +1,4 @@
-"""Tests for the brute-force enumeration oracle."""
+"""Tests for the brute-force oracle and the test-local references."""
 
 from __future__ import annotations
 
@@ -11,14 +11,18 @@ from bcmcf import (
     EnumerationGuardError,
     Instance,
     circulation_form,
-    enumerate_integral_flows,
     generate_instance,
-    oracle_frontier,
     oracle_optimum,
     preprocess,
     validate_flow,
 )
-from bcmcf.oracle import build_point_cloud, exhaustive_min_ratio_cycle, iter_simple_cycles
+from bcmcf.oracle import build_point_cloud
+from reference_oracles import (
+    enumerate_integral_flows,
+    exhaustive_min_ratio_cycle,
+    iter_simple_cycles,
+    oracle_frontier,
+)
 
 
 class TestEnumerate:
