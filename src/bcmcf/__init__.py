@@ -27,8 +27,8 @@ from .fptas import (
 )
 from .generate import generate_instance
 from .mcc import (
+    Basis,
     InternalSolverError,
-    ResidualGraph,
     find_negative_cycle,
     lambda_cost,
     min_cost_circulation,
@@ -59,6 +59,7 @@ from .oracle import EnumerationGuardError, oracle_optimum
 __version__ = "0.1.0"
 
 __all__ = [
+    "Basis",
     "CallbackVerdict",
     "CyclicGraphError",
     "DualState",
@@ -71,7 +72,6 @@ __all__ = [
     "InternalSolverError",
     "ParseError",
     "RatioResult",
-    "ResidualGraph",
     "Solution",
     "SolutionDocument",
     "Stats",

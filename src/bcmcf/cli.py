@@ -1,8 +1,9 @@
 """Command line interface.
 
 Commands: solve, frontier, oracle, validate, gen.  Exit codes: 0 success,
-1 infeasibility found by validate, 2 usage or parse errors or an output
-file that cannot be written, 3 enumeration guard of the oracle exceeded.
+1 validate found the flow infeasible or a stated total that is not the
+flow's, 2 usage or parse errors or an output file that cannot be written,
+3 enumeration guard of the oracle exceeded.
 
 The argument parser is built once per process, on the first call of
 :func:`main`, and reused: parsing keeps no state between calls, and argparse
@@ -139,8 +140,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
             EXIT_USAGE,
         )
     report = validate_flow(inst, Flow.from_values(inst, doc.values))
-    _write_text(args.output, report.summary() + "\n")
-    return EXIT_OK if report.ok else EXIT_INFEASIBLE
+    # the document's stated totals must be its own flow's
+    stated = [("objective", doc.objective, "cost", report.cost)]
+    if doc.budget_used is not None:
+        stated.append(("budget-used", doc.budget_used, "fee", report.fee))
+    lines = [
+        f"{line} {format_fraction(claim)} differs from the flow's {total} {format_fraction(actual)}"
+        for line, claim, total, actual in stated
+        if claim != actual
+    ]
+    _write_text(args.output, "\n".join(lines + [report.summary()]) + "\n")
+    return EXIT_OK if report.ok and not lines else EXIT_INFEASIBLE
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -7,7 +7,9 @@ pair of lexicographic min-cost-circulation solves under costs
 whether ``lam`` is below, inside, or above the closed interval of optimal
 multipliers.  A chord search narrows a bracket until one probe lands
 inside that interval; the optimum is then a convex combination of that
-probe's two witness flows meeting the budget line.
+probe's two witness flows meeting the budget line.  All the solves on one
+closed instance share one network-simplex :class:`~bcmcf.mcc.Basis`, so
+each starts from the optimal tree of the solve before it.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
 
-from .mcc import InternalSolverError, lambda_cost, min_cost_circulation
+from .mcc import Basis, InternalSolverError, lambda_cost, min_cost_circulation
 from .model import (
     Flow,
     Instance,
@@ -49,9 +50,7 @@ class CallbackVerdict:
     x_maxfee: Flow
 
 
-def lambda_callback(
-    circ: Instance, lam: Fraction, start: Sequence[Fraction | int] | None = None
-) -> CallbackVerdict:
+def lambda_callback(circ: Instance, lam: Fraction, basis: Basis | None = None) -> CallbackVerdict:
     """Decide where ``lam`` sits relative to the optimal multiplier interval.
 
     ``circ`` must be in circulation form (see ``circulation_form``).  Verdicts:
@@ -60,18 +59,21 @@ def lambda_callback(
     lam = 0 a slack budget means the unconstrained optimum already wins,
     hence INSIDE), INSIDE otherwise.
 
-    The fee-minimal solve starts from ``start``, values of a circulation of
-    ``circ`` (zero when omitted), typically a nearby multiplier's optimum; the
-    fee-maximal solve starts from the fee-minimal optimum, which differs
-    from it only on ties.  The start moves no verdict or (cost, fee) point.
+    Both solves run on ``basis``, a :class:`Basis` of ``circ`` (a fresh one
+    when omitted), typically left optimal by a nearby multiplier's solves;
+    the fee-maximal solve starts from the fee-minimal optimum, which is
+    already optimal in cost + lam * fee.  The basis moves no verdict or
+    (cost, fee) point.
     """
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError(f"multiplier {lam} is negative")
     if circ.return_arc_index is None:
         raise ValueError("lambda_callback needs a circulation-form instance")
-    x_min = min_cost_circulation(circ, lambda_cost(circ, lam, "min"), start)
-    x_max = min_cost_circulation(circ, lambda_cost(circ, lam, "max"), x_min.values)
+    if basis is None:
+        basis = Basis(circ)
+    x_min = min_cost_circulation(circ, lambda_cost(circ, lam, "min"), basis)
+    x_max = min_cost_circulation(circ, lambda_cost(circ, lam, "max"), basis)
     budget = circ.budget
     if x_min.fee > budget:
         kind = VerdictKind.BELOW
@@ -161,8 +163,9 @@ def solve_exact(inst: Instance) -> Solution:
     bracket's two corner flows.  The first INSIDE probe ends the search and
     its multiplier is returned, so when the optimal multiplier interval
     holds more than one point the probe order picks the answer.
-    ``iterations`` counts every probe.  Each probe's solves start from the
-    bracket corner the probe before it kept, which moves no verdict.
+    ``iterations`` counts every probe.  All solves share one simplex basis,
+    so each starts from the optimum of the solve before it, which moves no
+    verdict.
     """
     circ = circulation_form(inst)
     budget = Fraction(inst.budget)
@@ -193,12 +196,12 @@ def solve_exact(inst: Instance) -> Solution:
     # are not INSIDE; the next one is.
     cap = stats.bbar + 2
     probes = 0
-    start = None  # the last corner kept, a warm start for the next probe
+    basis = Basis(circ)
     for lam in multipliers():
         if probes == cap:
             raise InternalSolverError(f"multiplier search exceeded its cap of {cap} probes")
         probes += 1
-        verdict = lambda_callback(circ, lam, start)
+        verdict = lambda_callback(circ, lam, basis)
         if verdict.kind is VerdictKind.INSIDE:
             if lam == 0:
                 # fee-minimal unconstrained optimum; feasible since fee <= budget
@@ -212,10 +215,8 @@ def solve_exact(inst: Instance) -> Solution:
         # keep the optimum nearest the budget as the new corner
         if verdict.kind is VerdictKind.BELOW:
             x_over = verdict.x_minfee
-            start = x_over.values
         else:
             x_under = verdict.x_maxfee
-            start = x_under.values
 
 
 def enumerate_frontier(inst: Instance) -> list[FrontierPoint]:
@@ -226,23 +227,21 @@ def enumerate_frontier(inst: Instance) -> list[FrontierPoint]:
     multiplier; an improvement exposes one or two new extreme points,
     otherwise the chord is a frontier segment.  The number of solves is
     linear in the number of extreme points, which desk-scale instances keep
-    small but is not polynomially bounded in general.  Every solve but the
-    first starts from a known extreme point's circulation: the bottom one
-    from the top one, each chord probe from its lower-fee end.
+    small but is not polynomially bounded in general.  All solves share one
+    simplex basis, so each starts from the optimum of the solve before it.
     """
     circ = circulation_form(inst)
     stats = instance_stats(inst)
-    # the recursion runs on circulations of circ, whose (cost, fee) are the
-    # points' own, so each solve can start from a neighbouring point's
-    top = min_cost_circulation(circ, lambda_cost(circ, Fraction(0), "min"))
+    basis = Basis(circ)
+    top = min_cost_circulation(circ, lambda_cost(circ, Fraction(0), "min"), basis)
     bottom = min_cost_circulation(
-        circ, lambda_cost(circ, stats.lambda_above_all_slopes(), "min"), top.values
+        circ, lambda_cost(circ, stats.lambda_above_all_slopes(), "min"), basis
     )
 
     def expand(x_low: Flow, x_high: Flow) -> list[Flow]:
         """Extreme points strictly between two known ones (fee order)."""
         lam = edge_multiplier(x_low, x_high)
-        verdict = lambda_callback(circ, lam, x_low.values)
+        verdict = lambda_callback(circ, lam, basis)
         q_low, q_high = verdict.x_minfee, verdict.x_maxfee
         if q_low.cost + lam * q_low.fee == x_low.cost + lam * x_low.fee:
             return []  # the chord is a frontier segment

@@ -1,20 +1,22 @@
-"""Exact minimum-cost circulation by negative-cycle canceling.
+"""Exact minimum-cost circulation by a primal network simplex.
 
-Costs, capacities and labels are plain Python ints.  :func:`lambda_cost`
-packs a multiplier's scaled cost and a fee tie-break into one int per edge,
-so a single solve returns, among all minimum-cost circulations, the one
-with the smallest or largest total usage fee.  A solve starts from any
-integral circulation, so a caller can warm-start it from the optimum of a
-nearby solve.  With integral capacities the returned circulation is
-integral.  :func:`find_negative_cycle` is the package's one negative-cycle
-detector: this lane calls it with int costs, the approximation lane's cycle
-oracle with float lengths.
+Costs, capacities, flows and potentials are plain Python ints.
+:func:`lambda_cost` packs a multiplier's scaled cost and a fee tie-break
+into one int per edge, so a single solve returns, among all minimum-cost
+circulations, the one with the smallest or largest total usage fee.  A
+:class:`Basis` is the simplex's spanning tree over one closed instance;
+between the solves on that instance only the costs change, so the last
+optimal tree is primal feasible for the next solve and is its warm start.
+With integral capacities the returned circulation is integral.
+:func:`find_negative_cycle` is the package's one negative-cycle detector,
+called by the approximation lane's cycle oracle with float lengths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter, le, neg, sub
+from math import isqrt
+from operator import attrgetter, mul
 from typing import Sequence
 
 from .model import Flow, Instance
@@ -43,77 +45,163 @@ def lambda_cost(inst: Instance, lam: Fraction, fee_direction: str) -> list[int]:
     # so its fee term is below K in absolute value; the only exception, an
     # edge's forward arc with its own backward arc, sums to 0.  A cycle's
     # packed sign is therefore its lexicographic (primary, fee) sign.
-    k = sum(e.fee for e in inst.edges) + 1
-    return [(q * e.cost + p * e.fee) * k + sign * e.fee for e in inst.edges]
+    fees = list(map(attrgetter("fee"), inst.edges))
+    k = sum(fees) + 1
+    return [(q * c + p * b) * k + sign * b for c, b in zip(map(attrgetter("cost"), inst.edges), fees)]
 
 
-def _interleave(forward: list[int], backward: list[int]) -> list[int]:
-    """One list holding ``forward[i]`` at 2i and ``backward[i]`` at 2i+1."""
-    out = forward + backward
-    out[0::2], out[1::2] = forward, backward
-    return out
+class Basis:
+    """A strongly feasible spanning-tree basis of one closed instance.
 
+    Node 0 is the root.  Edge i of the instance is arc i; arc m + v - 1 is
+    an artificial arc v -> root with cost 0 and a capacity no flow can
+    reach.  The root has no outgoing arc, so no circulation puts flow on an
+    artificial arc, and the all-artificial start tree, holding the zero
+    circulation, is strongly feasible: every node can send flow to the root
+    along its tree path.  Every nonbasic arc sits at one of its bounds,
+    ``state`` +1 at 0 and -1 at capacity; basic arcs and arcs of capacity 0,
+    which can carry no flow, have state 0 and are never priced.  Between
+    solves only the costs change, so the optimal tree a solve leaves is
+    primal feasible and the next solve's start.  ``pivots`` counts the
+    pivots of all its solves.
+    """
 
-class ResidualGraph:
-    """Residual arcs of a circulation: arc 2i runs edge i forward at cost
-    +cost_i, arc 2i+1 backward at -cost_i.  Capacities are kept current as
-    cycles are applied.  An initial ``flow`` must be an integral circulation
-    within the capacity bounds, else ``ValueError``."""
+    def __init__(self, inst: Instance) -> None:
+        n, m = inst.node_count, inst.edge_count
+        caps = [e.capacity for e in inst.edges]
+        self.inst = inst
+        self.tails = [e.tail for e in inst.edges] + list(range(1, n + 1))
+        self.heads = [e.head for e in inst.edges] + [0] * n
+        self.caps = caps + [sum(caps) + 1] * n
+        self.flow = [0] * (m + n)
+        self.state = [1 if u > 0 else 0 for u in caps] + [0] * n
+        # the tree: each node's parent, the arc to it, and that arc's
+        # direction, +1 when it runs from the node up to the parent
+        self.parent = [-1] + [0] * n
+        self.pred = [-1] + list(range(m, m + n))
+        self.dirs = [0] + [1] * n
+        self.children: list[list[int]] = [list(range(1, n + 1))] + [[] for _ in range(n)]
+        self.depth = [0] + [1] * n
+        # the tree arcs have reduced cost cost_a + pi[tail_a] - pi[head_a] = 0
+        self.potentials = [0] * (n + 1)
+        self.costs = [0] * (m + n)
+        self.block = max(isqrt(m), 10)
+        self.next_arc = 0
+        self.pivots = 0
 
-    def __init__(
-        self,
-        inst: Instance,
-        costs: Sequence[int],
-        flow: Sequence[Fraction | int] | None = None,
-    ) -> None:
-        if len(costs) != inst.edge_count:
-            raise ValueError("one cost per edge required")
-        edges = inst.edges
-        tails = list(map(attrgetter("tail"), edges))
-        heads = list(map(attrgetter("head"), edges))
-        caps = list(map(attrgetter("capacity"), edges))
-        if flow is None:
-            x = [0] * len(edges)
+    def set_costs(self, costs: Sequence[int]) -> None:
+        """Take new edge costs and recompute the tree's potentials."""
+        self.costs[: len(costs)] = costs
+        costs, pi, parent, pred, dirs = self.costs, self.potentials, self.parent, self.pred, self.dirs
+        stack = list(self.children[0])
+        while stack:
+            v = stack.pop()
+            pi[v] = pi[parent[v]] - dirs[v] * costs[pred[v]]
+            stack.extend(self.children[v])
+
+    def entering(self) -> int:
+        """An arc whose reduced cost breaks optimality, or -1 when none does.
+
+        Block search: scan arcs cyclically from where the last search
+        stopped and return the worst arc of the first block holding one.
+        """
+        costs, pi, tails, heads, state = self.costs, self.potentials, self.tails, self.heads, self.state
+        m, block = self.inst.edge_count, self.block
+        best, best_arc = 0, -1
+        a, count = self.next_arc, block
+        for _ in range(m):
+            v = state[a] * (costs[a] + pi[tails[a]] - pi[heads[a]])
+            if v < best:
+                best, best_arc = v, a
+            a += 1
+            if a == m:
+                a = 0
+            count -= 1
+            if not count:
+                if best_arc >= 0:
+                    break
+                count = block
+        self.next_arc = a
+        return best_arc
+
+    def pivot(self, arc: int) -> None:
+        """Push flow round the cycle ``arc`` closes in the tree and swap arcs.
+
+        The cycle is oriented along ``arc``'s improving direction.  The
+        leaving arc is the last blocking arc met when walking the cycle from
+        its apex, which keeps the tree strongly feasible.
+        """
+        parent, pred, dirs, flow, caps = self.parent, self.pred, self.dirs, self.flow, self.caps
+        depth, state = self.depth, self.state
+        if state[arc] == 1:
+            first, second = self.tails[arc], self.heads[arc]
         else:
-            # int and Fraction both carry numerator and denominator, so an
-            # integral value is read as an int without an int() round trip
-            if any(map((1).__ne__, map(attrgetter("denominator"), flow))):
-                raise ValueError("initial flow is not integral")
-            x = list(map(attrgetter("numerator"), flow))
-            if len(x) != len(edges):
-                raise ValueError("one initial flow value per edge required")
-            if min(x, default=0) < 0 or not all(map(le, x, caps)):
-                raise ValueError("initial flow is not within capacity bounds")
-            imbalance = [0] * (inst.node_count + 1)
-            for t, h, v in zip(tails, heads, x):
-                imbalance[t] -= v
-                imbalance[h] += v
-            if any(imbalance):
-                raise ValueError("initial flow breaks conservation: not a circulation")
-        self.node_count = inst.node_count
-        self.tails = _interleave(tails, heads)
-        self.heads = _interleave(heads, tails)
-        self.costs = _interleave(list(costs), list(map(neg, costs)))
-        self.caps = _interleave(list(map(sub, caps, x)), x)
-
-    def apply_cycle(self, cycle: Sequence[int]) -> int:
-        """Saturate the cycle: push its bottleneck residual capacity around it."""
-        amount = min(self.caps[a] for a in cycle)
-        if amount <= 0:
-            raise ValueError("cycle has no residual capacity")
-        for a in cycle:
-            self.caps[a] -= amount
-            self.caps[a ^ 1] += amount
-        return amount
-
-    def arcs(self) -> list[tuple[int, int, int]]:
-        """Arcs with positive residual capacity, as (tail, head, arc) in index order."""
-        tails, heads = self.tails, self.heads
-        return [(tails[a], heads[a], a) for a, cap in enumerate(self.caps) if cap > 0]
-
-    def flow_values(self) -> list[int]:
-        # backward residual capacity of edge i is exactly its flow
-        return self.caps[1::2]
+            first, second = self.heads[arc], self.tails[arc]
+        u, v = first, second
+        while depth[u] > depth[v]:
+            u = parent[u]
+        while depth[v] > depth[u]:
+            v = parent[v]
+        while u != v:
+            u, v = parent[u], parent[v]
+        apex = u
+        # the cycle runs apex -> first (down), arc, second -> apex (up);
+        # walking up from first meets that side in reverse, hence < there
+        delta, out, side = caps[arc], -1, 0
+        u = first
+        while u != apex:
+            a = pred[u]
+            d = flow[a] if dirs[u] == 1 else caps[a] - flow[a]
+            if d < delta:
+                delta, out, side = d, u, 1
+            u = parent[u]
+        u = second
+        while u != apex:
+            a = pred[u]
+            d = caps[a] - flow[a] if dirs[u] == 1 else flow[a]
+            if d <= delta:
+                delta, out, side = d, u, 2
+            u = parent[u]
+        if delta:
+            flow[arc] += state[arc] * delta
+            u = first
+            while u != apex:
+                flow[pred[u]] -= dirs[u] * delta
+                u = parent[u]
+            u = second
+            while u != apex:
+                flow[pred[u]] += dirs[u] * delta
+                u = parent[u]
+        if not side:
+            state[arc] = -state[arc]  # the arc itself blocks: it changes bound
+            return
+        leaving = pred[out]
+        if leaving < self.inst.edge_count:
+            state[leaving] = 1 if flow[leaving] == 0 else -1
+        state[arc] = 0
+        u_in, v_in = (first, second) if side == 1 else (second, first)
+        # reverse the tree path u_in .. out and hang u_in from v_in by arc
+        new_parent, new_pred, new_dir = v_in, arc, 1 if self.tails[arc] == u_in else -1
+        children = self.children
+        u = u_in
+        while True:
+            old_parent, old_pred, old_dir = parent[u], pred[u], dirs[u]
+            children[old_parent].remove(u)
+            children[new_parent].append(u)
+            parent[u], pred[u], dirs[u] = new_parent, new_pred, new_dir
+            if u == out:
+                break
+            new_parent, new_pred, new_dir = u, old_pred, -old_dir
+            u = old_parent
+        # the moved subtree keeps its internal arcs: one shift of potentials
+        pi = self.potentials
+        shift = pi[v_in] - dirs[u_in] * self.costs[arc] - pi[u_in]
+        stack = [u_in]
+        while stack:
+            u = stack.pop()
+            pi[u] += shift
+            depth[u] = depth[parent[u]] + 1
+            stack.extend(children[u])
 
 
 def find_negative_cycle(
@@ -125,12 +213,11 @@ def find_negative_cycle(
 
     The package's one negative-cycle detector.  ``arcs`` holds static
     ``(tail, head, arc_id)`` triples over nodes 1..node_count and
-    ``weights[arc_id]`` is an int (the exact lane's packed costs) or a
-    float (the approximation lane's parametric lengths).  Bellman-Ford label
-    correction from an implicit super-source: all labels start at zero and
-    every pass scans ``arcs`` in the given order, so the result is a
-    deterministic function of the input.  Returns None only after a full
-    pass without relaxation.
+    ``weights[arc_id]`` is an int or a float (the approximation lane's
+    parametric lengths).  Bellman-Ford label correction from an implicit
+    super-source: all labels start at zero and every pass scans ``arcs`` in
+    the given order, so the result is a deterministic function of the input.
+    Returns None only after a full pass without relaxation.
 
     Otherwise one predecessor walk extracts the cycle.  A relaxation in pass
     k comes from a tail relaxed in pass k or k-1, so the last node relaxed
@@ -179,30 +266,46 @@ def find_negative_cycle(
     return cycle
 
 
-def min_cost_circulation(
-    inst: Instance, costs: Sequence[int], start: Sequence[Fraction | int] | None = None
-) -> Flow:
-    """Minimum cost circulation under int edge costs, by negative-cycle canceling.
+def min_cost_circulation(inst: Instance, costs: Sequence[int], basis: Basis | None = None) -> Flow:
+    """Minimum cost circulation under int edge costs, by primal network simplex.
 
-    Starts at the circulation ``start`` (integral values, one per edge; the
-    zero circulation when omitted) and saturates the first negative residual
-    cycle Bellman-Ford finds until none remains, which certifies optimality.
-    A start that breaks a capacity bound or flow conservation raises
-    ``ValueError``: canceling keeps every node's imbalance, so it could not
-    repair one.  Every cancel pushes an integral amount >= 1 around a cycle
-    of cost <= -1, so the objective, which starts at ``w . start`` and never
-    drops below ``-sum(u_e * |w_e|)``, falls by at least 1 each time: more
-    cancels than ``w . start + sum(u_e * |w_e|)``, at most twice that sum,
-    means a solver bug and raises :class:`InternalSolverError`.
+    Starts from ``basis``, a :class:`Basis` of ``inst`` left by an earlier
+    solve (a fresh one, holding the zero circulation, when omitted), and
+    pivots until no arc prices out, which certifies optimality: the tree's
+    potentials give every residual arc a nonnegative reduced cost.  The
+    basis keeps the optimal tree for the caller's next solve.  A basis of
+    another instance raises ``ValueError``.
     """
-    rg = ResidualGraph(inst, costs, start)
-    bound = sum(e.capacity * abs(w) for e, w in zip(inst.edges, costs))
-    cap = sum(w * v for w, v in zip(costs, rg.flow_values())) + bound + 1
-    for _ in range(cap):
-        cycle = find_negative_cycle(rg.node_count, rg.arcs(), rg.costs)
-        if cycle is None:
-            break
-        rg.apply_cycle(cycle)
-    else:
-        raise InternalSolverError("negative-cycle canceling exceeded its iteration cap")
-    return Flow.from_values(inst, rg.flow_values())
+    if basis is None:
+        basis = Basis(inst)
+    elif basis.inst != inst:
+        raise ValueError("basis was built for another instance")
+    if len(costs) != inst.edge_count:
+        raise ValueError("one cost per edge required")
+    basis.set_costs(costs)
+    flow = basis.flow
+    # Pivot cap, with x0 the start flow and W = max |w_e|.
+    # - A nondegenerate pivot pushes an int amount >= 1 round a cycle whose
+    #   cost, the entering arc's reduced cost, is <= -1.  The objective
+    #   starts at w . x0 and never drops below -sum(u_e * |w_e|), so there
+    #   are at most A = w . x0 + sum(u_e * |w_e|) of them.
+    # - A degenerate pivot on a strongly feasible tree shifts the potentials
+    #   of the moved subtree by the entering arc's nonzero int reduced cost,
+    #   always in one direction, so the sum of the n potentials strictly
+    #   moves one way (Ahuja, Magnanti & Orlin, "Network Flows", ch. 11).
+    #   A potential sums at most n tree-path costs, so that sum stays within
+    #   +-n^2 * W: at most D = 2 * n^2 * W degenerate pivots run between two
+    #   nondegenerate ones.
+    # So a solve makes at most A + (A + 1) * D < (A + 1) * (D + 1) pivots.
+    reach = sum(map(mul, basis.caps, map(abs, costs)))
+    start = sum(map(mul, costs, flow))
+    width = max(map(abs, costs), default=0)
+    cap = (start + reach + 1) * (2 * inst.node_count**2 * width + 1)
+    pivots = 0
+    while (arc := basis.entering()) >= 0:
+        if pivots == cap:
+            raise InternalSolverError(f"network simplex exceeded its cap of {cap} pivots")
+        basis.pivot(arc)
+        pivots += 1
+    basis.pivots += pivots
+    return Flow.from_values(inst, flow[: inst.edge_count])

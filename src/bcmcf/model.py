@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter, mul
 from typing import Iterable
 
 
@@ -111,9 +112,16 @@ class Flow:
             raise InstanceError(
                 f"flow has {len(raw)} values for {inst.edge_count} edges"
             )
-        cost = sum(e.cost * v for e, v in zip(inst.edges, raw))
-        fee = sum(e.fee * v for e, v in zip(inst.edges, raw))
-        return cls(tuple(map(Fraction, raw)), Fraction(cost), Fraction(fee))
+        edges = inst.edges
+        cost = sum(map(mul, map(attrgetter("cost"), edges), raw))
+        fee = sum(map(mul, map(attrgetter("fee"), edges), raw))
+        if set(map(type, raw)) <= {int}:
+            # a circulation repeats 0 and a few capacities: one Fraction each
+            as_fraction = {v: Fraction(v) for v in set(raw)}
+            values = tuple(map(as_fraction.__getitem__, raw))
+        else:
+            values = tuple(map(Fraction, raw))
+        return cls(values, Fraction(cost), Fraction(fee))
 
 
 @dataclass(frozen=True)
@@ -448,11 +456,12 @@ class Solution:
 
 @dataclass(frozen=True)
 class SolutionDocument:
-    """Parsed form of the solution text format."""
+    """Parsed form of the solution text format; ``budget_used`` is None
+    when the document has no ``budget-used`` line."""
 
     algorithm: str
     objective: Fraction
-    budget_used: Fraction
+    budget_used: Fraction | None
     iterations: int
     lam: Fraction | None
     values: tuple[Fraction, ...]
@@ -476,6 +485,12 @@ def format_solution(sol: Solution) -> str:
     return "\n".join(lines) + "\n"
 
 
+# each of these lines may appear at most once in a solution document
+_SOLUTION_HEADERS = frozenset(
+    ("bcmcf-solution", "algorithm", "objective", "budget-used", "iterations", "lambda", "flows")
+)
+
+
 def parse_solution(text: str) -> SolutionDocument:
     algorithm: str | None = None
     objective: Fraction | None = None
@@ -485,12 +500,17 @@ def parse_solution(text: str) -> SolutionDocument:
     count: int | None = None
     values: dict[int, Fraction] = {}
     seen_header = False
+    seen_kinds: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
         kind = tokens[0]
+        if kind in _SOLUTION_HEADERS:
+            if kind in seen_kinds:
+                raise ParseError(lineno, f"duplicate {kind} line")
+            seen_kinds.add(kind)
         try:
             if kind == "bcmcf-solution":
                 seen_header = True
@@ -527,7 +547,7 @@ def parse_solution(text: str) -> SolutionDocument:
     return SolutionDocument(
         algorithm=algorithm,
         objective=objective,
-        budget_used=budget_used if budget_used is not None else Fraction(0),
+        budget_used=budget_used,
         iterations=iterations,
         lam=lam,
         values=tuple(values[i] for i in range(count)),

@@ -1,18 +1,25 @@
-"""Brute-force references that only the tests compare against.
+"""References that only the tests compare against.
 
 Integral flow enumeration, the exact Pareto frontier as the lower-left hull
 of the integral point cloud, and exhaustive minimum-ratio cycle and path
-searches.  Everything here is exponential by design and guarded to desk
-scale.  The frontier reference shares only the point type and the interval
-bookkeeping with ``bcmcf.exact``; its hull never calls a solver.
+searches.  These are exponential by design and guarded to desk scale.  The
+frontier reference shares only the point type and the interval bookkeeping
+with ``bcmcf.exact``; its hull never calls a solver.
+
+Past the enumeration guard, the network simplex of ``bcmcf.mcc`` is checked
+against a second engine: negative-cycle canceling on the residual graph,
+pseudo-polynomial but simple enough to trust, and the residual graph on
+which the tests call ``find_negative_cycle``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter, le, neg, sub
 from typing import Iterator, Sequence
 
 from bcmcf.exact import FrontierPoint, attach_lambda_intervals
+from bcmcf.mcc import InternalSolverError, find_negative_cycle
 from bcmcf.model import Flow, Instance
 from bcmcf.oracle import DEFAULT_GUARD, build_point_cloud, iter_integral_values
 
@@ -169,3 +176,106 @@ def exhaustive_min_ratio_path(
         if best is None or ratio < best[1]:
             best = (p, ratio)
     return best
+
+
+# ---------------------------------------------------------------------------
+# negative-cycle canceling, the reference min-cost-circulation engine
+# ---------------------------------------------------------------------------
+
+
+def _interleave(forward: list[int], backward: list[int]) -> list[int]:
+    """One list holding ``forward[i]`` at 2i and ``backward[i]`` at 2i+1."""
+    out = forward + backward
+    out[0::2], out[1::2] = forward, backward
+    return out
+
+
+class ResidualGraph:
+    """Residual arcs of a circulation: arc 2i runs edge i forward at cost
+    +cost_i, arc 2i+1 backward at -cost_i.  Capacities are kept current as
+    cycles are applied.  An initial ``flow`` must be an integral circulation
+    within the capacity bounds, else ``ValueError``."""
+
+    def __init__(
+        self,
+        inst: Instance,
+        costs: Sequence[int],
+        flow: Sequence[Fraction | int] | None = None,
+    ) -> None:
+        if len(costs) != inst.edge_count:
+            raise ValueError("one cost per edge required")
+        edges = inst.edges
+        tails = list(map(attrgetter("tail"), edges))
+        heads = list(map(attrgetter("head"), edges))
+        caps = list(map(attrgetter("capacity"), edges))
+        if flow is None:
+            x = [0] * len(edges)
+        else:
+            # int and Fraction both carry numerator and denominator, so an
+            # integral value is read as an int without an int() round trip
+            if any(map((1).__ne__, map(attrgetter("denominator"), flow))):
+                raise ValueError("initial flow is not integral")
+            x = list(map(attrgetter("numerator"), flow))
+            if len(x) != len(edges):
+                raise ValueError("one initial flow value per edge required")
+            if min(x, default=0) < 0 or not all(map(le, x, caps)):
+                raise ValueError("initial flow is not within capacity bounds")
+            imbalance = [0] * (inst.node_count + 1)
+            for t, h, v in zip(tails, heads, x):
+                imbalance[t] -= v
+                imbalance[h] += v
+            if any(imbalance):
+                raise ValueError("initial flow breaks conservation: not a circulation")
+        self.node_count = inst.node_count
+        self.tails = _interleave(tails, heads)
+        self.heads = _interleave(heads, tails)
+        self.costs = _interleave(list(costs), list(map(neg, costs)))
+        self.caps = _interleave(list(map(sub, caps, x)), x)
+
+    def apply_cycle(self, cycle: Sequence[int]) -> int:
+        """Saturate the cycle: push its bottleneck residual capacity around it."""
+        amount = min(self.caps[a] for a in cycle)
+        if amount <= 0:
+            raise ValueError("cycle has no residual capacity")
+        for a in cycle:
+            self.caps[a] -= amount
+            self.caps[a ^ 1] += amount
+        return amount
+
+    def arcs(self) -> list[tuple[int, int, int]]:
+        """Arcs with positive residual capacity, as (tail, head, arc) in index order."""
+        tails, heads = self.tails, self.heads
+        return [(tails[a], heads[a], a) for a, cap in enumerate(self.caps) if cap > 0]
+
+    def flow_values(self) -> list[int]:
+        # backward residual capacity of edge i is exactly its flow
+        return self.caps[1::2]
+
+
+def canceling_circulation(
+    inst: Instance, costs: Sequence[int], start: Sequence[Fraction | int] | None = None
+) -> Flow:
+    """Minimum cost circulation under int edge costs, by negative-cycle canceling.
+
+    Starts at the circulation ``start`` (integral values, one per edge; the
+    zero circulation when omitted) and saturates the first negative residual
+    cycle Bellman-Ford finds until none remains, which certifies optimality.
+    A start that breaks a capacity bound or flow conservation raises
+    ``ValueError``: canceling keeps every node's imbalance, so it could not
+    repair one.  Every cancel pushes an integral amount >= 1 around a cycle
+    of cost <= -1, so the objective, which starts at ``w . start`` and never
+    drops below ``-sum(u_e * |w_e|)``, falls by at least 1 each time: more
+    cancels than ``w . start + sum(u_e * |w_e|)``, at most twice that sum,
+    means a solver bug and raises :class:`InternalSolverError`.
+    """
+    rg = ResidualGraph(inst, costs, start)
+    bound = sum(e.capacity * abs(w) for e, w in zip(inst.edges, costs))
+    cap = sum(w * v for w, v in zip(costs, rg.flow_values())) + bound + 1
+    for _ in range(cap):
+        cycle = find_negative_cycle(rg.node_count, rg.arcs(), rg.costs)
+        if cycle is None:
+            break
+        rg.apply_cycle(cycle)
+    else:
+        raise InternalSolverError("negative-cycle canceling exceeded its iteration cap")
+    return Flow.from_values(inst, rg.flow_values())

@@ -155,9 +155,12 @@ class TestOracleCommand:
 
 
 class TestValidate:
-    def write_solution(self, tmp_path, values):
-        lines = ["bcmcf-solution 1", "algorithm manual", "objective 0/1 0.0",
-                 f"flows {len(values)}"]
+    # on I1 the edges cost -4 and -1 per unit and charge fees 2 and 0
+    def write_solution(self, tmp_path, values, objective, budget_used=None):
+        lines = ["bcmcf-solution 1", "algorithm manual", f"objective {objective}"]
+        if budget_used is not None:
+            lines.append(f"budget-used {budget_used}")
+        lines.append(f"flows {len(values)}")
         lines += [f"f {i} {v}" for i, v in enumerate(values)]
         lines.append("end")
         path = tmp_path / "flow.sol"
@@ -165,19 +168,49 @@ class TestValidate:
         return str(path)
 
     def test_feasible(self, i1_path, tmp_path, capsys):
-        flow = self.write_solution(tmp_path, ["1", "2"])
+        flow = self.write_solution(tmp_path, ["1", "2"], "-6/1 -6.0")
         assert main(["validate", i1_path, flow]) == 0
         out = capsys.readouterr().out
         assert "feasible c=-6 b=2" in out
 
     def test_budget_violation(self, i1_path, tmp_path, capsys):
-        flow = self.write_solution(tmp_path, ["2", "2"])
+        flow = self.write_solution(tmp_path, ["2", "2"], "-10")
         assert main(["validate", i1_path, flow]) == 1
         assert "budget exceeded by 2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "objective, budget_used, wrong",
+        [
+            ("-100", None, "objective -100 differs from the flow's cost -6"),
+            ("-6", "0", "budget-used 0 differs from the flow's fee 2"),
+            ("-100", "0", "objective -100 differs from the flow's cost -6"),
+        ],
+        ids=["objective", "budget-used", "both"],
+    )
+    def test_stated_totals_must_be_the_flows(
+        self, i1_path, tmp_path, capsys, objective, budget_used, wrong
+    ):
+        flow = self.write_solution(tmp_path, ["1", "2"], objective, budget_used)
+        assert main(["validate", i1_path, flow]) == 1
+        assert wrong in capsys.readouterr().out
+
+    def test_stated_budget_used_that_matches(self, i1_path, tmp_path, capsys):
+        flow = self.write_solution(tmp_path, ["1", "2"], "-6", "2")
+        assert main(["validate", i1_path, flow]) == 0
+        assert "differs" not in capsys.readouterr().out
+
     def test_arity_mismatch(self, i1_path, tmp_path, capsys):
-        flow = self.write_solution(tmp_path, ["1", "2", "0"])
+        flow = self.write_solution(tmp_path, ["1", "2", "0"], "-6")
         assert main(["validate", i1_path, flow]) == 2
+
+    def test_repeated_header_line_is_parse_error(self, i1_path, tmp_path, capsys):
+        path = tmp_path / "twice.sol"
+        path.write_text(
+            "bcmcf-solution 1\nalgorithm manual\nobjective -6\nobjective 0\n"
+            "flows 2\nf 0 1\nf 1 2\nend\n"
+        )
+        assert main(["validate", i1_path, str(path)]) == 2
+        assert "line 4: duplicate objective line" in capsys.readouterr().err
 
     def test_solver_output_revalidates(self, i1_path, tmp_path, capsys):
         out_path = tmp_path / "sol.txt"
@@ -193,7 +226,7 @@ class TestValidate:
 
     def test_unwritable_output_is_usage_error(self, i1_path, tmp_path, capsys):
         # exit 1 would read as "infeasible": a write failure is a usage error
-        flow = self.write_solution(tmp_path, ["1", "2"])
+        flow = self.write_solution(tmp_path, ["1", "2"], "-6")
         missing = tmp_path / "missing" / "report.txt"
         assert main(["validate", i1_path, flow, "-o", str(missing)]) == 2
         assert "cannot write" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import bcmcf.exact as exact_mod
 from bcmcf import (
+    Basis,
     EdgeData,
     Flow,
     Instance,
@@ -33,7 +34,6 @@ from bcmcf import (
 )
 from bcmcf.mcc import lambda_cost, min_cost_circulation
 from bcmcf.oracle import iter_integral_values
-from conftest import recorded_searches
 from reference_oracles import oracle_frontier
 
 
@@ -297,8 +297,8 @@ class TestSolveExact:
         real = exact_mod.lambda_callback
         verdicts = []
 
-        def stalled(circ, lam, start=None):
-            verdicts.append(real(circ, lam, start) if len(verdicts) < 2 else verdicts[0])
+        def stalled(circ, lam, basis=None):
+            verdicts.append(real(circ, lam, basis) if len(verdicts) < 2 else verdicts[0])
             return verdicts[-1]
 
         monkeypatch.setattr(exact_mod, "lambda_callback", stalled)
@@ -356,8 +356,9 @@ class TestEnumerateFrontier:
 
 
 class TestWarmStarts:
-    """The exact lane's solves start from neighbouring optima; this pins the
-    wiring by comparing cancels with a run whose solves all start at zero."""
+    """The exact lane's solves share one simplex basis per closed instance;
+    this pins the wiring by comparing pivots with a run that gives every
+    solve a fresh basis."""
 
     INSTANCES = [
         preprocess(generate_instance(nodes=8, edges=20, max_capacity=5, seed=seed))
@@ -365,22 +366,34 @@ class TestWarmStarts:
     ]
 
     @staticmethod
-    def cancels_and_answers(solver, cold: bool):
-        with recorded_searches() as found, pytest.MonkeyPatch.context() as mp:
+    def pivots_and_answers(solver, cold: bool):
+        """Pivots of all solves, the bases they ran on, and the answers, over
+        ``INSTANCES``."""
+        real = exact_mod.min_cost_circulation
+        pivots, bases = [], []
+
+        def counting(circ, costs, basis):
             if cold:
-                real = exact_mod.min_cost_circulation
-                mp.setattr(
-                    exact_mod,
-                    "min_cost_circulation",
-                    lambda circ, costs, start=None: real(circ, costs),
-                )
+                basis = Basis(circ)
+            before = basis.pivots
+            flow = real(circ, costs, basis)
+            pivots.append(basis.pivots - before)
+            bases.append(basis)
+            return flow
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact_mod, "min_cost_circulation", counting)
             answers = [solver(inst) for inst in TestWarmStarts.INSTANCES]
-        return sum(cycle is not None for cycle in found), answers
+        if not cold:
+            # one basis per closed instance serves all of its solves
+            assert len({id(b) for b in bases}) == len(TestWarmStarts.INSTANCES)
+        return pivots, answers
 
     def test_frontier_cancels_fewer_cycles(self):
-        cold, cold_points = self.cancels_and_answers(enumerate_frontier, cold=True)
-        warm, warm_points = self.cancels_and_answers(enumerate_frontier, cold=False)
-        assert warm < cold
+        cold, cold_points = self.pivots_and_answers(enumerate_frontier, cold=True)
+        warm, warm_points = self.pivots_and_answers(enumerate_frontier, cold=False)
+        assert len(warm) == len(cold)
+        assert sum(warm) < sum(cold)
 
         def summary(frontiers):
             return [[(p.cost, p.fee, p.lambda_low, p.lambda_high) for p in f] for f in frontiers]
@@ -388,9 +401,10 @@ class TestWarmStarts:
         assert summary(warm_points) == summary(cold_points)
 
     def test_solve_exact_cancels_fewer_cycles(self):
-        cold, cold_sols = self.cancels_and_answers(solve_exact, cold=True)
-        warm, warm_sols = self.cancels_and_answers(solve_exact, cold=False)
-        assert warm < cold
+        cold, cold_sols = self.pivots_and_answers(solve_exact, cold=True)
+        warm, warm_sols = self.pivots_and_answers(solve_exact, cold=False)
+        assert len(warm) == len(cold)
+        assert sum(warm) < sum(cold)
         assert [(s.objective, s.lam, s.iterations) for s in warm_sols] == [
             (s.objective, s.lam, s.iterations) for s in cold_sols
         ]

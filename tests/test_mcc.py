@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bcmcf import (
+    Basis,
     EdgeData,
     Instance,
     InternalSolverError,
-    ResidualGraph,
     circulation_form,
     find_negative_cycle,
     generate_instance,
@@ -20,9 +21,8 @@ from bcmcf import (
     min_cost_circulation,
     preprocess,
 )
-from bcmcf.oracle import iter_integral_values
-from conftest import recorded_searches
-from reference_oracles import iter_simple_cycles
+from bcmcf.oracle import DEFAULT_GUARD, iter_integral_values
+from reference_oracles import ResidualGraph, canceling_circulation, iter_simple_cycles
 
 
 def lex_optimum_by_enumeration(
@@ -61,8 +61,23 @@ def solve_at(circ: Instance, lam: Fraction, fee_direction: str):
 
 
 def search(rg: ResidualGraph):
-    """The detector on a residual graph, as ``min_cost_circulation`` calls it."""
+    """The detector on a residual graph, as the reference engine calls it."""
     return find_negative_cycle(rg.node_count, rg.arcs(), rg.costs)
+
+
+def pivot_cap(circ: Instance, costs: list[int], flow) -> int:
+    """The proven pivot bound of ``min_cost_circulation`` from start flow ``flow``."""
+    reach = sum(e.capacity * abs(w) for e, w in zip(circ.edges, costs))
+    start = sum(w * v for w, v in zip(costs, flow))
+    width = max(map(abs, costs), default=0)
+    return (start + reach + 1) * (2 * circ.node_count**2 * width + 1)
+
+
+def solve_counting(circ: Instance, costs: list[int], basis: Basis):
+    """The optimum from ``basis`` and the number of pivots it took."""
+    before = basis.pivots
+    flow = min_cost_circulation(circ, costs, basis)
+    return flow, basis.pivots - before
 
 
 @st.composite
@@ -240,6 +255,14 @@ class TestMinCostCirculation:
         flow = solve_at(circulation_form(inst_two_parallel), Fraction(2), "max")
         assert all(type(v) is Fraction for v in flow.values)
 
+    def test_basis_holds_ints_only(self, inst_two_parallel):
+        circ = circulation_form(inst_two_parallel)
+        basis = Basis(circ)
+        min_cost_circulation(circ, lambda_cost(circ, Fraction(1, 3), "max"), basis)
+        assert basis.pivots > 0
+        state = basis.flow + basis.potentials + basis.costs
+        assert all(type(v) is int for v in state)
+
     def test_nonnegative_costs_give_zero_circulation(self):
         for seed in range(20):
             inst = generate_instance(nodes=2 + seed % 4, edges=1 + seed % 7, seed=seed)
@@ -290,55 +313,92 @@ class TestMinCostCirculation:
 
 class TestIterationCap:
     def test_tiny_cap_raises(self, inst_two_parallel, monkeypatch):
-        # a no-op cancel leaves the same negative cycle in place forever; the
-        # proven bound on the number of cancels must stop the loop
-        monkeypatch.setattr(ResidualGraph, "apply_cycle", lambda self, cycle: 1)
+        # a no-op pivot leaves the same arc pricing out forever; the proven
+        # bound on the number of pivots must stop the loop, and exactly there
+        calls = []
+        monkeypatch.setattr(Basis, "pivot", lambda self, arc: calls.append(arc))
         circ = circulation_form(inst_two_parallel)
-        with pytest.raises(InternalSolverError):
-            solve_at(circ, Fraction(0), "min")
+        costs = lambda_cost(circ, Fraction(0), "min")
+        with pytest.raises(InternalSolverError, match="cap"):
+            min_cost_circulation(circ, costs)
+        assert len(calls) == pivot_cap(circ, costs, [0] * circ.edge_count)
+        assert len(set(calls)) == 1
 
 
 class TestWarmStart:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(warm_start_cases())
     def test_any_start_reaches_the_cold_optimum(self, case):
+        """A basis left by any earlier solve reaches the fresh basis's (cost, fee)."""
         circ, lam, other_lam, fee_direction = case
         costs = lambda_cost(circ, lam, fee_direction)
-        cold = min_cost_circulation(circ, costs)
+        cold, _ = solve_counting(circ, costs, Basis(circ))
         other_direction = "max" if fee_direction == "min" else "min"
-        starts = (
-            [0] * circ.edge_count,
-            solve_at(circ, other_lam, fee_direction).values,
-            solve_at(circ, lam, other_direction).values,
-        )
-        bound = sum(e.capacity * abs(w) for e, w in zip(circ.edges, costs))
-        for start in starts:
-            with recorded_searches() as found:
-                warm = min_cost_circulation(circ, costs, start)
+        for prior in ((), ((other_lam, fee_direction),), ((lam, other_direction),)):
+            basis = Basis(circ)
+            for prior_lam, prior_direction in prior:
+                min_cost_circulation(circ, lambda_cost(circ, prior_lam, prior_direction), basis)
+            start = list(basis.flow[: circ.edge_count])
+            warm, pivots = solve_counting(circ, costs, basis)
             assert (warm.cost, warm.fee) == (cold.cost, cold.fee)
-            cancels = len(found) - 1
-            assert found[-1] is None and None not in found[:-1]
-            # the objective starts at w . start and falls by >= 1 per cancel
-            start_value = sum(w * v for w, v in zip(costs, start))
-            assert cancels <= start_value + bound <= 2 * bound
-        with recorded_searches() as found:
-            again = min_cost_circulation(circ, costs, cold.values)
-        assert found == [None]
-        assert again.values == cold.values
+            assert pivots < pivot_cap(circ, costs, start)
+            again, pivots = solve_counting(circ, costs, basis)
+            assert pivots == 0
+            assert again.values == warm.values
 
-    # inst_two_parallel in circulation form: edges 0 and 1 run 1 -> 2 with
-    # capacity 2, closure arc 2 runs 1 -> 2 and return arc 3 runs 2 -> 1, both
-    # with capacity 4
-    @pytest.mark.parametrize(
-        "start, message",
-        [
-            ([Fraction(1, 2), 0, 0, Fraction(1, 2)], "integral"),
-            ([3, 0, 0, 3], "capacity"),
-            ([1, 0, 0, 0], "not a circulation"),
-        ],
-        ids=["fractional", "over-capacity", "unbalanced"],
-    )
-    def test_bad_start_rejected(self, inst_two_parallel, start, message):
+    def test_basis_of_another_instance_rejected(self, inst_two_parallel, inst_two_hop):
         circ = circulation_form(inst_two_parallel)
-        with pytest.raises(ValueError, match=message):
-            min_cost_circulation(circ, plain_costs(circ), start)
+        for other in (inst_two_parallel, circulation_form(inst_two_hop)):
+            with pytest.raises(ValueError, match="another instance"):
+                min_cost_circulation(circ, plain_costs(circ), Basis(other))
+        # an equal instance built again is the same instance
+        min_cost_circulation(circ, plain_costs(circ), Basis(circulation_form(inst_two_parallel)))
+
+
+@st.composite
+def sequences_past_the_guard(draw):
+    """A generated instance in circulation form, up to n = 20, m = 80 and
+    U = 50, too large to enumerate, with a sequence of multipliers and fee
+    directions."""
+    inst = preprocess(generate_instance(
+        nodes=draw(st.integers(6, 20)),
+        edges=draw(st.integers(20, 80)),
+        max_capacity=draw(st.integers(5, 50)),
+        budget_mode=draw(st.sampled_from(("tight", "slack", "zero"))),
+        seed=draw(st.integers(0, 10**6)),
+    ))
+    assume(prod(e.capacity + 1 for e in inst.edges) > DEFAULT_GUARD)
+    multiplier = st.builds(Fraction, st.integers(0, 12), st.integers(1, 5))
+    direction = st.sampled_from(("min", "max"))
+    return (
+        circulation_form(inst),
+        draw(st.lists(st.tuples(multiplier, direction), min_size=1, max_size=3)),
+    )
+
+
+class TestAgainstCanceling:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(sequences_past_the_guard())
+    def test_reused_basis_matches_canceling_and_certifies(self, case):
+        circ, solves = case
+        basis = Basis(circ)
+        for lam, fee_direction in solves:
+            costs = lambda_cost(circ, lam, fee_direction)
+            flow = min_cost_circulation(circ, costs, basis)
+            reference = canceling_circulation(circ, costs)
+            assert (flow.cost, flow.fee) == (reference.cost, reference.fee)
+            assert search(ResidualGraph(circ, costs, flow=flow.values)) is None
+            # the tree stays strongly feasible: every node can send flow to
+            # the root along its tree path, which the pivot cap relies on
+            for v in range(1, circ.node_count + 1):
+                a = basis.pred[v]
+                up = basis.caps[a] - basis.flow[a] if basis.dirs[v] == 1 else basis.flow[a]
+                assert up > 0
+            # the tree's potentials certify the optimum on every residual arc
+            pi = basis.potentials
+            for e, w, x in zip(circ.edges, costs, flow.values):
+                reduced = w + pi[e.tail] - pi[e.head]
+                if x < e.capacity:
+                    assert reduced >= 0
+                if x > 0:
+                    assert -reduced >= 0

@@ -345,6 +345,25 @@ class TestSolutionDocument:
         with pytest.raises(ParseError):
             parse_solution("bcmcf-solution 1\nalgorithm exact\nend\n")
 
+    @pytest.mark.parametrize(
+        "line",
+        ["algorithm gk", "objective 5", "budget-used 1", "iterations 4", "lambda 1/2", "flows 1"],
+        ids=lambda line: line.split()[0],
+    )
+    def test_repeated_header_line(self, line):
+        text = (
+            "bcmcf-solution 1\nalgorithm exact\nobjective 0\nbudget-used 0\niterations 1\n"
+            f"lambda 0\nflows 1\n{line}\nf 0 1\nend\n"
+        )
+        with pytest.raises(ParseError) as exc:
+            parse_solution(text)
+        assert exc.value.line == 8
+        assert exc.value.message == f"duplicate {line.split()[0]} line"
+
+    def test_missing_budget_used_reads_none(self):
+        doc = parse_solution("bcmcf-solution 1\nalgorithm exact\nobjective 0\nflows 0\nend\n")
+        assert doc.budget_used is None
+
     def test_duplicate_flow_line(self):
         text = "bcmcf-solution 1\nalgorithm exact\nobjective 0\nflows 1\nf 0 1\nf 0 5\nend\n"
         with pytest.raises(ParseError) as exc:
