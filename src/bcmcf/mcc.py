@@ -15,8 +15,9 @@ called by the approximation lane's cycle oracle with float lengths.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import isqrt
-from operator import attrgetter, mul
+from operator import attrgetter, le, mul
 from typing import Sequence
 
 from .model import Flow, Instance
@@ -88,6 +89,20 @@ class Basis:
         self.block = max(isqrt(m), 10)
         self.next_arc = 0
         self.pivots = 0
+
+    def check_flow(self) -> None:
+        """Raise ``ValueError`` unless the flow is an int circulation within capacity."""
+        flow = self.flow
+        if not set(map(type, flow)) <= {int}:
+            raise ValueError("basis flow must be integral")
+        if min(flow) < 0 or not all(map(le, flow, self.caps)):
+            raise ValueError("basis flow breaks a capacity")
+        tails, heads, excess = self.tails, self.heads, [0] * len(self.parent)
+        for a in compress(range(len(flow)), flow):
+            excess[tails[a]] -= flow[a]
+            excess[heads[a]] += flow[a]
+        if any(excess):
+            raise ValueError("basis flow is not a circulation")
 
     def set_costs(self, costs: Sequence[int]) -> None:
         """Take new edge costs and recompute the tree's potentials."""
@@ -274,12 +289,15 @@ def min_cost_circulation(inst: Instance, costs: Sequence[int], basis: Basis | No
     pivots until no arc prices out, which certifies optimality: the tree's
     potentials give every residual arc a nonnegative reduced cost.  The
     basis keeps the optimal tree for the caller's next solve.  A basis of
-    another instance raises ``ValueError``.
+    another instance, or one whose flow is not an int circulation within
+    capacity, raises ``ValueError``.
     """
     if basis is None:
         basis = Basis(inst)
     elif basis.inst != inst:
         raise ValueError("basis was built for another instance")
+    else:
+        basis.check_flow()
     if len(costs) != inst.edge_count:
         raise ValueError("one cost per edge required")
     basis.set_costs(costs)

@@ -346,6 +346,25 @@ class TestWarmStart:
             assert pivots == 0
             assert again.values == warm.values
 
+    # inst_two_parallel in circulation form: edges 0 and 1 run 1 -> 2 with
+    # capacity 2, closure arc 2 runs 1 -> 2 and return arc 3 runs 2 -> 1, both
+    # with capacity 4; arcs 4 and 5 are the basis's artificial arcs
+    @pytest.mark.parametrize(
+        "start, message",
+        [
+            ([Fraction(1, 2), 0, 0, Fraction(1, 2)], "integral"),
+            ([3, 0, 0, 3], "capacity"),
+            ([1, 0, 0, 0], "not a circulation"),
+        ],
+        ids=["fractional", "over-capacity", "unbalanced"],
+    )
+    def test_bad_start_rejected(self, inst_two_parallel, start, message):
+        circ = circulation_form(inst_two_parallel)
+        basis = Basis(circ)
+        basis.flow[: circ.edge_count] = start
+        with pytest.raises(ValueError, match=message):
+            min_cost_circulation(circ, plain_costs(circ), basis)
+
     def test_basis_of_another_instance_rejected(self, inst_two_parallel, inst_two_hop):
         circ = circulation_form(inst_two_parallel)
         for other in (inst_two_parallel, circulation_form(inst_two_hop)):
