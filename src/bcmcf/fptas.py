@@ -12,13 +12,15 @@ Both oracles are Newton (Dinkelbach) iterations on the ratio: test at the
 current column's ratio, jump to any better column the test finds, and stop
 once a test certifies the ratio.  The general cycle oracle tests float
 lengths at the ratio divided by (1 + tolerance), so its answer is nearly
-minimal.  On acyclic graphs every candidate cycle is a path between source
-and sink (in one orientation or the other) plus the matching zero-cost
-closure arc, so an exact min-ratio path search over integer-scaled lengths
-replaces it.
+minimal; its seed search runs once per solve, and every later call starts
+from the column the loop just rejected.  On acyclic graphs every candidate
+cycle is a path between source and sink (in one orientation or the other)
+plus the matching zero-cost closure arc, so an exact min-ratio path search
+over integer-scaled lengths replaces it.
 
-Dual lengths are floats; routed amounts are converted exactly to rationals
-when accumulated, so the returned flow conserves exactly and the final
+Dual lengths and the dual objective are running floats; the loop counts
+routings per column and converts each column's amount exactly to a
+rational once, so the returned flow conserves exactly and the final
 scaling to feasibility is an exact comparison, not an epsilon test.  The
 cycle oracle's parametric tests run the exact lane's negative-cycle
 detector, ``mcc.find_negative_cycle``, on float lengths.
@@ -31,7 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .mcc import InternalSolverError, find_negative_cycle
+from . import mcc
+from .mcc import InternalSolverError
 from .model import Flow, Instance, Solution, circulation_form, restore_flow
 
 
@@ -49,22 +52,26 @@ class DualState:
     the stored floats are renormalized whenever they grow large.  That keeps
     the loop exact-in-spirit for accuracies whose start value ``delta``
     underflows a float.  The dual objective, tracked in log space, starts
-    below zero and the loop stops once it reaches it.
+    below zero and the loop stops once it reaches it.  ``total`` is the
+    running objective of the stored lengths; ``objective`` resyncs it.
     """
 
     lengths: list[float]
     budget_length: float | None
     log_shift: float = 0.0
+    total: float = 0.0
 
     def objective(self, capacities: Sequence[int], budget: int) -> float:
-        """The dual objective of the stored lengths (without ``log_shift``)."""
+        """The exact objective of the stored lengths; resyncs ``total``."""
         total = sum(u * y for u, y in zip(capacities, self.lengths))
         if self.budget_length is not None:
             total += budget * self.budget_length
+        self.total = total
         return total
 
     def log_objective(self, capacities: Sequence[int], budget: int) -> float:
-        return math.log(self.objective(capacities, budget)) + self.log_shift
+        """The true objective's log, in O(1) from the running ``total``."""
+        return math.log(self.total) + self.log_shift
 
     def renormalize(self, capacities: Sequence[int], budget: int) -> float:
         """Divide stored lengths by their objective; returns the factor."""
@@ -73,6 +80,7 @@ class DualState:
         if self.budget_length is not None:
             self.budget_length /= total
         self.log_shift += math.log(total)
+        self.objective(capacities, budget)
         return total
 
 
@@ -101,6 +109,7 @@ def min_ratio_cycle(
     num: Sequence[float],
     den: Sequence[float],
     rel_tol: float,
+    start: Sequence[int] | None = None,
 ) -> RatioResult | None:
     """Nearly minimum-ratio simple cycle by Newton steps on the ratio value.
 
@@ -113,12 +122,15 @@ def min_ratio_cycle(
     and becomes the current cycle, and a cycle-free test proves every ratio
     at least ``lam``.  The returned ratio is then within (1 + rel_tol) of
     the true minimum over cycles with positive denominator, and ``lower``
-    is that ``lam``.  Returns None when no such cycle exists.
+    is that ``lam``.  ``start``, a simple cycle with positive denominator,
+    replaces the seed search for the first cycle; without it None is
+    returned when no cycle has positive denominator.
 
     Each step divides a positive ratio by more than 1 + rel_tol, positive
     ratios never fall below (least positive num)/(sum of positive dens),
-    and a zero ratio stops at the next test; more steps than that allows, or
-    a step whose ratio does not fall, raises InternalSolverError.
+    and a zero ratio stops at the next test; more steps than that allows
+    from the first cycle's ratio, or a step whose ratio does not fall,
+    raises InternalSolverError.
     """
     if not 0 < rel_tol < 1:
         raise ValueError(f"rel_tol {rel_tol} outside (0, 1)")
@@ -126,10 +138,13 @@ def min_ratio_cycle(
         raise ValueError("ratio numerators must be nonnegative")
     arcs = [(e.tail, e.head, a) for a, e in enumerate(inst.edges)]
 
-    # a qualifying cycle exists iff some cycle has negative total -den
-    cycle = find_negative_cycle(inst.node_count, arcs, [-d for d in den])
-    if cycle is None:
-        return None
+    if start is None:
+        # a qualifying cycle exists iff some cycle has negative total -den
+        start = mcc.find_negative_cycle(inst.node_count, arcs, [-d for d in den])
+        if start is None:
+            return None
+    elif not sum(den[a] for a in start) > 0:
+        raise ValueError("start cycle needs a positive denominator")
 
     def ratio_of(cycle: Sequence[int]) -> float:
         d = sum(den[a] for a in cycle)
@@ -141,14 +156,17 @@ def min_ratio_cycle(
             )
         return sum(num[a] for a in cycle) / d
 
-    ratio = ratio_of(cycle)
+    # Step cap from the first cycle's ratio r0, a warm start's too: at most
+    # log(r0 / floor) / log1p(rel_tol) steps keep a positive ratio, one more
+    # may reach zero, and one more certifies the last cycle.
+    cycle, ratio = start, ratio_of(start)
     steps = 2
     if ratio > 0:
         floor = math.log(min(x for x in num if x > 0)) - math.log(sum(d for d in den if d > 0))
         steps += math.ceil((math.log(ratio) - floor) / math.log1p(rel_tol))
     for _ in range(steps):
         lam = ratio / (1.0 + rel_tol)
-        found = find_negative_cycle(
+        found = mcc.find_negative_cycle(
             inst.node_count, arcs, [num[a] - lam * den[a] for a in range(inst.edge_count)]
         )
         if found is None:
@@ -340,8 +358,13 @@ def _reduced_for_packing(inst: Instance) -> Instance:
 
 # Relative slack on the stop test.  It absorbs float rounding in the loads,
 # the routed profit, the dual objective and the oracle's lower end, each
-# off by about (arcs + iterations) units in the last place.
+# off by about (arcs + iterations) units in the last place.  The running
+# dual objective drifts by about one unit per iteration since its resync at
+# the last oracle call; only the fallback stop at objective 1 reads it.
 CERTIFICATE_MARGIN = 1e-9
+
+# The stored lengths are renormalized once the largest exceeds this.
+LENGTH_CEILING = 1e120
 
 
 def _gk_loop(
@@ -359,6 +382,11 @@ def _gk_loop(
     lazy: the previously returned column keeps being routed while its ratio
     stays within (1 + eps_prime) of the last oracle answer, which the
     monotone growth of all lengths makes sound.
+
+    Between oracle calls an iteration touches only its column's edges (the
+    lazy test, the running objective, the largest length).  Routings are
+    counted per column: a routed value is the column's exact amount times
+    its count.
 
     Weak duality: lengths divided by any lower bound on the minimum column
     ratio are dual feasible, so every real oracle call bounds the optimum
@@ -387,12 +415,10 @@ def _gk_loop(
         budget_length=(1.0 / budget) if budget_row else None,
         log_shift=log_delta,
     )
+    dual.objective(capacities, budget)  # the running total starts exact
 
-    def numerators() -> list[float]:
-        mu = dual.budget_length or 0.0
-        return [y + b * mu for y, b in zip(dual.lengths, fees)]
-
-    routed: dict[tuple[int, ...], Fraction] = {}
+    counts: dict[tuple[int, ...], int] = {}
+    amounts: dict[tuple[int, ...], int | float] = {}
     iterations = 0
     current: tuple[int, ...] | None = None
     threshold = math.inf
@@ -401,17 +427,23 @@ def _gk_loop(
     fee_load = 0.0
     worst = 0.0  # max over rows of load / capacity
     profit = 0.0
+    top = max(dual.lengths)
     while dual.log_objective(capacities, budget) < 0.0:
         iterations += 1
         if iterations > iteration_cap:
             raise InternalSolverError("packing loop exceeded its iteration cap")
-        if max(dual.lengths) > 1e120:
+        if top > LENGTH_CEILING:
             # thresholds are length ratios, so they rescale with the lengths
             threshold /= dual.renormalize(capacities, budget)
-        nums = numerators()
+            top = max(dual.lengths)
+        lengths = dual.lengths
+        mu = dual.budget_length or 0.0
         # every column has positive gain: both oracles return only columns
         # with a positive denominator sum
-        if current is None or sum(nums[i] for i in edges) / gain > threshold:
+        if current is None or (
+            length := sum(lengths[i] + fees[i] * mu for i in edges)
+        ) / gain > threshold:
+            nums = [y + b * mu for y, b in zip(lengths, fees)]
             answer = oracle(nums)
             if answer is None:
                 bound = 0.0
@@ -419,20 +451,26 @@ def _gk_loop(
             current = tuple(answer.edges)
             edges = [i for i in current if i < m]
             gain = -sum(reduced.edges[i].cost for i in edges)
-            threshold = (1.0 + eps_prime) * (sum(nums[i] for i in edges) / gain)
+            length = sum(nums[i] for i in edges)
+            threshold = (1.0 + eps_prime) * (length / gain)
+            objective = dual.objective(capacities, budget)
             if answer.lower > 0:
                 # stored lengths: log_shift cancels out of the ratio
-                bound = min(bound, dual.objective(capacities, budget) / answer.lower)
+                bound = min(bound, objective / answer.lower)
             cycle_fee = sum(fees[i] for i in edges)
             amount = min(capacities[i] for i in edges)
             if budget_row and cycle_fee > 0:
                 amount = min(amount, budget / cycle_fee)
-        routed[current] = routed.get(current, Fraction(0)) + Fraction(amount)
+            amounts[current] = amount
+        counts[current] = counts.get(current, 0) + 1
         profit += amount * gain
+        # sum of u * (growth of y) over the column's rows, budget row included
+        dual.total += eps_prime * amount * length
         for i in edges:
             loads[i] += amount
             worst = max(worst, loads[i] / capacities[i])
-            dual.lengths[i] *= 1.0 + eps_prime * amount / capacities[i]
+            lengths[i] *= 1.0 + eps_prime * amount / capacities[i]
+        top = max(top, max(lengths[i] for i in edges))
         if budget_row and cycle_fee > 0:
             assert dual.budget_length is not None
             fee_load += amount * cycle_fee
@@ -440,6 +478,7 @@ def _gk_loop(
             dual.budget_length *= 1.0 + eps_prime * amount * cycle_fee / budget
         if profit >= target * bound * (1.0 + CERTIFICATE_MARGIN) * worst:
             break
+    routed = {column: Fraction(amounts[column]) * k for column, k in counts.items()}
     return routed, iterations, bound
 
 
@@ -450,8 +489,8 @@ def _assemble_flow(
 ) -> Flow:
     """Exactly accumulate routed columns and scale them to feasibility.
 
-    Every float routing amount converts exactly to a rational, and each
-    column's edges receive the same amount, so conservation holds exactly.
+    Every routed value is an exact rational, the same on all of its
+    column's edges, so conservation holds exactly.
     The flow is divided by its exact worst row load over the capacity rows
     and the budget row, the exact counterpart of the loop's float stop
     test.  Every routed amount fills a row of its column, so unless nothing
@@ -491,9 +530,14 @@ def solve_gk(inst: Instance, eps: float) -> Solution:
     circ = circulation_form(reduced)
     den = [float(-e.cost) for e in circ.edges]  # zero on the closure arcs
 
+    last: RatioResult | None = None
+
     def oracle(nums: Sequence[float]) -> RatioResult | None:
-        # the two closure arcs carry no length
-        return min_ratio_cycle(circ, [*nums, 0.0, 0.0], den, rel_tol=eps_prime)
+        # the two closure arcs carry no length; each call after the first
+        # starts from the column the loop just rejected, the last answer
+        nonlocal last
+        last = min_ratio_cycle(circ, [*nums, 0.0, 0.0], den, eps_prime, last and last.edges)
+        return last
 
     routed, iterations, _ = _gk_loop(reduced, eps_prime, 1.0 - eps, oracle)
     flow = _assemble_flow(inst, reduced, routed)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -28,6 +29,7 @@ from bcmcf import (
     validate_flow,
 )
 from bcmcf import fptas as fptas_mod
+from bcmcf import mcc as mcc_mod
 from bcmcf.fptas import (
     _gk_loop,
     _reduced_for_packing,
@@ -39,6 +41,7 @@ from conftest import scaled_flow
 from reference_oracles import (
     exhaustive_min_ratio_cycle,
     exhaustive_min_ratio_path,
+    iter_simple_cycles,
     iter_source_sink_paths,
 )
 
@@ -181,7 +184,7 @@ class TestMinRatioCycle:
         # the two closure arcs form a cycle with denominator 0, which an exact
         # negative-cycle test can never return
         circ = circulation_form(inst_two_parallel)
-        monkeypatch.setattr(fptas_mod, "find_negative_cycle", lambda *args: [2, 3])
+        monkeypatch.setattr(mcc_mod, "find_negative_cycle", lambda *args: [2, 3])
         with pytest.raises(InternalSolverError, match="float cancellation"):
             mrc(circ, [1.0, 1.0, 0.0, 0.0], [4.0, 1.0, 0.0, 0.0], rel_tol=0.1)
 
@@ -217,16 +220,25 @@ class TestMinRatioCycle:
         if best is None:
             assert result is None
             return
-        assert result is not None
-        tails = [inst.edges[a].tail for a in result.edges]
-        heads = [inst.edges[a].head for a in result.edges]
-        assert heads == tails[1:] + tails[:1]  # closed
-        assert len(set(tails)) == len(tails)  # simple
-        minimum = float(best[1])
-        slack = 1e-12
-        assert result.lower <= minimum * (1 + slack)
-        assert minimum <= result.ratio * (1 + slack)
-        assert result.ratio <= (1 + rel_tol) * result.lower * (1 + slack)
+        assert_nearly_minimal(inst, result, float(best[1]), rel_tol)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(small_cycle_ratio_inputs(), st.data())
+    def test_property_warm_start_matches_enumeration(self, case, data):
+        # any simple cycle with positive denominator is a valid start
+        inst, num, den, rel_tol = case
+        starts = [c for c in iter_simple_cycles(inst) if sum(den[a] for a in c) > 0]
+        if not starts:
+            return
+        start = data.draw(st.sampled_from(starts))
+        result = min_ratio_cycle(inst, num, den, rel_tol=rel_tol, start=start)
+        best = exhaustive_min_ratio_cycle(inst, num, den)
+        assert_nearly_minimal(inst, result, float(best[1]), rel_tol)
+
+    def test_start_without_positive_denominator_rejected(self, inst_two_parallel):
+        circ = circulation_form(inst_two_parallel)
+        with pytest.raises(ValueError, match="positive denominator"):
+            mrc(circ, [1.0, 1.0, 0.0, 0.0], [4.0, 1.0, 0.0, 0.0], rel_tol=0.1, start=(2, 3))
 
     def test_non_improving_step_raises(self, inst_two_parallel, monkeypatch):
         # a test that keeps finding the current cycle would loop forever
@@ -237,7 +249,7 @@ class TestMinRatioCycle:
             calls.append(1)
             return [0, 3]
 
-        monkeypatch.setattr(fptas_mod, "find_negative_cycle", stuck)
+        monkeypatch.setattr(mcc_mod, "find_negative_cycle", stuck)
         with pytest.raises(InternalSolverError, match="did not lower the ratio"):
             mrc(circ, [3.0, 1.0, 1.0, 1.0], [4.0, 1.0, 0.0, 0.0], rel_tol=0.1)
         assert len(calls) == 2  # the seed search, then one step
@@ -262,12 +274,54 @@ class TestMinRatioCycle:
             calls.append(1)
             return [len(calls) - 1]
 
-        monkeypatch.setattr(fptas_mod, "find_negative_cycle", slow)
+        monkeypatch.setattr(mcc_mod, "find_negative_cycle", slow)
         with pytest.raises(InternalSolverError, match="proven step bound"):
             mrc(inst, num, den, rel_tol=0.1)
         steps = math.ceil(math.log(loops / min(num)) / math.log1p(0.1)) + 2
         assert steps < loops
         assert len(calls) == 1 + steps  # the seed search, then the bound
+
+    @pytest.mark.parametrize("first, steps", [(0, 65), (100, 62)])
+    def test_warm_steps_count_from_the_start_ratio(self, first, steps, monkeypatch):
+        # the same slow steps from a warm start: no seed search runs, and the
+        # bound counts from the start's ratio, not from any seed's
+        loops = 200
+        inst = Instance(
+            node_count=2,
+            edges=tuple(EdgeData(1, 1, 1, -1, 0) for _ in range(loops)),
+            source=1,
+            sink=2,
+            budget=0,
+        )
+        num = [1.0 - i / 400 for i in range(loops)]
+        den = [1.0] * loops
+        calls = []
+
+        def slow(node_count, arcs, weights):
+            calls.append(1)
+            return [first + len(calls)]
+
+        monkeypatch.setattr(mcc_mod, "find_negative_cycle", slow)
+        with pytest.raises(InternalSolverError, match="proven step bound"):
+            mrc(inst, num, den, rel_tol=0.1, start=(first,))
+        floor = min(num) / loops
+        assert steps == math.ceil(math.log(num[first] / floor) / math.log1p(0.1)) + 2
+        assert first + steps < loops
+        assert len(calls) == steps
+
+
+def assert_nearly_minimal(inst: Instance, result, minimum: float, rel_tol: float) -> None:
+    """``result`` is a closed simple cycle, and ``lower`` <= ``minimum`` <=
+    ratio <= (1 + rel_tol) * ``lower`` up to float rounding."""
+    assert result is not None
+    tails = [inst.edges[a].tail for a in result.edges]
+    heads = [inst.edges[a].head for a in result.edges]
+    assert heads == tails[1:] + tails[:1]  # closed
+    assert len(set(tails)) == len(tails)  # simple
+    slack = 1e-12
+    assert result.lower <= minimum * (1 + slack)
+    assert minimum <= result.ratio * (1 + slack)
+    assert result.ratio <= (1 + rel_tol) * result.lower * (1 + slack)
 
 
 class TestMinRatioPathDag:
@@ -482,6 +536,67 @@ class TestSolveGk:
             cost = sum(circ.edges[i].cost for i in cycle)
             assert cost < 0
 
+    def test_seed_search_runs_once_per_solve(self, monkeypatch):
+        searches = []
+        detector = mcc_mod.find_negative_cycle
+
+        def recording(node_count, arcs, weights):
+            searches.append(list(weights))
+            return detector(node_count, arcs, weights)
+
+        monkeypatch.setattr(mcc_mod, "find_negative_cycle", recording)
+        warm = 0
+        for seed in range(8):
+            inst = preprocess(generate_instance(8, 24, max_capacity=10, seed=1400 + seed))
+            circ = circulation_form(_reduced_for_packing(inst))
+            seed_weights = [float(e.cost) for e in circ.edges]
+            searches.clear()
+            solve_gk(inst, 0.25)
+            # the seed search tests the lengths -den = cost
+            assert sum(w == seed_weights for w in searches) == 1
+            warm += len(searches) > 2
+        assert warm >= 4
+
+    @pytest.mark.parametrize("acyclic", [False, True])
+    def test_routed_values_are_per_iteration_sums(self, acyclic, monkeypatch):
+        # every iteration routes its column's amount once, so each routed
+        # value must be that amount summed once per routing, as Fractions
+        captured = []
+        assemble = fptas_mod._assemble_flow
+
+        def capturing(inst, reduced, routed):
+            captured.append((reduced, routed))
+            return assemble(inst, reduced, routed)
+
+        monkeypatch.setattr(fptas_mod, "_assemble_flow", capturing)
+        solver = solve_gk_acyclic if acyclic else solve_gk
+        fractional = 0
+        for seed in range(6):
+            # a budget of 7 binds, so that some amounts are budget / fee
+            raw = generate_instance(7, 20, max_capacity=6, acyclic=acyclic, seed=1500 + seed)
+            inst = preprocess(dataclasses.replace(raw, budget=7))
+            captured.clear()
+            sol = solver(inst, 0.25)
+            (reduced, routed), = captured
+            m = reduced.edge_count
+            routings = 0
+            for column, value in routed.items():
+                edges = [i for i in column if i < m]
+                amount = min(reduced.edges[i].capacity for i in edges)
+                fee = sum(reduced.edges[i].fee for i in edges)
+                if reduced.budget > 0 and fee > 0:
+                    amount = min(amount, reduced.budget / fee)
+                count = value / Fraction(amount)
+                assert count.denominator == 1 and count >= 1
+                reference = Fraction(0)
+                for _ in range(int(count)):
+                    reference += Fraction(amount)
+                assert value == reference
+                routings += int(count)
+                fractional += Fraction(amount).denominator > 1
+            assert routings == sol.iterations
+        assert fractional >= 3
+
     def test_dual_objective_strictly_increases(self, inst_two_parallel, monkeypatch):
         trace: list[float] = []
         original = fptas_mod.DualState.log_objective
@@ -501,6 +616,40 @@ class TestSolveGk:
         reached_one = trace[-1] >= 0
         gap_closed = -float(sol.objective) >= 0.75 * bounds[-1]
         assert gap_closed and not reached_one
+
+    @pytest.mark.parametrize("acyclic", [False, True])
+    def test_renormalized_lengths_keep_the_guarantee(self, acyclic, monkeypatch):
+        # a low ceiling renormalizes the stored lengths again and again: the
+        # tracked largest length must trigger it, and the running objective
+        # must come out of it resynced and still increasing
+        monkeypatch.setattr(fptas_mod, "LENGTH_CEILING", 0.1)
+        trace: list[float] = []
+        factors: list[float] = []
+        renormalize = fptas_mod.DualState.renormalize
+        log_objective = fptas_mod.DualState.log_objective
+
+        def renormalizing(self, capacities, budget):
+            factors.append(renormalize(self, capacities, budget))
+            assert self.total == self.objective(capacities, budget)
+            return factors[-1]
+
+        def recording(self, capacities, budget):
+            trace.append(log_objective(self, capacities, budget))
+            return trace[-1]
+
+        monkeypatch.setattr(fptas_mod.DualState, "renormalize", renormalizing)
+        monkeypatch.setattr(fptas_mod.DualState, "log_objective", recording)
+        solver = solve_gk_acyclic if acyclic else solve_gk
+        for seed in range(4):
+            raw = generate_instance(8, 24, max_capacity=10, acyclic=acyclic, seed=1600 + seed)
+            inst = preprocess(raw)
+            trace.clear()
+            sol = solver(inst, 0.25)
+            assert validate_flow(inst, sol.flow).ok
+            assert sol.objective <= Fraction(3, 4) * solve_exact(inst).objective
+            assert all(b > a for a, b in zip(trace, trace[1:]))
+        # the initial lengths trigger at most one renormalization per solve
+        assert len(factors) >= 10
 
     @pytest.mark.parametrize(
         "max_capacity, budget_mode, seed", [(3, "tight", 7), (10, "slack", 14)]
@@ -560,6 +709,33 @@ def test_loop_bound_covers_the_optimum(eps, acyclic, monkeypatch):
         assert bounds[-1] * (1 + fptas_mod.CERTIFICATE_MARGIN) >= optimum
         assert -sol.objective <= optimum
     assert nonzero >= 9
+
+
+@st.composite
+def packing_instances(draw):
+    """A generated instance past the enumeration guard (n <= 16, m <= 64),
+    acyclic or not, with an accuracy in {0.5, 0.25}."""
+    acyclic = draw(st.booleans())
+    inst = generate_instance(
+        draw(st.integers(2, 16)),
+        draw(st.integers(1, 64)),
+        max_capacity=draw(st.sampled_from([3, 20, 100])),
+        budget_mode=draw(st.sampled_from(["tight", "slack", "zero"])),
+        acyclic=acyclic,
+        seed=draw(st.integers(0, 10**6)),
+    )
+    return preprocess(inst), acyclic, draw(st.sampled_from([0.5, 0.25]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(packing_instances())
+def test_property_guarantee_past_the_oracle_guard(case):
+    inst, acyclic, eps = case
+    sol = (solve_gk_acyclic if acyclic else solve_gk)(inst, eps)
+    exact = solve_exact(inst).objective
+    assert validate_flow(inst, sol.flow).ok
+    assert sol.flow.fee <= inst.budget
+    assert exact <= sol.objective <= (1 - Fraction(eps)) * exact
 
 
 class TestSolveGkAcyclic:
