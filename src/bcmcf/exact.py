@@ -7,9 +7,10 @@ pair of lexicographic min-cost-circulation solves under costs
 whether ``lam`` is below, inside, or above the closed interval of optimal
 multipliers.  A chord search narrows a bracket until one probe lands
 inside that interval; the optimum is then a convex combination of that
-probe's two witness flows meeting the budget line.  All the solves on one
-closed instance share one network-simplex :class:`~bcmcf.mcc.Basis`, so
-each starts from the optimal tree of the solve before it.
+probe's two witness flows meeting the budget line.  The frontier needs
+only the fee-minimal solve, one per chord.  All the solves on one closed
+instance share one network-simplex :class:`~bcmcf.mcc.Basis`, so each
+starts from the optimal tree of the solve before it.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def lambda_callback(circ: Instance, lam: Fraction, basis: Basis | None = None) -
     when omitted), typically left optimal by a nearby multiplier's solves;
     the fee-maximal solve starts from the fee-minimal optimum, which is
     already optimal in cost + lam * fee.  The basis moves no verdict or
-    (cost, fee) point.
+    (cost, fee) point.  Its one caller in the package is ``solve_exact``.
     """
     lam = Fraction(lam)
     if lam < 0:
@@ -142,15 +143,8 @@ def attach_lambda_intervals(points: list[FrontierPoint]) -> list[FrontierPoint]:
     multipliers decrease along that order: the lowest-fee point is optimal
     for all large multipliers, the highest-fee point down to zero.
     """
-    if not points:
-        return []
-    lams = [edge_multiplier(points[i], points[i + 1]) for i in range(len(points) - 1)]
-    out = []
-    for i, p in enumerate(points):
-        low = lams[i] if i < len(lams) else Fraction(0)
-        high = lams[i - 1] if i > 0 else None
-        out.append(replace(p, lambda_low=low, lambda_high=high))
-    return out
+    lams = [None, *(edge_multiplier(a, b) for a, b in zip(points, points[1:])), Fraction(0)]
+    return [replace(p, lambda_low=lams[i + 1], lambda_high=lams[i]) for i, p in enumerate(points)]
 
 
 def solve_exact(inst: Instance) -> Solution:
@@ -222,13 +216,15 @@ def solve_exact(inst: Instance) -> Solution:
 def enumerate_frontier(inst: Instance) -> list[FrontierPoint]:
     """All extreme points of the Pareto frontier, by increasing fee.
 
-    Dichotomic subdivision: solve at the two endpoint multipliers (0 and one
-    beyond every slope), then recursively probe each adjacent pair's chord
-    multiplier; an improvement exposes one or two new extreme points,
-    otherwise the chord is a frontier segment.  The number of solves is
-    linear in the number of extreme points, which desk-scale instances keep
-    small but is not polynomially bounded in general.  All solves share one
-    simplex basis, so each starts from the optimum of the solve before it.
+    Dichotomic subdivision (Aneja & Nair 1979): solve at multipliers 0 and
+    one beyond every slope, then once per chord of two adjacent known
+    points, for the fee-minimal optimum at the chord's multiplier.  One that
+    ties the chord closes it as a segment.  One that beats it is a new
+    extreme point, strictly between the corners in fee, since each corner
+    is optimal at a multiplier on its own side of the chord's.  So P >= 2
+    points take exactly 2P - 1 solves (P = 1 takes 2), and P is not
+    polynomially bounded in general.  All solves share one simplex basis,
+    so each starts from the optimum of the solve before it.
     """
     circ = circulation_form(inst)
     stats = instance_stats(inst)
@@ -241,14 +237,10 @@ def enumerate_frontier(inst: Instance) -> list[FrontierPoint]:
     def expand(x_low: Flow, x_high: Flow) -> list[Flow]:
         """Extreme points strictly between two known ones (fee order)."""
         lam = edge_multiplier(x_low, x_high)
-        verdict = lambda_callback(circ, lam, basis)
-        q_low, q_high = verdict.x_minfee, verdict.x_maxfee
-        if q_low.cost + lam * q_low.fee == x_low.cost + lam * x_low.fee:
+        q = min_cost_circulation(circ, lambda_cost(circ, lam, "min"), basis)
+        if q.cost + lam * q.fee == x_low.cost + lam * x_low.fee:
             return []  # the chord is a frontier segment
-        between = expand(x_low, q_low) + [q_low]
-        if (q_high.cost, q_high.fee) != (q_low.cost, q_low.fee):
-            between.append(q_high)  # q_low-q_high is itself a segment
-        return between + expand(q_high, x_high)
+        return expand(x_low, q) + [q] + expand(q, x_high)
 
     if (top.cost, top.fee) == (bottom.cost, bottom.fee):
         extremes = [bottom]

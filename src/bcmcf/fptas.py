@@ -69,7 +69,7 @@ class DualState:
         self.total = total
         return total
 
-    def log_objective(self, capacities: Sequence[int], budget: int) -> float:
+    def log_objective(self) -> float:
         """The true objective's log, in O(1) from the running ``total``."""
         return math.log(self.total) + self.log_shift
 
@@ -428,7 +428,7 @@ def _gk_loop(
     worst = 0.0  # max over rows of load / capacity
     profit = 0.0
     top = max(dual.lengths)
-    while dual.log_objective(capacities, budget) < 0.0:
+    while dual.log_objective() < 0.0:
         iterations += 1
         if iterations > iteration_cap:
             raise InternalSolverError("packing loop exceeded its iteration cap")

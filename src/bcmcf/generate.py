@@ -37,6 +37,10 @@ def generate_instance(
         raise ValueError(f"need at least 2 nodes, got {nodes}")
     if edges < 1:
         raise ValueError(f"need at least 1 edge, got {edges}")
+    maxima = {"max_capacity": max_capacity, "max_cost": max_cost, "max_fee": max_fee}
+    for name, value in maxima.items():
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     if budget_mode not in BUDGET_MODES:
         raise ValueError(f"budget_mode must be one of {BUDGET_MODES}, got {budget_mode!r}")
     rng = random.Random(seed)

@@ -257,6 +257,13 @@ class TestGen:
     def test_bad_sizes(self, capsys):
         assert main(["gen", "-n", "1", "-m", "3", "--seed", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, name", [("--u-max", "max_capacity"), ("--c-max", "max_cost"), ("--b-max", "max_fee")]
+    )
+    def test_negative_maximum_is_usage_error(self, flag, name, capsys):
+        assert main(["gen", "-n", "4", "-m", "3", flag, "-2"]) == 2
+        assert f"{name} must be nonnegative, got -2" in capsys.readouterr().err
+
 
 class TestGkAcyclic:
     def test_acyclic_solver_via_cli(self, i1_path, capsys):

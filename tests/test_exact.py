@@ -32,6 +32,7 @@ from bcmcf import (
     solve_gk_acyclic,
     validate_flow,
 )
+from bcmcf.exact import edge_multiplier
 from bcmcf.mcc import lambda_cost, min_cost_circulation
 from bcmcf.oracle import iter_integral_values
 from reference_oracles import oracle_frontier
@@ -353,6 +354,78 @@ class TestEnumerateFrontier:
             ]
             for s1, s2 in zip(slopes, slopes[1:]):
                 assert abs(s1 - s2) >= Fraction(1, cbar**2)
+
+    def test_two_solves_per_point_less_one(self, monkeypatch):
+        # each solve past the two endpoints closes a chord or finds a point
+        real = exact_mod.min_cost_circulation
+        solves = 0
+
+        def counting(circ, costs, basis):
+            nonlocal solves
+            solves += 1
+            return real(circ, costs, basis)
+
+        monkeypatch.setattr(exact_mod, "min_cost_circulation", counting)
+        for seed in range(100):
+            inst = preprocess(
+                generate_instance(
+                    nodes=3 + seed % 8,
+                    edges=4 + seed % 23,
+                    max_capacity=5,
+                    acyclic=seed % 4 == 0,
+                    seed=1900 + seed,
+                )
+            )
+            solves = 0
+            points = len(enumerate_frontier(inst))
+            assert solves == (2 if points == 1 else 2 * points - 1)
+
+
+@st.composite
+def mid_instances(draw) -> Instance:
+    """Generated instances of up to 30 nodes and 120 edges; four in five of
+    the derandomized examples are past the oracle's default guard."""
+    nodes = draw(st.sampled_from(range(2, 31)))
+    return preprocess(
+        generate_instance(
+            nodes=nodes,
+            edges=draw(st.sampled_from(range(2 * nodes, 4 * nodes + 1))),
+            max_capacity=draw(st.sampled_from([3, 20, 100])),
+            budget_mode=draw(st.sampled_from(["tight", "slack", "zero"])),
+            acyclic=draw(st.booleans()),
+            seed=draw(st.integers(0, 10**6)),
+        )
+    )
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(mid_instances())
+def test_frontier_agrees_with_solve_exact(inst):
+    """The two exact routines check each other where enumeration cannot."""
+    points = enumerate_frontier(inst)
+    for a, b in zip(points, points[1:]):
+        assert a.fee < b.fee and a.cost > b.cost
+    multipliers = [edge_multiplier(a, b) for a, b in zip(points, points[1:])]
+    assert all(l1 > l2 for l1, l2 in zip(multipliers, multipliers[1:]))
+    for p in points:
+        report = validate_flow(inst, p.witness)
+        assert not (
+            report.capacity_violations or report.negative_values or report.conservation_residuals
+        )
+        assert (report.cost, report.fee) == (p.witness.cost, p.witness.fee) == (p.cost, p.fee)
+
+    budget = inst.budget
+    if budget >= points[-1].fee:
+        expected = points[-1].cost
+    else:
+        a, b = next((a, b) for a, b in zip(points, points[1:]) if a.fee <= budget < b.fee)
+        expected = a.cost + (b.cost - a.cost) * (budget - a.fee) / (b.fee - a.fee)
+    sol = solve_exact(inst)
+    assert sol.objective == expected
+    assert any(
+        p.lambda_low <= sol.lam and (p.lambda_high is None or sol.lam <= p.lambda_high)
+        for p in points
+    )
 
 
 class TestWarmStarts:

@@ -601,8 +601,8 @@ class TestSolveGk:
         trace: list[float] = []
         original = fptas_mod.DualState.log_objective
 
-        def recording(self, capacities, budget):
-            value = original(self, capacities, budget)
+        def recording(self):
+            value = original(self)
             trace.append(value)
             return value
 
@@ -633,8 +633,8 @@ class TestSolveGk:
             assert self.total == self.objective(capacities, budget)
             return factors[-1]
 
-        def recording(self, capacities, budget):
-            trace.append(log_objective(self, capacities, budget))
+        def recording(self):
+            trace.append(log_objective(self))
             return trace[-1]
 
         monkeypatch.setattr(fptas_mod.DualState, "renormalize", renormalizing)

@@ -113,6 +113,13 @@ class TestInstanceInvariants:
         )
 
 
+class TestGenerate:
+    @pytest.mark.parametrize("name", ["max_capacity", "max_cost", "max_fee"])
+    def test_negative_maximum_names_the_parameter(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative, got -1"):
+            generate_instance(3, 2, **{name: -1})
+
+
 class TestStats:
     def test_two_parallel(self, inst_two_parallel):
         stats = instance_stats(inst_two_parallel)
