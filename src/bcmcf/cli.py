@@ -3,7 +3,9 @@
 Commands: solve, frontier, oracle, validate, gen.  Exit codes: 0 success,
 1 validate found the flow infeasible or a stated total that is not the
 flow's, 2 usage or parse errors or an output file that cannot be written,
-3 enumeration guard of the oracle exceeded.
+3 enumeration guard of the oracle exceeded, 141 standard output closed by
+its reader before all output was written (what a shell reports for a
+command killed by SIGPIPE); that exit prints nothing.
 
 The argument parser is built once per process, on the first call of
 :func:`main`, and reused: parsing keeps no state between calls, and argparse
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 
 from . import exact, fptas, oracle
@@ -38,6 +41,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_PIPE = 141
 
 ALGORITHMS = ("exact", "gk", "gk-acyclic", "oracle")
 
@@ -61,6 +65,7 @@ def _read_text(path: str) -> str:
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe raises here, inside main, not at exit
         return
     try:
         with open(path, "w", encoding="utf-8") as handle:
@@ -247,6 +252,13 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"bcmcf: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # stdout's reader exited first; pointing stdout at devnull spares the
+        # interpreter's final flush the same error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -22,8 +22,9 @@ Dual lengths and the dual objective are running floats; the loop counts
 routings per column and converts each column's amount exactly to a
 rational once, so the returned flow conserves exactly and the final
 scaling to feasibility is an exact comparison, not an epsilon test.  The
-cycle oracle's parametric tests run the exact lane's negative-cycle
-detector, ``mcc.find_negative_cycle``, on float lengths.
+cycle oracle's parametric tests run the package's negative-cycle detector,
+``mcc.find_negative_cycle``, on float lengths, over arcs that ``solve_gk``
+builds once per solve.
 """
 
 from __future__ import annotations
@@ -104,12 +105,19 @@ class RatioResult:
 # ---------------------------------------------------------------------------
 
 
+def _cycle_arcs(inst: Instance) -> list[tuple[int, int, int]]:
+    """The ``(tail, head, index)`` arcs the cycle oracle's detector scans."""
+    return [(e.tail, e.head, a) for a, e in enumerate(inst.edges)]
+
+
 def min_ratio_cycle(
     inst: Instance,
     num: Sequence[float],
     den: Sequence[float],
     rel_tol: float,
     start: Sequence[int] | None = None,
+    arcs: Sequence[tuple[int, int, int]] | None = None,
+    den_sum: float | None = None,
 ) -> RatioResult | None:
     """Nearly minimum-ratio simple cycle by Newton steps on the ratio value.
 
@@ -124,7 +132,10 @@ def min_ratio_cycle(
     the true minimum over cycles with positive denominator, and ``lower``
     is that ``lam``.  ``start``, a simple cycle with positive denominator,
     replaces the seed search for the first cycle; without it None is
-    returned when no cycle has positive denominator.
+    returned when no cycle has positive denominator.  ``arcs``, the
+    ``(tail, head, index)`` list of ``inst.edges``, and ``den_sum``, the sum
+    of the positive ``den``, are built from the inputs when omitted; a
+    caller that keeps ``inst`` and ``den`` across calls passes them instead.
 
     Each step divides a positive ratio by more than 1 + rel_tol, positive
     ratios never fall below (least positive num)/(sum of positive dens),
@@ -134,9 +145,10 @@ def min_ratio_cycle(
     """
     if not 0 < rel_tol < 1:
         raise ValueError(f"rel_tol {rel_tol} outside (0, 1)")
-    if any(x < 0 for x in num):
+    if min(num, default=0) < 0:
         raise ValueError("ratio numerators must be nonnegative")
-    arcs = [(e.tail, e.head, a) for a, e in enumerate(inst.edges)]
+    if arcs is None:
+        arcs = _cycle_arcs(inst)
 
     if start is None:
         # a qualifying cycle exists iff some cycle has negative total -den
@@ -162,12 +174,14 @@ def min_ratio_cycle(
     cycle, ratio = start, ratio_of(start)
     steps = 2
     if ratio > 0:
-        floor = math.log(min(x for x in num if x > 0)) - math.log(sum(d for d in den if d > 0))
+        if den_sum is None:
+            den_sum = sum(d for d in den if d > 0)
+        floor = math.log(min(x for x in num if x > 0)) - math.log(den_sum)
         steps += math.ceil((math.log(ratio) - floor) / math.log1p(rel_tol))
     for _ in range(steps):
         lam = ratio / (1.0 + rel_tol)
         found = mcc.find_negative_cycle(
-            inst.node_count, arcs, [num[a] - lam * den[a] for a in range(inst.edge_count)]
+            inst.node_count, arcs, [x - lam * d for x, d in zip(num, den)]
         )
         if found is None:
             return RatioResult(tuple(cycle), ratio, lam)
@@ -529,6 +543,8 @@ def solve_gk(inst: Instance, eps: float) -> Solution:
     eps_prime = eps / 4.0
     circ = circulation_form(reduced)
     den = [float(-e.cost) for e in circ.edges]  # zero on the closure arcs
+    arcs = _cycle_arcs(circ)
+    den_sum = sum(d for d in den if d > 0)
 
     last: RatioResult | None = None
 
@@ -536,7 +552,9 @@ def solve_gk(inst: Instance, eps: float) -> Solution:
         # the two closure arcs carry no length; each call after the first
         # starts from the column the loop just rejected, the last answer
         nonlocal last
-        last = min_ratio_cycle(circ, [*nums, 0.0, 0.0], den, eps_prime, last and last.edges)
+        last = min_ratio_cycle(
+            circ, [*nums, 0.0, 0.0], den, eps_prime, last and last.edges, arcs, den_sum
+        )
         return last
 
     routed, iterations, _ = _gk_loop(reduced, eps_prime, 1.0 - eps, oracle)

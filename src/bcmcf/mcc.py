@@ -9,7 +9,10 @@ between the solves on that instance only the costs change, so the last
 optimal tree is primal feasible for the next solve and is its warm start.
 With integral capacities the returned circulation is integral.
 :func:`find_negative_cycle` is the package's one negative-cycle detector,
-called by the approximation lane's cycle oracle with float lengths.
+called by the approximation lane's cycle oracle with float lengths: a
+Bellman-Ford whose predecessor graph is searched for a cycle after every
+pass that relaxes, so it stops at the first cycle that forms, and never
+runs more than n passes.
 """
 
 from __future__ import annotations
@@ -232,14 +235,19 @@ def find_negative_cycle(
     parametric lengths).  Bellman-Ford label correction from an implicit
     super-source: all labels start at zero and every pass scans ``arcs`` in
     the given order, so the result is a deterministic function of the input.
-    Returns None only after a full pass without relaxation.
+    Returns None after the first pass without relaxation.
 
-    Otherwise one predecessor walk extracts the cycle.  A relaxation in pass
-    k comes from a tail relaxed in pass k or k-1, so the last node relaxed
-    in pass n has a predecessor chain of at least n arcs, and n steps back
-    from it lie on a cycle of the predecessor graph.  A walk that reaches a
-    root, does not close within n arcs, or closes on a cycle that is not
-    negative raises InternalSolverError.
+    Amortized search (Cherkassky & Goldberg, "Negative-cycle detection
+    algorithms", 1999): after every pass that relaxes an arc, one stamped
+    walk over the predecessor graph, O(n), looks for a cycle, and the first
+    one found is returned.  Each node keeps its predecessor's tail beside its
+    predecessor arc, so the walk needs no arc lookup.  In exact arithmetic
+    every cycle of the predecessor graph is negative; one whose summed
+    weight is not raises InternalSolverError.  At most n passes run: a
+    relaxation in pass k comes from a tail relaxed in pass k or k-1, so the
+    last node relaxed in pass n has a predecessor chain of at least n arcs,
+    which must hold a cycle.  A pass n that relaxes with no predecessor
+    cycle raises InternalSolverError.
     """
     n = node_count
     # labels take the weights' type: int labels under float weights would
@@ -247,38 +255,45 @@ def find_negative_cycle(
     zero = type(weights[arcs[0][2]])() if arcs else 0
     dist = [zero] * (n + 1)
     pred = [-1] * (n + 1)
+    # tail[v] is pred[v]'s tail; 0, which no arc touches, marks a root
+    tail = [0] * (n + 1)
+    # seen[v] is the walk that last visited v; the root's stamp outranks all
+    # n * n walks, so every walk stops there
+    seen = [0] * (n + 1)
+    seen[0] = n * n + 1
+    walk = 0
     for _ in range(n):
-        improved = -1
+        relaxed = False
         for u, v, a in arcs:
             cand = dist[u] + weights[a]
             if cand < dist[v]:
                 dist[v] = cand
                 pred[v] = a
-                improved = v
-        if improved < 0:
+                tail[v] = u
+                relaxed = True
+        if not relaxed:
             return None
-    tail_of = {a: u for u, _, a in arcs}
-    v = improved
-    for _ in range(n):
-        if pred[v] < 0:
-            raise InternalSolverError("negative-cycle walk reached a root before a cycle")
-        v = tail_of[pred[v]]
-    cycle_rev = []
-    node = v
-    for _ in range(n):
-        a = pred[node]
-        if a < 0:
-            raise InternalSolverError("negative-cycle walk reached a root before a cycle")
-        cycle_rev.append(a)
-        node = tail_of[a]
-        if node == v:
-            break
-    else:
-        raise InternalSolverError("negative-cycle walk did not close within n arcs")
-    cycle = cycle_rev[::-1]
-    if not sum(weights[a] for a in cycle) < 0:
-        raise InternalSolverError("extracted predecessor cycle is not negative")
-    return cycle
+        # nodes stamped above ``before`` were walked in this pass; a walk
+        # that meets its own stamp has closed a cycle
+        before = walk
+        for v in range(1, n + 1):
+            if seen[v] > before:
+                continue
+            walk += 1
+            while seen[v] <= before:
+                seen[v] = walk
+                v = tail[v]
+            if seen[v] == walk:
+                cycle = [pred[v]]
+                u = tail[v]
+                while u != v:
+                    cycle.append(pred[u])
+                    u = tail[u]
+                cycle.reverse()
+                if not sum(weights[a] for a in cycle) < 0:
+                    raise InternalSolverError("extracted predecessor cycle is not negative")
+                return cycle
+    raise InternalSolverError("a pass-n relaxation left no cycle in the predecessor graph")
 
 
 def min_cost_circulation(inst: Instance, costs: Sequence[int], basis: Basis | None = None) -> Flow:

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import errno
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import bcmcf
 from bcmcf import enumerate_frontier, generate_instance, preprocess
-from bcmcf.cli import build_parser, main
+from bcmcf.cli import EXIT_PIPE, build_parser, main
 from bcmcf.model import format_fraction, parse_instance, parse_solution, serialize_instance
 from bcmcf.oracle import DEFAULT_GUARD
 
@@ -263,6 +268,42 @@ class TestGen:
     def test_negative_maximum_is_usage_error(self, flag, name, capsys):
         assert main(["gen", "-n", "4", "-m", "3", flag, "-2"]) == 2
         assert f"{name} must be nonnegative, got -2" in capsys.readouterr().err
+
+    def test_closed_stdout_exits_quietly(self, tmp_path, monkeypatch, capsys):
+        # no message, and stdout's descriptor now points at devnull, so the
+        # interpreter's flush at exit cannot fail again
+        class ClosedPipe:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        with open(tmp_path / "out", "w") as handle:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(handle.fileno()))
+            assert main(["gen", "-n", "8", "-m", "20", "--seed", "2"]) == EXIT_PIPE
+            assert os.path.samestat(os.fstat(handle.fileno()), os.stat(os.devnull))
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_prints_nothing_at_exit(self):
+        # a pipe whose read end is closed before the command writes
+        read, write = os.pipe()
+        os.close(read)
+        src = os.path.dirname(os.path.dirname(bcmcf.__file__))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "bcmcf.cli", "gen", "-n", "60", "-m", "2000", "--seed", "2"],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src},
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (EXIT_PIPE, b"")
 
 
 class TestGkAcyclic:

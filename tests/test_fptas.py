@@ -166,7 +166,7 @@ class TestMinRatioCycle:
     def test_broken_predecessor_walk_raises(self):
         # a weight that falls on every read relaxes 1 -> 2 in both passes,
         # so node 2 is still improving in pass n = 2 while its predecessor
-        # chain is one arc long: the walk back reaches the root
+        # graph is one arc, with no cycle
         class Falling:
             reads = 0
 
@@ -177,8 +177,21 @@ class TestMinRatioCycle:
                 self.reads += 1
                 return -float(self.reads)
 
-        with pytest.raises(InternalSolverError, match="root before a cycle"):
+        with pytest.raises(InternalSolverError, match="left no cycle in the predecessor graph"):
             find_negative_cycle(2, [(1, 2, 0)], Falling())
+
+    def test_nonnegative_predecessor_cycle_raises(self):
+        # weights that read negative through pass 1 close the 2-cycle in the
+        # predecessor graph, and read positive when its weight is summed
+        class Turning:
+            reads = 0
+
+            def __getitem__(self, index):
+                self.reads += 1
+                return -1.0 if self.reads <= 3 else 1.0
+
+        with pytest.raises(InternalSolverError, match="predecessor cycle is not negative"):
+            find_negative_cycle(2, [(1, 2, 0), (2, 1, 1)], Turning())
 
     def test_nonpositive_denominator_cycle_raises(self, inst_two_parallel, monkeypatch):
         # the two closure arcs form a cycle with denominator 0, which an exact

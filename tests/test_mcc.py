@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from math import prod
+from math import inf, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -63,6 +64,18 @@ def solve_at(circ: Instance, lam: Fraction, fee_direction: str):
 def search(rg: ResidualGraph):
     """The detector on a residual graph, as the reference engine calls it."""
     return find_negative_cycle(rg.node_count, rg.arcs(), rg.costs)
+
+
+def has_negative_cycle(n: int, arcs, weights) -> bool:
+    """Floyd-Warshall over nodes 1..n: some shortest closed walk is negative."""
+    dist = [[0 if i == j else inf for j in range(n + 1)] for i in range(n + 1)]
+    for u, v, a in arcs:
+        dist[u][v] = min(dist[u][v], weights[a])
+    for k in range(1, n + 1):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+    return any(dist[v][v] < 0 for v in range(1, n + 1))
 
 
 def pivot_cap(circ: Instance, costs: list[int], flow) -> int:
@@ -163,6 +176,56 @@ class TestFindNegativeCycle:
             assert len({e.tail for e in edges}) == len(edges)
             assert sum(weights[i] for i in cycle) < 0
         assert find_negative_cycle(inst.node_count, arcs, [float(w) for w in weights]) == cycle
+
+    def test_fuzz_against_floyd_warshall(self):
+        # arc ids are a shuffle of the positions, so ids index weights only
+        rng = random.Random(20161)
+        found = 0
+        for _ in range(5000):
+            n = rng.randint(1, 6)
+            m = rng.randint(0, 10)
+            ends = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(m)]
+            ids = rng.sample(range(m), m)
+            weights = [0] * m
+            for a in ids:
+                weights[a] = rng.randint(-3, 5)
+            arcs = [(u, v, a) for (u, v), a in zip(ends, ids)]
+            negative = has_negative_cycle(n, arcs, weights)
+            for typed in (weights, [float(w) for w in weights]):
+                cycle = find_negative_cycle(n, arcs, typed)
+                assert (cycle is not None) == negative
+                if cycle is None:
+                    continue
+                ends_of = {a: (u, v) for u, v, a in arcs}
+                tails = [ends_of[a][0] for a in cycle]
+                heads = [ends_of[a][1] for a in cycle]
+                assert heads == tails[1:] + tails[:1]  # closed
+                assert len(set(tails)) == len(tails)  # simple
+                assert sum(typed[a] for a in cycle) < 0
+            found += negative
+        assert 1000 < found < 4000
+
+    def test_stops_at_the_first_predecessor_cycle(self):
+        # a negative 2-cycle on nodes 1 and 2 closes in pass 1; a chain over
+        # the other nodes makes n large, and a search only after pass n
+        # would read n * m weights
+        n = 40
+
+        class Counted:
+            def __init__(self, values):
+                self.values = values
+                self.reads = 0
+
+            def __getitem__(self, index):
+                self.reads += 1
+                return self.values[index]
+
+        chain = [(v, v + 1) for v in range(n - 1, 2, -1)]
+        ends = chain + [(1, 2), (2, 1)]
+        arcs = [(u, v, a) for a, (u, v) in enumerate(ends)]
+        weights = Counted([-1] * len(arcs))
+        assert find_negative_cycle(n, arcs, weights) == [len(arcs) - 2, len(arcs) - 1]
+        assert weights.reads <= 2 * len(arcs) + 2
 
     def test_graph_holds_ints_only(self, inst_two_parallel):
         circ = circulation_form(inst_two_parallel)
