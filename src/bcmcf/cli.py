@@ -26,7 +26,6 @@ from .model import (
     Flow,
     Instance,
     ParseError,
-    Solution,
     format_fraction,
     format_solution,
     parse_instance,
@@ -81,23 +80,6 @@ def _load_instance(path: str) -> Instance:
         raise CliError(f"{path}: {exc}", EXIT_USAGE) from None
 
 
-def _solution_text(sol: Solution, fmt: str) -> str:
-    if fmt == "structured":
-        return format_solution(sol)
-    lines = [
-        f"algorithm: {sol.algorithm}",
-        f"objective: {format_fraction(sol.objective)} ({float(sol.objective):g})",
-        f"budget used: {format_fraction(sol.flow.fee)}",
-        f"iterations: {sol.iterations}",
-    ]
-    if sol.lam is not None:
-        lines.append(f"lambda: {format_fraction(sol.lam)}")
-    lines.append(
-        "flow: " + " ".join(format_fraction(v) for v in sol.flow.values)
-    )
-    return "\n".join(lines) + "\n"
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     if args.algorithm in ("gk", "gk-acyclic") and args.epsilon is None:
         raise CliError(f"--epsilon is required for --algorithm {args.algorithm}", EXIT_USAGE)
@@ -119,7 +101,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except (ValueError, fptas.CyclicGraphError) as exc:
         raise CliError(str(exc), EXIT_USAGE) from None
     sol = dataclasses.replace(sol, flow=restore_flow(original, inst, sol.flow))
-    _write_text(args.output, _solution_text(sol, args.format))
+    _write_text(args.output, format_solution(sol))
     return EXIT_OK
 
 
@@ -206,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="accuracy for the gk solvers, in (0, 1)")
     p_solve.add_argument("--guard", type=positive_int, default=oracle.DEFAULT_GUARD,
                          help="enumeration guard for --algorithm oracle")
-    p_solve.add_argument("--format", choices=("structured", "text"), default="structured")
     add_common(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
@@ -218,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="brute-force optimum (desk scale); same as solve -a oracle")
     add_instance_arg(p_oracle)
     p_oracle.add_argument("--guard", type=positive_int, default=oracle.DEFAULT_GUARD)
-    p_oracle.add_argument("--format", choices=("structured", "text"), default="structured")
     add_common(p_oracle)
     p_oracle.set_defaults(func=cmd_solve, algorithm="oracle", epsilon=None)
 

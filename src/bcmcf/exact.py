@@ -51,31 +51,29 @@ class CallbackVerdict:
     x_maxfee: Flow
 
 
-def lambda_callback(circ: Instance, lam: Fraction, basis: Basis | None = None) -> CallbackVerdict:
+def lambda_callback(basis: Basis, lam: Fraction) -> CallbackVerdict:
     """Decide where ``lam`` sits relative to the optimal multiplier interval.
 
-    ``circ`` must be in circulation form (see ``circulation_form``).  Verdicts:
-    BELOW when even the fee-minimal optimum overshoots the budget, ABOVE
-    when the fee-maximal optimum undershoots it (only for lam > 0; at
-    lam = 0 a slack budget means the unconstrained optimum already wins,
-    hence INSIDE), INSIDE otherwise.
+    ``basis`` must be a :class:`Basis` of an instance in circulation form
+    (see ``circulation_form``).  Verdicts: BELOW when even the fee-minimal
+    optimum overshoots the budget, ABOVE when the fee-maximal optimum
+    undershoots it (only for lam > 0; at lam = 0 a slack budget means the
+    unconstrained optimum already wins, hence INSIDE), INSIDE otherwise.
 
-    Both solves run on ``basis``, a :class:`Basis` of ``circ`` (a fresh one
-    when omitted), typically left optimal by a nearby multiplier's solves;
-    the fee-maximal solve starts from the fee-minimal optimum, which is
-    already optimal in cost + lam * fee.  The basis moves no verdict or
-    (cost, fee) point.  Its one caller in the package is ``solve_exact``.
+    Both solves run on ``basis``, typically left optimal by a nearby
+    multiplier's solves; the fee-maximal solve starts from the fee-minimal
+    optimum, which is already optimal in cost + lam * fee.  The basis moves
+    no verdict or (cost, fee) point.  Its one caller in the package is
+    ``solve_exact``.
     """
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError(f"multiplier {lam} is negative")
-    if circ.return_arc_index is None:
+    if basis.inst.return_arc_index is None:
         raise ValueError("lambda_callback needs a circulation-form instance")
-    if basis is None:
-        basis = Basis(circ)
-    x_min = min_cost_circulation(circ, lambda_cost(circ, lam, "min"), basis)
-    x_max = min_cost_circulation(circ, lambda_cost(circ, lam, "max"), basis)
-    budget = circ.budget
+    x_min = min_cost_circulation(basis, lambda_cost(basis, lam, "min"))
+    x_max = min_cost_circulation(basis, lambda_cost(basis, lam, "max"))
+    budget = basis.inst.budget
     if x_min.fee > budget:
         kind = VerdictKind.BELOW
     elif x_max.fee < budget and lam > 0:
@@ -161,7 +159,7 @@ def solve_exact(inst: Instance) -> Solution:
     so each starts from the optimum of the solve before it, which moves no
     verdict.
     """
-    circ = circulation_form(inst)
+    basis = Basis(circulation_form(inst))
     budget = Fraction(inst.budget)
     stats = instance_stats(inst)
     x_over = x_under = None  # bracket corners: optima with fee above / below the budget
@@ -190,12 +188,11 @@ def solve_exact(inst: Instance) -> Solution:
     # are not INSIDE; the next one is.
     cap = stats.bbar + 2
     probes = 0
-    basis = Basis(circ)
     for lam in multipliers():
         if probes == cap:
             raise InternalSolverError(f"multiplier search exceeded its cap of {cap} probes")
         probes += 1
-        verdict = lambda_callback(circ, lam, basis)
+        verdict = lambda_callback(basis, lam)
         if verdict.kind is VerdictKind.INSIDE:
             if lam == 0:
                 # fee-minimal unconstrained optimum; feasible since fee <= budget
@@ -226,18 +223,15 @@ def enumerate_frontier(inst: Instance) -> list[FrontierPoint]:
     polynomially bounded in general.  All solves share one simplex basis,
     so each starts from the optimum of the solve before it.
     """
-    circ = circulation_form(inst)
     stats = instance_stats(inst)
-    basis = Basis(circ)
-    top = min_cost_circulation(circ, lambda_cost(circ, Fraction(0), "min"), basis)
-    bottom = min_cost_circulation(
-        circ, lambda_cost(circ, stats.lambda_above_all_slopes(), "min"), basis
-    )
+    basis = Basis(circulation_form(inst))
+    top = min_cost_circulation(basis, lambda_cost(basis, Fraction(0), "min"))
+    bottom = min_cost_circulation(basis, lambda_cost(basis, stats.lambda_above_all_slopes(), "min"))
 
     def expand(x_low: Flow, x_high: Flow) -> list[Flow]:
         """Extreme points strictly between two known ones (fee order)."""
         lam = edge_multiplier(x_low, x_high)
-        q = min_cost_circulation(circ, lambda_cost(circ, lam, "min"), basis)
+        q = min_cost_circulation(basis, lambda_cost(basis, lam, "min"))
         if q.cost + lam * q.fee == x_low.cost + lam * x_low.fee:
             return []  # the chord is a frontier segment
         return expand(x_low, q) + [q] + expand(q, x_high)

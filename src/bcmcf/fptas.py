@@ -115,9 +115,9 @@ def min_ratio_cycle(
     num: Sequence[float],
     den: Sequence[float],
     rel_tol: float,
+    arcs: Sequence[tuple[int, int, int]],
+    den_sum: float,
     start: Sequence[int] | None = None,
-    arcs: Sequence[tuple[int, int, int]] | None = None,
-    den_sum: float | None = None,
 ) -> RatioResult | None:
     """Nearly minimum-ratio simple cycle by Newton steps on the ratio value.
 
@@ -130,12 +130,12 @@ def min_ratio_cycle(
     and becomes the current cycle, and a cycle-free test proves every ratio
     at least ``lam``.  The returned ratio is then within (1 + rel_tol) of
     the true minimum over cycles with positive denominator, and ``lower``
-    is that ``lam``.  ``start``, a simple cycle with positive denominator,
-    replaces the seed search for the first cycle; without it None is
-    returned when no cycle has positive denominator.  ``arcs``, the
-    ``(tail, head, index)`` list of ``inst.edges``, and ``den_sum``, the sum
-    of the positive ``den``, are built from the inputs when omitted; a
-    caller that keeps ``inst`` and ``den`` across calls passes them instead.
+    is that ``lam``.  ``arcs`` is ``_cycle_arcs(inst)`` and ``den_sum`` the
+    sum of the positive ``den``; both are fixed for as long as ``inst`` and
+    ``den`` are, so a caller builds them once.  ``start``, a simple cycle
+    with positive denominator, replaces the seed search for the first
+    cycle; without it None is returned when no cycle has positive
+    denominator.
 
     Each step divides a positive ratio by more than 1 + rel_tol, positive
     ratios never fall below (least positive num)/(sum of positive dens),
@@ -147,8 +147,6 @@ def min_ratio_cycle(
         raise ValueError(f"rel_tol {rel_tol} outside (0, 1)")
     if min(num, default=0) < 0:
         raise ValueError("ratio numerators must be nonnegative")
-    if arcs is None:
-        arcs = _cycle_arcs(inst)
 
     if start is None:
         # a qualifying cycle exists iff some cycle has negative total -den
@@ -174,8 +172,6 @@ def min_ratio_cycle(
     cycle, ratio = start, ratio_of(start)
     steps = 2
     if ratio > 0:
-        if den_sum is None:
-            den_sum = sum(d for d in den if d > 0)
         floor = math.log(min(x for x in num if x > 0)) - math.log(den_sum)
         steps += math.ceil((math.log(ratio) - floor) / math.log1p(rel_tol))
     for _ in range(steps):
@@ -374,10 +370,13 @@ def _reduced_for_packing(inst: Instance) -> Instance:
 # the routed profit, the dual objective and the oracle's lower end, each
 # off by about (arcs + iterations) units in the last place.  The running
 # dual objective drifts by about one unit per iteration since its resync at
-# the last oracle call; only the fallback stop at objective 1 reads it.
+# the last oracle call; only the fallback stop at objective 1 and the
+# renormalization below read it.
 CERTIFICATE_MARGIN = 1e-9
 
-# The stored lengths are renormalized once the largest exceeds this.
+# The stored lengths are renormalized once their running objective exceeds
+# this; capacities and a positive budget are ints >= 1, so no stored length
+# is larger.
 LENGTH_CEILING = 1e120
 
 
@@ -398,9 +397,8 @@ def _gk_loop(
     monotone growth of all lengths makes sound.
 
     Between oracle calls an iteration touches only its column's edges (the
-    lazy test, the running objective, the largest length).  Routings are
-    counted per column: a routed value is the column's exact amount times
-    its count.
+    lazy test, the running objective).  Routings are counted per column: a
+    routed value is the column's exact amount times its count.
 
     Weak duality: lengths divided by any lower bound on the minimum column
     ratio are dual feasible, so every real oracle call bounds the optimum
@@ -441,15 +439,13 @@ def _gk_loop(
     fee_load = 0.0
     worst = 0.0  # max over rows of load / capacity
     profit = 0.0
-    top = max(dual.lengths)
     while dual.log_objective() < 0.0:
         iterations += 1
         if iterations > iteration_cap:
             raise InternalSolverError("packing loop exceeded its iteration cap")
-        if top > LENGTH_CEILING:
+        if dual.total > LENGTH_CEILING:
             # thresholds are length ratios, so they rescale with the lengths
             threshold /= dual.renormalize(capacities, budget)
-            top = max(dual.lengths)
         lengths = dual.lengths
         mu = dual.budget_length or 0.0
         # every column has positive gain: both oracles return only columns
@@ -484,7 +480,6 @@ def _gk_loop(
             loads[i] += amount
             worst = max(worst, loads[i] / capacities[i])
             lengths[i] *= 1.0 + eps_prime * amount / capacities[i]
-        top = max(top, max(lengths[i] for i in edges))
         if budget_row and cycle_fee > 0:
             assert dual.budget_length is not None
             fee_load += amount * cycle_fee
@@ -553,7 +548,7 @@ def solve_gk(inst: Instance, eps: float) -> Solution:
         # starts from the column the loop just rejected, the last answer
         nonlocal last
         last = min_ratio_cycle(
-            circ, [*nums, 0.0, 0.0], den, eps_prime, last and last.edges, arcs, den_sum
+            circ, [*nums, 0.0, 0.0], den, eps_prime, arcs, den_sum, last and last.edges
         )
         return last
 

@@ -4,9 +4,10 @@ Costs, capacities, flows and potentials are plain Python ints.
 :func:`lambda_cost` packs a multiplier's scaled cost and a fee tie-break
 into one int per edge, so a single solve returns, among all minimum-cost
 circulations, the one with the smallest or largest total usage fee.  A
-:class:`Basis` is the simplex's spanning tree over one closed instance;
-between the solves on that instance only the costs change, so the last
-optimal tree is primal feasible for the next solve and is its warm start.
+:class:`Basis` is the simplex's spanning tree over one closed instance and
+the only handle the solves take on it; between the solves on that
+instance only the costs change, so the last optimal tree is primal
+feasible for the next solve and is its warm start.
 With integral capacities the returned circulation is integral.
 :func:`find_negative_cycle` is the package's one negative-cycle detector,
 called by the approximation lane's cycle oracle with float lengths: a
@@ -20,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import isqrt
-from operator import attrgetter, le, mul
+from operator import le, mul
 from typing import Sequence
 
 from .model import Flow, Instance
@@ -30,12 +31,13 @@ class InternalSolverError(RuntimeError):
     """A defensive iteration cap fired; indicates a solver bug, not bad input."""
 
 
-def lambda_cost(inst: Instance, lam: Fraction, fee_direction: str) -> list[int]:
+def lambda_cost(basis: Basis, lam: Fraction, fee_direction: str) -> list[int]:
     """Edge costs ``cost + lam * fee`` with the fee as tie-break, packed into ints.
 
     ``fee_direction`` "min" prefers the smallest total fee among primary
     optima, "max" the largest.  The closure arcs of ``circulation_form``,
-    having zero cost and fee, get 0.
+    having zero cost and fee, get 0.  The costs, fees and packing factor
+    are the ones ``basis`` read from its instance.
     """
     lam = Fraction(lam)
     if lam < 0:
@@ -49,9 +51,8 @@ def lambda_cost(inst: Instance, lam: Fraction, fee_direction: str) -> list[int]:
     # so its fee term is below K in absolute value; the only exception, an
     # edge's forward arc with its own backward arc, sums to 0.  A cycle's
     # packed sign is therefore its lexicographic (primary, fee) sign.
-    fees = list(map(attrgetter("fee"), inst.edges))
-    k = sum(fees) + 1
-    return [(q * c + p * b) * k + sign * b for c, b in zip(map(attrgetter("cost"), inst.edges), fees)]
+    k = basis.fee_scale
+    return [(q * c + p * b) * k + sign * b for c, b in zip(basis.edge_costs, basis.fees)]
 
 
 class Basis:
@@ -66,14 +67,18 @@ class Basis:
     ``state`` +1 at 0 and -1 at capacity; basic arcs and arcs of capacity 0,
     which can carry no flow, have state 0 and are never priced.  Between
     solves only the costs change, so the optimal tree a solve leaves is
-    primal feasible and the next solve's start.  ``pivots`` counts the
-    pivots of all its solves.
+    primal feasible and the next solve's start.  The edge costs, fees and
+    packing factor K = sum(fees) + 1 of :func:`lambda_cost` are read from
+    the instance once.  ``pivots`` counts the pivots of all its solves.
     """
 
     def __init__(self, inst: Instance) -> None:
         n, m = inst.node_count, inst.edge_count
         caps = [e.capacity for e in inst.edges]
         self.inst = inst
+        self.edge_costs = [e.cost for e in inst.edges]
+        self.fees = [e.fee for e in inst.edges]
+        self.fee_scale = sum(self.fees) + 1
         self.tails = [e.tail for e in inst.edges] + list(range(1, n + 1))
         self.heads = [e.head for e in inst.edges] + [0] * n
         self.caps = caps + [sum(caps) + 1] * n
@@ -296,23 +301,18 @@ def find_negative_cycle(
     raise InternalSolverError("a pass-n relaxation left no cycle in the predecessor graph")
 
 
-def min_cost_circulation(inst: Instance, costs: Sequence[int], basis: Basis | None = None) -> Flow:
-    """Minimum cost circulation under int edge costs, by primal network simplex.
+def min_cost_circulation(basis: Basis, costs: Sequence[int]) -> Flow:
+    """Minimum cost circulation of ``basis``'s instance under int edge costs.
 
-    Starts from ``basis``, a :class:`Basis` of ``inst`` left by an earlier
-    solve (a fresh one, holding the zero circulation, when omitted), and
-    pivots until no arc prices out, which certifies optimality: the tree's
-    potentials give every residual arc a nonnegative reduced cost.  The
-    basis keeps the optimal tree for the caller's next solve.  A basis of
-    another instance, or one whose flow is not an int circulation within
-    capacity, raises ``ValueError``.
+    A primal network simplex: starts from the tree ``basis`` holds, fresh
+    or left by an earlier solve, and pivots until no arc prices out, which
+    certifies optimality: the tree's potentials give every residual arc a
+    nonnegative reduced cost.  The basis keeps the optimal tree for the
+    caller's next solve.  A basis whose flow is not an int circulation
+    within capacity raises ``ValueError``.
     """
-    if basis is None:
-        basis = Basis(inst)
-    elif basis.inst != inst:
-        raise ValueError("basis was built for another instance")
-    else:
-        basis.check_flow()
+    basis.check_flow()
+    inst = basis.inst
     if len(costs) != inst.edge_count:
         raise ValueError("one cost per edge required")
     basis.set_costs(costs)

@@ -522,10 +522,14 @@ def parse_solution(text: str) -> SolutionDocument:
                 budget_used = parse_fraction(tokens[1])
             elif kind == "iterations":
                 iterations = int(tokens[1])
+                if iterations < 0:
+                    raise ValueError
             elif kind == "lambda":
                 lam = parse_fraction(tokens[1])
             elif kind == "flows":
                 count = int(tokens[1])
+                if count < 0:
+                    raise ValueError
             elif kind == "f":
                 index = int(tokens[1])
                 if index in values:

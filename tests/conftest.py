@@ -3,15 +3,31 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
-from bcmcf import EdgeData, Flow, Instance, generate_instance, preprocess
+from bcmcf import EdgeData, Flow, Instance, generate_instance, min_ratio_cycle, preprocess
+from bcmcf.fptas import RatioResult, _cycle_arcs
 
 
 def scaled_flow(x: Flow, factor: Fraction) -> Flow:
     """``x`` with every value and both totals multiplied by ``factor``."""
     return Flow(tuple(v * factor for v in x.values), x.cost * factor, x.fee * factor)
+
+
+def ratio_cycle(
+    inst: Instance,
+    num: Sequence[float],
+    den: Sequence[float],
+    rel_tol: float,
+    start: Sequence[int] | None = None,
+) -> RatioResult | None:
+    """One ``min_ratio_cycle`` call, with the arcs and positive-denominator
+    sum that ``solve_gk`` builds once per solve built for it alone."""
+    return min_ratio_cycle(
+        inst, num, den, rel_tol, _cycle_arcs(inst), sum(d for d in den if d > 0), start
+    )
 
 
 @pytest.fixture

@@ -14,13 +14,13 @@ from fractions import Fraction
 import pytest
 
 from bcmcf import (
+    Basis,
     Solution,
     VerdictKind,
     enumerate_frontier,
     generate_instance,
     instance_stats,
     lambda_callback,
-    min_ratio_cycle,
     oracle_optimum,
     parse_instance,
     preprocess,
@@ -34,7 +34,7 @@ from bcmcf import fptas
 from bcmcf.exact import edge_multiplier
 from bcmcf.model import Flow, Instance, circulation_form
 from bcmcf.oracle import iter_integral_values
-from conftest import corpus_instances, dag_corpus_instances, scaled_flow
+from conftest import corpus_instances, dag_corpus_instances, ratio_cycle, scaled_flow
 from reference_oracles import exhaustive_min_ratio_cycle, exhaustive_min_ratio_path, oracle_frontier
 
 
@@ -157,7 +157,7 @@ def test_trichotomy_pattern(corpus):
         kinds = []
         for k in range(50):
             lam = Fraction(k) * top / 49
-            verdict = lambda_callback(circ, lam)
+            verdict = lambda_callback(Basis(circ), lam)
             kinds.append(verdict.kind)
             if lam < lo:
                 expected = VerdictKind.BELOW
@@ -239,7 +239,7 @@ def test_cycle_oracle_quality(rel_tol):
         num = [rng.uniform(0.0, 5.0) for _ in inst.edges]
         den = [float(-e.cost) for e in inst.edges]
         best = exhaustive_min_ratio_cycle(inst, num, den)
-        got = min_ratio_cycle(inst, num, den, rel_tol=rel_tol)
+        got = ratio_cycle(inst, num, den, rel_tol=rel_tol)
         if best is None:
             if got is not None:
                 failures.append(f"spurious cycle on {inst}")

@@ -83,11 +83,6 @@ class TestSolve:
         assert main(["solve", str(bad)]) == 2
         assert "line 4" in capsys.readouterr().err
 
-    def test_text_format(self, i1_path, capsys):
-        assert main(["solve", i1_path, "--format", "text"]) == 0
-        out = capsys.readouterr().out
-        assert "objective: -6" in out
-
     def test_preprocessed_flow_maps_back(self, tmp_path, capsys):
         # node 3 has no outgoing edge, so it and its incoming edge are
         # dropped; the emitted flow still has 3 values, padded with zero
@@ -152,11 +147,10 @@ class TestOracleCommand:
         assert "--guard" in capsys.readouterr().err
 
     def test_same_output_as_solve_algorithm_oracle(self, i1_path, capsys):
-        for fmt in ("structured", "text"):
-            assert main(["oracle", i1_path, "--format", fmt]) == 0
-            short = capsys.readouterr().out
-            assert main(["solve", "-a", "oracle", i1_path, "--format", fmt]) == 0
-            assert capsys.readouterr().out == short
+        assert main(["oracle", i1_path]) == 0
+        short = capsys.readouterr().out
+        assert main(["solve", "-a", "oracle", i1_path]) == 0
+        assert capsys.readouterr().out == short
 
 
 class TestValidate:
@@ -338,7 +332,7 @@ class TestParserReuse:
             ["solve", "-a", "nonesuch", i1_path],
             ["--help"],
             ["solve", i1_path],
-            ["solve", i1_path, "--format", "text"],
+            ["frontier", i1_path],
         ]
         build_parser.cache_clear()
         shared = [self.run(argv, capsys) for argv in sequence]
@@ -355,6 +349,6 @@ class TestParserReuse:
         default = parse_solution(shared[4][1])
         assert default.algorithm == "exact"
         assert default.lam == 2
-        assert "algorithm: exact" in shared[5][1]
+        assert shared[5][1] == "-2 0\n-10 4\nbudget 2\n"
         args = build_parser().parse_args(["solve", i1_path])
         assert (args.algorithm, args.epsilon) == ("exact", None)

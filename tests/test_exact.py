@@ -84,7 +84,7 @@ class TestLambdaCallback:
     )
     def test_two_parallel_verdicts(self, inst_two_parallel, lam, expected):
         circ = circulation_form(inst_two_parallel)
-        verdict = lambda_callback(circ, Fraction(lam))
+        verdict = lambda_callback(Basis(circ), Fraction(lam))
         assert verdict.kind is expected
         # witness fees are exactly the extremes of the optimal face
         lo, hi = optima_fee_range(circ, Fraction(lam))
@@ -93,14 +93,14 @@ class TestLambdaCallback:
 
     def test_inside_brackets_budget(self, inst_two_parallel):
         circ = circulation_form(inst_two_parallel)
-        verdict = lambda_callback(circ, Fraction(2))
+        verdict = lambda_callback(Basis(circ), Fraction(2))
         assert verdict.x_minfee.fee <= circ.budget <= verdict.x_maxfee.fee
 
     def test_budget_slack_at_zero_is_inside(self, inst_two_parallel):
         slack = Instance(
             node_count=2, edges=inst_two_parallel.edges, source=1, sink=2, budget=100
         )
-        verdict = lambda_callback(circulation_form(slack), Fraction(0))
+        verdict = lambda_callback(Basis(circulation_form(slack)), Fraction(0))
         assert verdict.kind is VerdictKind.INSIDE
 
     def test_monotone_pattern_on_random_instances(self):
@@ -116,7 +116,7 @@ class TestLambdaCallback:
             circ = circulation_form(inst)
             top = instance_stats(inst).lambda_above_all_slopes()
             kinds = [
-                lambda_callback(circ, Fraction(k) * top / 11).kind for k in range(12)
+                lambda_callback(Basis(circ), Fraction(k) * top / 11).kind for k in range(12)
             ]
             order = {VerdictKind.BELOW: 0, VerdictKind.INSIDE: 1, VerdictKind.ABOVE: 2}
             ranks = [order[k] for k in kinds]
@@ -171,8 +171,9 @@ class TestProjectFlow:
         inst = preprocess(generate_instance(nodes, edges, max_capacity=cap, seed=seed))
         circ = circulation_form(inst)
         top = instance_stats(inst).lambda_above_all_slopes()
-        x_low = min_cost_circulation(circ, lambda_cost(circ, top, "min"))
-        x_high = min_cost_circulation(circ, lambda_cost(circ, Fraction(0), "max"))
+        low, high = Basis(circ), Basis(circ)
+        x_low = min_cost_circulation(low, lambda_cost(low, top, "min"))
+        x_high = min_cost_circulation(high, lambda_cost(high, Fraction(0), "max"))
         combo = budget_combination(x_low, x_high, x_low.fee + t * (x_high.fee - x_low.fee))
         for x in (x_low, x_high, combo):
             projected = project_flow(inst, x)
@@ -298,8 +299,8 @@ class TestSolveExact:
         real = exact_mod.lambda_callback
         verdicts = []
 
-        def stalled(circ, lam, basis=None):
-            verdicts.append(real(circ, lam, basis) if len(verdicts) < 2 else verdicts[0])
+        def stalled(basis, lam):
+            verdicts.append(real(basis, lam) if len(verdicts) < 2 else verdicts[0])
             return verdicts[-1]
 
         monkeypatch.setattr(exact_mod, "lambda_callback", stalled)
@@ -360,10 +361,10 @@ class TestEnumerateFrontier:
         real = exact_mod.min_cost_circulation
         solves = 0
 
-        def counting(circ, costs, basis):
+        def counting(basis, costs):
             nonlocal solves
             solves += 1
-            return real(circ, costs, basis)
+            return real(basis, costs)
 
         monkeypatch.setattr(exact_mod, "min_cost_circulation", counting)
         for seed in range(100):
@@ -428,6 +429,36 @@ def test_frontier_agrees_with_solve_exact(inst):
     )
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(mid_instances(), st.data(), st.integers(2, 7))
+def test_answers_invariant_under_permutation_and_scaling(inst, data, k):
+    """Edge order is only a label, and costs and fees are only units.
+
+    λ is not compared under scaling: the opening probe λ = b̄ does not
+    scale with the instance, so another valid λ can come back.
+    """
+    order = data.draw(st.permutations(range(inst.edge_count)))
+    sol = solve_exact(inst)
+    points = [(p.cost, p.fee) for p in enumerate_frontier(inst)]
+
+    permuted = replace(inst, edges=tuple(inst.edges[i] for i in order), edge_origin=None)
+    moved = solve_exact(permuted)
+    assert (moved.objective, moved.lam, moved.iterations) == (
+        sol.objective, sol.lam, sol.iterations
+    )
+    assert [(p.cost, p.fee) for p in enumerate_frontier(permuted)] == points
+
+    costly = replace(inst, edges=tuple(replace(e, cost=k * e.cost) for e in inst.edges))
+    assert solve_exact(costly).objective == k * sol.objective
+    assert [(p.cost, p.fee) for p in enumerate_frontier(costly)] == [(k * c, b) for c, b in points]
+
+    feeful = replace(
+        inst, edges=tuple(replace(e, fee=k * e.fee) for e in inst.edges), budget=k * inst.budget
+    )
+    assert solve_exact(feeful).objective == sol.objective
+    assert [(p.cost, p.fee) for p in enumerate_frontier(feeful)] == [(c, k * b) for c, b in points]
+
+
 class TestWarmStarts:
     """The exact lane's solves share one simplex basis per closed instance;
     this pins the wiring by comparing pivots with a run that gives every
@@ -445,11 +476,11 @@ class TestWarmStarts:
         real = exact_mod.min_cost_circulation
         pivots, bases = [], []
 
-        def counting(circ, costs, basis):
+        def counting(basis, costs):
             if cold:
-                basis = Basis(circ)
+                basis = Basis(basis.inst)
             before = basis.pivots
-            flow = real(circ, costs, basis)
+            flow = real(basis, costs)
             pivots.append(basis.pivots - before)
             bases.append(basis)
             return flow
@@ -486,12 +517,12 @@ class TestWarmStarts:
 class TestCallbackPreconditions:
     def test_requires_circulation_form(self, inst_two_parallel):
         with pytest.raises(ValueError, match="circulation"):
-            lambda_callback(inst_two_parallel, Fraction(1))
+            lambda_callback(Basis(inst_two_parallel), Fraction(1))
 
     def test_rejects_negative_multiplier(self, inst_two_parallel):
         circ = circulation_form(inst_two_parallel)
         with pytest.raises(ValueError):
-            lambda_callback(circ, Fraction(-1))
+            lambda_callback(Basis(circ), Fraction(-1))
 
 
 class TestSinkToSourceValue:
@@ -507,7 +538,7 @@ class TestSinkToSourceValue:
         assert oracle_optimum(backwards).objective == -1
 
     def test_callback_witness(self, backwards):
-        verdict = lambda_callback(circulation_form(backwards), Fraction(0))
+        verdict = lambda_callback(Basis(circulation_form(backwards)), Fraction(0))
         assert verdict.kind is VerdictKind.INSIDE
         assert verdict.x_minfee.cost == verdict.x_maxfee.cost == -1
 

@@ -19,7 +19,6 @@ from bcmcf import (
     InternalSolverError,
     circulation_form,
     generate_instance,
-    min_ratio_cycle,
     min_ratio_path_dag,
     oracle_optimum,
     preprocess,
@@ -30,14 +29,10 @@ from bcmcf import (
 )
 from bcmcf import fptas as fptas_mod
 from bcmcf import mcc as mcc_mod
-from bcmcf.fptas import (
-    _gk_loop,
-    _reduced_for_packing,
-    min_ratio_cycle as mrc,
-)
+from bcmcf.fptas import _gk_loop, _reduced_for_packing
 from bcmcf.mcc import find_negative_cycle
 from bcmcf.model import circulation_form
-from conftest import scaled_flow
+from conftest import ratio_cycle, scaled_flow
 from reference_oracles import (
     exhaustive_min_ratio_cycle,
     exhaustive_min_ratio_path,
@@ -111,7 +106,7 @@ class TestMinRatioCycle:
         circ = circulation_form(inst_two_parallel)
         num = [2.0 + 1.0, 0.0 + 1.0, 1.0, 1.0]
         den = [4.0, 1.0, 0.0, 0.0]
-        result = min_ratio_cycle(circ, num, den, rel_tol=0.01)
+        result = ratio_cycle(circ, num, den, rel_tol=0.01)
         assert result is not None
         assert frozenset(result.edges) == frozenset({0, 3})
         assert result.ratio == pytest.approx(1.0)
@@ -120,7 +115,7 @@ class TestMinRatioCycle:
         circ = circulation_form(inst_single_positive)
         num = [1.0, 1.0, 1.0]
         den = [float(-e.cost) for e in circ.edges]
-        assert min_ratio_cycle(circ, num, den, rel_tol=0.1) is None
+        assert ratio_cycle(circ, num, den, rel_tol=0.1) is None
 
     def test_self_loop(self):
         inst = Instance(
@@ -130,14 +125,14 @@ class TestMinRatioCycle:
             sink=2,
             budget=0,
         )
-        result = min_ratio_cycle(inst, [3.0, 9.0], [1.0, -1.0], rel_tol=0.01)
+        result = ratio_cycle(inst, [3.0, 9.0], [1.0, -1.0], rel_tol=0.01)
         assert result is not None
         assert result.edges == (0,)
         assert result.ratio == pytest.approx(3.0)
 
     def test_rel_tol_validated(self, inst_two_parallel):
         with pytest.raises(ValueError):
-            min_ratio_cycle(circulation_form(inst_two_parallel), [0.0] * 4, [0.0] * 4, rel_tol=0.0)
+            ratio_cycle(circulation_form(inst_two_parallel), [0.0] * 4, [0.0] * 4, rel_tol=0.0)
 
     @pytest.mark.parametrize("rel_tol", [0.1, 0.01])
     def test_within_tolerance_of_exhaustive(self, rel_tol):
@@ -153,7 +148,7 @@ class TestMinRatioCycle:
                 continue
             num = [rng.uniform(0.0, 4.0) for _ in inst.edges]
             den = [float(-e.cost) for e in inst.edges]
-            result = min_ratio_cycle(inst, num, den, rel_tol=rel_tol)
+            result = ratio_cycle(inst, num, den, rel_tol=rel_tol)
             best = exhaustive_min_ratio_cycle(inst, num, den)
             if best is None:
                 assert result is None
@@ -199,7 +194,7 @@ class TestMinRatioCycle:
         circ = circulation_form(inst_two_parallel)
         monkeypatch.setattr(mcc_mod, "find_negative_cycle", lambda *args: [2, 3])
         with pytest.raises(InternalSolverError, match="float cancellation"):
-            mrc(circ, [1.0, 1.0, 0.0, 0.0], [4.0, 1.0, 0.0, 0.0], rel_tol=0.1)
+            ratio_cycle(circ, [1.0, 1.0, 0.0, 0.0], [4.0, 1.0, 0.0, 0.0], rel_tol=0.1)
 
     def test_lower_end_bounds_the_minimum_ratio(self):
         # a coarse tolerance, so that some answers are not the optimal cycle
@@ -214,7 +209,7 @@ class TestMinRatioCycle:
                 continue
             num = [rng.uniform(0.0, 4.0) for _ in inst.edges]
             den = [float(-e.cost) for e in inst.edges]
-            result = mrc(inst, num, den, rel_tol=0.5)
+            result = ratio_cycle(inst, num, den, rel_tol=0.5)
             best = exhaustive_min_ratio_cycle(inst, num, den)
             if best is None:
                 continue
@@ -228,7 +223,7 @@ class TestMinRatioCycle:
     @given(small_cycle_ratio_inputs())
     def test_property_matches_enumeration(self, case):
         inst, num, den, rel_tol = case
-        result = min_ratio_cycle(inst, num, den, rel_tol=rel_tol)
+        result = ratio_cycle(inst, num, den, rel_tol=rel_tol)
         best = exhaustive_min_ratio_cycle(inst, num, den)
         if best is None:
             assert result is None
@@ -244,14 +239,14 @@ class TestMinRatioCycle:
         if not starts:
             return
         start = data.draw(st.sampled_from(starts))
-        result = min_ratio_cycle(inst, num, den, rel_tol=rel_tol, start=start)
+        result = ratio_cycle(inst, num, den, rel_tol=rel_tol, start=start)
         best = exhaustive_min_ratio_cycle(inst, num, den)
         assert_nearly_minimal(inst, result, float(best[1]), rel_tol)
 
     def test_start_without_positive_denominator_rejected(self, inst_two_parallel):
         circ = circulation_form(inst_two_parallel)
         with pytest.raises(ValueError, match="positive denominator"):
-            mrc(circ, [1.0, 1.0, 0.0, 0.0], [4.0, 1.0, 0.0, 0.0], rel_tol=0.1, start=(2, 3))
+            ratio_cycle(circ, [1.0, 1.0, 0.0, 0.0], [4.0, 1.0, 0.0, 0.0], rel_tol=0.1, start=(2, 3))
 
     def test_non_improving_step_raises(self, inst_two_parallel, monkeypatch):
         # a test that keeps finding the current cycle would loop forever
@@ -264,7 +259,7 @@ class TestMinRatioCycle:
 
         monkeypatch.setattr(mcc_mod, "find_negative_cycle", stuck)
         with pytest.raises(InternalSolverError, match="did not lower the ratio"):
-            mrc(circ, [3.0, 1.0, 1.0, 1.0], [4.0, 1.0, 0.0, 0.0], rel_tol=0.1)
+            ratio_cycle(circ, [3.0, 1.0, 1.0, 1.0], [4.0, 1.0, 0.0, 0.0], rel_tol=0.1)
         assert len(calls) == 2  # the seed search, then one step
 
     def test_slow_steps_hit_the_proven_bound(self, monkeypatch):
@@ -289,7 +284,7 @@ class TestMinRatioCycle:
 
         monkeypatch.setattr(mcc_mod, "find_negative_cycle", slow)
         with pytest.raises(InternalSolverError, match="proven step bound"):
-            mrc(inst, num, den, rel_tol=0.1)
+            ratio_cycle(inst, num, den, rel_tol=0.1)
         steps = math.ceil(math.log(loops / min(num)) / math.log1p(0.1)) + 2
         assert steps < loops
         assert len(calls) == 1 + steps  # the seed search, then the bound
@@ -316,7 +311,7 @@ class TestMinRatioCycle:
 
         monkeypatch.setattr(mcc_mod, "find_negative_cycle", slow)
         with pytest.raises(InternalSolverError, match="proven step bound"):
-            mrc(inst, num, den, rel_tol=0.1, start=(first,))
+            ratio_cycle(inst, num, den, rel_tol=0.1, start=(first,))
         floor = min(num) / loops
         assert steps == math.ceil(math.log(num[first] / floor) / math.log1p(0.1)) + 2
         assert first + steps < loops
@@ -541,7 +536,7 @@ class TestSolveGk:
         den = [float(-e.cost) for e in circ.edges]
 
         def oracle(nums):
-            return mrc(circ, [*nums, 0.0, 0.0], den, rel_tol=0.1)
+            return ratio_cycle(circ, [*nums, 0.0, 0.0], den, rel_tol=0.1)
 
         routed, _, _ = _gk_loop(reduced, 0.1, 0.9, oracle)
         assert routed
@@ -633,8 +628,8 @@ class TestSolveGk:
     @pytest.mark.parametrize("acyclic", [False, True])
     def test_renormalized_lengths_keep_the_guarantee(self, acyclic, monkeypatch):
         # a low ceiling renormalizes the stored lengths again and again: the
-        # tracked largest length must trigger it, and the running objective
-        # must come out of it resynced and still increasing
+        # running objective must trigger it, and must come out of it resynced
+        # and still increasing
         monkeypatch.setattr(fptas_mod, "LENGTH_CEILING", 0.1)
         trace: list[float] = []
         factors: list[float] = []

@@ -351,6 +351,12 @@ class TestSolutionDocument:
     def test_malformed_document(self):
         with pytest.raises(ParseError):
             parse_solution("bcmcf-solution 1\nalgorithm exact\nend\n")
+        # negative counts; with no f lines, flows -1 would read as an empty flow
+        for counts in ("iterations -5\nflows 0", "flows -1"):
+            with pytest.raises(ParseError) as exc:
+                parse_solution(f"bcmcf-solution 1\nalgorithm exact\nobjective 0\n{counts}\nend\n")
+            assert exc.value.line == 4
+            assert exc.value.message == f"malformed {counts.split()[0]} line"
 
     @pytest.mark.parametrize(
         "line",
