@@ -16,7 +16,9 @@ minimal; its seed search runs once per solve, and every later call starts
 from the column the loop just rejected.  On acyclic graphs every candidate
 cycle is a path between source and sink (in one orientation or the other)
 plus the matching zero-cost closure arc, so an exact min-ratio path search
-over integer-scaled lengths replaces it.
+over integer-scaled lengths replaces it; its set-up (topological order,
+out-edge lists, scaled denominators, maximum-denominator path) is built
+once per solve, so each call runs only the Dinkelbach passes.
 
 Dual lengths and the dual objective are running floats; the loop counts
 routings per column and converts each column's amount exactly to a
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import mcc
 from .mcc import InternalSolverError
@@ -277,12 +279,51 @@ def _dag_min_value_path(
     return value, label_d[sink], path
 
 
+class PathSetup(NamedTuple):
+    """What the path oracle keeps fixed for as long as the graph and ``den``.
+
+    ``order`` is a topological order of the nodes, ``out_edges[v]`` lists
+    (edge index, head) pairs, and ``dens[i] / den_scale == den[i]`` exactly.
+    ``first`` is (D_0, path) for a maximum-denominator path in the int
+    units, or None when no path has a positive denominator.
+    """
+
+    order: Sequence[int]
+    out_edges: Sequence[Sequence[tuple[int, int]]]
+    dens: Sequence[int]
+    den_scale: int
+    first: tuple[int, tuple[int, ...]] | None
+
+
+def _path_setup(
+    inst: Instance,
+    order: Sequence[int],
+    den: Sequence[Fraction | float],
+    source: int,
+    sink: int,
+) -> PathSetup:
+    """Build the path oracle's set-up for ``inst`` in topological ``order``.
+
+    ``order`` may come from any graph with ``inst``'s nodes and a superset
+    of its edges.  One zero-weight pass finds the maximum-denominator path,
+    which is also the reachability test.
+    """
+    out_edges: list[list[tuple[int, int]]] = [[] for _ in range(inst.node_count + 1)]
+    for i, e in enumerate(inst.edges):
+        out_edges[e.tail].append((i, e.head))
+    dens, den_scale = _scaled_ints(den)
+    got = _dag_min_value_path(inst, order, out_edges, [0] * len(dens), dens, source, sink)
+    first = None if got is None or got[1] <= 0 else (got[1], tuple(got[2]))
+    return PathSetup(order, out_edges, dens, den_scale, first)
+
+
 def min_ratio_path_dag(
     inst: Instance,
     num: Sequence[Fraction | float],
     den: Sequence[Fraction | float],
     source: int,
     sink: int,
+    setup: PathSetup,
 ) -> RatioResult | None:
     """Exact minimum-ratio ``source``-``sink`` path on an acyclic graph.
 
@@ -296,23 +337,20 @@ def min_ratio_path_dag(
     ratio, which is also its ``lower``, is an exact rational in the input
     units.
 
-    Raises CyclicGraphError when the graph is not acyclic; returns None if
-    no source-sink path has positive denominator.
+    ``setup`` is ``_path_setup(inst, order, den, source, sink)``: the
+    topological order, the out-edge lists, the scaled ``den`` and the
+    maximum-denominator path are fixed for as long as ``inst`` and ``den``
+    are, so a caller builds them once, and each call scales only ``num``
+    and reads ``den`` through ``setup``.  Returns None if no source-sink
+    path has positive denominator.
     """
     nums, num_scale = _scaled_ints(num)
-    dens, den_scale = _scaled_ints(den)
     if any(x < 0 for x in nums):
         raise ValueError("ratio numerators must be nonnegative")
-    order = topological_order(inst)
-    out_edges: list[list[tuple[int, int]]] = [[] for _ in range(inst.node_count + 1)]
-    for i, e in enumerate(inst.edges):
-        out_edges[e.tail].append((i, e.head))
-
-    # reachability and the starting point: the maximum-denominator path
-    got = _dag_min_value_path(inst, order, out_edges, [0] * len(dens), dens, source, sink)
-    if got is None or got[1] <= 0:
+    order, out_edges, dens, den_scale, first = setup
+    if first is None:
         return None
-    _, d, path = got
+    d, path = first
     n = sum(nums[i] for i in path)
 
     # A negative value at ratio n/d needs n > 0, so it comes from a path with
@@ -569,8 +607,9 @@ def solve_gk_acyclic(inst: Instance, eps: float) -> Solution:
     forward in a topological order, so only the orientation whose start
     comes first can hold one, and the search runs in that one; its
     exactness lets the internal accuracy of the loop's proven stop relax to
-    eps/3.  As in ``solve_gk``, the loop stops at a certified (1 - eps) gap,
-    here against the exact minimum ratio.
+    eps/3.  The oracle's set-up is built once per solve, on the order that
+    the acyclicity check computes.  As in ``solve_gk``, the loop stops at a
+    certified (1 - eps) gap, here against the exact minimum ratio.
     """
     if not 0 < eps < 1:
         raise ValueError(f"epsilon {eps} outside (0, 1)")
@@ -586,9 +625,10 @@ def solve_gk_acyclic(inst: Instance, eps: float) -> Solution:
     start, end = inst.source, inst.sink
     if order.index(end) < order.index(start):
         start, end = end, start
+    setup = _path_setup(reduced, order, den, start, end)
 
     def oracle(nums: Sequence[float]) -> RatioResult | None:
-        return min_ratio_path_dag(reduced, nums, den, start, end)
+        return min_ratio_path_dag(reduced, nums, den, start, end, setup)
 
     routed, iterations, _ = _gk_loop(reduced, eps_prime, 1.0 - eps, oracle)
     flow = _assemble_flow(inst, reduced, routed)

@@ -513,6 +513,9 @@ def parse_solution(text: str) -> SolutionDocument:
             seen_kinds.add(kind)
         try:
             if kind == "bcmcf-solution":
+                # refusing unknown versions lets a later one add line kinds
+                if tokens[1:] != ["1"]:
+                    raise ParseError(lineno, "expected 'bcmcf-solution 1'")
                 seen_header = True
             elif kind == "algorithm":
                 algorithm = tokens[1]

@@ -7,8 +7,17 @@ from typing import Sequence
 
 import pytest
 
-from bcmcf import EdgeData, Flow, Instance, generate_instance, min_ratio_cycle, preprocess
-from bcmcf.fptas import RatioResult, _cycle_arcs
+from bcmcf import (
+    EdgeData,
+    Flow,
+    Instance,
+    generate_instance,
+    min_ratio_cycle,
+    min_ratio_path_dag,
+    preprocess,
+    topological_order,
+)
+from bcmcf.fptas import RatioResult, _cycle_arcs, _path_setup
 
 
 def scaled_flow(x: Flow, factor: Fraction) -> Flow:
@@ -28,6 +37,19 @@ def ratio_cycle(
     return min_ratio_cycle(
         inst, num, den, rel_tol, _cycle_arcs(inst), sum(d for d in den if d > 0), start
     )
+
+
+def ratio_path(
+    inst: Instance,
+    num: Sequence[Fraction | float],
+    den: Sequence[Fraction | float],
+    source: int,
+    sink: int,
+) -> RatioResult | None:
+    """One ``min_ratio_path_dag`` call, with the set-up that
+    ``solve_gk_acyclic`` builds once per solve built for it alone."""
+    setup = _path_setup(inst, topological_order(inst), den, source, sink)
+    return min_ratio_path_dag(inst, num, den, source, sink, setup)
 
 
 @pytest.fixture

@@ -198,8 +198,8 @@ def test_fptas_acyclic_guarantee(dag_corpus, eps, monkeypatch):
     failures = []
     path_oracle = fptas.min_ratio_path_dag
 
-    def audited(graph, num, den, source, sink):
-        result = path_oracle(graph, num, den, source, sink)
+    def audited(graph, num, den, source, sink, setup):
+        result = path_oracle(graph, num, den, source, sink, setup)
         if graph.node_count > 12:
             return result
         best = exhaustive_min_ratio_path(graph, num, den, source, sink)

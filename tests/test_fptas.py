@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import random
@@ -25,19 +26,26 @@ from bcmcf import (
     solve_exact,
     solve_gk,
     solve_gk_acyclic,
+    topological_order,
     validate_flow,
 )
 from bcmcf import fptas as fptas_mod
 from bcmcf import mcc as mcc_mod
-from bcmcf.fptas import _gk_loop, _reduced_for_packing
+from bcmcf.fptas import _gk_loop, _path_setup, _reduced_for_packing
 from bcmcf.mcc import find_negative_cycle
 from bcmcf.model import circulation_form
-from conftest import ratio_cycle, scaled_flow
+from conftest import ratio_cycle, ratio_path, scaled_flow
 from reference_oracles import (
     exhaustive_min_ratio_cycle,
     exhaustive_min_ratio_path,
     iter_simple_cycles,
     iter_source_sink_paths,
+)
+
+
+path_numerators = st.one_of(
+    st.fractions(min_value=0, max_value=50, max_denominator=12),
+    st.floats(min_value=0, max_value=1e30, allow_subnormal=True),
 )
 
 
@@ -56,11 +64,7 @@ def small_dag_ratio_inputs(draw):
         sink=n,
         budget=0,
     )
-    numbers = st.one_of(
-        st.fractions(min_value=0, max_value=50, max_denominator=12),
-        st.floats(min_value=0, max_value=1e30, allow_subnormal=True),
-    )
-    num = draw(st.lists(numbers, min_size=len(arcs), max_size=len(arcs)))
+    num = draw(st.lists(path_numerators, min_size=len(arcs), max_size=len(arcs)))
     den = draw(
         st.lists(
             st.one_of(st.integers(-3, 6), st.fractions(-3, 6, max_denominator=5)),
@@ -341,7 +345,7 @@ class TestMinRatioPathDag:
             sink=3,
             budget=0,
         )
-        result = min_ratio_path_dag(inst, [1, 1, 3], [1, 1, 1], inst.source, inst.sink)
+        result = ratio_path(inst, [1, 1, 3], [1, 1, 1], inst.source, inst.sink)
         assert result is not None
         assert result.edges == (0, 1)
         assert result.ratio == 1
@@ -354,7 +358,7 @@ class TestMinRatioPathDag:
             sink=3,
             budget=0,
         )
-        result = min_ratio_path_dag(inst, [2, 3], [2, 3], inst.source, inst.sink)
+        result = ratio_path(inst, [2, 3], [2, 3], inst.source, inst.sink)
         assert result is not None
         assert result.edges == (0, 1)
         assert result.ratio == 1
@@ -367,7 +371,7 @@ class TestMinRatioPathDag:
             sink=3,
             budget=0,
         )
-        assert min_ratio_path_dag(inst, [1, 1], [-1, 0], inst.source, inst.sink) is None
+        assert ratio_path(inst, [1, 1], [-1, 0], inst.source, inst.sink) is None
 
     def test_cycle_detected(self):
         inst = Instance(
@@ -378,7 +382,7 @@ class TestMinRatioPathDag:
             budget=0,
         )
         with pytest.raises(CyclicGraphError):
-            min_ratio_path_dag(inst, [1, 1, 1], [1, 1, 1], inst.source, inst.sink)
+            ratio_path(inst, [1, 1, 1], [1, 1, 1], inst.source, inst.sink)
 
     def test_exact_against_enumeration(self):
         rng = random.Random(9)
@@ -394,7 +398,7 @@ class TestMinRatioPathDag:
             )
             num = [Fraction(rng.randint(0, 40), 7) for _ in inst.edges]
             den = [Fraction(-e.cost) for e in inst.edges]
-            result = min_ratio_path_dag(inst, num, den, inst.source, inst.sink)
+            result = ratio_path(inst, num, den, inst.source, inst.sink)
             best = exhaustive_min_ratio_path(inst, num, den)
             if best is None:
                 assert result is None
@@ -427,7 +431,7 @@ class TestMinRatioPathDag:
                 # path of positive-den edges ties at the extreme ratio c
                 c = 2.0 ** rng.randint(-398, 398)
                 num = [c * d if d > 0 else c for d in den]
-            result = min_ratio_path_dag(inst, num, den, inst.source, inst.sink)
+            result = ratio_path(inst, num, den, inst.source, inst.sink)
             best = exhaustive_min_ratio_path(inst, num, den)
             if best is None:
                 assert result is None
@@ -452,7 +456,7 @@ class TestMinRatioPathDag:
     @given(small_dag_ratio_inputs())
     def test_property_matches_enumeration(self, case):
         inst, num, den = case
-        result = min_ratio_path_dag(inst, num, den, inst.source, inst.sink)
+        result = ratio_path(inst, num, den, inst.source, inst.sink)
         best = exhaustive_min_ratio_path(inst, num, den)
         if best is None:
             assert result is None
@@ -462,6 +466,28 @@ class TestMinRatioPathDag:
             numerator = sum(Fraction(num[i]) for i in result.edges)
             denominator = sum(Fraction(den[i]) for i in result.edges)
             assert numerator / denominator == result.ratio
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(small_dag_ratio_inputs(), st.data())
+    def test_one_setup_serves_many_calls(self, case, data):
+        # solve_gk_acyclic builds the set-up once and calls the oracle with
+        # fresh numerators every time: no call may disturb what the next reads
+        inst, num, den = case
+        setup = _path_setup(inst, topological_order(inst), den, inst.source, inst.sink)
+        kept = copy.deepcopy(setup)
+        m = len(inst.edges)
+        vectors = [num] + [
+            data.draw(st.lists(numbers, min_size=m, max_size=m))
+            for numbers in (path_numerators, st.floats(0, 1e30), st.fractions(0, 50))
+        ]
+        for fresh in vectors:
+            result = min_ratio_path_dag(inst, fresh, den, inst.source, inst.sink, setup)
+            best = exhaustive_min_ratio_path(inst, fresh, den)
+            if best is None:
+                assert result is None
+            else:
+                assert result is not None and result.ratio == best[1]
+        assert setup == kept
 
     def test_non_improving_pass_hits_the_proven_bound(self, monkeypatch):
         # a pass that keeps reporting a negative value without a better path
@@ -482,9 +508,12 @@ class TestMinRatioPathDag:
             return -1, 2, [0, 1]
 
         monkeypatch.setattr(fptas_mod, "_dag_min_value_path", stuck)
-        with pytest.raises(InternalSolverError, match="proven pass bound"):
-            min_ratio_path_dag(inst, [1, 1], [1, 1], inst.source, inst.sink)
-        assert len(calls) == 1 + (2 + 2)  # the max-den pass, then D_0 + 2
+        setup = _path_setup(inst, topological_order(inst), [1, 1], inst.source, inst.sink)
+        assert len(calls) == 1  # the max-den pass, once per set-up
+        for _ in range(2):
+            with pytest.raises(InternalSolverError, match="proven pass bound"):
+                min_ratio_path_dag(inst, [1, 1], [1, 1], inst.source, inst.sink, setup)
+        assert len(calls) == 1 + 2 * (2 + 2)  # then D_0 + 2 per call
 
 
 class TestSolveGk:
@@ -775,12 +804,52 @@ class TestSolveGkAcyclic:
         with pytest.raises(CyclicGraphError, match="solve_gk"):
             solve_gk_acyclic(inst, 0.25)
 
+    def test_oracle_setup_runs_once_per_solve(self, monkeypatch):
+        # the topological sort and the maximum-denominator pass depend only
+        # on the graph and the costs, so every oracle call of a solve shares them
+        sorts, setup_passes, calls = [], [], []
+        sort, dag_pass, path_oracle = (
+            fptas_mod.topological_order,
+            fptas_mod._dag_min_value_path,
+            fptas_mod.min_ratio_path_dag,
+        )
+
+        def counted_sort(inst):
+            sorts.append(1)
+            return sort(inst)
+
+        def counted_pass(inst, order, out_edges, weights, dens, source, sink):
+            setup_passes.append(not any(weights))
+            return dag_pass(inst, order, out_edges, weights, dens, source, sink)
+
+        def counted_oracle(*args):
+            calls.append(1)
+            return path_oracle(*args)
+
+        monkeypatch.setattr(fptas_mod, "topological_order", counted_sort)
+        monkeypatch.setattr(fptas_mod, "_dag_min_value_path", counted_pass)
+        monkeypatch.setattr(fptas_mod, "min_ratio_path_dag", counted_oracle)
+        # a slack, a tight and a zero budget, then paths from sink to source
+        dag = generate_instance(5, 12, acyclic=True, seed=1400)
+        cases = [
+            generate_instance(6, 14, budget_mode="slack", acyclic=True, seed=1404),
+            generate_instance(6, 14, budget_mode="tight", acyclic=True, seed=1413),
+            generate_instance(6, 14, max_fee=1, budget_mode="zero", acyclic=True, seed=1404),
+            Instance(dag.node_count, dag.edges, dag.sink, dag.source, dag.budget),
+        ]
+        for solves, inst in enumerate(map(preprocess, cases), start=1):
+            before = len(calls)
+            solve_gk_acyclic(inst, 0.25)
+            assert len(calls) - before > 2
+            assert len(sorts) == solves
+            assert sum(setup_passes) == solves
+
     def test_shadow_audit_matches_enumeration(self, monkeypatch):
         calls = []
         path_oracle = fptas_mod.min_ratio_path_dag
 
-        def audited(graph, num, den, source, sink):
-            result = path_oracle(graph, num, den, source, sink)
+        def audited(graph, num, den, source, sink, setup):
+            result = path_oracle(graph, num, den, source, sink, setup)
             best = exhaustive_min_ratio_path(graph, num, den, source, sink)
             if best is None:
                 assert result is None
@@ -808,8 +877,8 @@ class TestSolveGkAcyclic:
         found = []
         path_oracle = fptas_mod.min_ratio_path_dag
 
-        def recording(graph, num, den, source, sink):
-            result = path_oracle(graph, num, den, source, sink)
+        def recording(graph, num, den, source, sink, setup):
+            result = path_oracle(graph, num, den, source, sink, setup)
             found.append(result is not None and source == graph.sink)
             return result
 

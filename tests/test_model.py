@@ -373,6 +373,14 @@ class TestSolutionDocument:
         assert exc.value.line == 8
         assert exc.value.message == f"duplicate {line.split()[0]} line"
 
+    @pytest.mark.parametrize("header", ["bcmcf-solution 99", "bcmcf-solution"], ids=["unknown", "missing"])
+    def test_unknown_or_missing_version(self, header):
+        text = f"# comment\n{header}\nalgorithm exact\nobjective 0\nflows 0\nend\n"
+        with pytest.raises(ParseError) as exc:
+            parse_solution(text)
+        assert exc.value.line == 2
+        assert exc.value.message == "expected 'bcmcf-solution 1'"
+
     def test_missing_budget_used_reads_none(self):
         doc = parse_solution("bcmcf-solution 1\nalgorithm exact\nobjective 0\nflows 0\nend\n")
         assert doc.budget_used is None
