@@ -21,9 +21,9 @@ out-edge lists, scaled denominators, maximum-denominator path) is built
 once per solve, so each call runs only the Dinkelbach passes.
 
 Dual lengths and the dual objective are running floats; the loop counts
-routings per column and converts each column's amount exactly to a
-rational once, so the returned flow conserves exactly and the final
-scaling to feasibility is an exact comparison, not an epsilon test.  The
+routings per column and returns routed values as ints over one power-of-two
+scale, so the flow conserves exactly, its scaling to feasibility is an exact
+int comparison, and one ``Fraction`` is built per distinct value.  The
 cycle oracle's parametric tests run the package's negative-cycle detector,
 ``mcc.find_negative_cycle``, on float lengths, over arcs that ``solve_gk``
 builds once per solve.
@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter, mul
 from typing import Callable, NamedTuple, Sequence
 
 from . import mcc
@@ -66,7 +67,7 @@ class DualState:
 
     def objective(self, capacities: Sequence[int], budget: int) -> float:
         """The exact objective of the stored lengths; resyncs ``total``."""
-        total = sum(u * y for u, y in zip(capacities, self.lengths))
+        total = sum(map(mul, capacities, self.lengths))
         if self.budget_length is not None:
             total += budget * self.budget_length
         self.total = total
@@ -170,11 +171,12 @@ def min_ratio_cycle(
 
     # Step cap from the first cycle's ratio r0, a warm start's too: at most
     # log(r0 / floor) / log1p(rel_tol) steps keep a positive ratio, one more
-    # may reach zero, and one more certifies the last cycle.
+    # may reach zero, and one more certifies the last cycle.  The floor's
+    # least positive num is the least nonzero one: none is negative.
     cycle, ratio = start, ratio_of(start)
     steps = 2
     if ratio > 0:
-        floor = math.log(min(x for x in num if x > 0)) - math.log(den_sum)
+        floor = math.log(min(filter(None, num))) - math.log(den_sum)
         steps += math.ceil((math.log(ratio) - floor) / math.log1p(rel_tol))
     for _ in range(steps):
         lam = ratio / (1.0 + rel_tol)
@@ -423,10 +425,10 @@ def _gk_loop(
     eps_prime: float,
     target: float,
     oracle: Oracle,
-) -> tuple[dict[tuple[int, ...], Fraction], int, float]:
+) -> tuple[dict[tuple[int, ...], int], int, int, float]:
     """Run the width-controlled packing loop until a certified gap closes.
 
-    Returns (routed columns, iterations, upper bound on the optimum).
+    Returns (routed columns, scale, iterations, upper bound on the optimum).
     ``oracle`` sees one numerator length per ``reduced`` edge and may return
     columns through extra arcs of its own, which carry no length, cost or
     fee (the cycle oracle's closure arcs).  Oracle calls are
@@ -436,7 +438,8 @@ def _gk_loop(
 
     Between oracle calls an iteration touches only its column's edges (the
     lazy test, the running objective).  Routings are counted per column: a
-    routed value is the column's exact amount times its count.
+    routed value is ``scale`` times the column's exact amount times its
+    count, an int: each amount is an int capacity or a float budget / fee.
 
     Weak duality: lengths divided by any lower bound on the minimum column
     ratio are dual feasible, so every real oracle call bounds the optimum
@@ -452,7 +455,7 @@ def _gk_loop(
     capacities = [e.capacity for e in reduced.edges]
     fees = [e.fee for e in reduced.edges]
     if m == 0:
-        return {}, 0, 0.0  # no edges means no columns: the zero flow stands
+        return {}, 1, 0, 0.0  # no edges means no columns: the zero flow stands
 
     # start value delta is handled in log space: it underflows a float for
     # small accuracies, but only length ratios ever reach the oracle
@@ -525,38 +528,39 @@ def _gk_loop(
             dual.budget_length *= 1.0 + eps_prime * amount * cycle_fee / budget
         if profit >= target * bound * (1.0 + CERTIFICATE_MARGIN) * worst:
             break
-    routed = {column: Fraction(amounts[column]) * k for column, k in counts.items()}
-    return routed, iterations, bound
+    ints, scale = _scaled_ints(list(amounts.values()))
+    routed = {column: p * counts[column] for column, p in zip(amounts, ints)}
+    return routed, scale, iterations, bound
 
 
 def _assemble_flow(
-    inst: Instance,
-    reduced: Instance,
-    routed: dict[tuple[int, ...], Fraction],
+    inst: Instance, reduced: Instance, routed: dict[tuple[int, ...], int], scale: int
 ) -> Flow:
     """Exactly accumulate routed columns and scale them to feasibility.
 
-    Every routed value is an exact rational, the same on all of its
-    column's edges, so conservation holds exactly.
-    The flow is divided by its exact worst row load over the capacity rows
-    and the budget row, the exact counterpart of the loop's float stop
-    test.  Every routed amount fills a row of its column, so unless nothing
-    was routed that load is 1 or more, save for float rounding on the
-    budget row.  The scaled flow is lifted back onto ``inst``'s edges.
+    A routed value is ``scale`` times its column's exact routed flow, on
+    each of its edges, so conservation holds exactly.  The flow is divided
+    by its worst row load (capacity or budget), the exact counterpart of the
+    loop's float stop test: 1 or more unless nothing was routed, save for
+    float rounding on the budget row.  As that load is top / (bottom * scale),
+    ``scale`` cancels: one ``Fraction`` is built per distinct value and total.
     """
     m = reduced.edge_count
-    values = [Fraction(0)] * m
+    values = [0] * m
     for edges, amount in routed.items():
         for i in edges:
             if i < m:
                 values[i] += amount
-    worst = max((v / e.capacity for v, e in zip(values, reduced.edges)), default=Fraction(0))
-    if reduced.budget > 0:
-        fee_total = sum((e.fee * v for e, v in zip(reduced.edges, values)), Fraction(0))
-        worst = max(worst, fee_total / reduced.budget)
-    if worst > 0:
-        values = [v / worst for v in values]
-    return restore_flow(inst, reduced, Flow.from_values(reduced, values))
+    cost, fee = (sum(map(mul, map(attrgetter(k), reduced.edges), values)) for k in ("cost", "fee"))
+    top, bottom = 0, 1  # compared by cross-multiplying ints
+    for load, size in zip([*values, fee], [*(e.capacity for e in reduced.edges), reduced.budget]):
+        if size > 0 and load * bottom > top * size:  # a zero budget has no row
+            top, bottom = load, size
+    top = top or scale  # nothing routed: the values stay zero
+    as_fraction = {v: Fraction(v * bottom, top) for v in set(values)}
+    values = tuple(map(as_fraction.__getitem__, values))
+    flow = Flow(values, Fraction(cost * bottom, top), Fraction(fee * bottom, top))
+    return restore_flow(inst, reduced, flow)  # lifted back onto inst's edges
 
 
 def solve_gk(inst: Instance, eps: float) -> Solution:
@@ -590,11 +594,9 @@ def solve_gk(inst: Instance, eps: float) -> Solution:
         )
         return last
 
-    routed, iterations, _ = _gk_loop(reduced, eps_prime, 1.0 - eps, oracle)
-    flow = _assemble_flow(inst, reduced, routed)
-    return Solution(
-        flow=flow, objective=flow.cost, algorithm="gk", iterations=iterations
-    )
+    routed, scale, iterations, _ = _gk_loop(reduced, eps_prime, 1.0 - eps, oracle)
+    flow = _assemble_flow(inst, reduced, routed, scale)
+    return Solution(flow=flow, objective=flow.cost, algorithm="gk", iterations=iterations)
 
 
 def solve_gk_acyclic(inst: Instance, eps: float) -> Solution:
@@ -630,8 +632,6 @@ def solve_gk_acyclic(inst: Instance, eps: float) -> Solution:
     def oracle(nums: Sequence[float]) -> RatioResult | None:
         return min_ratio_path_dag(reduced, nums, den, start, end, setup)
 
-    routed, iterations, _ = _gk_loop(reduced, eps_prime, 1.0 - eps, oracle)
-    flow = _assemble_flow(inst, reduced, routed)
-    return Solution(
-        flow=flow, objective=flow.cost, algorithm="gk-acyclic", iterations=iterations
-    )
+    routed, scale, iterations, _ = _gk_loop(reduced, eps_prime, 1.0 - eps, oracle)
+    flow = _assemble_flow(inst, reduced, routed, scale)
+    return Solution(flow=flow, objective=flow.cost, algorithm="gk-acyclic", iterations=iterations)

@@ -1,8 +1,8 @@
 """References that only the tests compare against.
 
 Integral flow enumeration, the exact Pareto frontier as the lower-left hull
-of the integral point cloud, and exhaustive minimum-ratio cycle and path
-searches.  These are exponential by design and guarded to desk scale.  The
+of the integral point cloud, exhaustive minimum-ratio cycle and path
+searches, and the packing loop's flow assembly in ``Fraction`` arithmetic.  These are exponential by design and guarded to desk scale.  The
 frontier reference shares only the point type and the interval bookkeeping
 with ``bcmcf.exact``; its hull never calls a solver.
 
@@ -20,12 +20,38 @@ from typing import Iterator, Sequence
 
 from bcmcf.exact import FrontierPoint, attach_lambda_intervals
 from bcmcf.mcc import InternalSolverError, find_negative_cycle
-from bcmcf.model import Flow, Instance
+from bcmcf.model import Flow, Instance, restore_flow
 from bcmcf.oracle import DEFAULT_GUARD, build_point_cloud, iter_integral_values
 
 
 def enumerate_integral_flows(inst: Instance, guard: int = DEFAULT_GUARD) -> list[Flow]:
     return [Flow.from_values(inst, vals) for vals in iter_integral_values(inst, guard)]
+
+
+def fraction_assemble_flow(
+    inst: Instance, reduced: Instance, routed: dict[tuple[int, ...], Fraction]
+) -> Flow:
+    """Sum exact routed values per edge and scale them to feasibility.
+
+    ``routed`` maps each column of ``reduced`` to its exact routed value;
+    indices past ``reduced``'s edges are the cycle oracle's closure arcs.
+    The summed flow is divided by its worst load over the capacity rows and
+    a positive budget row, if that load is positive, and lifted back onto
+    ``inst``.  Every step is ``Fraction`` arithmetic.
+    """
+    m = reduced.edge_count
+    values = [Fraction(0)] * m
+    for edges, amount in routed.items():
+        for i in edges:
+            if i < m:
+                values[i] += amount
+    worst = max((v / e.capacity for v, e in zip(values, reduced.edges)), default=Fraction(0))
+    if reduced.budget > 0:
+        fee_total = sum((e.fee * v for e, v in zip(reduced.edges, values)), Fraction(0))
+        worst = max(worst, fee_total / reduced.budget)
+    if worst > 0:
+        values = [v / worst for v in values]
+    return restore_flow(inst, reduced, Flow.from_values(reduced, values))
 
 
 def lower_left_hull(points: Sequence[tuple[int, int]]) -> list[int]:

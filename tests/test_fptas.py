@@ -38,6 +38,7 @@ from conftest import ratio_cycle, ratio_path, scaled_flow
 from reference_oracles import (
     exhaustive_min_ratio_cycle,
     exhaustive_min_ratio_path,
+    fraction_assemble_flow,
     iter_simple_cycles,
     iter_source_sink_paths,
 )
@@ -567,7 +568,7 @@ class TestSolveGk:
         def oracle(nums):
             return ratio_cycle(circ, [*nums, 0.0, 0.0], den, rel_tol=0.1)
 
-        routed, _, _ = _gk_loop(reduced, 0.1, 0.9, oracle)
+        routed, _, _, _ = _gk_loop(reduced, 0.1, 0.9, oracle)
         assert routed
         for cycle in routed:
             cost = sum(circ.edges[i].cost for i in cycle)
@@ -597,13 +598,14 @@ class TestSolveGk:
     @pytest.mark.parametrize("acyclic", [False, True])
     def test_routed_values_are_per_iteration_sums(self, acyclic, monkeypatch):
         # every iteration routes its column's amount once, so each routed
-        # value must be that amount summed once per routing, as Fractions
+        # value over the scale must be that amount summed once per routing,
+        # as Fractions
         captured = []
         assemble = fptas_mod._assemble_flow
 
-        def capturing(inst, reduced, routed):
-            captured.append((reduced, routed))
-            return assemble(inst, reduced, routed)
+        def capturing(inst, reduced, routed, scale):
+            captured.append((reduced, routed, scale))
+            return assemble(inst, reduced, routed, scale)
 
         monkeypatch.setattr(fptas_mod, "_assemble_flow", capturing)
         solver = solve_gk_acyclic if acyclic else solve_gk
@@ -614,10 +616,12 @@ class TestSolveGk:
             inst = preprocess(dataclasses.replace(raw, budget=7))
             captured.clear()
             sol = solver(inst, 0.25)
-            (reduced, routed), = captured
+            (reduced, routed, scale), = captured
             m = reduced.edge_count
             routings = 0
-            for column, value in routed.items():
+            for column, scaled in routed.items():
+                assert type(scaled) is int
+                value = Fraction(scaled, scale)
                 edges = [i for i in column if i < m]
                 amount = min(reduced.edges[i].capacity for i in edges)
                 fee = sum(reduced.edges[i].fee for i in edges)
@@ -706,6 +710,85 @@ class TestSolveGk:
         assert sol.objective <= (1 - Fraction(eps)) * solve_exact(inst).objective
 
 
+def scaled_routed(columns):
+    """Routed ints, their scale and the exact routed values for ``columns``,
+    a map from each column to (amount, count), scaled as ``_gk_loop`` does:
+    by the largest denominator of the amounts."""
+    scale = max((Fraction(a).denominator for a, _ in columns.values()), default=1)
+    routed = {c: int(Fraction(a) * scale) * k for c, (a, k) in columns.items()}
+    return routed, scale, {c: Fraction(a) * k for c, (a, k) in columns.items()}
+
+
+def assert_assembly_matches(inst, reduced, routed, scale, exact):
+    flow = fptas_mod._assemble_flow(inst, reduced, routed, scale)
+    assert flow == fraction_assemble_flow(inst, reduced, exact)
+    assert all(type(x) is Fraction for x in (*flow.values, flow.cost, flow.fee))
+    return flow
+
+
+class TestAssembleFlow:
+    """The int assembly returns exactly the flow of the Fraction reference."""
+
+    # edge 5 has no capacity, and edges 3 and 4 carry fees, so that packing
+    # drops one or three edges and the flow is lifted back past them
+    EDGES = (
+        EdgeData(1, 2, 10**6, -(10**6), 0),
+        EdgeData(2, 4, 999_983, -3, 0),
+        EdgeData(1, 3, 7, -1, 0),
+        EdgeData(3, 4, 1, 2, 10**6),
+        EdgeData(2, 3, 3, -5, 1),
+        EdgeData(1, 4, 0, -1, 0),
+    )
+    EXTREME_AMOUNTS = (2.0**-60, 5e-324, 7 / 3, 999_983, 10**6 + 3)
+
+    @pytest.mark.parametrize("acyclic", [False, True])
+    def test_routed_columns_of_binding_solves(self, acyclic, monkeypatch):
+        captured = []
+        assemble = fptas_mod._assemble_flow
+
+        def capturing(inst, reduced, routed, scale):
+            captured.append((reduced, routed, scale))
+            return assemble(inst, reduced, routed, scale)
+
+        monkeypatch.setattr(fptas_mod, "_assemble_flow", capturing)
+        solver = solve_gk_acyclic if acyclic else solve_gk
+        binding = 0
+        for seed in range(8):
+            raw = generate_instance(7, 20, max_capacity=6, acyclic=acyclic, seed=1600 + seed)
+            inst = preprocess(dataclasses.replace(raw, budget=5))
+            captured.clear()
+            flow = solver(inst, 0.25).flow
+            (reduced, routed, scale), = captured
+            exact = {c: Fraction(v, scale) for c, v in routed.items()}
+            assert flow == assert_assembly_matches(inst, reduced, routed, scale, exact)
+            binding += flow.fee == inst.budget
+        assert binding >= 3
+
+    @pytest.mark.parametrize("budget", [0, 1, 10**12])
+    def test_extreme_amounts(self, budget):
+        inst = Instance(node_count=4, edges=self.EDGES, source=1, sink=4, budget=budget)
+        reduced = _reduced_for_packing(inst)
+        m = reduced.edge_count
+        # indices m and m + 1 stand for the cycle oracle's closure arcs
+        columns = [(0, 1, m), (2,), (0, m + 1), (1, 2), tuple(range(m))]
+        counts = (1, 3, 1000, 7, 2)
+        for amounts in [[a] for a in self.EXTREME_AMOUNTS] + [self.EXTREME_AMOUNTS]:
+            picked = {c: (a, k) for c, a, k in zip(columns, amounts, counts)}
+            flow = assert_assembly_matches(inst, reduced, *scaled_routed(picked))
+            assert max(flow.values) > 0
+        routed, scale, _ = scaled_routed({(0,): (5e-324, 1), (1,): (10**6 + 3, 1)})
+        assert scale == 2**1074 and routed[(1,)] == (10**6 + 3) << 1074
+
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_nothing_routed_is_the_zero_flow(self, budget):
+        inst = Instance(node_count=4, edges=self.EDGES, source=1, sink=4, budget=budget)
+        reduced = _reduced_for_packing(inst)
+        for routed, scale in [({}, 1), ({(0, 1): 0, (2, reduced.edge_count): 0}, 2**60)]:
+            exact = {c: Fraction(v, scale) for c, v in routed.items()}
+            flow = assert_assembly_matches(inst, reduced, routed, scale, exact)
+            assert flow == Flow((Fraction(0),) * len(self.EDGES), Fraction(0), Fraction(0))
+
+
 def record_loop_bounds(monkeypatch) -> list[float]:
     """Patch ``_gk_loop`` to record every upper bound it returns."""
     bounds: list[float] = []
@@ -713,7 +796,7 @@ def record_loop_bounds(monkeypatch) -> list[float]:
 
     def recording(*args):
         result = original(*args)
-        bounds.append(result[2])
+        bounds.append(result[3])
         return result
 
     monkeypatch.setattr(fptas_mod, "_gk_loop", recording)
