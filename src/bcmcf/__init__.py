@@ -50,7 +50,6 @@ from .model import (
     parse_instance,
     parse_solution,
     preprocess,
-    project_flow,
     serialize_instance,
     validate_flow,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "parse_instance",
     "parse_solution",
     "preprocess",
-    "project_flow",
     "serialize_instance",
     "solve_exact",
     "solve_gk",

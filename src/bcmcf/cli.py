@@ -85,6 +85,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise CliError(f"--epsilon is required for --algorithm {args.algorithm}", EXIT_USAGE)
     if args.algorithm in ("exact", "oracle") and args.epsilon is not None:
         raise CliError(f"--epsilon does not apply to --algorithm {args.algorithm}", EXIT_USAGE)
+    if args.algorithm != "oracle" and args.guard is not None:
+        raise CliError(f"--guard does not apply to --algorithm {args.algorithm}", EXIT_USAGE)
     original = _load_instance(args.instance)
     inst = preprocess(original)
     try:
@@ -95,7 +97,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         elif args.algorithm == "gk-acyclic":
             sol = fptas.solve_gk_acyclic(inst, args.epsilon)
         else:
-            sol = oracle.oracle_optimum(inst, guard=args.guard)
+            sol = oracle.oracle_optimum(inst, guard=args.guard or oracle.DEFAULT_GUARD)
     except oracle.EnumerationGuardError as exc:
         raise CliError(str(exc), EXIT_GUARD) from None
     except (ValueError, fptas.CyclicGraphError) as exc:
@@ -186,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algorithm", "-a", choices=ALGORITHMS, default="exact")
     p_solve.add_argument("--epsilon", "-e", type=float, default=None,
                          help="accuracy for the gk solvers, in (0, 1)")
-    p_solve.add_argument("--guard", type=positive_int, default=oracle.DEFAULT_GUARD,
+    p_solve.add_argument("--guard", type=positive_int, default=None,
                          help="enumeration guard for --algorithm oracle")
     add_common(p_solve)
     p_solve.set_defaults(func=cmd_solve)

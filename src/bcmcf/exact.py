@@ -8,7 +8,7 @@ whether ``lam`` is below, inside, or above the closed interval of optimal
 multipliers.  A chord search narrows a bracket until one probe lands
 inside that interval; the optimum is then a convex combination of that
 probe's two witness flows meeting the budget line.  The frontier needs
-only the fee-minimal solve, one per chord.  All the solves on one closed
+only the fee-minimal solve, one per chord.  All the solves on one
 instance share one network-simplex :class:`~bcmcf.mcc.Basis`, so each
 starts from the optimal tree of the solve before it.
 """
@@ -20,15 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .mcc import Basis, InternalSolverError, lambda_cost, min_cost_circulation
-from .model import (
-    Flow,
-    Instance,
-    InstanceError,
-    Solution,
-    circulation_form,
-    instance_stats,
-    project_flow,
-)
+from .model import Flow, Instance, InstanceError, Solution, instance_stats
 
 
 class VerdictKind(enum.Enum):
@@ -39,7 +31,7 @@ class VerdictKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CallbackVerdict:
-    """Trichotomy result for one multiplier, with the two witness circulations.
+    """Trichotomy result for one multiplier, with the two witness flows.
 
     ``x_minfee``/``x_maxfee`` are optimal for cost + lam * fee with the
     smallest/largest total fee among optima.  For an INSIDE verdict with
@@ -54,8 +46,8 @@ class CallbackVerdict:
 def lambda_callback(basis: Basis, lam: Fraction) -> CallbackVerdict:
     """Decide where ``lam`` sits relative to the optimal multiplier interval.
 
-    ``basis`` must be a :class:`Basis` of an instance in circulation form
-    (see ``circulation_form``).  Verdicts: BELOW when even the fee-minimal
+    ``basis`` is a :class:`Basis` of the problem instance, and a negative
+    ``lam`` raises ``ValueError``.  Verdicts: BELOW when even the fee-minimal
     optimum overshoots the budget, ABOVE when the fee-maximal optimum
     undershoots it (only for lam > 0; at lam = 0 a slack budget means the
     unconstrained optimum already wins, hence INSIDE), INSIDE otherwise.
@@ -66,11 +58,6 @@ def lambda_callback(basis: Basis, lam: Fraction) -> CallbackVerdict:
     no verdict or (cost, fee) point.  Its one caller in the package is
     ``solve_exact``.
     """
-    lam = Fraction(lam)
-    if lam < 0:
-        raise ValueError(f"multiplier {lam} is negative")
-    if basis.inst.return_arc_index is None:
-        raise ValueError("lambda_callback needs a circulation-form instance")
     x_min = min_cost_circulation(basis, lambda_cost(basis, lam, "min"))
     x_max = min_cost_circulation(basis, lambda_cost(basis, lam, "max"))
     budget = basis.inst.budget
@@ -159,7 +146,7 @@ def solve_exact(inst: Instance) -> Solution:
     so each starts from the optimum of the solve before it, which moves no
     verdict.
     """
-    basis = Basis(circulation_form(inst))
+    basis = Basis(inst)
     budget = Fraction(inst.budget)
     stats = instance_stats(inst)
     x_over = x_under = None  # bracket corners: optima with fee above / below the budget
@@ -199,7 +186,6 @@ def solve_exact(inst: Instance) -> Solution:
                 flow = verdict.x_minfee
             else:
                 flow = budget_combination(verdict.x_minfee, verdict.x_maxfee, budget)
-            flow = project_flow(inst, flow)
             return Solution(
                 flow=flow, objective=flow.cost, algorithm="exact", iterations=probes, lam=lam
             )
@@ -224,7 +210,7 @@ def enumerate_frontier(inst: Instance) -> list[FrontierPoint]:
     so each starts from the optimum of the solve before it.
     """
     stats = instance_stats(inst)
-    basis = Basis(circulation_form(inst))
+    basis = Basis(inst)
     top = min_cost_circulation(basis, lambda_cost(basis, Fraction(0), "min"))
     bottom = min_cost_circulation(basis, lambda_cost(basis, stats.lambda_above_all_slopes(), "min"))
 
@@ -240,6 +226,6 @@ def enumerate_frontier(inst: Instance) -> list[FrontierPoint]:
         extremes = [bottom]
     else:
         extremes = [bottom] + expand(bottom, top) + [top]
-    return attach_lambda_intervals([
-        FrontierPoint(x.cost, x.fee, project_flow(inst, x), Fraction(0), None) for x in extremes
-    ])
+    return attach_lambda_intervals(
+        [FrontierPoint(x.cost, x.fee, x, Fraction(0), None) for x in extremes]
+    )

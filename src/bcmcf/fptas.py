@@ -322,7 +322,6 @@ def _path_setup(
 def min_ratio_path_dag(
     inst: Instance,
     num: Sequence[Fraction | float],
-    den: Sequence[Fraction | float],
     source: int,
     sink: int,
     setup: PathSetup,
@@ -340,11 +339,10 @@ def min_ratio_path_dag(
     units.
 
     ``setup`` is ``_path_setup(inst, order, den, source, sink)``: the
-    topological order, the out-edge lists, the scaled ``den`` and the
-    maximum-denominator path are fixed for as long as ``inst`` and ``den``
-    are, so a caller builds them once, and each call scales only ``num``
-    and reads ``den`` through ``setup``.  Returns None if no source-sink
-    path has positive denominator.
+    topological order, the out-edge lists, the scaled denominators ``den``
+    and the maximum-denominator path are fixed for as long as ``inst`` and
+    ``den`` are, so a caller builds them once, and each call scales only
+    ``num``.  Returns None if no source-sink path has positive denominator.
     """
     nums, num_scale = _scaled_ints(num)
     if any(x < 0 for x in nums):
@@ -422,13 +420,16 @@ LENGTH_CEILING = 1e120
 
 def _gk_loop(
     reduced: Instance,
+    eps: float,
     eps_prime: float,
-    target: float,
     oracle: Oracle,
 ) -> tuple[dict[tuple[int, ...], int], int, int, float]:
     """Run the width-controlled packing loop until a certified gap closes.
 
     Returns (routed columns, scale, iterations, upper bound on the optimum).
+    ``eps`` is the solver's accuracy and ``eps_prime`` the loop's internal
+    one; an ``eps`` outside (0, 1), or one so small that ``eps_prime``
+    leaves no float phase count, raises ``ValueError``.
     ``oracle`` sees one numerator length per ``reduced`` edge and may return
     columns through extra arcs of its own, which carry no length, cost or
     fee (the cycle oracle's closure arcs).  Oracle calls are
@@ -444,10 +445,13 @@ def _gk_loop(
     Weak duality: lengths divided by any lower bound on the minimum column
     ratio are dual feasible, so every real oracle call bounds the optimum
     by (dual objective)/(its ``lower``).  The loop stops once the routed
-    flow divided by its worst row load reaches ``target`` times the least
+    flow divided by its worst row load reaches 1 - ``eps`` times the least
     such bound, or, as the scheme's proven fallback, once the dual
     objective reaches 1.
     """
+    if not 0 < eps < 1:
+        raise ValueError(f"epsilon {eps} outside (0, 1)")
+    target = 1.0 - eps
     m = reduced.edge_count
     budget = reduced.budget
     budget_row = budget > 0
@@ -459,9 +463,14 @@ def _gk_loop(
 
     # start value delta is handled in log space: it underflows a float for
     # small accuracies, but only length ratios ever reach the oracle
-    log_delta = math.log1p(eps_prime) - math.log((1.0 + eps_prime) * rows) / eps_prime
-    phases = (math.log1p(eps_prime) - log_delta) / math.log1p(eps_prime)
-    iteration_cap = 4 * rows * (int(phases) + 1) + 64
+    try:
+        log_delta = math.log1p(eps_prime) - math.log((1.0 + eps_prime) * rows) / eps_prime
+        phases = (math.log1p(eps_prime) - log_delta) / math.log1p(eps_prime)
+        iteration_cap = 4 * rows * (int(phases) + 1) + 64
+    except (ZeroDivisionError, OverflowError):
+        # eps_prime is 0, or the phases, about log(rows) / eps_prime^2, exceed
+        # every float: eps below about 1e-154
+        raise ValueError(f"epsilon {eps} is too small for float lengths") from None
 
     dual = DualState(
         lengths=[1.0 / u for u in capacities],
@@ -574,8 +583,6 @@ def solve_gk(inst: Instance, eps: float) -> Solution:
     the advertised factor.  The budget-zero case drops fee-carrying edges
     and the budget row entirely.
     """
-    if not 0 < eps < 1:
-        raise ValueError(f"epsilon {eps} outside (0, 1)")
     reduced = _reduced_for_packing(inst)
     eps_prime = eps / 4.0
     circ = circulation_form(reduced)
@@ -594,7 +601,7 @@ def solve_gk(inst: Instance, eps: float) -> Solution:
         )
         return last
 
-    routed, scale, iterations, _ = _gk_loop(reduced, eps_prime, 1.0 - eps, oracle)
+    routed, scale, iterations, _ = _gk_loop(reduced, eps, eps_prime, oracle)
     flow = _assemble_flow(inst, reduced, routed, scale)
     return Solution(flow=flow, objective=flow.cost, algorithm="gk", iterations=iterations)
 
@@ -613,8 +620,6 @@ def solve_gk_acyclic(inst: Instance, eps: float) -> Solution:
     the acyclicity check computes.  As in ``solve_gk``, the loop stops at a
     certified (1 - eps) gap, here against the exact minimum ratio.
     """
-    if not 0 < eps < 1:
-        raise ValueError(f"epsilon {eps} outside (0, 1)")
     try:
         order = topological_order(inst)
     except CyclicGraphError:
@@ -630,8 +635,8 @@ def solve_gk_acyclic(inst: Instance, eps: float) -> Solution:
     setup = _path_setup(reduced, order, den, start, end)
 
     def oracle(nums: Sequence[float]) -> RatioResult | None:
-        return min_ratio_path_dag(reduced, nums, den, start, end, setup)
+        return min_ratio_path_dag(reduced, nums, start, end, setup)
 
-    routed, scale, iterations, _ = _gk_loop(reduced, eps_prime, 1.0 - eps, oracle)
+    routed, scale, iterations, _ = _gk_loop(reduced, eps, eps_prime, oracle)
     flow = _assemble_flow(inst, reduced, routed, scale)
     return Solution(flow=flow, objective=flow.cost, algorithm="gk-acyclic", iterations=iterations)

@@ -3,12 +3,12 @@
 Costs, capacities, flows and potentials are plain Python ints.
 :func:`lambda_cost` packs a multiplier's scaled cost and a fee tie-break
 into one int per edge, so a single solve returns, among all minimum-cost
-circulations, the one with the smallest or largest total usage fee.  A
-:class:`Basis` is the simplex's spanning tree over one closed instance and
-the only handle the solves take on it; between the solves on that
-instance only the costs change, so the last optimal tree is primal
-feasible for the next solve and is its warm start.
-With integral capacities the returned circulation is integral.
+flows, the one with the smallest or largest total usage fee.  A
+:class:`Basis` is the simplex's spanning tree over one problem instance,
+which it closes into a circulation itself, and the only handle the solves
+take on it; between the solves on that instance only the costs change, so
+the last optimal tree is primal feasible for the next solve and is its
+warm start.  A solve returns an integral flow on the instance's own edges.
 :func:`find_negative_cycle` is the package's one negative-cycle detector,
 called by the approximation lane's cycle oracle with float lengths: a
 Bellman-Ford whose predecessor graph is searched for a cycle after every
@@ -24,7 +24,7 @@ from math import isqrt
 from operator import le, mul
 from typing import Sequence
 
-from .model import Flow, Instance
+from .model import Flow, Instance, circulation_form
 
 
 class InternalSolverError(RuntimeError):
@@ -35,9 +35,9 @@ def lambda_cost(basis: Basis, lam: Fraction, fee_direction: str) -> list[int]:
     """Edge costs ``cost + lam * fee`` with the fee as tie-break, packed into ints.
 
     ``fee_direction`` "min" prefers the smallest total fee among primary
-    optima, "max" the largest.  The closure arcs of ``circulation_form``,
-    having zero cost and fee, get 0.  The costs, fees and packing factor
-    are the ones ``basis`` read from its instance.
+    optima, "max" the largest.  One cost per edge of ``basis``'s problem
+    instance; the basis's closure arcs keep cost 0.  The costs, fees and
+    packing factor are the ones ``basis`` read from its instance.
     """
     lam = Fraction(lam)
     if lam < 0:
@@ -56,31 +56,36 @@ def lambda_cost(basis: Basis, lam: Fraction, fee_direction: str) -> list[int]:
 
 
 class Basis:
-    """A strongly feasible spanning-tree basis of one closed instance.
+    """A strongly feasible spanning-tree basis of one problem instance.
 
-    Node 0 is the root.  Edge i of the instance is arc i; arc m + v - 1 is
-    an artificial arc v -> root with cost 0 and a capacity no flow can
-    reach.  The root has no outgoing arc, so no circulation puts flow on an
-    artificial arc, and the all-artificial start tree, holding the zero
-    circulation, is strongly feasible: every node can send flow to the root
-    along its tree path.  Every nonbasic arc sits at one of its bounds,
-    ``state`` +1 at 0 and -1 at capacity; basic arcs and arcs of capacity 0,
-    which can carry no flow, have state 0 and are never priced.  Between
-    solves only the costs change, so the optimal tree a solve leaves is
-    primal feasible and the next solve's start.  The edge costs, fees and
-    packing factor K = sum(fees) + 1 of :func:`lambda_cost` are read from
-    the instance once.  ``pivots`` counts the pivots of all its solves.
+    The basis closes ``inst`` once with ``circulation_form``: edge i is arc
+    i, and the closure arcs m (source -> sink) and m + 1 (sink -> source)
+    keep cost 0, so source and sink are free.  Node 0 is the root; arc
+    m + 1 + v is an artificial arc v -> root with cost 0 and a capacity no
+    flow can reach.  The root has no outgoing arc, so no circulation puts
+    flow on an artificial arc, and the all-artificial start tree, holding
+    the zero circulation, is strongly feasible: every node can send flow to
+    the root along its tree path.  Every nonbasic arc sits at one of its
+    bounds, ``state`` +1 at 0 and -1 at capacity; basic arcs and arcs of
+    capacity 0, which can carry no flow, have state 0 and are never priced.
+    Between solves only the costs change, so the optimal tree a solve
+    leaves is primal feasible and the next solve's start.  The edge costs,
+    fees and packing factor K = sum(fees) + 1 of :func:`lambda_cost` are
+    read from the instance once.  ``pivots`` counts the pivots of all its
+    solves.
     """
 
     def __init__(self, inst: Instance) -> None:
-        n, m = inst.node_count, inst.edge_count
-        caps = [e.capacity for e in inst.edges]
+        closed = circulation_form(inst)
+        n, m = closed.node_count, closed.edge_count
+        caps = [e.capacity for e in closed.edges]
         self.inst = inst
+        self.arc_count = m  # the problem edges and the two closure arcs
         self.edge_costs = [e.cost for e in inst.edges]
         self.fees = [e.fee for e in inst.edges]
         self.fee_scale = sum(self.fees) + 1
-        self.tails = [e.tail for e in inst.edges] + list(range(1, n + 1))
-        self.heads = [e.head for e in inst.edges] + [0] * n
+        self.tails = [e.tail for e in closed.edges] + list(range(1, n + 1))
+        self.heads = [e.head for e in closed.edges] + [0] * n
         self.caps = caps + [sum(caps) + 1] * n
         self.flow = [0] * (m + n)
         self.state = [1 if u > 0 else 0 for u in caps] + [0] * n
@@ -129,7 +134,7 @@ class Basis:
         stopped and return the worst arc of the first block holding one.
         """
         costs, pi, tails, heads, state = self.costs, self.potentials, self.tails, self.heads, self.state
-        m, block = self.inst.edge_count, self.block
+        m, block = self.arc_count, self.block
         best, best_arc = 0, -1
         a, count = self.next_arc, block
         for _ in range(m):
@@ -199,7 +204,7 @@ class Basis:
             state[arc] = -state[arc]  # the arc itself blocks: it changes bound
             return
         leaving = pred[out]
-        if leaving < self.inst.edge_count:
+        if leaving < self.arc_count:
             state[leaving] = 1 if flow[leaving] == 0 else -1
         state[arc] = 0
         u_in, v_in = (first, second) if side == 1 else (second, first)
@@ -302,11 +307,14 @@ def find_negative_cycle(
 
 
 def min_cost_circulation(basis: Basis, costs: Sequence[int]) -> Flow:
-    """Minimum cost circulation of ``basis``'s instance under int edge costs.
+    """Minimum cost flow on ``basis``'s instance under int edge costs.
 
-    A primal network simplex: starts from the tree ``basis`` holds, fresh
-    or left by an earlier solve, and pivots until no arc prices out, which
-    certifies optimality: the tree's potentials give every residual arc a
+    Source and sink are free: the basis's closure arcs carry their net
+    value, at cost 0, either way.  The optimum is returned on the
+    instance's own edges, its totals summed over them.  A primal network
+    simplex: starts from the tree ``basis`` holds, fresh or left by an
+    earlier solve, and pivots until no arc prices out, which certifies
+    optimality: the tree's potentials give every residual arc a
     nonnegative reduced cost.  The basis keeps the optimal tree for the
     caller's next solve.  A basis whose flow is not an int circulation
     within capacity raises ``ValueError``.

@@ -51,9 +51,8 @@ class Instance:
 
     Nodes are numbered ``1..node_count``.  ``edges`` is an ordered tuple;
     edge order is significant (flows are reported positionally).  Parallel
-    edges and self-loops are permitted.  ``return_arc_index`` marks the
-    sink-to-source arc of an instance that :func:`circulation_form` closed.
-    ``edge_origin`` gives, for each edge of a derived instance, its position
+    edges and self-loops are permitted.  Conservation binds at every node
+    but source and sink.  ``edge_origin`` gives, for each edge of a derived instance, its position
     in the instance it was derived from; :func:`restore_flow` lifts flows
     back along it.
     """
@@ -63,7 +62,6 @@ class Instance:
     source: int
     sink: int
     budget: int
-    return_arc_index: int | None = None
     edge_origin: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -104,8 +102,10 @@ class Flow:
         """A flow with ``values`` on ``inst``'s edges, in edge order.
 
         The cost and fee totals are summed over the values as given, so an
-        int circulation is summed in ints and each total becomes a
-        ``Fraction`` once; the stored values are always ``Fraction``.
+        int flow is summed in ints and each total becomes a ``Fraction``
+        once.  The stored values are always ``Fraction``, one built per
+        distinct value: a flow repeats 0 and a few capacities, and ints,
+        floats and Fractions all hash and convert exactly.
         """
         raw = tuple(values)
         if len(raw) != inst.edge_count:
@@ -115,13 +115,8 @@ class Flow:
         edges = inst.edges
         cost = sum(map(mul, map(attrgetter("cost"), edges), raw))
         fee = sum(map(mul, map(attrgetter("fee"), edges), raw))
-        if set(map(type, raw)) <= {int}:
-            # a circulation repeats 0 and a few capacities: one Fraction each
-            as_fraction = {v: Fraction(v) for v in set(raw)}
-            values = tuple(map(as_fraction.__getitem__, raw))
-        else:
-            values = tuple(map(Fraction, raw))
-        return cls(values, Fraction(cost), Fraction(fee))
+        as_fraction = {v: Fraction(v) for v in set(raw)}
+        return cls(tuple(map(as_fraction.__getitem__, raw)), Fraction(cost), Fraction(fee))
 
 
 @dataclass(frozen=True)
@@ -185,9 +180,7 @@ class ValidationReport:
 def validate_flow(inst: Instance, flow: Flow) -> ValidationReport:
     """Re-check capacities, conservation, and the budget with exact arithmetic.
 
-    Conservation is required at every node except source and sink; in
-    circulation form the closure arcs make those two balance as well, but
-    they are still exempted here so the same check applies to both forms.
+    Conservation is required at every node except source and sink.
     """
     if len(flow.values) != inst.edge_count:
         raise InstanceError(
@@ -299,18 +292,7 @@ def circulation_form(inst: Instance) -> Instance:
         source=inst.source,
         sink=inst.sink,
         budget=inst.budget,
-        return_arc_index=inst.edge_count + 1,
     )
-
-
-def project_flow(base: Instance, flow: Flow) -> Flow:
-    """Restrict a circulation-form flow to the base instance's own edges.
-
-    :func:`circulation_form` appends both closure arcs with zero cost and
-    zero fee, so the dropped coordinates contribute nothing to either total
-    and the flow's cost and fee carry over without re-summing.
-    """
-    return Flow(flow.values[: base.edge_count], flow.cost, flow.fee)
 
 
 # ---------------------------------------------------------------------------

@@ -33,17 +33,13 @@ def _check_guard(inst: Instance, guard: int) -> None:
 def iter_integral_values(inst: Instance, guard: int = DEFAULT_GUARD) -> Iterator[tuple[int, ...]]:
     """Yield every integral edge assignment satisfying capacity and conservation.
 
-    Conservation is enforced at all nodes except source and sink; on an
-    instance that ``circulation_form`` closed (``return_arc_index`` set) it
-    is enforced everywhere.  Partial assignments are pruned as soon as some
-    node's balance can no longer be repaired by its unassigned edges.
+    Conservation is enforced at all nodes except source and sink, as in
+    every solver.  Partial assignments are pruned as soon as some node's
+    balance can no longer be repaired by its unassigned edges.
     """
     _check_guard(inst, guard)
     n, m = inst.node_count, inst.edge_count
-    conserved = [v not in (inst.source, inst.sink) for v in range(n + 1)]
-    if inst.return_arc_index is not None:
-        conserved = [True] * (n + 1)
-    conserved[0] = False
+    conserved = [v not in (0, inst.source, inst.sink) for v in range(n + 1)]
 
     # per-node remaining correction capacity over edges not yet assigned
     rem_in = [0] * (n + 1)

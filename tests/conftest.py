@@ -49,7 +49,7 @@ def ratio_path(
     """One ``min_ratio_path_dag`` call, with the set-up that
     ``solve_gk_acyclic`` builds once per solve built for it alone."""
     setup = _path_setup(inst, topological_order(inst), den, source, sink)
-    return min_ratio_path_dag(inst, num, den, source, sink, setup)
+    return min_ratio_path_dag(inst, num, source, sink, setup)
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from bcmcf import (
 )
 from bcmcf import fptas
 from bcmcf.exact import edge_multiplier
-from bcmcf.model import Flow, Instance, circulation_form
+from bcmcf.model import Flow, Instance
 from bcmcf.oracle import iter_integral_values
 from conftest import corpus_instances, dag_corpus_instances, ratio_cycle, scaled_flow
 from reference_oracles import exhaustive_min_ratio_cycle, exhaustive_min_ratio_path, oracle_frontier
@@ -150,14 +150,13 @@ def test_trichotomy_pattern(corpus):
     failures = []
     rank = {VerdictKind.BELOW: 0, VerdictKind.INSIDE: 1, VerdictKind.ABOVE: 2}
     for inst in corpus[:120]:
-        circ = circulation_form(inst)
         stats = instance_stats(inst)
         lo, hi = lambda_star_interval(oracle_frontier(inst), inst.budget)
         top = stats.lambda_above_all_slopes()
         kinds = []
         for k in range(50):
             lam = Fraction(k) * top / 49
-            verdict = lambda_callback(Basis(circ), lam)
+            verdict = lambda_callback(Basis(inst), lam)
             kinds.append(verdict.kind)
             if lam < lo:
                 expected = VerdictKind.BELOW
@@ -198,10 +197,11 @@ def test_fptas_acyclic_guarantee(dag_corpus, eps, monkeypatch):
     failures = []
     path_oracle = fptas.min_ratio_path_dag
 
-    def audited(graph, num, den, source, sink, setup):
-        result = path_oracle(graph, num, den, source, sink, setup)
+    def audited(graph, num, source, sink, setup):
+        result = path_oracle(graph, num, source, sink, setup)
         if graph.node_count > 12:
             return result
+        den = [Fraction(d, setup.den_scale) for d in setup.dens]
         best = exhaustive_min_ratio_path(graph, num, den, source, sink)
         if best is None:
             assert result is None

@@ -60,6 +60,30 @@ class TestSolve:
         assert captured.out == ""
         assert "--epsilon" in captured.err
 
+    @pytest.mark.parametrize("algorithm", ["gk", "gk-acyclic"])
+    @pytest.mark.parametrize("epsilon", ["1e-200", "5e-324"])
+    def test_tiny_epsilon_is_usage_error(self, i1_path, capsys, algorithm, epsilon):
+        # the loop's phase count overflows a float below about 1e-154, and
+        # 5e-324 / 4 is 0; neither is an infeasible flow, so not exit 1
+        assert main(["solve", "-a", algorithm, "-e", epsilon, i1_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"epsilon {float(epsilon)!r}" in captured.err
+
+    @pytest.mark.parametrize(
+        "options", [["-a", "exact"], ["-a", "gk", "-e", "0.5"], ["-a", "gk-acyclic", "-e", "0.5"]]
+    )
+    def test_guard_without_oracle_is_usage_error(self, i1_path, capsys, options):
+        # only the oracle enumerates; elsewhere the guard would be ignored
+        assert main(["solve", *options, "--guard", "5", i1_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--guard" in captured.err
+
+    def test_guard_with_oracle_algorithm(self, i1_path, capsys):
+        assert main(["solve", "-a", "oracle", "--guard", "2", i1_path]) == 3
+        assert main(["solve", "-a", "oracle", "--guard", "9", i1_path]) == 0
+
     def test_oracle_algorithm(self, i1_path, capsys):
         assert main(["solve", "--algorithm", "oracle", i1_path]) == 0
         assert parse_solution(capsys.readouterr().out).objective == -6

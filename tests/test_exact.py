@@ -19,14 +19,12 @@ from bcmcf import (
     InternalSolverError,
     VerdictKind,
     budget_combination,
-    circulation_form,
     enumerate_frontier,
     generate_instance,
     instance_stats,
     lambda_callback,
     oracle_optimum,
     preprocess,
-    project_flow,
     solve_exact,
     solve_gk,
     solve_gk_acyclic,
@@ -62,13 +60,13 @@ def small_instances(draw) -> Instance:
     return replace(inst, budget=budget)
 
 
-def optima_fee_range(circ: Instance, lam: Fraction) -> tuple[Fraction, Fraction]:
-    """Fee range over all integral circulations minimizing cost + lam * fee."""
+def optima_fee_range(inst: Instance, lam: Fraction) -> tuple[Fraction, Fraction]:
+    """Fee range over all integral flows minimizing cost + lam * fee."""
     best = None
     fees = []
-    for vals in iter_integral_values(circ):
-        value = sum((e.cost + lam * e.fee) * v for e, v in zip(circ.edges, vals))
-        fee = sum(e.fee * v for e, v in zip(circ.edges, vals))
+    for vals in iter_integral_values(inst):
+        value = sum((e.cost + lam * e.fee) * v for e, v in zip(inst.edges, vals))
+        fee = sum(e.fee * v for e, v in zip(inst.edges, vals))
         if best is None or value < best:
             best = value
             fees = [fee]
@@ -83,24 +81,22 @@ class TestLambdaCallback:
         [(1, VerdictKind.BELOW), (2, VerdictKind.INSIDE), (3, VerdictKind.ABOVE)],
     )
     def test_two_parallel_verdicts(self, inst_two_parallel, lam, expected):
-        circ = circulation_form(inst_two_parallel)
-        verdict = lambda_callback(Basis(circ), Fraction(lam))
+        verdict = lambda_callback(Basis(inst_two_parallel), Fraction(lam))
         assert verdict.kind is expected
         # witness fees are exactly the extremes of the optimal face
-        lo, hi = optima_fee_range(circ, Fraction(lam))
+        lo, hi = optima_fee_range(inst_two_parallel, Fraction(lam))
         assert verdict.x_minfee.fee == lo
         assert verdict.x_maxfee.fee == hi
 
     def test_inside_brackets_budget(self, inst_two_parallel):
-        circ = circulation_form(inst_two_parallel)
-        verdict = lambda_callback(Basis(circ), Fraction(2))
-        assert verdict.x_minfee.fee <= circ.budget <= verdict.x_maxfee.fee
+        verdict = lambda_callback(Basis(inst_two_parallel), Fraction(2))
+        assert verdict.x_minfee.fee <= inst_two_parallel.budget <= verdict.x_maxfee.fee
 
     def test_budget_slack_at_zero_is_inside(self, inst_two_parallel):
         slack = Instance(
             node_count=2, edges=inst_two_parallel.edges, source=1, sink=2, budget=100
         )
-        verdict = lambda_callback(Basis(circulation_form(slack)), Fraction(0))
+        verdict = lambda_callback(Basis(slack), Fraction(0))
         assert verdict.kind is VerdictKind.INSIDE
 
     def test_monotone_pattern_on_random_instances(self):
@@ -113,10 +109,9 @@ class TestLambdaCallback:
                     seed=500 + seed,
                 )
             )
-            circ = circulation_form(inst)
             top = instance_stats(inst).lambda_above_all_slopes()
             kinds = [
-                lambda_callback(Basis(circ), Fraction(k) * top / 11).kind for k in range(12)
+                lambda_callback(Basis(inst), Fraction(k) * top / 11).kind for k in range(12)
             ]
             order = {VerdictKind.BELOW: 0, VerdictKind.INSIDE: 1, VerdictKind.ABOVE: 2}
             ranks = [order[k] for k in kinds]
@@ -157,7 +152,7 @@ class TestBudgetCombination:
             budget_combination(x1, x2, 2)
 
 
-class TestProjectFlow:
+class TestSolveFlows:
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
     @given(
         st.integers(2, 7),
@@ -166,19 +161,18 @@ class TestProjectFlow:
         st.integers(0, 10**6),
         st.fractions(0, 1, max_denominator=9),
     )
-    def test_keeps_the_totals_of_the_kept_values(self, nodes, edges, cap, seed, t):
-        """The closure arcs carry no cost or fee: projecting must not change a total."""
+    def test_totals_are_the_problem_edges_totals(self, nodes, edges, cap, seed, t):
+        """A solve's flow and its budget combinations lie on the problem's own
+        edges, with the totals those edges give: the closure arcs carry none."""
         inst = preprocess(generate_instance(nodes, edges, max_capacity=cap, seed=seed))
-        circ = circulation_form(inst)
         top = instance_stats(inst).lambda_above_all_slopes()
-        low, high = Basis(circ), Basis(circ)
+        low, high = Basis(inst), Basis(inst)
         x_low = min_cost_circulation(low, lambda_cost(low, top, "min"))
         x_high = min_cost_circulation(high, lambda_cost(high, Fraction(0), "max"))
         combo = budget_combination(x_low, x_high, x_low.fee + t * (x_high.fee - x_low.fee))
         for x in (x_low, x_high, combo):
-            projected = project_flow(inst, x)
-            assert projected == Flow.from_values(inst, x.values[: inst.edge_count])
-            assert type(projected.cost) is Fraction and type(projected.fee) is Fraction
+            assert x == Flow.from_values(inst, x.values)
+            assert type(x.cost) is Fraction and type(x.fee) is Fraction
 
 
 class TestSolveExact:
@@ -460,7 +454,7 @@ def test_answers_invariant_under_permutation_and_scaling(inst, data, k):
 
 
 class TestWarmStarts:
-    """The exact lane's solves share one simplex basis per closed instance;
+    """The exact lane's solves share one simplex basis per instance;
     this pins the wiring by comparing pivots with a run that gives every
     solve a fresh basis."""
 
@@ -489,7 +483,7 @@ class TestWarmStarts:
             mp.setattr(exact_mod, "min_cost_circulation", counting)
             answers = [solver(inst) for inst in TestWarmStarts.INSTANCES]
         if not cold:
-            # one basis per closed instance serves all of its solves
+            # one basis per instance serves all of its solves
             assert len({id(b) for b in bases}) == len(TestWarmStarts.INSTANCES)
         return pivots, answers
 
@@ -515,14 +509,9 @@ class TestWarmStarts:
 
 
 class TestCallbackPreconditions:
-    def test_requires_circulation_form(self, inst_two_parallel):
-        with pytest.raises(ValueError, match="circulation"):
-            lambda_callback(Basis(inst_two_parallel), Fraction(1))
-
     def test_rejects_negative_multiplier(self, inst_two_parallel):
-        circ = circulation_form(inst_two_parallel)
-        with pytest.raises(ValueError):
-            lambda_callback(Basis(circ), Fraction(-1))
+        with pytest.raises(ValueError, match="negative"):
+            lambda_callback(Basis(inst_two_parallel), Fraction(-1))
 
 
 class TestSinkToSourceValue:
@@ -538,7 +527,7 @@ class TestSinkToSourceValue:
         assert oracle_optimum(backwards).objective == -1
 
     def test_callback_witness(self, backwards):
-        verdict = lambda_callback(Basis(circulation_form(backwards)), Fraction(0))
+        verdict = lambda_callback(Basis(backwards), Fraction(0))
         assert verdict.kind is VerdictKind.INSIDE
         assert verdict.x_minfee.cost == verdict.x_maxfee.cost == -1
 

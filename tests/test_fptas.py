@@ -482,7 +482,7 @@ class TestMinRatioPathDag:
             for numbers in (path_numerators, st.floats(0, 1e30), st.fractions(0, 50))
         ]
         for fresh in vectors:
-            result = min_ratio_path_dag(inst, fresh, den, inst.source, inst.sink, setup)
+            result = min_ratio_path_dag(inst, fresh, inst.source, inst.sink, setup)
             best = exhaustive_min_ratio_path(inst, fresh, den)
             if best is None:
                 assert result is None
@@ -513,7 +513,7 @@ class TestMinRatioPathDag:
         assert len(calls) == 1  # the max-den pass, once per set-up
         for _ in range(2):
             with pytest.raises(InternalSolverError, match="proven pass bound"):
-                min_ratio_path_dag(inst, [1, 1], [1, 1], inst.source, inst.sink, setup)
+                min_ratio_path_dag(inst, [1, 1], inst.source, inst.sink, setup)
         assert len(calls) == 1 + 2 * (2 + 2)  # then D_0 + 2 per call
 
 
@@ -539,9 +539,13 @@ class TestSolveGk:
         assert sol.objective <= Fraction(1, 2) * -2  # fee-free optimum is -2
 
     def test_epsilon_validated(self, inst_two_parallel):
-        for eps in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                solve_gk(inst_two_parallel, eps)
+        # below about 1e-154 the loop's phase count, about log(rows) / eps^2,
+        # overflows a float, and eps / 4 of 5e-324 is 0; the check in the
+        # loop that both solvers share names epsilon
+        for solver in (solve_gk, solve_gk_acyclic):
+            for eps in (0.0, 1.0, -0.5, 2.0, math.nan, 1e-155, 1e-200, 5e-324):
+                with pytest.raises(ValueError, match=f"^epsilon {eps!r} "):
+                    solver(inst_two_parallel, eps)
 
     @pytest.mark.parametrize("eps", [0.5, 0.25])
     def test_guarantee_on_random_instances(self, eps):
@@ -568,7 +572,7 @@ class TestSolveGk:
         def oracle(nums):
             return ratio_cycle(circ, [*nums, 0.0, 0.0], den, rel_tol=0.1)
 
-        routed, _, _, _ = _gk_loop(reduced, 0.1, 0.9, oracle)
+        routed, _, _, _ = _gk_loop(reduced, 0.1, 0.1, oracle)
         assert routed
         for cycle in routed:
             cost = sum(circ.edges[i].cost for i in cycle)
@@ -931,8 +935,9 @@ class TestSolveGkAcyclic:
         calls = []
         path_oracle = fptas_mod.min_ratio_path_dag
 
-        def audited(graph, num, den, source, sink, setup):
-            result = path_oracle(graph, num, den, source, sink, setup)
+        def audited(graph, num, source, sink, setup):
+            result = path_oracle(graph, num, source, sink, setup)
+            den = [Fraction(d, setup.den_scale) for d in setup.dens]
             best = exhaustive_min_ratio_path(graph, num, den, source, sink)
             if best is None:
                 assert result is None
@@ -960,8 +965,8 @@ class TestSolveGkAcyclic:
         found = []
         path_oracle = fptas_mod.min_ratio_path_dag
 
-        def recording(graph, num, den, source, sink, setup):
-            result = path_oracle(graph, num, den, source, sink, setup)
+        def recording(graph, num, source, sink, setup):
+            result = path_oracle(graph, num, source, sink, setup)
             found.append(result is not None and source == graph.sink)
             return result
 

@@ -27,19 +27,19 @@ from reference_oracles import ResidualGraph, canceling_circulation, iter_simple_
 
 
 def lex_optimum_by_enumeration(
-    circ: Instance, lam: Fraction, fee_direction: str
+    inst: Instance, lam: Fraction, fee_direction: str
 ) -> tuple[Fraction, Fraction]:
     """Exhaustive lexicographic minimum of (cost + lam * fee, +-fee) over all
-    integral circulations, computed from the instance without packing."""
+    integral flows, computed from the instance without packing."""
     sign = 1 if fee_direction == "min" else -1
     best = None
-    for vals in iter_integral_values(circ):
-        primary = sum((e.cost + lam * e.fee) * v for e, v in zip(circ.edges, vals))
-        secondary = sum(sign * e.fee * v for e, v in zip(circ.edges, vals))
+    for vals in iter_integral_values(inst):
+        primary = sum((e.cost + lam * e.fee) * v for e, v in zip(inst.edges, vals))
+        secondary = sum(sign * e.fee * v for e, v in zip(inst.edges, vals))
         key = (Fraction(primary), Fraction(secondary))
         if best is None or key < best:
             best = key
-    assert best is not None  # the zero circulation always exists
+    assert best is not None  # the zero flow always exists
     return best
 
 
@@ -57,8 +57,8 @@ def triangle(c_last: int) -> Instance:
     )
 
 
-def solve_at(circ: Instance, lam: Fraction, fee_direction: str):
-    basis = Basis(circ)
+def solve_at(inst: Instance, lam: Fraction, fee_direction: str):
+    basis = Basis(inst)
     return min_cost_circulation(basis, lambda_cost(basis, lam, fee_direction))
 
 
@@ -79,12 +79,12 @@ def has_negative_cycle(n: int, arcs, weights) -> bool:
     return any(dist[v][v] < 0 for v in range(1, n + 1))
 
 
-def pivot_cap(circ: Instance, costs: list[int], flow) -> int:
+def pivot_cap(inst: Instance, costs: list[int], flow) -> int:
     """The proven pivot bound of ``min_cost_circulation`` from start flow ``flow``."""
-    reach = sum(e.capacity * abs(w) for e, w in zip(circ.edges, costs))
+    reach = sum(e.capacity * abs(w) for e, w in zip(inst.edges, costs))
     start = sum(w * v for w, v in zip(costs, flow))
     width = max(map(abs, costs), default=0)
-    return (start + reach + 1) * (2 * circ.node_count**2 * width + 1)
+    return (start + reach + 1) * (2 * inst.node_count**2 * width + 1)
 
 
 def solve_counting(basis: Basis, costs: list[int]):
@@ -113,8 +113,7 @@ def weighted_digraphs(draw):
 
 @st.composite
 def warm_start_cases(draw):
-    """A generated instance in circulation form, two multipliers and a fee
-    direction."""
+    """A generated instance, two multipliers and a fee direction."""
     inst = generate_instance(
         nodes=draw(st.integers(2, 6)),
         edges=draw(st.integers(2, 12)),
@@ -124,7 +123,7 @@ def warm_start_cases(draw):
     )
     multiplier = st.builds(Fraction, st.integers(0, 6), st.integers(1, 4))
     return (
-        circulation_form(preprocess(inst)),
+        preprocess(inst),
         draw(multiplier),
         draw(multiplier),
         draw(st.sampled_from(("min", "max"))),
@@ -230,7 +229,8 @@ class TestFindNegativeCycle:
 
     def test_graph_holds_ints_only(self, inst_two_parallel):
         circ = circulation_form(inst_two_parallel)
-        rg = ResidualGraph(circ, lambda_cost(Basis(circ), Fraction(1, 3), "max"))
+        costs = lambda_cost(Basis(inst_two_parallel), Fraction(1, 3), "max")
+        rg = ResidualGraph(circ, [*costs, 0, 0])
         assert all(type(v) is int for v in rg.costs + rg.caps)
 
     def test_fractional_initial_flow_rejected(self, inst_two_parallel):
@@ -263,9 +263,13 @@ class TestLambdaCost:
         assert low[1] == high[1]
 
     def test_return_arc_gets_zero(self, inst_two_parallel):
-        circ = circulation_form(inst_two_parallel)
-        # both closure arcs, the return arc last
-        assert lambda_cost(Basis(circ), Fraction(3), "min")[-2:] == [0, 0]
+        # one cost per problem edge; the basis's closure arcs 2 and 3, the
+        # return arc last, keep cost 0 through a solve
+        basis = Basis(inst_two_parallel)
+        costs = lambda_cost(basis, Fraction(3), "min")
+        assert len(costs) == inst_two_parallel.edge_count
+        min_cost_circulation(basis, costs)
+        assert basis.costs[:4] == [*costs, 0, 0]
 
     def test_negative_multiplier_rejected(self, inst_two_parallel):
         with pytest.raises(ValueError):
@@ -282,46 +286,46 @@ class TestLambdaCost:
         inst = Instance(
             node_count=2, edges=(EdgeData(1, 2, 1, -1, 10**6),), source=1, sink=2, budget=0
         )
-        flow = solve_at(circulation_form(inst), Fraction(0), "min")
+        flow = solve_at(inst, Fraction(0), "min")
         assert flow.values[0] == 1
         assert flow.cost == -1
 
 
 class TestMinCostCirculation:
     def test_plain_costs_saturate_both(self, inst_two_parallel):
-        circ = circulation_form(inst_two_parallel)
-        flow = solve_at(circ, Fraction(0), "min")
-        assert flow.values[:2] == (2, 2)
+        flow = solve_at(inst_two_parallel, Fraction(0), "min")
+        assert flow.values == (2, 2)
         assert flow.cost == -10
         assert flow.fee == 4
-        assert flow.cost == lex_optimum_by_enumeration(circ, Fraction(0), "min")[0]
+        assert flow.cost == lex_optimum_by_enumeration(inst_two_parallel, Fraction(0), "min")[0]
 
     def test_min_fee_tie_break(self, inst_two_parallel):
         # primary cost + 2*fee makes the fee-carrying edge worthless (0/unit);
         # the min-fee tie-break must leave it empty
-        circ = circulation_form(inst_two_parallel)
-        flow = solve_at(circ, Fraction(2), "min")
-        assert flow.values[:2] == (0, 2)
+        flow = solve_at(inst_two_parallel, Fraction(2), "min")
+        assert flow.values == (0, 2)
         assert flow.cost == -2
         assert flow.fee == 0
-        enum_primary, enum_secondary = lex_optimum_by_enumeration(circ, Fraction(2), "min")
+        enum_primary, enum_secondary = lex_optimum_by_enumeration(
+            inst_two_parallel, Fraction(2), "min"
+        )
         assert enum_primary == -2 and enum_secondary == 0
 
     def test_max_fee_tie_break(self, inst_two_parallel):
-        circ = circulation_form(inst_two_parallel)
-        flow = solve_at(circ, Fraction(2), "max")
-        assert flow.values[:2] == (2, 2)
+        flow = solve_at(inst_two_parallel, Fraction(2), "max")
+        assert flow.values == (2, 2)
         assert flow.fee == 4
-        enum_primary, enum_secondary = lex_optimum_by_enumeration(circ, Fraction(2), "max")
+        enum_primary, enum_secondary = lex_optimum_by_enumeration(
+            inst_two_parallel, Fraction(2), "max"
+        )
         assert enum_secondary == -4
 
     def test_flows_are_fractions_at_the_boundary(self, inst_two_parallel):
-        flow = solve_at(circulation_form(inst_two_parallel), Fraction(2), "max")
+        flow = solve_at(inst_two_parallel, Fraction(2), "max")
         assert all(type(v) is Fraction for v in flow.values)
 
     def test_basis_holds_ints_only(self, inst_two_parallel):
-        circ = circulation_form(inst_two_parallel)
-        basis = Basis(circ)
+        basis = Basis(inst_two_parallel)
         min_cost_circulation(basis, lambda_cost(basis, Fraction(1, 3), "max"))
         assert basis.pivots > 0
         state = basis.flow + basis.potentials + basis.costs
@@ -330,16 +334,16 @@ class TestMinCostCirculation:
     def test_nonnegative_costs_give_zero_circulation(self):
         for seed in range(20):
             inst = generate_instance(nodes=2 + seed % 4, edges=1 + seed % 7, seed=seed)
-            circ = circulation_form(inst)
-            flow = min_cost_circulation(Basis(circ), [abs(e.cost) for e in circ.edges])
+            flow = min_cost_circulation(Basis(inst), [abs(e.cost) for e in inst.edges])
             assert all(v == 0 for v in flow.values)
 
     def test_no_negative_cycle_remains(self, inst_two_hop):
-        circ = circulation_form(inst_two_hop)
-        basis = Basis(circ)
+        basis = Basis(inst_two_hop)
         costs = lambda_cost(basis, Fraction(0), "min")
-        flow = min_cost_circulation(basis, costs)
-        rg = ResidualGraph(circ, costs, flow=flow.values)
+        min_cost_circulation(basis, costs)
+        # the closed instance's residual graph, with the basis's closure arcs
+        circ = circulation_form(inst_two_hop)
+        rg = ResidualGraph(circ, [*costs, 0, 0], flow=basis.flow[: circ.edge_count])
         assert search(rg) is None
 
     def test_matches_enumeration_on_random_instances(self):
@@ -353,14 +357,13 @@ class TestMinCostCirculation:
                     seed=seed,
                 )
             )
-            circ = circulation_form(inst)
             for lam, fee_direction in (
                 (Fraction(0), "min"),
                 (Fraction(1 + seed % 3, 2), ("min", "max")[seed % 2]),
             ):
-                flow = solve_at(circ, lam, fee_direction)
+                flow = solve_at(inst, lam, fee_direction)
                 assert primary_and_secondary(flow, lam, fee_direction) == (
-                    lex_optimum_by_enumeration(circ, lam, fee_direction)
+                    lex_optimum_by_enumeration(inst, lam, fee_direction)
                 )
 
     def test_tie_breaking_never_hurts_primary(self):
@@ -368,10 +371,9 @@ class TestMinCostCirculation:
             inst = preprocess(
                 generate_instance(nodes=2 + seed % 4, edges=1 + seed % 7, seed=100 + seed)
             )
-            circ = circulation_form(inst)
             lam = Fraction(seed % 5, 3)
-            low = solve_at(circ, lam, "min")
-            high = solve_at(circ, lam, "max")
+            low = solve_at(inst, lam, "min")
+            high = solve_at(inst, lam, "max")
             assert low.cost + lam * low.fee == high.cost + lam * high.fee
             assert low.fee <= high.fee
 
@@ -382,12 +384,11 @@ class TestIterationCap:
         # bound on the number of pivots must stop the loop, and exactly there
         calls = []
         monkeypatch.setattr(Basis, "pivot", lambda self, arc: calls.append(arc))
-        circ = circulation_form(inst_two_parallel)
-        basis = Basis(circ)
+        basis = Basis(inst_two_parallel)
         costs = lambda_cost(basis, Fraction(0), "min")
         with pytest.raises(InternalSolverError, match="cap"):
             min_cost_circulation(basis, costs)
-        assert len(calls) == pivot_cap(circ, costs, [0] * circ.edge_count)
+        assert len(calls) == pivot_cap(inst_two_parallel, costs, [0, 0])
         assert len(set(calls)) == 1
 
 
@@ -396,25 +397,25 @@ class TestWarmStart:
     @given(warm_start_cases())
     def test_any_start_reaches_the_cold_optimum(self, case):
         """A basis left by any earlier solve reaches the fresh basis's (cost, fee)."""
-        circ, lam, other_lam, fee_direction = case
-        costs = lambda_cost(Basis(circ), lam, fee_direction)
-        cold, _ = solve_counting(Basis(circ), costs)
+        inst, lam, other_lam, fee_direction = case
+        costs = lambda_cost(Basis(inst), lam, fee_direction)
+        cold, _ = solve_counting(Basis(inst), costs)
         other_direction = "max" if fee_direction == "min" else "min"
         for prior in ((), ((other_lam, fee_direction),), ((lam, other_direction),)):
-            basis = Basis(circ)
+            basis = Basis(inst)
             for prior_lam, prior_direction in prior:
                 min_cost_circulation(basis, lambda_cost(basis, prior_lam, prior_direction))
-            start = list(basis.flow[: circ.edge_count])
+            start = list(basis.flow[: inst.edge_count])
             warm, pivots = solve_counting(basis, costs)
             assert (warm.cost, warm.fee) == (cold.cost, cold.fee)
-            assert pivots < pivot_cap(circ, costs, start)
+            assert pivots < pivot_cap(inst, costs, start)
             again, pivots = solve_counting(basis, costs)
             assert pivots == 0
             assert again.values == warm.values
 
-    # inst_two_parallel in circulation form: edges 0 and 1 run 1 -> 2 with
+    # the basis of inst_two_parallel: edges 0 and 1 run 1 -> 2 with
     # capacity 2, closure arc 2 runs 1 -> 2 and return arc 3 runs 2 -> 1, both
-    # with capacity 4; arcs 4 and 5 are the basis's artificial arcs
+    # with capacity 4; arcs 4 and 5 are the artificial arcs
     @pytest.mark.parametrize(
         "start, message",
         [
@@ -425,18 +426,16 @@ class TestWarmStart:
         ids=["fractional", "over-capacity", "unbalanced"],
     )
     def test_bad_start_rejected(self, inst_two_parallel, start, message):
-        circ = circulation_form(inst_two_parallel)
-        basis = Basis(circ)
-        basis.flow[: circ.edge_count] = start
+        basis = Basis(inst_two_parallel)
+        basis.flow[:4] = start
         with pytest.raises(ValueError, match=message):
-            min_cost_circulation(basis, plain_costs(circ))
+            min_cost_circulation(basis, plain_costs(inst_two_parallel))
 
 
 @st.composite
 def sequences_past_the_guard(draw):
-    """A generated instance in circulation form, up to n = 20, m = 80 and
-    U = 50, too large to enumerate, with a sequence of multipliers and fee
-    directions."""
+    """A generated instance, up to n = 20, m = 80 and U = 50, too large to
+    enumerate, with a sequence of multipliers and fee directions."""
     inst = preprocess(generate_instance(
         nodes=draw(st.integers(6, 20)),
         edges=draw(st.integers(20, 80)),
@@ -447,24 +446,25 @@ def sequences_past_the_guard(draw):
     assume(prod(e.capacity + 1 for e in inst.edges) > DEFAULT_GUARD)
     multiplier = st.builds(Fraction, st.integers(0, 12), st.integers(1, 5))
     direction = st.sampled_from(("min", "max"))
-    return (
-        circulation_form(inst),
-        draw(st.lists(st.tuples(multiplier, direction), min_size=1, max_size=3)),
-    )
+    return inst, draw(st.lists(st.tuples(multiplier, direction), min_size=1, max_size=3))
 
 
 class TestAgainstCanceling:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(sequences_past_the_guard())
     def test_reused_basis_matches_canceling_and_certifies(self, case):
-        circ, solves = case
-        basis = Basis(circ)
+        inst, solves = case
+        # the reference engine runs on the closed instance, whose closure
+        # arcs cost 0 as the basis's do
+        circ = circulation_form(inst)
+        basis = Basis(inst)
         for lam, fee_direction in solves:
             costs = lambda_cost(basis, lam, fee_direction)
             flow = min_cost_circulation(basis, costs)
-            reference = canceling_circulation(circ, costs)
+            closed_costs, closed_flow = [*costs, 0, 0], basis.flow[: circ.edge_count]
+            reference = canceling_circulation(circ, closed_costs)
             assert (flow.cost, flow.fee) == (reference.cost, reference.fee)
-            assert search(ResidualGraph(circ, costs, flow=flow.values)) is None
+            assert search(ResidualGraph(circ, closed_costs, flow=closed_flow)) is None
             # the tree stays strongly feasible: every node can send flow to
             # the root along its tree path, which the pivot cap relies on
             for v in range(1, circ.node_count + 1):
@@ -473,7 +473,7 @@ class TestAgainstCanceling:
                 assert up > 0
             # the tree's potentials certify the optimum on every residual arc
             pi = basis.potentials
-            for e, w, x in zip(circ.edges, costs, flow.values):
+            for e, w, x in zip(circ.edges, closed_costs, closed_flow):
                 reduced = w + pi[e.tail] - pi[e.head]
                 if x < e.capacity:
                     assert reduced >= 0

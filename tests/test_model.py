@@ -255,6 +255,16 @@ class TestFlowTotals:
             assert all(type(v) is Fraction for v in flow.values)
             assert type(flow.cost) is Fraction and type(flow.fee) is Fraction
 
+    def test_float_values_convert_exactly(self, inst_two_parallel):
+        # equal values of any type share one Fraction; a float keeps its
+        # exact binary value
+        flow = Flow.from_values(inst_two_parallel, [0.1, 2.0])
+        assert flow.values == (Fraction(0.1), Fraction(2))
+        assert all(type(v) is Fraction for v in flow.values)
+        assert flow.fee == 2 * Fraction(0.1)
+        shared = Flow.from_values(inst_two_parallel, [1.0, Fraction(1)])
+        assert shared.values == (1, 1) and shared.values[0] is shared.values[1]
+
     def test_fractional_totals_are_exact(self, inst_two_parallel):
         flow = Flow.from_values(inst_two_parallel, [Fraction(1, 3), 2])
         assert flow.cost == Fraction(-4, 3) - 2
@@ -316,7 +326,6 @@ class TestReturnArc:
         assert (ret.tail, ret.head) == (2, 1)
         assert closure.capacity == ret.capacity == 4
         assert closure.cost == closure.fee == ret.cost == ret.fee == 0
-        assert circ.return_arc_index == 3
 
     def test_single_edge(self, inst_single_positive):
         circ = circulation_form(inst_single_positive)

@@ -37,16 +37,6 @@ class TestEnumerate:
             (Fraction(a), Fraction(b)) for a in range(3) for b in range(3)
         }
 
-    def test_circulation_form_couples_return_arc(self, inst_two_parallel):
-        # conservation everywhere: the return arc (edge 3) carries what the
-        # two edges and the closure arc (edge 2) send from source to sink
-        circ = circulation_form(inst_two_parallel)
-        flows = enumerate_integral_flows(circ)
-        assert len(flows) == 27  # x0 + x1 + x2 <= 4 with x0, x1 <= 2
-        for f in flows:
-            assert f.values[3] == f.values[0] + f.values[1] + f.values[2]
-        assert len({f.values[:2] for f in flows}) == 9
-
     def test_conservation_enforced_at_middle_nodes(self, inst_two_hop):
         for f in enumerate_integral_flows(inst_two_hop):
             assert f.values[0] == f.values[1]
