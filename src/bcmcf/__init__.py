@@ -10,6 +10,7 @@ from .exact import (
     CallbackVerdict,
     FrontierPoint,
     VerdictKind,
+    Witness,
     budget_combination,
     enumerate_frontier,
     lambda_callback,
@@ -76,6 +77,7 @@ __all__ = [
     "Stats",
     "ValidationReport",
     "VerdictKind",
+    "Witness",
     "budget_combination",
     "circulation_form",
     "enumerate_frontier",

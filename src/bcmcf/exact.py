@@ -1,16 +1,18 @@
 """Exact solver: multiplier trichotomy test, one multiplier search, frontier.
 
 The budget-constrained optimum is a point of the lower-left (cost, fee)
-Pareto frontier on or below the budget line.  For a multiplier ``lam``, a
-pair of lexicographic min-cost-circulation solves under costs
-``cost + lam * fee`` (fee-minimal and fee-maximal among optima) reveals
-whether ``lam`` is below, inside, or above the closed interval of optimal
-multipliers.  A chord search narrows a bracket until one probe lands
+Pareto frontier on or below the budget line.  For a multiplier ``lam``,
+lexicographic min-cost-circulation solves under costs ``cost + lam * fee``
+(fee-minimal, then fee-maximal among optima unless the first decides)
+reveal whether ``lam`` is below, inside, or above the closed interval of
+optimal multipliers.  A chord search narrows a bracket until one probe lands
 inside that interval; the optimum is then a convex combination of that
 probe's two witness flows meeting the budget line.  The frontier needs
 only the fee-minimal solve, one per chord.  All the solves on one
 instance share one network-simplex :class:`~bcmcf.mcc.Basis`, so each
-starts from the optimal tree of the solve before it.
+starts from the optimal tree of the solve before it.  The search and the
+frontier run on each solve's int (cost, fee) totals; a :class:`Flow` is
+built only for the answers they keep.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .mcc import Basis, InternalSolverError, lambda_cost, min_cost_circulation
 from .model import Flow, Instance, InstanceError, Solution, instance_stats
@@ -29,18 +32,28 @@ class VerdictKind(enum.Enum):
     ABOVE = "above"
 
 
+class Witness(NamedTuple):
+    """One solve's optimum: its int edge values and (cost, fee) totals."""
+
+    values: list[int]
+    cost: int
+    fee: int
+
+
 @dataclass(frozen=True)
 class CallbackVerdict:
-    """Trichotomy result for one multiplier, with the two witness flows.
+    """Trichotomy result for one multiplier, with its witness optima.
 
     ``x_minfee``/``x_maxfee`` are optimal for cost + lam * fee with the
-    smallest/largest total fee among optima.  For an INSIDE verdict with
-    lam > 0 they satisfy fee(x_minfee) <= budget <= fee(x_maxfee).
+    smallest/largest total fee among optima.  ``x_maxfee`` is None when no
+    verdict reads it: at lam = 0, or when fee(x_minfee) is not below the
+    budget.  For an INSIDE verdict with lam > 0 and ``x_maxfee`` set they
+    satisfy fee(x_minfee) < budget <= fee(x_maxfee).
     """
 
     kind: VerdictKind
-    x_minfee: Flow
-    x_maxfee: Flow
+    x_minfee: Witness
+    x_maxfee: Witness | None
 
 
 def lambda_callback(basis: Basis, lam: Fraction) -> CallbackVerdict:
@@ -51,23 +64,26 @@ def lambda_callback(basis: Basis, lam: Fraction) -> CallbackVerdict:
     optimum overshoots the budget, ABOVE when the fee-maximal optimum
     undershoots it (only for lam > 0; at lam = 0 a slack budget means the
     unconstrained optimum already wins, hence INSIDE), INSIDE otherwise.
+    The fee-maximal solve runs only when the fee-minimal one leaves the
+    verdict open, at lam > 0 with fee(x_minfee) below the budget; otherwise
+    a probe is one solve.
 
-    Both solves run on ``basis``, typically left optimal by a nearby
+    The solves run on ``basis``, typically left optimal by a nearby
     multiplier's solves; the fee-maximal solve starts from the fee-minimal
     optimum, which is already optimal in cost + lam * fee.  The basis moves
     no verdict or (cost, fee) point.  Its one caller in the package is
     ``solve_exact``.
     """
-    x_min = min_cost_circulation(basis, lambda_cost(basis, lam, "min"))
-    x_max = min_cost_circulation(basis, lambda_cost(basis, lam, "max"))
-    budget = basis.inst.budget
-    if x_min.fee > budget:
-        kind = VerdictKind.BELOW
-    elif x_max.fee < budget and lam > 0:
-        kind = VerdictKind.ABOVE
-    else:
-        kind = VerdictKind.INSIDE
-    return CallbackVerdict(kind, x_min, x_max)
+    m, budget = basis.inst.edge_count, basis.inst.budget
+    cost, fee = min_cost_circulation(basis, lambda_cost(basis, lam, "min"))
+    x_min = Witness(basis.flow[:m], cost, fee)
+    if fee > budget:
+        return CallbackVerdict(VerdictKind.BELOW, x_min, None)
+    if lam == 0 or fee == budget:
+        return CallbackVerdict(VerdictKind.INSIDE, x_min, None)
+    cost, fee = min_cost_circulation(basis, lambda_cost(basis, lam, "max"))
+    kind = VerdictKind.ABOVE if fee < budget else VerdictKind.INSIDE
+    return CallbackVerdict(kind, x_min, Witness(basis.flow[:m], cost, fee))
 
 
 def budget_combination(x1: Flow, x2: Flow, budget: Fraction | int) -> Flow:
@@ -111,14 +127,15 @@ class FrontierPoint:
     lambda_high: Fraction | None
 
 
-def edge_multiplier(p_low: FrontierPoint | Flow, p_high: FrontierPoint | Flow) -> Fraction:
+def edge_multiplier(p_low: FrontierPoint | Witness, p_high: FrontierPoint | Witness) -> Fraction:
     """Multiplier at which two (cost, fee) points have equal cost + lam * fee.
 
     ``p_low`` has the smaller fee.  The value is the negated slope of the
-    chord between them in cost-per-fee form; for two adjacent frontier
-    points it is the multiplier at which their segment is optimal.
+    chord between them in cost-per-fee form, a reduced ``Fraction`` for int
+    and ``Fraction`` totals alike; for two adjacent frontier points it is
+    the multiplier at which their segment is optimal.
     """
-    return (p_low.cost - p_high.cost) / (p_high.fee - p_low.fee)
+    return Fraction(p_low.cost - p_high.cost, p_high.fee - p_low.fee)
 
 
 def attach_lambda_intervals(points: list[FrontierPoint]) -> list[FrontierPoint]:
@@ -144,7 +161,8 @@ def solve_exact(inst: Instance) -> Solution:
     holds more than one point the probe order picks the answer.
     ``iterations`` counts every probe.  All solves share one simplex basis,
     so each starts from the optimum of the solve before it, which moves no
-    verdict.
+    verdict.  The bracket corners are int witnesses; only the INSIDE probe
+    builds :class:`Flow` values and their budget combination.
     """
     basis = Basis(inst)
     budget = Fraction(inst.budget)
@@ -181,11 +199,12 @@ def solve_exact(inst: Instance) -> Solution:
         probes += 1
         verdict = lambda_callback(basis, lam)
         if verdict.kind is VerdictKind.INSIDE:
-            if lam == 0:
-                # fee-minimal unconstrained optimum; feasible since fee <= budget
-                flow = verdict.x_minfee
-            else:
-                flow = budget_combination(verdict.x_minfee, verdict.x_maxfee, budget)
+            # without a fee-maximal witness the fee-minimal optimum is
+            # feasible (fee <= budget) and is the answer
+            flow = Flow.from_values(inst, verdict.x_minfee.values)
+            if verdict.x_maxfee is not None:
+                x_max = Flow.from_values(inst, verdict.x_maxfee.values)
+                flow = budget_combination(flow, x_max, budget)
             return Solution(
                 flow=flow, objective=flow.cost, algorithm="exact", iterations=probes, lam=lam
             )
@@ -207,25 +226,38 @@ def enumerate_frontier(inst: Instance) -> list[FrontierPoint]:
     is optimal at a multiplier on its own side of the chord's.  So P >= 2
     points take exactly 2P - 1 solves (P = 1 takes 2), and P is not
     polynomially bounded in general.  All solves share one simplex basis,
-    so each starts from the optimum of the solve before it.
+    so each starts from the optimum of the solve before it.  The chords are
+    tested on the solves' int totals, and a solve's values are copied only
+    when it is a new extreme point; the kept points become :class:`Flow`
+    witnesses at the end.
     """
     stats = instance_stats(inst)
     basis = Basis(inst)
-    top = min_cost_circulation(basis, lambda_cost(basis, Fraction(0), "min"))
-    bottom = min_cost_circulation(basis, lambda_cost(basis, stats.lambda_above_all_slopes(), "min"))
+    m = inst.edge_count
 
-    def expand(x_low: Flow, x_high: Flow) -> list[Flow]:
+    def extreme(lam: Fraction) -> Witness:
+        cost, fee = min_cost_circulation(basis, lambda_cost(basis, lam, "min"))
+        return Witness(basis.flow[:m], cost, fee)
+
+    top = extreme(Fraction(0))
+    bottom = extreme(stats.lambda_above_all_slopes())
+
+    def expand(x_low: Witness, x_high: Witness) -> list[Witness]:
         """Extreme points strictly between two known ones (fee order)."""
         lam = edge_multiplier(x_low, x_high)
-        q = min_cost_circulation(basis, lambda_cost(basis, lam, "min"))
-        if q.cost + lam * q.fee == x_low.cost + lam * x_low.fee:
-            return []  # the chord is a frontier segment
+        cost, fee = min_cost_circulation(basis, lambda_cost(basis, lam, "min"))
+        # with lam = p/q, the solve ties the chord iff q * (cost - cost_low)
+        # + p * (fee - fee_low) = 0: the chord is a frontier segment
+        if lam.denominator * (cost - x_low.cost) + lam.numerator * (fee - x_low.fee) == 0:
+            return []
+        q = Witness(basis.flow[:m], cost, fee)
         return expand(x_low, q) + [q] + expand(q, x_high)
 
     if (top.cost, top.fee) == (bottom.cost, bottom.fee):
         extremes = [bottom]
     else:
         extremes = [bottom] + expand(bottom, top) + [top]
+    witnesses = [Flow.from_values(inst, x.values) for x in extremes]
     return attach_lambda_intervals(
-        [FrontierPoint(x.cost, x.fee, x, Fraction(0), None) for x in extremes]
+        [FrontierPoint(x.cost, x.fee, x, Fraction(0), None) for x in witnesses]
     )

@@ -8,7 +8,8 @@ flows, the one with the smallest or largest total usage fee.  A
 which it closes into a circulation itself, and the only handle the solves
 take on it; between the solves on that instance only the costs change, so
 the last optimal tree is primal feasible for the next solve and is its
-warm start.  A solve returns an integral flow on the instance's own edges.
+warm start.  A solve returns the int (cost, fee) totals of its optimum on
+the instance's own edges and leaves the optimum in the basis.
 :func:`find_negative_cycle` is the package's one negative-cycle detector,
 called by the approximation lane's cycle oracle with float lengths: a
 Bellman-Ford whose predecessor graph is searched for a cycle after every
@@ -24,7 +25,7 @@ from math import isqrt
 from operator import le, mul
 from typing import Sequence
 
-from .model import Flow, Instance, circulation_form
+from .model import Instance, circulation_form
 
 
 class InternalSolverError(RuntimeError):
@@ -306,15 +307,17 @@ def find_negative_cycle(
     raise InternalSolverError("a pass-n relaxation left no cycle in the predecessor graph")
 
 
-def min_cost_circulation(basis: Basis, costs: Sequence[int]) -> Flow:
+def min_cost_circulation(basis: Basis, costs: Sequence[int]) -> tuple[int, int]:
     """Minimum cost flow on ``basis``'s instance under int edge costs.
 
     Source and sink are free: the basis's closure arcs carry their net
-    value, at cost 0, either way.  The optimum is returned on the
-    instance's own edges, its totals summed over them.  A primal network
-    simplex: starts from the tree ``basis`` holds, fresh or left by an
-    earlier solve, and pivots until no arc prices out, which certifies
-    optimality: the tree's potentials give every residual arc a
+    value, at cost 0, either way.  Returns the optimum's int (cost, fee)
+    totals over the instance's own edges and leaves the optimum in
+    ``basis.flow``, whose first ``edge_count`` values are those edges'; a
+    caller that keeps the optimum copies them before its next solve.  A
+    primal network simplex: starts from the tree ``basis`` holds, fresh or
+    left by an earlier solve, and pivots until no arc prices out, which
+    certifies optimality: the tree's potentials give every residual arc a
     nonnegative reduced cost.  The basis keeps the optimal tree for the
     caller's next solve.  A basis whose flow is not an int circulation
     within capacity raises ``ValueError``.
@@ -349,4 +352,6 @@ def min_cost_circulation(basis: Basis, costs: Sequence[int]) -> Flow:
         basis.pivot(arc)
         pivots += 1
     basis.pivots += pivots
-    return Flow.from_values(inst, flow[: inst.edge_count])
+    # the edge lists hold the problem edges only, so map stops before the
+    # closure and artificial arcs
+    return sum(map(mul, basis.edge_costs, flow)), sum(map(mul, basis.fees, flow))

@@ -101,11 +101,11 @@ class Flow:
     def from_values(cls, inst: Instance, values: Iterable[Fraction | int]) -> Flow:
         """A flow with ``values`` on ``inst``'s edges, in edge order.
 
-        The cost and fee totals are summed over the values as given, so an
-        int flow is summed in ints and each total becomes a ``Fraction``
-        once.  The stored values are always ``Fraction``, one built per
-        distinct value: a flow repeats 0 and a few capacities, and ints,
-        floats and Fractions all hash and convert exactly.
+        The stored values are always ``Fraction``, one built per distinct
+        value: a flow repeats 0 and a few capacities, and ints, floats and
+        Fractions all hash and convert exactly.  An int flow's cost and fee
+        totals are summed in ints, any other flow's over the converted
+        values, so no total is rounded; each becomes a ``Fraction`` once.
         """
         raw = tuple(values)
         if len(raw) != inst.edge_count:
@@ -113,10 +113,12 @@ class Flow:
                 f"flow has {len(raw)} values for {inst.edge_count} edges"
             )
         edges = inst.edges
-        cost = sum(map(mul, map(attrgetter("cost"), edges), raw))
-        fee = sum(map(mul, map(attrgetter("fee"), edges), raw))
         as_fraction = {v: Fraction(v) for v in set(raw)}
-        return cls(tuple(map(as_fraction.__getitem__, raw)), Fraction(cost), Fraction(fee))
+        exact = tuple(map(as_fraction.__getitem__, raw))
+        summed = raw if set(map(type, raw)) <= {int} else exact
+        cost = sum(map(mul, map(attrgetter("cost"), edges), summed))
+        fee = sum(map(mul, map(attrgetter("fee"), edges), summed))
+        return cls(exact, Fraction(cost), Fraction(fee))
 
 
 @dataclass(frozen=True)

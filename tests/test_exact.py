@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from bcmcf import (
     solve_gk_acyclic,
     validate_flow,
 )
-from bcmcf.exact import edge_multiplier
+from bcmcf.exact import Witness, edge_multiplier
 from bcmcf.mcc import lambda_cost, min_cost_circulation
 from bcmcf.oracle import iter_integral_values
 from reference_oracles import oracle_frontier
@@ -86,7 +87,12 @@ class TestLambdaCallback:
         # witness fees are exactly the extremes of the optimal face
         lo, hi = optima_fee_range(inst_two_parallel, Fraction(lam))
         assert verdict.x_minfee.fee == lo
-        assert verdict.x_maxfee.fee == hi
+        # the fee-maximal solve runs only when the fee-minimal one leaves
+        # the verdict open (here lam > 0, so when fee(x_minfee) < budget)
+        if lo < inst_two_parallel.budget:
+            assert verdict.x_maxfee.fee == hi
+        else:
+            assert verdict.x_maxfee is None
 
     def test_inside_brackets_budget(self, inst_two_parallel):
         verdict = lambda_callback(Basis(inst_two_parallel), Fraction(2))
@@ -167,8 +173,12 @@ class TestSolveFlows:
         inst = preprocess(generate_instance(nodes, edges, max_capacity=cap, seed=seed))
         top = instance_stats(inst).lambda_above_all_slopes()
         low, high = Basis(inst), Basis(inst)
-        x_low = min_cost_circulation(low, lambda_cost(low, top, "min"))
-        x_high = min_cost_circulation(high, lambda_cost(high, Fraction(0), "max"))
+        totals = [
+            min_cost_circulation(low, lambda_cost(low, top, "min")),
+            min_cost_circulation(high, lambda_cost(high, Fraction(0), "max")),
+        ]
+        x_low, x_high = (Flow.from_values(inst, b.flow[: inst.edge_count]) for b in (low, high))
+        assert totals == [(x_low.cost, x_low.fee), (x_high.cost, x_high.fee)]
         combo = budget_combination(x_low, x_high, x_low.fee + t * (x_high.fee - x_low.fee))
         for x in (x_low, x_high, combo):
             assert x == Flow.from_values(inst, x.values)
@@ -376,6 +386,107 @@ class TestEnumerateFrontier:
             assert solves == (2 if points == 1 else 2 * points - 1)
 
 
+class TestSolveCounts:
+    def test_fee_maximal_solve_only_where_the_verdict_is_open(self, monkeypatch):
+        """``solve_exact`` makes one solve at each probe that lam = 0 or
+        fee(x_minfee) >= budget decides, and two at every other probe."""
+        real_solve, real_callback = exact_mod.min_cost_circulation, exact_mod.lambda_callback
+        solves = 0
+        probes = []  # (lam, verdict, budget, solves of the probe)
+
+        def counting(basis, costs):
+            nonlocal solves
+            solves += 1
+            return real_solve(basis, costs)
+
+        def recording(basis, lam):
+            nonlocal solves
+            solves = 0
+            verdict = real_callback(basis, lam)
+            probes.append((lam, verdict, basis.inst.budget, solves))
+            return verdict
+
+        monkeypatch.setattr(exact_mod, "min_cost_circulation", counting)
+        monkeypatch.setattr(exact_mod, "lambda_callback", recording)
+        at_zero = decided = open_ = 0
+        for seed in range(60):
+            inst = preprocess(
+                generate_instance(
+                    nodes=3 + seed % 8,
+                    edges=4 + seed % 23,
+                    max_capacity=20,
+                    budget_mode=("tight", "tight", "slack", "zero")[seed % 4],
+                    seed=2100 + seed,
+                )
+            )
+            probes.clear()
+            sol = solve_exact(inst)
+            assert len(probes) == sol.iterations
+            for lam, verdict, budget, count in probes:
+                one = lam == 0 or verdict.x_minfee.fee >= budget
+                assert count == (1 if one else 2)
+                assert (verdict.x_maxfee is None) == one
+                at_zero += lam == 0
+                decided += one and lam > 0
+                open_ += not one
+        # every solve opens at lam = 0; 20 later probes are decided by the
+        # fee-minimal solve and 25 take both
+        assert at_zero == 60 and decided >= 15 and open_ >= 15
+
+
+class TestIntChords:
+    def test_shared_factor_is_reduced(self):
+        # (10 - 4) / (6 - 2) = 6/4, reduced to 3/2, and not a float
+        lam = edge_multiplier(Witness([], 10, 2), Witness([], 4, 6))
+        assert type(lam) is Fraction
+        assert (lam.numerator, lam.denominator) == (3, 2)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(
+        st.integers(-(10**6), 10**6),
+        st.integers(-(10**6), 10**6),
+        st.integers(0, 10**4),
+        st.integers(1, 10**4),
+        st.integers(1, 30),
+    )
+    def test_int_corners_give_the_fraction_form(self, cost, slope, fee, run, k):
+        # k scales both differences, so they share at least the factor k
+        low = Witness([], cost, fee)
+        high = Witness([], cost - k * slope, fee + k * run)
+        lam = edge_multiplier(low, high)
+        assert type(lam) is Fraction
+        assert lam == (Fraction(low.cost) - high.cost) / (Fraction(high.fee) - low.fee)
+        assert lam == Fraction(slope, run)
+        assert lam.denominator > 0 and gcd(lam.numerator, lam.denominator) == 1
+
+    def test_frontier_witnesses_validate(self):
+        many = 0
+        for seed in range(40):
+            inst = preprocess(
+                generate_instance(
+                    nodes=4 + seed % 8, edges=10 + seed % 20, max_capacity=20, seed=2300 + seed
+                )
+            )
+            points = enumerate_frontier(inst)
+            many += len(points) >= 4
+            for p in points:
+                assert type(p.witness) is Flow
+                assert all(type(v) is Fraction for v in p.witness.values)
+                assert type(p.cost) is Fraction and type(p.fee) is Fraction
+                report = validate_flow(inst, p.witness)
+                assert not (
+                    report.capacity_violations
+                    or report.negative_values
+                    or report.conservation_residuals
+                )
+                assert (report.cost, report.fee) == (p.witness.cost, p.witness.fee)
+                assert (p.witness.cost, p.witness.fee) == (p.cost, p.fee)
+            # adjacent intervals meet at the chord's reduced multiplier
+            for a, b in zip(points, points[1:]):
+                assert a.lambda_low == b.lambda_high == edge_multiplier(a, b)
+        assert many >= 10
+
+
 @st.composite
 def mid_instances(draw) -> Instance:
     """Generated instances of up to 30 nodes and 120 edges; four in five of
@@ -471,13 +582,14 @@ class TestWarmStarts:
         pivots, bases = [], []
 
         def counting(basis, costs):
-            if cold:
-                basis = Basis(basis.inst)
-            before = basis.pivots
-            flow = real(basis, costs)
-            pivots.append(basis.pivots - before)
-            bases.append(basis)
-            return flow
+            solved = Basis(basis.inst) if cold else basis
+            before = solved.pivots
+            totals = real(solved, costs)
+            pivots.append(solved.pivots - before)
+            bases.append(solved)
+            # the caller reads the optimum from its own basis
+            basis.flow[:] = solved.flow
+            return totals
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(exact_mod, "min_cost_circulation", counting)
@@ -529,7 +641,8 @@ class TestSinkToSourceValue:
     def test_callback_witness(self, backwards):
         verdict = lambda_callback(Basis(backwards), Fraction(0))
         assert verdict.kind is VerdictKind.INSIDE
-        assert verdict.x_minfee.cost == verdict.x_maxfee.cost == -1
+        assert verdict.x_minfee.cost == -1
+        assert verdict.x_maxfee is None  # lam = 0 decides with one solve
 
     def test_solve_exact(self, backwards):
         sol = solve_exact(backwards)

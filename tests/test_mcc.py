@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from bcmcf import (
     Basis,
     EdgeData,
+    Flow,
     Instance,
     InternalSolverError,
     circulation_form,
@@ -57,9 +58,19 @@ def triangle(c_last: int) -> Instance:
     )
 
 
-def solve_at(inst: Instance, lam: Fraction, fee_direction: str):
+def solve_flow(basis: Basis, costs: list[int]) -> Flow:
+    """The optimum a solve leaves in ``basis``, as a ``Flow`` on the problem's
+    edges; the solve's own int (cost, fee) must be that flow's totals."""
+    totals = min_cost_circulation(basis, costs)
+    flow = Flow.from_values(basis.inst, basis.flow[: basis.inst.edge_count])
+    assert all(type(t) is int for t in totals)
+    assert totals == (flow.cost, flow.fee)
+    return flow
+
+
+def solve_at(inst: Instance, lam: Fraction, fee_direction: str) -> Flow:
     basis = Basis(inst)
-    return min_cost_circulation(basis, lambda_cost(basis, lam, fee_direction))
+    return solve_flow(basis, lambda_cost(basis, lam, fee_direction))
 
 
 def search(rg: ResidualGraph):
@@ -90,7 +101,7 @@ def pivot_cap(inst: Instance, costs: list[int], flow) -> int:
 def solve_counting(basis: Basis, costs: list[int]):
     """The optimum from ``basis`` and the number of pivots it took."""
     before = basis.pivots
-    flow = min_cost_circulation(basis, costs)
+    flow = solve_flow(basis, costs)
     return flow, basis.pivots - before
 
 
@@ -321,6 +332,10 @@ class TestMinCostCirculation:
         assert enum_secondary == -4
 
     def test_flows_are_fractions_at_the_boundary(self, inst_two_parallel):
+        # a solve returns int totals; its values become Fractions only in
+        # the Flow built from them
+        basis = Basis(inst_two_parallel)
+        assert min_cost_circulation(basis, lambda_cost(basis, Fraction(2), "max")) == (-10, 4)
         flow = solve_at(inst_two_parallel, Fraction(2), "max")
         assert all(type(v) is Fraction for v in flow.values)
 
@@ -334,7 +349,7 @@ class TestMinCostCirculation:
     def test_nonnegative_costs_give_zero_circulation(self):
         for seed in range(20):
             inst = generate_instance(nodes=2 + seed % 4, edges=1 + seed % 7, seed=seed)
-            flow = min_cost_circulation(Basis(inst), [abs(e.cost) for e in inst.edges])
+            flow = solve_flow(Basis(inst), [abs(e.cost) for e in inst.edges])
             assert all(v == 0 for v in flow.values)
 
     def test_no_negative_cycle_remains(self, inst_two_hop):
@@ -460,7 +475,7 @@ class TestAgainstCanceling:
         basis = Basis(inst)
         for lam, fee_direction in solves:
             costs = lambda_cost(basis, lam, fee_direction)
-            flow = min_cost_circulation(basis, costs)
+            flow = solve_flow(basis, costs)
             closed_costs, closed_flow = [*costs, 0, 0], basis.flow[: circ.edge_count]
             reference = canceling_circulation(circ, closed_costs)
             assert (flow.cost, flow.fee) == (reference.cost, reference.fee)

@@ -262,6 +262,12 @@ class TestFlowTotals:
         assert flow.values == (Fraction(0.1), Fraction(2))
         assert all(type(v) is Fraction for v in flow.values)
         assert flow.fee == 2 * Fraction(0.1)
+        # the totals are summed exactly: -4 * 0.1 - 2.0 is -2.4 as floats
+        assert flow.cost == -4 * Fraction(0.1) - 2
+        big = 2**60 + 1  # beyond a float's 53 bits, kept exact beside a float
+        mixed = Flow.from_values(inst_two_parallel, [0.5, big])
+        assert mixed.cost == -2 - big and mixed.fee == 1
+        assert type(mixed.cost) is Fraction and type(mixed.fee) is Fraction
         shared = Flow.from_values(inst_two_parallel, [1.0, Fraction(1)])
         assert shared.values == (1, 1) and shared.values[0] is shared.values[1]
 
