@@ -3,37 +3,15 @@
 Exact solution via lexicographic min-cost-circulation solves driven by a
 chord search over multipliers, a packing-LP approximation scheme with
 minimum-ratio cycle/path oracles, and a brute-force oracle for desk-scale
-verification.
+verification.  The package exports the solvers, the model types, the file
+formats, the generator, the oracle and the error types; the solvers'
+building blocks stay in their submodules.
 """
 
-from .exact import (
-    CallbackVerdict,
-    FrontierPoint,
-    VerdictKind,
-    Witness,
-    budget_combination,
-    enumerate_frontier,
-    lambda_callback,
-    solve_exact,
-)
-from .fptas import (
-    CyclicGraphError,
-    DualState,
-    RatioResult,
-    min_ratio_cycle,
-    min_ratio_path_dag,
-    solve_gk,
-    solve_gk_acyclic,
-    topological_order,
-)
+from .exact import FrontierPoint, enumerate_frontier, solve_exact
+from .fptas import CyclicGraphError, solve_gk, solve_gk_acyclic
 from .generate import generate_instance
-from .mcc import (
-    Basis,
-    InternalSolverError,
-    find_negative_cycle,
-    lambda_cost,
-    min_cost_circulation,
-)
+from .mcc import InternalSolverError
 from .model import (
     EdgeData,
     Flow,
@@ -44,7 +22,6 @@ from .model import (
     SolutionDocument,
     Stats,
     ValidationReport,
-    circulation_form,
     format_fraction,
     format_solution,
     instance_stats,
@@ -59,10 +36,7 @@ from .oracle import EnumerationGuardError, oracle_optimum
 __version__ = "0.1.0"
 
 __all__ = [
-    "Basis",
-    "CallbackVerdict",
     "CyclicGraphError",
-    "DualState",
     "EdgeData",
     "EnumerationGuardError",
     "Flow",
@@ -71,26 +45,15 @@ __all__ = [
     "InstanceError",
     "InternalSolverError",
     "ParseError",
-    "RatioResult",
     "Solution",
     "SolutionDocument",
     "Stats",
     "ValidationReport",
-    "VerdictKind",
-    "Witness",
-    "budget_combination",
-    "circulation_form",
     "enumerate_frontier",
-    "find_negative_cycle",
     "format_fraction",
     "format_solution",
     "generate_instance",
     "instance_stats",
-    "lambda_callback",
-    "lambda_cost",
-    "min_cost_circulation",
-    "min_ratio_cycle",
-    "min_ratio_path_dag",
     "oracle_optimum",
     "parse_instance",
     "parse_solution",
@@ -99,6 +62,5 @@ __all__ = [
     "solve_exact",
     "solve_gk",
     "solve_gk_acyclic",
-    "topological_order",
     "validate_flow",
 ]

@@ -1,11 +1,11 @@
 """Command line interface.
 
-Commands: solve, frontier, oracle, validate, gen.  Exit codes: 0 success,
+Commands: solve, frontier, validate, gen.  Exit codes: 0 success,
 1 validate found the flow infeasible or a stated total that is not the
 flow's, 2 usage or parse errors or an output file that cannot be written,
-3 enumeration guard of the oracle exceeded, 141 standard output closed by
-its reader before all output was written (what a shell reports for a
-command killed by SIGPIPE); that exit prints nothing.
+3 enumeration guard of ``solve -a oracle`` exceeded, 141 standard output
+closed by its reader before all output was written (what a shell reports
+for a command killed by SIGPIPE); that exit prints nothing.
 
 The argument parser is built once per process, on the first call of
 :func:`main`, and reused: parsing keeps no state between calls, and argparse
@@ -187,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_instance_arg(p_solve)
     p_solve.add_argument("--algorithm", "-a", choices=ALGORITHMS, default="exact")
     p_solve.add_argument("--epsilon", "-e", type=float, default=None,
-                         help="accuracy for the gk solvers, in (0, 1)")
+                         help="accuracy for the gk solvers, in (0, 1); their work grows "
+                              "as about 1/eps^2, and -a exact answers exactly")
     p_solve.add_argument("--guard", type=positive_int, default=None,
                          help="enumeration guard for --algorithm oracle")
     add_common(p_solve)
@@ -197,12 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_instance_arg(p_frontier)
     add_common(p_frontier)
     p_frontier.set_defaults(func=cmd_frontier)
-
-    p_oracle = sub.add_parser("oracle", help="brute-force optimum (desk scale); same as solve -a oracle")
-    add_instance_arg(p_oracle)
-    p_oracle.add_argument("--guard", type=positive_int, default=oracle.DEFAULT_GUARD)
-    add_common(p_oracle)
-    p_oracle.set_defaults(func=cmd_solve, algorithm="oracle", epsilon=None)
 
     p_validate = sub.add_parser("validate", help="check a solution document")
     p_validate.add_argument("instance")

@@ -8,29 +8,29 @@ one for the budget row, and repeatedly routes the cycle minimizing
 by weak duality, and the loop stops once the routed flow, scaled to
 feasibility, certifiably reaches (1 - eps) of that bound.
 
-Both oracles are Newton (Dinkelbach) iterations on the ratio: test at the
-current column's ratio, jump to any better column the test finds, and stop
-once a test certifies the ratio.  The general cycle oracle tests float
-lengths at the ratio divided by (1 + tolerance), so its answer is nearly
-minimal; its seed search runs once per solve, and every later call starts
-from the column the loop just rejected.  On acyclic graphs every candidate
-cycle is a path between source and sink (in one orientation or the other)
-plus the matching zero-cost closure arc, so an exact min-ratio path search
-over integer-scaled lengths replaces it; its set-up (topological order,
-out-edge lists, scaled denominators, maximum-denominator path) is built
-once per solve, so each call runs only the Dinkelbach passes.
+Both oracles run one Newton (Dinkelbach) loop on the ratio, ``_newton``:
+test the float lengths num - lam * den at the current column's ratio
+divided by (1 + tolerance), jump to any column the test finds, and stop
+once a test finds none, so every answer is nearly minimal.  Only the test
+differs.  On general graphs it is the package's negative-cycle detector,
+``mcc.find_negative_cycle``, over arcs that ``solve_gk`` builds once per
+solve; the seed search for a first cycle runs once per solve, and every
+later call starts from the column the loop just rejected.  On acyclic
+graphs every candidate cycle is a path between source and sink (in one
+orientation or the other) plus the matching zero-cost closure arc, so the
+test is one float pass over a topological order; its set-up (the order,
+out-edge lists, denominators and a maximum-denominator first path) is
+built once per solve.
 
 Dual lengths and the dual objective are running floats; the loop counts
 routings per column and returns routed values as ints over one power-of-two
 scale, so the flow conserves exactly, its scaling to feasibility is an exact
-int comparison, and one ``Fraction`` is built per distinct value.  The
-cycle oracle's parametric tests run the package's negative-cycle detector,
-``mcc.find_negative_cycle``, on float lengths, over arcs that ``solve_gk``
-builds once per solve.
+int comparison, and one ``Fraction`` is built per distinct value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,18 +93,91 @@ class RatioResult:
     """A cycle or path with its ratio and a proven lower end.
 
     ``lower`` is a proven lower bound on the minimum ratio over all
-    candidates with positive denominator: the ratio itself for the exact
-    path oracle, the last cycle-free parametric test's threshold for the
-    cycle oracle.
+    candidates with positive denominator: the threshold of the oracle's
+    last parametric test, which found no candidate below it.
     """
 
     edges: tuple[int, ...]
-    ratio: float | Fraction
-    lower: float | Fraction
+    ratio: float
+    lower: float
 
 
 # ---------------------------------------------------------------------------
-# cycle oracle: Newton steps on the parametric lengths num - lam * den
+# the oracles' Newton loop on the parametric lengths num - lam * den
+# ---------------------------------------------------------------------------
+
+
+def _newton(
+    test: Callable[[list[float]], Sequence[int] | None],
+    num: Sequence[float],
+    den: Sequence[float],
+    rel_tol: float,
+    den_sum: float,
+    first: Sequence[int],
+) -> RatioResult:
+    """Nearly minimum-ratio column by Newton steps on the ratio, from ``first``.
+
+    Requires num >= 0 per arc, ``den_sum`` the sum of the positive ``den``
+    and ``first`` a column with positive denominator.  ``test(weights)``
+    returns a column of negative total weight, or None when none has one.
+    A column with ratio below ``lam`` exists exactly when the lengths
+    num - lam * den give some column a negative weight (columns with
+    nonpositive denominator can never look negative there since their
+    parametric length stays nonnegative).  Each step tests
+    ``lam = r / (1 + rel_tol)`` for the current column's ratio r: a column
+    found there has a ratio below ``lam`` and becomes the current one, and
+    a test that finds none proves every ratio at least ``lam``.  The
+    returned ratio is then within (1 + rel_tol) of the true minimum over
+    columns with positive denominator, and ``lower`` is that ``lam``.
+
+    Each step divides a positive ratio by more than 1 + rel_tol, positive
+    ratios never fall below (least positive num)/``den_sum``, and a zero
+    ratio stops at the next test; more steps than that allows from the
+    first column's ratio, or a step whose ratio does not fall, raises
+    InternalSolverError.
+    """
+
+    def ratio_of(column: Sequence[int]) -> float:
+        d = sum(den[a] for a in column)
+        if d <= 0:
+            # exactly, a negative column under num - lam * den has den > 0
+            raise InternalSolverError(
+                f"oracle test returned a column with denominator sum {d}: "
+                "float cancellation in the parametric lengths"
+            )
+        return sum(num[a] for a in column) / d
+
+    # Step cap from the first column's ratio r0: at most
+    # log(r0 / floor) / log1p(rel_tol) steps keep a positive ratio, one more
+    # may reach zero, and one more certifies the last column.  The floor's
+    # least positive num is the least nonzero one: none is negative.
+    column, ratio = first, ratio_of(first)
+    steps = 2
+    if ratio > 0:
+        floor = math.log(min(filter(None, num))) - math.log(den_sum)
+        steps += math.ceil((math.log(ratio) - floor) / math.log1p(rel_tol))
+    for _ in range(steps):
+        lam = ratio / (1.0 + rel_tol)
+        found = test([x - lam * d for x, d in zip(num, den)])
+        if found is None:
+            return RatioResult(tuple(column), ratio, lam)
+        found_ratio = ratio_of(found)
+        if not found_ratio < ratio:
+            raise InternalSolverError("oracle step did not lower the ratio")
+        column, ratio = found, found_ratio
+    raise InternalSolverError("oracle exceeded its proven step bound")
+
+
+def _check_ratio_inputs(num: Sequence[float], rel_tol: float) -> None:
+    """Reject a tolerance outside (0, 1) or a negative numerator."""
+    if not 0 < rel_tol < 1:
+        raise ValueError(f"rel_tol {rel_tol} outside (0, 1)")
+    if min(num, default=0) < 0:
+        raise ValueError("ratio numerators must be nonnegative")
+
+
+# ---------------------------------------------------------------------------
+# cycle oracle: the negative-cycle detector as the Newton test
 # ---------------------------------------------------------------------------
 
 
@@ -122,35 +195,17 @@ def min_ratio_cycle(
     den_sum: float,
     start: Sequence[int] | None = None,
 ) -> RatioResult | None:
-    """Nearly minimum-ratio simple cycle by Newton steps on the ratio value.
+    """Nearly minimum-ratio simple cycle: ``_newton`` over negative-cycle tests.
 
-    Requires num >= 0 per edge.  A cycle with ratio below ``lam`` exists
-    exactly when the lengths num - lam * den admit a negative cycle (cycles
-    with nonpositive denominator can never look negative there since their
-    parametric length stays nonnegative).  From a cycle with positive
-    denominator, each step tests ``lam = r / (1 + rel_tol)`` for the current
-    cycle's ratio r: a negative cycle found there has a ratio below ``lam``
-    and becomes the current cycle, and a cycle-free test proves every ratio
-    at least ``lam``.  The returned ratio is then within (1 + rel_tol) of
-    the true minimum over cycles with positive denominator, and ``lower``
-    is that ``lam``.  ``arcs`` is ``_cycle_arcs(inst)`` and ``den_sum`` the
-    sum of the positive ``den``; both are fixed for as long as ``inst`` and
-    ``den`` are, so a caller builds them once.  ``start``, a simple cycle
-    with positive denominator, replaces the seed search for the first
-    cycle; without it None is returned when no cycle has positive
-    denominator.
-
-    Each step divides a positive ratio by more than 1 + rel_tol, positive
-    ratios never fall below (least positive num)/(sum of positive dens),
-    and a zero ratio stops at the next test; more steps than that allows
-    from the first cycle's ratio, or a step whose ratio does not fall,
-    raises InternalSolverError.
+    Requires num >= 0 per edge.  The returned ratio is within
+    (1 + rel_tol) of the minimum over cycles with positive denominator.
+    ``arcs`` is ``_cycle_arcs(inst)`` and ``den_sum`` the sum of the
+    positive ``den``; both are fixed for as long as ``inst`` and ``den``
+    are, so a caller builds them once.  ``start``, a simple cycle with
+    positive denominator, replaces the seed search for the first cycle;
+    without it None is returned when no cycle has positive denominator.
     """
-    if not 0 < rel_tol < 1:
-        raise ValueError(f"rel_tol {rel_tol} outside (0, 1)")
-    if min(num, default=0) < 0:
-        raise ValueError("ratio numerators must be nonnegative")
-
+    _check_ratio_inputs(num, rel_tol)
     if start is None:
         # a qualifying cycle exists iff some cycle has negative total -den
         start = mcc.find_negative_cycle(inst.node_count, arcs, [-d for d in den])
@@ -158,42 +213,12 @@ def min_ratio_cycle(
             return None
     elif not sum(den[a] for a in start) > 0:
         raise ValueError("start cycle needs a positive denominator")
-
-    def ratio_of(cycle: Sequence[int]) -> float:
-        d = sum(den[a] for a in cycle)
-        if d <= 0:
-            # exactly, a negative cycle under num - lam * den has den > 0
-            raise InternalSolverError(
-                f"negative-cycle search returned a cycle with denominator sum {d}: "
-                "float cancellation in the parametric lengths"
-            )
-        return sum(num[a] for a in cycle) / d
-
-    # Step cap from the first cycle's ratio r0, a warm start's too: at most
-    # log(r0 / floor) / log1p(rel_tol) steps keep a positive ratio, one more
-    # may reach zero, and one more certifies the last cycle.  The floor's
-    # least positive num is the least nonzero one: none is negative.
-    cycle, ratio = start, ratio_of(start)
-    steps = 2
-    if ratio > 0:
-        floor = math.log(min(filter(None, num))) - math.log(den_sum)
-        steps += math.ceil((math.log(ratio) - floor) / math.log1p(rel_tol))
-    for _ in range(steps):
-        lam = ratio / (1.0 + rel_tol)
-        found = mcc.find_negative_cycle(
-            inst.node_count, arcs, [x - lam * d for x, d in zip(num, den)]
-        )
-        if found is None:
-            return RatioResult(tuple(cycle), ratio, lam)
-        found_ratio = ratio_of(found)
-        if not found_ratio < ratio:
-            raise InternalSolverError("cycle oracle step did not lower the ratio")
-        cycle, ratio = found, found_ratio
-    raise InternalSolverError("cycle oracle exceeded its proven step bound")
+    test = functools.partial(mcc.find_negative_cycle, inst.node_count, arcs)
+    return _newton(test, num, den, rel_tol, den_sum, start)
 
 
 # ---------------------------------------------------------------------------
-# exact path oracle on acyclic graphs: Dinkelbach iteration over ints
+# path oracle on acyclic graphs: one topological-order pass as the Newton test
 # ---------------------------------------------------------------------------
 
 
@@ -218,58 +243,34 @@ def topological_order(inst: Instance) -> list[int]:
     return order
 
 
-def _scaled_ints(values: Sequence[Fraction | float]) -> tuple[list[int], int]:
-    """Return (ints, scale) with ints[i] == values[i] * scale exactly.
-
-    Every float, int and Fraction is exactly p/q, and ``scale`` is the least
-    common multiple of the q's.  For floats that is a power of two, so the
-    conversion stays exact over the whole float range.
-    """
-    ratios = [x.as_integer_ratio() for x in values]
-    # pairwise: unpacking a generator into math.lcm leaves its resized
-    # argument tuples in the interpreter's free lists, raising peak memory
-    scale = 1
-    for _, q in ratios:
-        scale = math.lcm(scale, q)
-    return [p * (scale // q) for p, q in ratios], scale
-
-
-def _dag_min_value_path(
+def _negative_dag_path(
     inst: Instance,
     order: Sequence[int],
     out_edges: Sequence[Sequence[tuple[int, int]]],
-    weights: Sequence[int],
-    dens: Sequence[int],
     source: int,
     sink: int,
-) -> tuple[int, int, list[int]] | None:
-    """Minimize (total weight, -total den) lexicographically over s-t paths.
+    weights: Sequence[float],
+) -> list[int] | None:
+    """A minimum-weight ``source``-``sink`` path if its weight is negative.
 
-    ``out_edges[v]`` lists (edge index, head) pairs.  The secondary criterion
-    prefers larger denominators among equal-weight paths, so a zero-weight
-    qualifying path is found whenever one exists.  Returns (weight, den,
-    edge list) or None if the sink is unreachable.
+    One pass over the topological ``order``; ``out_edges[v]`` lists (edge
+    index, head) pairs.  Returns None when the sink is unreachable or no
+    path weighs below 0.
     """
     size = inst.node_count + 1
-    label_w: list[int | None] = [None] * size
-    label_d = [0] * size
+    label = [math.inf] * size
     pred = [-1] * size
-    label_w[source] = 0
+    label[source] = 0.0
     for v in order:
-        w0 = label_w[v]
-        if w0 is None:
+        base = label[v]
+        if base == math.inf:
             continue
-        d0 = label_d[v]
         for i, head in out_edges[v]:
-            w = w0 + weights[i]
-            d = d0 + dens[i]
-            cur = label_w[head]
-            if cur is None or w < cur or (w == cur and d > label_d[head]):
-                label_w[head] = w
-                label_d[head] = d
+            w = base + weights[i]
+            if w < label[head]:
+                label[head] = w
                 pred[head] = i
-    value = label_w[sink]
-    if value is None:
+    if not label[sink] < 0:
         return None
     path = []
     node = sink
@@ -278,108 +279,79 @@ def _dag_min_value_path(
         path.append(i)
         node = inst.edges[i].tail
     path.reverse()
-    return value, label_d[sink], path
+    return path
 
 
 class PathSetup(NamedTuple):
     """What the path oracle keeps fixed for as long as the graph and ``den``.
 
     ``order`` is a topological order of the nodes, ``out_edges[v]`` lists
-    (edge index, head) pairs, and ``dens[i] / den_scale == den[i]`` exactly.
-    ``first`` is (D_0, path) for a maximum-denominator path in the int
-    units, or None when no path has a positive denominator.
+    (edge index, head) pairs, and ``den_sum`` is the sum of the positive
+    ``den``.  ``first`` is a maximum-denominator path, or None when no path
+    has a positive denominator.
     """
 
     order: Sequence[int]
     out_edges: Sequence[Sequence[tuple[int, int]]]
-    dens: Sequence[int]
-    den_scale: int
-    first: tuple[int, tuple[int, ...]] | None
+    den: Sequence[float]
+    den_sum: float
+    first: Sequence[int] | None
 
 
 def _path_setup(
     inst: Instance,
     order: Sequence[int],
-    den: Sequence[Fraction | float],
+    den: Sequence[float],
     source: int,
     sink: int,
 ) -> PathSetup:
     """Build the path oracle's set-up for ``inst`` in topological ``order``.
 
     ``order`` may come from any graph with ``inst``'s nodes and a superset
-    of its edges.  One zero-weight pass finds the maximum-denominator path,
-    which is also the reachability test.
+    of its edges.  The oracle's own pass, on the weights -den, finds the
+    maximum-denominator path when that maximum is positive.
     """
     out_edges: list[list[tuple[int, int]]] = [[] for _ in range(inst.node_count + 1)]
     for i, e in enumerate(inst.edges):
         out_edges[e.tail].append((i, e.head))
-    dens, den_scale = _scaled_ints(den)
-    got = _dag_min_value_path(inst, order, out_edges, [0] * len(dens), dens, source, sink)
-    first = None if got is None or got[1] <= 0 else (got[1], tuple(got[2]))
-    return PathSetup(order, out_edges, dens, den_scale, first)
+    first = _negative_dag_path(inst, order, out_edges, source, sink, [-d for d in den])
+    return PathSetup(order, out_edges, den, sum(d for d in den if d > 0), first)
 
 
 def min_ratio_path_dag(
     inst: Instance,
-    num: Sequence[Fraction | float],
+    num: Sequence[float],
     source: int,
     sink: int,
     setup: PathSetup,
+    rel_tol: float,
 ) -> RatioResult | None:
-    """Exact minimum-ratio ``source``-``sink`` path on an acyclic graph.
+    """Nearly minimum-ratio ``source``-``sink`` path on an acyclic graph.
 
-    Dinkelbach (Newton) iteration over Python ints.  Numerators and
-    denominators are scaled exactly to ints (``_scaled_ints``), which
-    changes every path's ratio by one positive constant.  From the
-    maximum-denominator path, each pass minimizes the integer weights
-    D*a - N*d of the current path's ratio N/D with ties broken towards
-    larger denominators; a negative minimum is a path with a smaller ratio,
-    and a zero minimum ends the search at the optimal ratio.  The returned
-    ratio, which is also its ``lower``, is an exact rational in the input
-    units.
-
-    ``setup`` is ``_path_setup(inst, order, den, source, sink)``: the
-    topological order, the out-edge lists, the scaled denominators ``den``
-    and the maximum-denominator path are fixed for as long as ``inst`` and
-    ``den`` are, so a caller builds them once, and each call scales only
-    ``num``.  Returns None if no source-sink path has positive denominator.
+    ``_newton`` from the maximum-denominator path, with one float pass over
+    the topological order as its test.  Requires num >= 0 per edge.  The
+    returned ratio is within (1 + rel_tol) of the minimum over paths with
+    positive denominator.  ``setup`` is
+    ``_path_setup(inst, order, den, source, sink)``: the topological order,
+    the out-edge lists, the denominators and the first path are fixed for
+    as long as ``inst`` and ``den`` are, so a caller builds them once.
+    Returns None if no source-sink path has positive denominator.
     """
-    nums, num_scale = _scaled_ints(num)
-    if any(x < 0 for x in nums):
-        raise ValueError("ratio numerators must be nonnegative")
-    order, out_edges, dens, den_scale, first = setup
-    if first is None:
+    _check_ratio_inputs(num, rel_tol)
+    if setup.first is None:
         return None
-    d, path = first
-    n = sum(nums[i] for i in path)
-
-    # A negative value at ratio n/d needs n > 0, so it comes from a path with
-    # den > 0 and a smaller ratio: paths with den <= 0 score at least 0.
-    # Bound: path k minimizes N - lam_{k-1}*D and path k+1 beats path k at
-    # lam_k, which together give (lam_{k-1} - lam_k)(D_k - D_{k+1}) > 0.  So
-    # after the first step the denominator strictly falls; it starts at the
-    # maximum D_0 and stays a positive int, so at most D_0 + 2 passes run.
-    for _ in range(d + 2):
-        weights = [d * a - n * b for a, b in zip(nums, dens)]
-        value, d_next, path = _dag_min_value_path(
-            inst, order, out_edges, weights, dens, source, sink
-        )
-        if value < 0:
-            d = d_next
-            n = sum(nums[i] for i in path)
-            continue
-        if value > 0 or d_next <= 0:
-            raise InternalSolverError("optimal-ratio path failed its zero-value check")
-        ratio = Fraction(sum(nums[i] for i in path), num_scale) / Fraction(d_next, den_scale)
-        return RatioResult(tuple(path), ratio, ratio)
-    raise InternalSolverError("path oracle exceeded its proven pass bound")
+    test = functools.partial(
+        _negative_dag_path, inst, setup.order, setup.out_edges, source, sink
+    )
+    return _newton(test, num, setup.den, rel_tol, setup.den_sum, setup.first)
 
 
 # ---------------------------------------------------------------------------
 # the multiplicative-weights loop
 # ---------------------------------------------------------------------------
 
-Oracle = Callable[[Sequence[float]], RatioResult | None]
+# an oracle takes one numerator length per edge and a relative tolerance
+Oracle = Callable[[Sequence[float], float], RatioResult | None]
 
 
 def _reduced_for_packing(inst: Instance) -> Instance:
@@ -418,24 +390,46 @@ CERTIFICATE_MARGIN = 1e-9
 LENGTH_CEILING = 1e120
 
 
+def _scaled_ints(values: Sequence[int | float]) -> tuple[list[int], int]:
+    """Return (ints, scale) with ints[i] == values[i] * scale exactly.
+
+    Every int and float is exactly p/q with q a power of two, and ``scale``
+    is the least common multiple of the q's, so the conversion stays exact
+    over the whole float range.
+    """
+    ratios = [x.as_integer_ratio() for x in values]
+    # pairwise: unpacking a generator into math.lcm leaves its resized
+    # argument tuples in the interpreter's free lists, raising peak memory
+    scale = 1
+    for _, q in ratios:
+        scale = math.lcm(scale, q)
+    return [p * (scale // q) for p, q in ratios], scale
+
+
 def _gk_loop(
     reduced: Instance,
     eps: float,
-    eps_prime: float,
     oracle: Oracle,
 ) -> tuple[dict[tuple[int, ...], int], int, int, float]:
     """Run the width-controlled packing loop until a certified gap closes.
 
     Returns (routed columns, scale, iterations, upper bound on the optimum).
-    ``eps`` is the solver's accuracy and ``eps_prime`` the loop's internal
-    one; an ``eps`` outside (0, 1), or one so small that ``eps_prime``
-    leaves no float phase count, raises ``ValueError``.
-    ``oracle`` sees one numerator length per ``reduced`` edge and may return
-    columns through extra arcs of its own, which carry no length, cost or
-    fee (the cycle oracle's closure arcs).  Oracle calls are
-    lazy: the previously returned column keeps being routed while its ratio
-    stays within (1 + eps_prime) of the last oracle answer, which the
-    monotone growth of all lengths makes sound.
+    ``eps`` is the solver's accuracy; one outside (0, 1), or one so small
+    that the loop's internal accuracy eps' = eps/4 leaves no float phase
+    count, raises ``ValueError``.  ``oracle`` sees one numerator length per
+    ``reduced`` edge and the tolerance eps', and may return columns through
+    extra arcs of its own, which carry no length, cost or fee (the cycle
+    oracle's closure arcs).  Oracle calls are lazy: the previously returned
+    column keeps being routed while its ratio stays within (1 + eps') of
+    the last oracle answer, which the monotone growth of all lengths makes
+    sound.
+
+    Why eps/4: an answer is within (1 + eps') of the minimum ratio, and the
+    lazy rule keeps a routed column within (1 + eps') of the answer, so every
+    routed column is within (1 + eps')^2 of the minimum.  Garg and
+    Koenemann's analysis of the proven stop at dual objective 1 loses a
+    factor of about 1 - 2 eps' in the loop itself and the column's factor on
+    top, and (1 - 2 eps') / (1 + eps')^2 >= 1 - 4 eps' = 1 - eps.
 
     Between oracle calls an iteration touches only its column's edges (the
     lazy test, the running objective).  Routings are counted per column: a
@@ -451,6 +445,7 @@ def _gk_loop(
     """
     if not 0 < eps < 1:
         raise ValueError(f"epsilon {eps} outside (0, 1)")
+    eps_prime = eps / 4.0
     target = 1.0 - eps
     m = reduced.edge_count
     budget = reduced.budget
@@ -504,7 +499,7 @@ def _gk_loop(
             length := sum(lengths[i] + fees[i] * mu for i in edges)
         ) / gain > threshold:
             nums = [y + b * mu for y, b in zip(lengths, fees)]
-            answer = oracle(nums)
+            answer = oracle(nums, eps_prime)
             if answer is None:
                 bound = 0.0
                 break  # no qualifying column at all: optimum is the zero flow
@@ -577,14 +572,11 @@ def solve_gk(inst: Instance, eps: float) -> Solution:
 
     The loop stops at a certified (1 - eps) gap: the routed flow, scaled to
     feasibility, reaches (1 - eps) of the weak-duality bound that the cycle
-    oracle's proven lower ends give.  Should that never happen,
-    the internal accuracy eps/4 of the loop's proven stop keeps the loop's
-    own loss, the lazy re-pricing and the oracle's (1 + eps/4) slack within
-    the advertised factor.  The budget-zero case drops fee-carrying edges
-    and the budget row entirely.
+    oracle's proven lower ends give, or at the loop's proven fallback stop
+    (``_gk_loop``).  The budget-zero case drops fee-carrying edges and the
+    budget row entirely.
     """
     reduced = _reduced_for_packing(inst)
-    eps_prime = eps / 4.0
     circ = circulation_form(reduced)
     den = [float(-e.cost) for e in circ.edges]  # zero on the closure arcs
     arcs = _cycle_arcs(circ)
@@ -592,16 +584,16 @@ def solve_gk(inst: Instance, eps: float) -> Solution:
 
     last: RatioResult | None = None
 
-    def oracle(nums: Sequence[float]) -> RatioResult | None:
+    def oracle(nums: Sequence[float], rel_tol: float) -> RatioResult | None:
         # the two closure arcs carry no length; each call after the first
         # starts from the column the loop just rejected, the last answer
         nonlocal last
         last = min_ratio_cycle(
-            circ, [*nums, 0.0, 0.0], den, eps_prime, arcs, den_sum, last and last.edges
+            circ, [*nums, 0.0, 0.0], den, rel_tol, arcs, den_sum, last and last.edges
         )
         return last
 
-    routed, scale, iterations, _ = _gk_loop(reduced, eps, eps_prime, oracle)
+    routed, scale, iterations, _ = _gk_loop(reduced, eps, oracle)
     flow = _assemble_flow(inst, reduced, routed, scale)
     return Solution(flow=flow, objective=flow.cost, algorithm="gk", iterations=iterations)
 
@@ -611,14 +603,12 @@ def solve_gk_acyclic(inst: Instance, eps: float) -> Solution:
 
     Every circulation cycle is a simple path between source and sink (in
     either orientation) closed by the matching zero-cost closure arc, so
-    the oracle is the exact min-ratio path search on the original graph (a
-    Dinkelbach iteration over integer-scaled lengths).  Every path runs
-    forward in a topological order, so only the orientation whose start
-    comes first can hold one, and the search runs in that one; its
-    exactness lets the internal accuracy of the loop's proven stop relax to
-    eps/3.  The oracle's set-up is built once per solve, on the order that
-    the acyclicity check computes.  As in ``solve_gk``, the loop stops at a
-    certified (1 - eps) gap, here against the exact minimum ratio.
+    the oracle is the min-ratio path search on the original graph, whose
+    Newton test is one float pass over a topological order.  Every path
+    runs forward in that order, so only the orientation whose start comes
+    first can hold one, and the search runs in that one.  The oracle's
+    set-up is built once per solve, on the order that the acyclicity check
+    computes.  The loop and its stops are ``solve_gk``'s.
     """
     try:
         order = topological_order(inst)
@@ -627,16 +617,15 @@ def solve_gk_acyclic(inst: Instance, eps: float) -> Solution:
             "graph contains a directed cycle; use solve_gk instead"
         ) from None
     reduced = _reduced_for_packing(inst)
-    eps_prime = eps / 3.0
     den = [float(-e.cost) for e in reduced.edges]
     start, end = inst.source, inst.sink
     if order.index(end) < order.index(start):
         start, end = end, start
     setup = _path_setup(reduced, order, den, start, end)
 
-    def oracle(nums: Sequence[float]) -> RatioResult | None:
-        return min_ratio_path_dag(reduced, nums, start, end, setup)
+    def oracle(nums: Sequence[float], rel_tol: float) -> RatioResult | None:
+        return min_ratio_path_dag(reduced, nums, start, end, setup, rel_tol)
 
-    routed, scale, iterations, _ = _gk_loop(reduced, eps, eps_prime, oracle)
+    routed, scale, iterations, _ = _gk_loop(reduced, eps, oracle)
     flow = _assemble_flow(inst, reduced, routed, scale)
     return Solution(flow=flow, objective=flow.cost, algorithm="gk-acyclic", iterations=iterations)

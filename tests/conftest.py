@@ -7,17 +7,15 @@ from typing import Sequence
 
 import pytest
 
-from bcmcf import (
-    EdgeData,
-    Flow,
-    Instance,
-    generate_instance,
+from bcmcf import EdgeData, Flow, Instance, generate_instance, preprocess
+from bcmcf.fptas import (
+    RatioResult,
+    _cycle_arcs,
+    _path_setup,
     min_ratio_cycle,
     min_ratio_path_dag,
-    preprocess,
     topological_order,
 )
-from bcmcf.fptas import RatioResult, _cycle_arcs, _path_setup
 
 
 def scaled_flow(x: Flow, factor: Fraction) -> Flow:
@@ -41,15 +39,16 @@ def ratio_cycle(
 
 def ratio_path(
     inst: Instance,
-    num: Sequence[Fraction | float],
-    den: Sequence[Fraction | float],
+    num: Sequence[float],
+    den: Sequence[float],
     source: int,
     sink: int,
+    rel_tol: float,
 ) -> RatioResult | None:
     """One ``min_ratio_path_dag`` call, with the set-up that
     ``solve_gk_acyclic`` builds once per solve built for it alone."""
     setup = _path_setup(inst, topological_order(inst), den, source, sink)
-    return min_ratio_path_dag(inst, num, source, sink, setup)
+    return min_ratio_path_dag(inst, num, source, sink, setup, rel_tol)
 
 
 @pytest.fixture

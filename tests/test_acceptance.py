@@ -14,13 +14,10 @@ from fractions import Fraction
 import pytest
 
 from bcmcf import (
-    Basis,
     Solution,
-    VerdictKind,
     enumerate_frontier,
     generate_instance,
     instance_stats,
-    lambda_callback,
     oracle_optimum,
     parse_instance,
     preprocess,
@@ -31,10 +28,11 @@ from bcmcf import (
     validate_flow,
 )
 from bcmcf import fptas
-from bcmcf.exact import edge_multiplier
+from bcmcf.exact import VerdictKind, edge_multiplier, lambda_callback
+from bcmcf.mcc import Basis
 from bcmcf.model import Flow, Instance
 from bcmcf.oracle import iter_integral_values
-from conftest import corpus_instances, dag_corpus_instances, ratio_cycle, scaled_flow
+from conftest import corpus_instances, dag_corpus_instances, ratio_cycle, ratio_path, scaled_flow
 from reference_oracles import exhaustive_min_ratio_cycle, exhaustive_min_ratio_path, oracle_frontier
 
 
@@ -197,16 +195,19 @@ def test_fptas_acyclic_guarantee(dag_corpus, eps, monkeypatch):
     failures = []
     path_oracle = fptas.min_ratio_path_dag
 
-    def audited(graph, num, source, sink, setup):
-        result = path_oracle(graph, num, source, sink, setup)
+    def audited(graph, num, source, sink, setup, rel_tol):
+        result = path_oracle(graph, num, source, sink, setup, rel_tol)
         if graph.node_count > 12:
             return result
-        den = [Fraction(d, setup.den_scale) for d in setup.dens]
-        best = exhaustive_min_ratio_path(graph, num, den, source, sink)
+        best = exhaustive_min_ratio_path(graph, num, setup.den, source, sink)
         if best is None:
             assert result is None
         else:
-            assert result is not None and result.ratio == best[1]
+            assert result is not None
+            minimum = float(best[1])
+            assert result.lower <= minimum * (1 + 1e-12)
+            assert minimum <= result.ratio * (1 + 1e-12)
+            assert result.ratio <= (1 + rel_tol) * minimum * (1 + 1e-12)
         return result
 
     monkeypatch.setattr(fptas, "min_ratio_path_dag", audited)
@@ -222,36 +223,52 @@ def test_fptas_acyclic_guarantee(dag_corpus, eps, monkeypatch):
     report(f"acyclic guarantee eps={eps} (100 dags, audited oracle)", failures)
 
 
-@pytest.mark.parametrize("rel_tol", [0.1, 0.01])
-def test_cycle_oracle_quality(rel_tol):
-    """Newton cycle oracle lands within (1 + rel_tol) of exhaustive search."""
+@pytest.mark.parametrize(
+    "rel_tol, oracle",
+    [
+        pytest.param(0.1, "cycle", id="0.1"),
+        pytest.param(0.01, "cycle", id="0.01"),
+        pytest.param(0.1, "path", id="path-0.1"),
+        pytest.param(0.01, "path", id="path-0.01"),
+    ],
+)
+def test_cycle_oracle_quality(rel_tol, oracle):
+    """Newton cycle oracle, or the path oracle on DAGs, lands within
+    (1 + rel_tol) of exhaustive search."""
     rng = random.Random(314)
     failures = []
     checked = 0
     seed = 0
+    acyclic = oracle == "path"
     while checked < 100:
         seed += 1
         inst = preprocess(
-            generate_instance(nodes=2 + seed % 7, edges=2 + seed % 11, seed=2000 + seed)
+            generate_instance(
+                nodes=2 + seed % 7, edges=2 + seed % 11, acyclic=acyclic, seed=2000 + seed
+            )
         )
         if inst.node_count > 8:
             continue
         num = [rng.uniform(0.0, 5.0) for _ in inst.edges]
         den = [float(-e.cost) for e in inst.edges]
-        best = exhaustive_min_ratio_cycle(inst, num, den)
-        got = ratio_cycle(inst, num, den, rel_tol=rel_tol)
+        if acyclic:
+            best = exhaustive_min_ratio_path(inst, num, den)
+            got = ratio_path(inst, num, den, inst.source, inst.sink, rel_tol)
+        else:
+            best = exhaustive_min_ratio_cycle(inst, num, den)
+            got = ratio_cycle(inst, num, den, rel_tol=rel_tol)
         if best is None:
             if got is not None:
-                failures.append(f"spurious cycle on {inst}")
+                failures.append(f"spurious {oracle} on {inst}")
             continue
         checked += 1
         if got is None:
-            failures.append(f"missed cycle on {inst}")
+            failures.append(f"missed {oracle} on {inst}")
         elif float(got.ratio) > (1 + rel_tol) * float(best[1]) * (1 + 1e-12):
             failures.append(
                 f"ratio {float(got.ratio):.6f} > (1+{rel_tol}) * {float(best[1]):.6f}"
             )
-    report(f"cycle oracle quality rel_tol={rel_tol} (100 graphs)", failures)
+    report(f"{oracle} oracle quality rel_tol={rel_tol} (100 graphs)", failures)
 
 
 def test_rescaling(corpus, corpus_optima):

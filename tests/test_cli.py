@@ -153,28 +153,30 @@ class TestFrontier:
 
 
 class TestOracleCommand:
+    """The brute-force oracle runs as ``solve -a oracle``, its one command."""
+
     def test_optimum(self, i1_path, capsys):
-        assert main(["oracle", i1_path]) == 0
-        assert parse_solution(capsys.readouterr().out).objective == -6
+        assert main(["solve", "-a", "oracle", i1_path]) == 0
+        brute = parse_solution(capsys.readouterr().out)
+        assert main(["solve", "-a", "exact", i1_path]) == 0
+        assert brute.objective == parse_solution(capsys.readouterr().out).objective == -6
 
     def test_guard_exit(self, i1_path, capsys):
-        assert main(["oracle", i1_path, "--guard", "2"]) == 3
+        assert main(["solve", "-a", "oracle", i1_path, "--guard", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds guard 2" in captured.err
 
-    @pytest.mark.parametrize("command", [["oracle"], ["solve", "-a", "oracle"]])
+    @pytest.mark.parametrize("command", [["solve", "-a", "oracle"], ["solve", "-a", "exact"]])
     @pytest.mark.parametrize("guard", ["0", "-1"])
     def test_guard_below_one_is_usage_error(self, i1_path, capsys, command, guard):
         # the assignment space is at least 1, so such a guard is a usage
-        # error, not a guard that every instance exceeds
+        # error, not a guard that every instance exceeds; the parser refuses
+        # it before the rule that only the oracle takes a guard
         with pytest.raises(SystemExit) as exc:
             main(command + [i1_path, "--guard", guard])
         assert exc.value.code == 2
         assert "--guard" in capsys.readouterr().err
-
-    def test_same_output_as_solve_algorithm_oracle(self, i1_path, capsys):
-        assert main(["oracle", i1_path]) == 0
-        short = capsys.readouterr().out
-        assert main(["solve", "-a", "oracle", i1_path]) == 0
-        assert capsys.readouterr().out == short
 
 
 class TestValidate:
@@ -351,7 +353,7 @@ class TestParserReuse:
 
     def test_calls_in_one_process_match_calls_on_their_own(self, i1_path, capsys):
         sequence = [
-            ["oracle", i1_path],
+            ["solve", "-a", "oracle", i1_path],
             ["solve", "-a", "gk", "-e", "0.5", i1_path],
             ["solve", "-a", "nonesuch", i1_path],
             ["--help"],

@@ -12,18 +12,14 @@ from hypothesis import strategies as st
 
 import bcmcf.exact as exact_mod
 from bcmcf import (
-    Basis,
     EdgeData,
     Flow,
     Instance,
     InstanceError,
     InternalSolverError,
-    VerdictKind,
-    budget_combination,
     enumerate_frontier,
     generate_instance,
     instance_stats,
-    lambda_callback,
     oracle_optimum,
     preprocess,
     solve_exact,
@@ -31,8 +27,14 @@ from bcmcf import (
     solve_gk_acyclic,
     validate_flow,
 )
-from bcmcf.exact import Witness, edge_multiplier
-from bcmcf.mcc import lambda_cost, min_cost_circulation
+from bcmcf.exact import (
+    VerdictKind,
+    Witness,
+    budget_combination,
+    edge_multiplier,
+    lambda_callback,
+)
+from bcmcf.mcc import Basis, lambda_cost, min_cost_circulation
 from bcmcf.oracle import iter_integral_values
 from reference_oracles import oracle_frontier
 

@@ -11,18 +11,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bcmcf import (
-    Basis,
     EdgeData,
     Flow,
     Instance,
     InternalSolverError,
-    circulation_form,
-    find_negative_cycle,
     generate_instance,
-    lambda_cost,
-    min_cost_circulation,
     preprocess,
 )
+from bcmcf.mcc import Basis, find_negative_cycle, lambda_cost, min_cost_circulation
+from bcmcf.model import circulation_form
 from bcmcf.oracle import DEFAULT_GUARD, iter_integral_values
 from reference_oracles import ResidualGraph, canceling_circulation, iter_simple_cycles
 

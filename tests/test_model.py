@@ -16,7 +16,6 @@ from bcmcf import (
     InstanceError,
     ParseError,
     Solution,
-    circulation_form,
     format_solution,
     generate_instance,
     instance_stats,
@@ -28,7 +27,7 @@ from bcmcf import (
     validate_flow,
 )
 from bcmcf.fptas import _reduced_for_packing
-from bcmcf.model import restore_flow
+from bcmcf.model import circulation_form, restore_flow
 
 I1_TEXT = """\
 p bcmcf 2 2 2

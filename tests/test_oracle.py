@@ -10,12 +10,12 @@ from bcmcf import (
     EdgeData,
     EnumerationGuardError,
     Instance,
-    circulation_form,
     generate_instance,
     oracle_optimum,
     preprocess,
     validate_flow,
 )
+from bcmcf.model import circulation_form
 from bcmcf.oracle import build_point_cloud
 from reference_oracles import (
     enumerate_integral_flows,
