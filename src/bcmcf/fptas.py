@@ -1,26 +1,26 @@
-"""Packing-LP approximation scheme with minimum-ratio cycle/path oracles.
+"""Packing-LP approximation scheme with threshold-test ratio oracles.
 
 The circulation form of the problem is a packing LP over negative-cost
 cycles: pack cycle flow against edge capacities and the fee budget.  The
 multiplicative-weights loop keeps a positive length per capacity row and
-one for the budget row, and repeatedly routes the cycle minimizing
-(fee-weighted length)/(-cost).  Every oracle answer also bounds the optimum
-by weak duality, and the loop stops once the routed flow, scaled to
-feasibility, certifiably reaches (1 - eps) of that bound.
+one for the budget row, and repeatedly routes a cycle of nearly minimal
+(fee-weighted length)/(-cost).  Every proven lower bound on that ratio
+also bounds the optimum by weak duality, and the loop stops once the
+routed flow, scaled to feasibility, certifiably reaches (1 - eps) of that
+bound.
 
-Both oracles run one Newton (Dinkelbach) loop on the ratio, ``_newton``:
-test the float lengths num - lam * den at the current column's ratio
-divided by (1 + tolerance), jump to any column the test finds, and stop
-once a test finds none, so every answer is nearly minimal.  Only the test
-differs.  On general graphs it is the package's negative-cycle detector,
-``mcc.find_negative_cycle``, over arcs that ``solve_gk`` builds once per
-solve; the seed search for a first cycle runs once per solve, and every
-later call starts from the column the loop just rejected.  On acyclic
-graphs every candidate cycle is a path between source and sink (in one
-orientation or the other) plus the matching zero-cost closure arc, so the
-test is one float pass over a topological order; its set-up (the order,
-out-edge lists, denominators and a maximum-denominator first path) is
-built once per solve.
+Both oracles are threshold tests, as in Fleischer's phases: a test at lam
+weighs each edge num - lam * den, its length minus lam times its gain, and
+returns a column of negative weight, one whose ratio is below lam, or None,
+which proves every ratio at least lam.  The loop keeps alpha, a proven
+lower bound on the minimum ratio, and tests at (1 + eps') * alpha.  Only
+the test differs between the solvers.  On general graphs it is the
+package's negative-cycle detector, ``mcc.find_negative_cycle``, over arcs
+that ``solve_gk`` builds once per solve.  On acyclic graphs every
+candidate cycle is a path between source and sink (in one orientation or
+the other) plus the matching zero-cost closure arc, so the test is one
+float pass over the edges in a topological order of their tails, sorted
+once per solve.
 
 Dual lengths and the dual objective are running floats; the loop counts
 routings per column and returns routed values as ints over one power-of-two
@@ -30,12 +30,11 @@ int comparison, and one ``Fraction`` is built per distinct value.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter, mul
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from . import mcc
 from .mcc import InternalSolverError
@@ -52,7 +51,7 @@ class DualState:
 
     ``budget_length`` is None when the budget row is dropped (budget zero).
     True lengths are the stored ones times ``exp(log_shift)``: only length
-    ratios feed the oracle, so the common scale lives in the exponent and
+    ratios feed the tests, so the common scale lives in the exponent and
     the stored floats are renormalized whenever they grow large.  That keeps
     the loop exact-in-spirit for accuracies whose start value ``delta``
     underflows a float.  The dual objective, tracked in log space, starts
@@ -88,138 +87,31 @@ class DualState:
         return total
 
 
-@dataclass(frozen=True)
-class RatioResult:
-    """A cycle or path with its ratio and a proven lower end.
-
-    ``lower`` is a proven lower bound on the minimum ratio over all
-    candidates with positive denominator: the threshold of the oracle's
-    last parametric test, which found no candidate below it.
-    """
-
-    edges: tuple[int, ...]
-    ratio: float
-    lower: float
-
-
 # ---------------------------------------------------------------------------
-# the oracles' Newton loop on the parametric lengths num - lam * den
+# the threshold tests: a column of negative weight num - lam * den, or None
 # ---------------------------------------------------------------------------
 
 
-def _newton(
-    test: Callable[[list[float]], Sequence[int] | None],
-    num: Sequence[float],
-    den: Sequence[float],
-    rel_tol: float,
-    den_sum: float,
-    first: Sequence[int],
-) -> RatioResult:
-    """Nearly minimum-ratio column by Newton steps on the ratio, from ``first``.
-
-    Requires num >= 0 per arc, ``den_sum`` the sum of the positive ``den``
-    and ``first`` a column with positive denominator.  ``test(weights)``
-    returns a column of negative total weight, or None when none has one.
-    A column with ratio below ``lam`` exists exactly when the lengths
-    num - lam * den give some column a negative weight (columns with
-    nonpositive denominator can never look negative there since their
-    parametric length stays nonnegative).  Each step tests
-    ``lam = r / (1 + rel_tol)`` for the current column's ratio r: a column
-    found there has a ratio below ``lam`` and becomes the current one, and
-    a test that finds none proves every ratio at least ``lam``.  The
-    returned ratio is then within (1 + rel_tol) of the true minimum over
-    columns with positive denominator, and ``lower`` is that ``lam``.
-
-    Each step divides a positive ratio by more than 1 + rel_tol, positive
-    ratios never fall below (least positive num)/``den_sum``, and a zero
-    ratio stops at the next test; more steps than that allows from the
-    first column's ratio, or a step whose ratio does not fall, raises
-    InternalSolverError.
-    """
-
-    def ratio_of(column: Sequence[int]) -> float:
-        d = sum(den[a] for a in column)
-        if d <= 0:
-            # exactly, a negative column under num - lam * den has den > 0
-            raise InternalSolverError(
-                f"oracle test returned a column with denominator sum {d}: "
-                "float cancellation in the parametric lengths"
-            )
-        return sum(num[a] for a in column) / d
-
-    # Step cap from the first column's ratio r0: at most
-    # log(r0 / floor) / log1p(rel_tol) steps keep a positive ratio, one more
-    # may reach zero, and one more certifies the last column.  The floor's
-    # least positive num is the least nonzero one: none is negative.
-    column, ratio = first, ratio_of(first)
-    steps = 2
-    if ratio > 0:
-        floor = math.log(min(filter(None, num))) - math.log(den_sum)
-        steps += math.ceil((math.log(ratio) - floor) / math.log1p(rel_tol))
-    for _ in range(steps):
-        lam = ratio / (1.0 + rel_tol)
-        found = test([x - lam * d for x, d in zip(num, den)])
-        if found is None:
-            return RatioResult(tuple(column), ratio, lam)
-        found_ratio = ratio_of(found)
-        if not found_ratio < ratio:
-            raise InternalSolverError("oracle step did not lower the ratio")
-        column, ratio = found, found_ratio
-    raise InternalSolverError("oracle exceeded its proven step bound")
-
-
-def _check_ratio_inputs(num: Sequence[float], rel_tol: float) -> None:
-    """Reject a tolerance outside (0, 1) or a negative numerator."""
-    if not 0 < rel_tol < 1:
-        raise ValueError(f"rel_tol {rel_tol} outside (0, 1)")
-    if min(num, default=0) < 0:
-        raise ValueError("ratio numerators must be nonnegative")
-
-
-# ---------------------------------------------------------------------------
-# cycle oracle: the negative-cycle detector as the Newton test
-# ---------------------------------------------------------------------------
-
-
-def _cycle_arcs(inst: Instance) -> list[tuple[int, int, int]]:
-    """The ``(tail, head, index)`` arcs the cycle oracle's detector scans."""
+def _arcs(inst: Instance) -> list[tuple[int, int, int]]:
+    """The ``(tail, head, index)`` triples of ``inst``'s edges, as the tests scan them."""
     return [(e.tail, e.head, a) for a, e in enumerate(inst.edges)]
 
 
 def min_ratio_cycle(
-    inst: Instance,
-    num: Sequence[float],
-    den: Sequence[float],
-    rel_tol: float,
-    arcs: Sequence[tuple[int, int, int]],
-    den_sum: float,
-    start: Sequence[int] | None = None,
-) -> RatioResult | None:
-    """Nearly minimum-ratio simple cycle: ``_newton`` over negative-cycle tests.
+    inst: Instance, arcs: Sequence[tuple[int, int, int]], weights: list[float]
+) -> list[int] | None:
+    """The threshold test on general graphs: a simple cycle of negative weight, or None.
 
-    Requires num >= 0 per edge.  The returned ratio is within
-    (1 + rel_tol) of the minimum over cycles with positive denominator.
-    ``arcs`` is ``_cycle_arcs(inst)`` and ``den_sum`` the sum of the
-    positive ``den``; both are fixed for as long as ``inst`` and ``den``
-    are, so a caller builds them once.  ``start``, a simple cycle with
-    positive denominator, replaces the seed search for the first cycle;
-    without it None is returned when no cycle has positive denominator.
+    ``inst`` is a closed instance (``circulation_form``) and ``arcs`` is
+    ``_arcs(inst)``, built once by the caller.  ``weights`` holds the
+    weight of every edge before the two closure arcs, which weigh 0.0: the
+    test appends them to the list in place and runs the package's
+    negative-cycle detector.  At the weights num - lam * den with num >= 0,
+    a cycle of negative weight has a positive denominator and a ratio
+    below lam, and None proves every ratio at least lam.
     """
-    _check_ratio_inputs(num, rel_tol)
-    if start is None:
-        # a qualifying cycle exists iff some cycle has negative total -den
-        start = mcc.find_negative_cycle(inst.node_count, arcs, [-d for d in den])
-        if start is None:
-            return None
-    elif not sum(den[a] for a in start) > 0:
-        raise ValueError("start cycle needs a positive denominator")
-    test = functools.partial(mcc.find_negative_cycle, inst.node_count, arcs)
-    return _newton(test, num, den, rel_tol, den_sum, start)
-
-
-# ---------------------------------------------------------------------------
-# path oracle on acyclic graphs: one topological-order pass as the Newton test
-# ---------------------------------------------------------------------------
+    weights += (0.0, 0.0)
+    return mcc.find_negative_cycle(inst.node_count, arcs, weights)
 
 
 def topological_order(inst: Instance) -> list[int]:
@@ -243,33 +135,29 @@ def topological_order(inst: Instance) -> list[int]:
     return order
 
 
-def _negative_dag_path(
+def min_ratio_path_dag(
     inst: Instance,
-    order: Sequence[int],
-    out_edges: Sequence[Sequence[tuple[int, int]]],
+    arcs: Sequence[tuple[int, int, int]],
     source: int,
     sink: int,
     weights: Sequence[float],
 ) -> list[int] | None:
-    """A minimum-weight ``source``-``sink`` path if its weight is negative.
+    """The threshold test on acyclic graphs: a ``source``-``sink`` path of negative weight, or None.
 
-    One pass over the topological ``order``; ``out_edges[v]`` lists (edge
-    index, head) pairs.  Returns None when the sink is unreachable or no
-    path weighs below 0.
+    ``arcs`` is ``_arcs(inst)`` sorted by a topological order of the
+    tails, so one pass over it labels every node with its least path
+    weight from ``source``; the path returned is a minimum-weight one.
+    ``weights[i]`` weighs edge i, and the contract is ``min_ratio_cycle``'s.
     """
     size = inst.node_count + 1
     label = [math.inf] * size
     pred = [-1] * size
     label[source] = 0.0
-    for v in order:
-        base = label[v]
-        if base == math.inf:
-            continue
-        for i, head in out_edges[v]:
-            w = base + weights[i]
-            if w < label[head]:
-                label[head] = w
-                pred[head] = i
+    for tail, head, i in arcs:
+        w = label[tail] + weights[i]  # inf while the tail is unreached
+        if w < label[head]:
+            label[head] = w
+            pred[head] = i
     if not label[sink] < 0:
         return None
     path = []
@@ -282,76 +170,9 @@ def _negative_dag_path(
     return path
 
 
-class PathSetup(NamedTuple):
-    """What the path oracle keeps fixed for as long as the graph and ``den``.
-
-    ``order`` is a topological order of the nodes, ``out_edges[v]`` lists
-    (edge index, head) pairs, and ``den_sum`` is the sum of the positive
-    ``den``.  ``first`` is a maximum-denominator path, or None when no path
-    has a positive denominator.
-    """
-
-    order: Sequence[int]
-    out_edges: Sequence[Sequence[tuple[int, int]]]
-    den: Sequence[float]
-    den_sum: float
-    first: Sequence[int] | None
-
-
-def _path_setup(
-    inst: Instance,
-    order: Sequence[int],
-    den: Sequence[float],
-    source: int,
-    sink: int,
-) -> PathSetup:
-    """Build the path oracle's set-up for ``inst`` in topological ``order``.
-
-    ``order`` may come from any graph with ``inst``'s nodes and a superset
-    of its edges.  The oracle's own pass, on the weights -den, finds the
-    maximum-denominator path when that maximum is positive.
-    """
-    out_edges: list[list[tuple[int, int]]] = [[] for _ in range(inst.node_count + 1)]
-    for i, e in enumerate(inst.edges):
-        out_edges[e.tail].append((i, e.head))
-    first = _negative_dag_path(inst, order, out_edges, source, sink, [-d for d in den])
-    return PathSetup(order, out_edges, den, sum(d for d in den if d > 0), first)
-
-
-def min_ratio_path_dag(
-    inst: Instance,
-    num: Sequence[float],
-    source: int,
-    sink: int,
-    setup: PathSetup,
-    rel_tol: float,
-) -> RatioResult | None:
-    """Nearly minimum-ratio ``source``-``sink`` path on an acyclic graph.
-
-    ``_newton`` from the maximum-denominator path, with one float pass over
-    the topological order as its test.  Requires num >= 0 per edge.  The
-    returned ratio is within (1 + rel_tol) of the minimum over paths with
-    positive denominator.  ``setup`` is
-    ``_path_setup(inst, order, den, source, sink)``: the topological order,
-    the out-edge lists, the denominators and the first path are fixed for
-    as long as ``inst`` and ``den`` are, so a caller builds them once.
-    Returns None if no source-sink path has positive denominator.
-    """
-    _check_ratio_inputs(num, rel_tol)
-    if setup.first is None:
-        return None
-    test = functools.partial(
-        _negative_dag_path, inst, setup.order, setup.out_edges, source, sink
-    )
-    return _newton(test, num, setup.den, rel_tol, setup.den_sum, setup.first)
-
-
 # ---------------------------------------------------------------------------
 # the multiplicative-weights loop
 # ---------------------------------------------------------------------------
-
-# an oracle takes one numerator length per edge and a relative tolerance
-Oracle = Callable[[Sequence[float], float], RatioResult | None]
 
 
 def _reduced_for_packing(inst: Instance) -> Instance:
@@ -377,11 +198,11 @@ def _reduced_for_packing(inst: Instance) -> Instance:
 
 
 # Relative slack on the stop test.  It absorbs float rounding in the loads,
-# the routed profit, the dual objective and the oracle's lower end, each
-# off by about (arcs + iterations) units in the last place.  The running
-# dual objective drifts by about one unit per iteration since its resync at
-# the last oracle call; only the fallback stop at objective 1 and the
-# renormalization below read it.
+# the routed profit, the dual objective and alpha, whose threshold tests
+# weigh in floats, each off by about (arcs + iterations) units in the last
+# place.  The running dual objective drifts by about one unit per iteration
+# since its last resync, where alpha last rose; only the fallback stop at
+# objective 1 and the renormalization below read it.
 CERTIFICATE_MARGIN = 1e-9
 
 # The stored lengths are renormalized once their running objective exceeds
@@ -409,43 +230,70 @@ def _scaled_ints(values: Sequence[int | float]) -> tuple[list[int], int]:
 def _gk_loop(
     reduced: Instance,
     eps: float,
-    oracle: Oracle,
+    test: Callable[[list[float]], Sequence[int] | None],
 ) -> tuple[dict[tuple[int, ...], int], int, int, float]:
     """Run the width-controlled packing loop until a certified gap closes.
 
     Returns (routed columns, scale, iterations, upper bound on the optimum).
     ``eps`` is the solver's accuracy; one outside (0, 1), or one so small
     that the loop's internal accuracy eps' = eps/4 leaves no float phase
-    count, raises ``ValueError``.  ``oracle`` sees one numerator length per
-    ``reduced`` edge and the tolerance eps', and may return columns through
-    extra arcs of its own, which carry no length, cost or fee (the cycle
-    oracle's closure arcs).  Oracle calls are lazy: the previously returned
-    column keeps being routed while its ratio stays within (1 + eps') of
-    the last oracle answer, which the monotone growth of all lengths makes
-    sound.
+    count, raises ``ValueError``.  ``test(weights)`` is a threshold test:
+    it takes a fresh list, which it may extend, of one weight per
+    ``reduced`` edge and returns a column of negative total weight, or
+    None when no column has one.  A column may pass through extra arcs of
+    the test's own, which carry no weight, cost or fee (the cycle test's
+    closure arcs).  A column's ratio is its length (the sum of y + b * mu
+    over its edges) over its gain (minus its cost), and at the weights
+    length - lam * gain a column found has a ratio below lam, while None
+    proves every ratio at least lam.
 
-    Why eps/4: an answer is within (1 + eps') of the minimum ratio, and the
-    lazy rule keeps a routed column within (1 + eps') of the answer, so every
-    routed column is within (1 + eps')^2 of the minimum.  Garg and
-    Koenemann's analysis of the proven stop at dual objective 1 loses a
-    factor of about 1 - 2 eps' in the loop itself and the column's factor on
-    top, and (1 - 2 eps') / (1 + eps')^2 >= 1 - 4 eps' = 1 - eps.
+    The loop keeps alpha, a proven lower bound on the minimum ratio, which
+    stays one since lengths only grow and gains are fixed (Fleischer's
+    phases on Garg and Koenemann's loop).  Its current column is routed
+    while its ratio stays within (1 + eps') of its ratio when it was found
+    (the lazy rule).  Once the column fails that rule, the loop tests at
+    (1 + eps') * alpha: a column found becomes the current one, and a test
+    that finds none multiplies alpha by 1 + eps' and tests again.  alpha
+    starts from one descent per solve: the seed test, at the weights
+    cost = -gain, finds a first column with positive gain, or none (then
+    the optimum is the zero flow), and the loop tests at the current
+    column's ratio over 1 + eps' until a test finds none; that threshold
+    is alpha's start.
 
-    Between oracle calls an iteration touches only its column's edges (the
-    lazy test, the running objective).  Routings are counted per column: a
+    Why eps/4: a column found has a ratio below (1 + eps') * alpha, at most
+    (1 + eps') times the minimum, and the lazy rule keeps a routed column
+    within (1 + eps') of that, so every routed column is within
+    (1 + eps')^2 of the minimum.  Garg and Koenemann's analysis of the
+    proven stop at dual objective 1 loses a factor of about 1 - 2 eps' in
+    the loop itself and the column's factor on top, and
+    (1 - 2 eps') / (1 + eps')^2 >= 1 - 4 eps' = 1 - eps.
+
+    Both test loops have proven bounds that raise InternalSolverError.
+    Each descent step divides a positive ratio by more than 1 + eps', and
+    no ratio falls below (least length)/(sum of the positive gains), so
+    log(r0 / that floor) / log1p(eps') + 1 tests from the seed's ratio r0
+    certify alpha.  While the loop runs the true dual objective stays
+    below 1, so y_e < 1/u_e and mu < 1/B, and every column, whose gain is
+    an int >= 1, has a true ratio below rho = sum_e (1/u_e + b_e/B); alpha
+    never passes the minimum, so at most ceil(log(rho / alpha_0) /
+    log1p(eps')) raises happen, counted on true lengths.
+
+    Between tests an iteration touches only its column's edges (the lazy
+    test, the running objective).  Routings are counted per column: a
     routed value is ``scale`` times the column's exact amount times its
     count, an int: each amount is an int capacity or a float budget / fee.
 
-    Weak duality: lengths divided by any lower bound on the minimum column
-    ratio are dual feasible, so every real oracle call bounds the optimum
-    by (dual objective)/(its ``lower``).  The loop stops once the routed
-    flow divided by its worst row load reaches 1 - ``eps`` times the least
-    such bound, or, as the scheme's proven fallback, once the dual
-    objective reaches 1.
+    Weak duality: lengths divided by a lower bound on the minimum column
+    ratio are dual feasible, so the optimum is at most (dual
+    objective)/alpha, least when alpha has just been proven.  The loop
+    stops once the routed flow divided by its worst row load reaches
+    1 - ``eps`` times the least such bound, or, as the scheme's proven
+    fallback, once the dual objective reaches 1.
     """
     if not 0 < eps < 1:
         raise ValueError(f"epsilon {eps} outside (0, 1)")
     eps_prime = eps / 4.0
+    grow = 1.0 + eps_prime
     target = 1.0 - eps
     m = reduced.edge_count
     budget = reduced.budget
@@ -453,11 +301,12 @@ def _gk_loop(
     rows = m + (1 if budget_row else 0)
     capacities = [e.capacity for e in reduced.edges]
     fees = [e.fee for e in reduced.edges]
+    costs = [float(e.cost) for e in reduced.edges]
     if m == 0:
         return {}, 1, 0, 0.0  # no edges means no columns: the zero flow stands
 
     # start value delta is handled in log space: it underflows a float for
-    # small accuracies, but only length ratios ever reach the oracle
+    # small accuracies, but only length ratios ever reach the tests
     try:
         log_delta = math.log1p(eps_prime) - math.log((1.0 + eps_prime) * rows) / eps_prime
         phases = (math.log1p(eps_prime) - log_delta) / math.log1p(eps_prime)
@@ -474,12 +323,48 @@ def _gk_loop(
     )
     dual.objective(capacities, budget)  # the running total starts exact
 
+    def weights(lam: float) -> list[float]:
+        """length - lam * gain per edge, on the stored lengths."""
+        mu = dual.budget_length or 0.0
+        return [y + b * mu + lam * c for y, b, c in zip(dual.lengths, fees, costs)]
+
+    def priced(column: Sequence[int]) -> tuple[list[int], int, float]:
+        """The column's edges of ``reduced``, its int gain and its stored length."""
+        edges = [i for i in column if i < m]
+        gain = -sum(reduced.edges[i].cost for i in edges)
+        if gain <= 0:
+            # exactly, a column of negative weight has a positive gain
+            raise InternalSolverError(
+                f"threshold test returned a column with gain {gain}: "
+                "float cancellation in its weights"
+            )
+        mu = dual.budget_length or 0.0
+        return edges, gain, sum(dual.lengths[i] + fees[i] * mu for i in edges)
+
+    column = test(costs[:])  # the seed test; a test may extend its list
+    if column is None:
+        return {}, 1, 0, 0.0  # no column has a positive gain: the zero flow stands
+    _, gain, length = priced(column)
+    mu = dual.budget_length or 0.0
+    floor = min(y + b * mu for y, b in zip(dual.lengths, fees)) / -sum(c for c in costs if c < 0)
+    for _ in range(math.ceil(math.log(length / gain / floor) / math.log1p(eps_prime)) + 1):
+        alpha = length / gain / grow
+        found = test(weights(alpha))
+        if found is None:
+            break
+        column = found
+        _, gain, length = priced(column)
+    else:
+        raise InternalSolverError("ratio descent exceeded its proven step bound")
+    bound = dual.objective(capacities, budget) / alpha
+    rho = sum(1.0 / u for u in capacities) + (sum(fees) / budget if budget_row else 0.0)
+    raises_left = math.ceil((math.log(rho / alpha) - dual.log_shift) / math.log1p(eps_prime))
+
     counts: dict[tuple[int, ...], int] = {}
     amounts: dict[tuple[int, ...], int | float] = {}
     iterations = 0
-    current: tuple[int, ...] | None = None
+    current: tuple[int, ...] | None = None  # the first iteration takes the descent's column
     threshold = math.inf
-    bound = math.inf
     loads = [0.0] * m
     fee_load = 0.0
     worst = 0.0  # max over rows of load / capacity
@@ -489,29 +374,26 @@ def _gk_loop(
         if iterations > iteration_cap:
             raise InternalSolverError("packing loop exceeded its iteration cap")
         if dual.total > LENGTH_CEILING:
-            # thresholds are length ratios, so they rescale with the lengths
-            threshold /= dual.renormalize(capacities, budget)
+            # thresholds and alpha are length ratios, so they rescale with the lengths
+            factor = dual.renormalize(capacities, budget)
+            threshold /= factor
+            alpha /= factor
         lengths = dual.lengths
         mu = dual.budget_length or 0.0
-        # every column has positive gain: both oracles return only columns
-        # with a positive denominator sum
         if current is None or (
             length := sum(lengths[i] + fees[i] * mu for i in edges)
         ) / gain > threshold:
-            nums = [y + b * mu for y, b in zip(lengths, fees)]
-            answer = oracle(nums, eps_prime)
-            if answer is None:
-                bound = 0.0
-                break  # no qualifying column at all: optimum is the zero flow
-            current = tuple(answer.edges)
-            edges = [i for i in current if i < m]
-            gain = -sum(reduced.edges[i].cost for i in edges)
-            length = sum(nums[i] for i in edges)
-            threshold = (1.0 + eps_prime) * (length / gain)
-            objective = dual.objective(capacities, budget)
-            if answer.lower > 0:
-                # stored lengths: log_shift cancels out of the ratio
-                bound = min(bound, objective / answer.lower)
+            if current is not None:
+                while (column := test(weights(grow * alpha))) is None:
+                    raises_left -= 1
+                    if raises_left < 0:
+                        raise InternalSolverError("alpha rose past its proven bound")
+                    alpha *= grow
+                    # stored lengths: log_shift cancels out of the ratio
+                    bound = min(bound, dual.objective(capacities, budget) / alpha)
+            current = tuple(column)
+            edges, gain, length = priced(current)
+            threshold = grow * (length / gain)
             cycle_fee = sum(fees[i] for i in edges)
             amount = min(capacities[i] for i in edges)
             if budget_row and cycle_fee > 0:
@@ -570,30 +452,19 @@ def _assemble_flow(
 def solve_gk(inst: Instance, eps: float) -> Solution:
     """(1 - eps)-approximate solver for general graphs.
 
-    The loop stops at a certified (1 - eps) gap: the routed flow, scaled to
-    feasibility, reaches (1 - eps) of the weak-duality bound that the cycle
-    oracle's proven lower ends give, or at the loop's proven fallback stop
-    (``_gk_loop``).  The budget-zero case drops fee-carrying edges and the
-    budget row entirely.
+    The threshold test is the negative-cycle detector on the closed
+    reduced instance, over arcs built once per solve.  The loop stops at a
+    certified (1 - eps) gap: the routed flow, scaled to feasibility,
+    reaches (1 - eps) of the weak-duality bound that its proven alpha
+    gives, or at the loop's proven fallback stop (``_gk_loop``).  The
+    budget-zero case drops fee-carrying edges and the budget row entirely.
     """
     reduced = _reduced_for_packing(inst)
     circ = circulation_form(reduced)
-    den = [float(-e.cost) for e in circ.edges]  # zero on the closure arcs
-    arcs = _cycle_arcs(circ)
-    den_sum = sum(d for d in den if d > 0)
-
-    last: RatioResult | None = None
-
-    def oracle(nums: Sequence[float], rel_tol: float) -> RatioResult | None:
-        # the two closure arcs carry no length; each call after the first
-        # starts from the column the loop just rejected, the last answer
-        nonlocal last
-        last = min_ratio_cycle(
-            circ, [*nums, 0.0, 0.0], den, rel_tol, arcs, den_sum, last and last.edges
-        )
-        return last
-
-    routed, scale, iterations, _ = _gk_loop(reduced, eps, oracle)
+    arcs = _arcs(circ)
+    routed, scale, iterations, _ = _gk_loop(
+        reduced, eps, lambda weights: min_ratio_cycle(circ, arcs, weights)
+    )
     flow = _assemble_flow(inst, reduced, routed, scale)
     return Solution(flow=flow, objective=flow.cost, algorithm="gk", iterations=iterations)
 
@@ -603,12 +474,12 @@ def solve_gk_acyclic(inst: Instance, eps: float) -> Solution:
 
     Every circulation cycle is a simple path between source and sink (in
     either orientation) closed by the matching zero-cost closure arc, so
-    the oracle is the min-ratio path search on the original graph, whose
-    Newton test is one float pass over a topological order.  Every path
-    runs forward in that order, so only the orientation whose start comes
-    first can hold one, and the search runs in that one.  The oracle's
-    set-up is built once per solve, on the order that the acyclicity check
-    computes.  The loop and its stops are ``solve_gk``'s.
+    the threshold test is the path test on the original graph, one float
+    pass over its edges sorted by the topological order that the
+    acyclicity check computes, once per solve.  Every path runs forward in
+    that order, so only the orientation whose start comes first can hold
+    one, and the test runs in that one.  The loop and its stops are
+    ``solve_gk``'s.
     """
     try:
         order = topological_order(inst)
@@ -617,15 +488,13 @@ def solve_gk_acyclic(inst: Instance, eps: float) -> Solution:
             "graph contains a directed cycle; use solve_gk instead"
         ) from None
     reduced = _reduced_for_packing(inst)
-    den = [float(-e.cost) for e in reduced.edges]
+    rank = {v: k for k, v in enumerate(order)}
+    arcs = sorted(_arcs(reduced), key=lambda arc: rank[arc[0]])
     start, end = inst.source, inst.sink
-    if order.index(end) < order.index(start):
+    if rank[end] < rank[start]:
         start, end = end, start
-    setup = _path_setup(reduced, order, den, start, end)
-
-    def oracle(nums: Sequence[float], rel_tol: float) -> RatioResult | None:
-        return min_ratio_path_dag(reduced, nums, start, end, setup, rel_tol)
-
-    routed, scale, iterations, _ = _gk_loop(reduced, eps, oracle)
+    routed, scale, iterations, _ = _gk_loop(
+        reduced, eps, lambda weights: min_ratio_path_dag(reduced, arcs, start, end, weights)
+    )
     flow = _assemble_flow(inst, reduced, routed, scale)
     return Solution(flow=flow, objective=flow.cost, algorithm="gk-acyclic", iterations=iterations)

@@ -11,10 +11,10 @@ the last optimal tree is primal feasible for the next solve and is its
 warm start.  A solve returns the int (cost, fee) totals of its optimum on
 the instance's own edges and leaves the optimum in the basis.
 :func:`find_negative_cycle` is the package's one negative-cycle detector,
-called by the approximation lane's cycle oracle with float lengths: a
-Bellman-Ford whose predecessor graph is searched for a cycle after every
-pass that relaxes, so it stops at the first cycle that forms, and never
-runs more than n passes.
+called by the approximation lane's cycle threshold test with float
+weights: a Bellman-Ford whose predecessor graph is searched for a cycle
+after every pass that relaxes, so it stops at the first cycle that forms,
+and never runs more than n passes.
 """
 
 from __future__ import annotations
@@ -240,12 +240,13 @@ def find_negative_cycle(
 ) -> list[int] | None:
     """A simple cycle of strictly negative total weight, as arc ids, or None.
 
-    The package's one negative-cycle detector.  ``arcs`` holds static
-    ``(tail, head, arc_id)`` triples over nodes 1..node_count and
-    ``weights[arc_id]`` is an int or a float (the approximation lane's
-    parametric lengths).  Bellman-Ford label correction from an implicit
-    super-source: all labels start at zero and every pass scans ``arcs`` in
-    the given order, so the result is a deterministic function of the input.
+    The package's one negative-cycle detector, called by the cycle
+    threshold test.  ``arcs`` holds static ``(tail, head, arc_id)`` triples
+    over nodes 1..node_count and ``weights[arc_id]`` is an int or a float
+    (the threshold test's weights num - lam * den).  Bellman-Ford label
+    correction from an implicit super-source: all labels start at zero and
+    every pass scans ``arcs`` in the given order, so the result is a
+    deterministic function of the input.
     Returns None after the first pass without relaxation.
 
     Amortized search (Cherkassky & Goldberg, "Negative-cycle detection

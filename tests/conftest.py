@@ -8,14 +8,7 @@ from typing import Sequence
 import pytest
 
 from bcmcf import EdgeData, Flow, Instance, generate_instance, preprocess
-from bcmcf.fptas import (
-    RatioResult,
-    _cycle_arcs,
-    _path_setup,
-    min_ratio_cycle,
-    min_ratio_path_dag,
-    topological_order,
-)
+from bcmcf.fptas import _arcs, min_ratio_cycle, min_ratio_path_dag, topological_order
 
 
 def scaled_flow(x: Flow, factor: Fraction) -> Flow:
@@ -23,32 +16,81 @@ def scaled_flow(x: Flow, factor: Fraction) -> Flow:
     return Flow(tuple(v * factor for v in x.values), x.cost * factor, x.fee * factor)
 
 
-def ratio_cycle(
+def dag_arcs(inst: Instance) -> list[tuple[int, int, int]]:
+    """``inst``'s arcs sorted by a topological order of their tails, as
+    ``solve_gk_acyclic`` builds them once per solve."""
+    rank = {v: k for k, v in enumerate(topological_order(inst))}
+    return sorted(_arcs(inst), key=lambda arc: rank[arc[0]])
+
+
+def cycle_test(
+    inst: Instance, num: Sequence[float], den: Sequence[float], lam: float
+) -> list[int] | None:
+    """One ``min_ratio_cycle`` test at ``lam`` on ``inst``'s own arcs."""
+    return min_ratio_cycle(inst, _arcs(inst), [x - lam * d for x, d in zip(num, den)])
+
+
+def path_test(
     inst: Instance,
     num: Sequence[float],
     den: Sequence[float],
-    rel_tol: float,
-    start: Sequence[int] | None = None,
-) -> RatioResult | None:
-    """One ``min_ratio_cycle`` call, with the arcs and positive-denominator
-    sum that ``solve_gk`` builds once per solve built for it alone."""
-    return min_ratio_cycle(
-        inst, num, den, rel_tol, _cycle_arcs(inst), sum(d for d in den if d > 0), start
-    )
+    lam: float,
+    source: int | None = None,
+    sink: int | None = None,
+) -> list[int] | None:
+    """One ``min_ratio_path_dag`` test at ``lam`` between ``inst``'s source
+    and sink by default, with the arcs built for it alone."""
+    source = inst.source if source is None else source
+    sink = inst.sink if sink is None else sink
+    weights = [x - lam * d for x, d in zip(num, den)]
+    return min_ratio_path_dag(inst, dag_arcs(inst), source, sink, weights)
 
 
-def ratio_path(
+def threshold_violation(
     inst: Instance,
+    found: Sequence[int] | None,
     num: Sequence[float],
     den: Sequence[float],
-    source: int,
-    sink: int,
-    rel_tol: float,
-) -> RatioResult | None:
-    """One ``min_ratio_path_dag`` call, with the set-up that
-    ``solve_gk_acyclic`` builds once per solve built for it alone."""
-    setup = _path_setup(inst, topological_order(inst), den, source, sink)
-    return min_ratio_path_dag(inst, num, source, sink, setup, rel_tol)
+    lam: float,
+    best: tuple[tuple[int, ...], Fraction] | None,
+    ends: tuple[int, int] | None = None,
+) -> str | None:
+    """How a threshold test's answer ``found`` at ``lam`` breaks its contract, or None.
+
+    ``best`` is the enumerated minimum ratio over columns with a positive
+    denominator, as ``(column, ratio)``, or None when there is no such
+    column.  A column found must be a simple cycle of ``inst``, or with
+    ``ends`` a path from ``ends[0]`` to ``ends[1]``, whose ratio is below
+    ``lam``; None is allowed only when ``best``'s ratio is at least
+    ``lam``.  Both are checked on the exact weight num - lam * den of the
+    column, with a slack of 1e-12 times the sum of its terms' magnitudes.
+    """
+
+    def weight_and_slack(column: Sequence[int]) -> tuple[Fraction, Fraction]:
+        terms = [Fraction(num[i]) - Fraction(lam) * Fraction(den[i]) for i in column]
+        scale = sum(abs(Fraction(num[i])) + abs(Fraction(lam) * Fraction(den[i])) for i in column)
+        return sum(terms, Fraction(0)), scale * Fraction(1, 10**12)
+
+    if found is None:
+        if best is not None:
+            weight, slack = weight_and_slack(best[0])
+            if weight < -slack:
+                return f"nothing found at {lam} though a column has ratio {float(best[1])}"
+        return None
+    edges = [inst.edges[i] for i in found]
+    tails = [e.tail for e in edges]
+    heads = [e.head for e in edges]
+    if ends is None:
+        if heads != tails[1:] + tails[:1] or len(set(tails)) != len(tails):
+            return f"{list(found)} is not a simple cycle"
+    elif tails != [ends[0], *heads[:-1]] or heads[-1] != ends[1] or len(set(tails)) != len(tails):
+        return f"{list(found)} is not a simple path from {ends[0]} to {ends[1]}"
+    if not sum(Fraction(den[i]) for i in found) > 0:
+        return f"{list(found)} has no positive denominator"
+    weight, slack = weight_and_slack(found)
+    if not weight < slack:
+        return f"{list(found)} has weight {float(weight)} at {lam}, not below 0"
+    return None
 
 
 @pytest.fixture

@@ -32,7 +32,14 @@ from bcmcf.exact import VerdictKind, edge_multiplier, lambda_callback
 from bcmcf.mcc import Basis
 from bcmcf.model import Flow, Instance
 from bcmcf.oracle import iter_integral_values
-from conftest import corpus_instances, dag_corpus_instances, ratio_cycle, ratio_path, scaled_flow
+from conftest import (
+    corpus_instances,
+    cycle_test,
+    dag_corpus_instances,
+    path_test,
+    scaled_flow,
+    threshold_violation,
+)
 from reference_oracles import exhaustive_min_ratio_cycle, exhaustive_min_ratio_path, oracle_frontier
 
 
@@ -191,23 +198,20 @@ def test_fptas_guarantee(corpus, corpus_optima, eps):
 
 @pytest.mark.parametrize("eps", [0.5, 0.25, 0.1])
 def test_fptas_acyclic_guarantee(dag_corpus, eps, monkeypatch):
-    """Acyclic scheme meets the bound; every oracle call is shadow-checked."""
+    """Acyclic scheme meets the bound; every threshold test is shadow-checked."""
     failures = []
-    path_oracle = fptas.min_ratio_path_dag
+    path_test_fn = fptas.min_ratio_path_dag
 
-    def audited(graph, num, source, sink, setup, rel_tol):
-        result = path_oracle(graph, num, source, sink, setup, rel_tol)
+    def audited(graph, arcs, source, sink, weights):
+        # the audit sees the weights w = num - lam * den alone, so it checks
+        # the contract at threshold 0 on the numerators w
+        result = path_test_fn(graph, arcs, source, sink, weights)
         if graph.node_count > 12:
             return result
-        best = exhaustive_min_ratio_path(graph, num, setup.den, source, sink)
-        if best is None:
-            assert result is None
-        else:
-            assert result is not None
-            minimum = float(best[1])
-            assert result.lower <= minimum * (1 + 1e-12)
-            assert minimum <= result.ratio * (1 + 1e-12)
-            assert result.ratio <= (1 + rel_tol) * minimum * (1 + 1e-12)
+        den = [-e.cost for e in graph.edges]
+        best = exhaustive_min_ratio_path(graph, weights, den, source, sink)
+        violation = threshold_violation(graph, result, weights, den, 0.0, best, (source, sink))
+        assert violation is None, violation
         return result
 
     monkeypatch.setattr(fptas, "min_ratio_path_dag", audited)
@@ -220,11 +224,11 @@ def test_fptas_acyclic_guarantee(dag_corpus, eps, monkeypatch):
             failures.append(f"infeasible output on {inst}")
         elif sol.objective > (1 - Fraction(eps)) * ref.objective:
             failures.append(f"guarantee missed on {inst}")
-    report(f"acyclic guarantee eps={eps} (100 dags, audited oracle)", failures)
+    report(f"acyclic guarantee eps={eps} (100 dags, audited tests)", failures)
 
 
 @pytest.mark.parametrize(
-    "rel_tol, oracle",
+    "gap, oracle",
     [
         pytest.param(0.1, "cycle", id="0.1"),
         pytest.param(0.01, "cycle", id="0.01"),
@@ -232,9 +236,11 @@ def test_fptas_acyclic_guarantee(dag_corpus, eps, monkeypatch):
         pytest.param(0.01, "path", id="path-0.01"),
     ],
 )
-def test_cycle_oracle_quality(rel_tol, oracle):
-    """Newton cycle oracle, or the path oracle on DAGs, lands within
-    (1 + rel_tol) of exhaustive search."""
+def test_cycle_oracle_quality(gap, oracle):
+    """The cycle threshold test, or the path test on DAGs, keeps its
+    contract against exhaustive search at thresholds a factor (1 + gap)
+    above and below the minimum ratio: a cycle or path with a ratio below
+    the threshold above, nothing below."""
     rng = random.Random(314)
     failures = []
     checked = 0
@@ -253,22 +259,23 @@ def test_cycle_oracle_quality(rel_tol, oracle):
         den = [float(-e.cost) for e in inst.edges]
         if acyclic:
             best = exhaustive_min_ratio_path(inst, num, den)
-            got = ratio_path(inst, num, den, inst.source, inst.sink, rel_tol)
+            ends = (inst.source, inst.sink)
         else:
             best = exhaustive_min_ratio_cycle(inst, num, den)
-            got = ratio_cycle(inst, num, den, rel_tol=rel_tol)
-        if best is None:
-            if got is not None:
-                failures.append(f"spurious {oracle} on {inst}")
-            continue
-        checked += 1
-        if got is None:
-            failures.append(f"missed {oracle} on {inst}")
-        elif float(got.ratio) > (1 + rel_tol) * float(best[1]) * (1 + 1e-12):
-            failures.append(
-                f"ratio {float(got.ratio):.6f} > (1+{rel_tol}) * {float(best[1]):.6f}"
-            )
-    report(f"{oracle} oracle quality rel_tol={rel_tol} (100 graphs)", failures)
+            ends = None
+        checked += best is not None
+        lams = [5.0] if best is None else [float(best[1]) / (1 + gap), float(best[1]) * (1 + gap)]
+        for lam in lams:
+            if acyclic:
+                found = path_test(inst, num, den, lam)
+            else:
+                found = cycle_test(inst, num, den, lam)
+            violation = threshold_violation(inst, found, num, den, lam, best, ends)
+            if violation is not None:
+                failures.append(f"{violation} on {inst}")
+            elif (found is None) != (best is None or lam < best[1]):
+                failures.append(f"{oracle} test at {lam} answered {found} on {inst}")
+    report(f"{oracle} threshold test at (1 +/- {gap}) x minimum (100 graphs)", failures)
 
 
 def test_rescaling(corpus, corpus_optima):

@@ -28,22 +28,14 @@ from bcmcf import (
 )
 from bcmcf import fptas as fptas_mod
 from bcmcf import mcc as mcc_mod
-from bcmcf.fptas import (
-    _gk_loop,
-    _path_setup,
-    _reduced_for_packing,
-    min_ratio_path_dag,
-    topological_order,
-)
+from bcmcf.fptas import _arcs, _gk_loop, _reduced_for_packing, min_ratio_cycle, min_ratio_path_dag
 from bcmcf.mcc import find_negative_cycle
 from bcmcf.model import circulation_form
-from conftest import ratio_cycle, ratio_path, scaled_flow
+from conftest import cycle_test, dag_arcs, path_test, scaled_flow, threshold_violation
 from reference_oracles import (
     exhaustive_min_ratio_cycle,
     exhaustive_min_ratio_path,
     fraction_assemble_flow,
-    iter_simple_cycles,
-    iter_source_sink_paths,
 )
 
 
@@ -55,11 +47,14 @@ path_numerators = st.one_of(
     st.floats(min_value=1e-30, max_value=1e30),
 )
 
+# a test's threshold, as a factor of the enumerated minimum ratio
+threshold_factors = st.sampled_from([0.5, 1 / 1.1, 1.0, 1.1, 2.0])
+
 
 @st.composite
 def small_dag_ratio_inputs(draw):
     """A DAG on at most 6 nodes with float numerators, any-sign dens in
-    quarter steps (exact in floats) and a tolerance in {0.5, 0.1}."""
+    quarter steps (exact in floats) and a threshold factor."""
     n = draw(st.integers(2, 6))
     pairs = st.tuples(st.integers(1, n - 1), st.integers(1, n - 1)).map(
         lambda p: (min(p), max(p) + 1)
@@ -75,15 +70,16 @@ def small_dag_ratio_inputs(draw):
     num = draw(st.lists(path_numerators, min_size=len(arcs), max_size=len(arcs)))
     quarters = st.integers(-12, 24).map(lambda k: k / 4)
     den = draw(st.lists(quarters, min_size=len(arcs), max_size=len(arcs)))
-    return inst, num, den, draw(st.sampled_from([0.5, 0.1]))
+    return inst, num, den, draw(threshold_factors)
 
 
 @st.composite
 def small_cycle_ratio_inputs(draw):
     """A digraph on at most 6 nodes and 10 arcs, self-loops and parallel arcs
-    allowed, with float numerators in {0} and [1e-30, 1e30] and int-valued
-    dens of any sign.  Some numerators are small multiples of one drawn
-    scale, so that cycle ratios often lie within a factor 1 + rel_tol."""
+    allowed, with float numerators in {0} and [1e-30, 1e30], int-valued dens
+    of any sign and a threshold factor.  Some numerators are small
+    multiples of one drawn scale, so that cycle ratios often lie within a
+    factor 1.1 of each other."""
     n = draw(st.integers(2, 6))
     node = st.integers(1, n)
     arcs = draw(st.lists(st.tuples(node, node), min_size=1, max_size=10))
@@ -102,7 +98,35 @@ def small_cycle_ratio_inputs(draw):
     )
     num = draw(st.lists(numbers, min_size=len(arcs), max_size=len(arcs)))
     den = draw(st.lists(st.integers(-5, 5).map(float), min_size=len(arcs), max_size=len(arcs)))
-    return inst, num, den, draw(st.sampled_from([0.5, 0.1]))
+    return inst, num, den, draw(threshold_factors)
+
+
+def thresholds(best, factors=(1 / 1.1, 1.1)) -> list[float]:
+    """Thresholds around ``best``'s enumerated ratio, or an arbitrary one
+    when no column has a positive denominator."""
+    return [4.0] if best is None else [float(best[1]) * f for f in factors]
+
+
+def parallel_loops(loops: int, acyclic: bool) -> Instance:
+    """``loops`` cost -1 edges from node 1 to itself (or to node 2 when
+    ``acyclic``) with capacities 1000, 1001, ...: their stored lengths, and
+    so their ratios, fall by factors far below 1.1 along the edges."""
+    return Instance(
+        node_count=2,
+        edges=tuple(EdgeData(1, 2 if acyclic else 1, 1000 + i, -1, 0) for i in range(loops)),
+        source=1,
+        sink=2,
+        budget=0,
+    )
+
+
+def descent_steps(reduced: Instance, first: int, eps: float) -> int:
+    """The loop's proven descent bound from column ``(first,)`` of
+    ``reduced``, whose edges all have gain 1 and no fee: log(r0 / floor)
+    over log1p(eps / 4), plus the certifying test."""
+    ratio = 1 / reduced.edges[first].capacity
+    floor = min(1 / e.capacity for e in reduced.edges) / reduced.edge_count
+    return math.ceil(math.log(ratio / floor) / math.log1p(eps / 4)) + 1
 
 
 class TestMinRatioCycle:
@@ -113,16 +137,14 @@ class TestMinRatioCycle:
         circ = circulation_form(inst_two_parallel)
         num = [2.0 + 1.0, 0.0 + 1.0, 1.0, 1.0]
         den = [4.0, 1.0, 0.0, 0.0]
-        result = ratio_cycle(circ, num, den, rel_tol=0.01)
-        assert result is not None
-        assert frozenset(result.edges) == frozenset({0, 3})
-        assert result.ratio == pytest.approx(1.0)
+        assert frozenset(cycle_test(circ, num, den, 1.5)) == frozenset({0, 3})
+        assert cycle_test(circ, num, den, 1.0) is None
 
     def test_no_negative_cycle_returns_none(self, inst_single_positive):
         circ = circulation_form(inst_single_positive)
         num = [1.0, 1.0, 1.0]
         den = [float(-e.cost) for e in circ.edges]
-        assert ratio_cycle(circ, num, den, rel_tol=0.1) is None
+        assert cycle_test(circ, num, den, 1e6) is None
 
     def test_self_loop(self):
         inst = Instance(
@@ -132,17 +154,13 @@ class TestMinRatioCycle:
             sink=2,
             budget=0,
         )
-        result = ratio_cycle(inst, [3.0, 9.0], [1.0, -1.0], rel_tol=0.01)
-        assert result is not None
-        assert result.edges == (0,)
-        assert result.ratio == pytest.approx(3.0)
+        assert cycle_test(inst, [3.0, 9.0], [1.0, -1.0], 3.5) == [0]
+        assert cycle_test(inst, [3.0, 9.0], [1.0, -1.0], 3.0) is None
 
-    def test_rel_tol_validated(self, inst_two_parallel):
-        with pytest.raises(ValueError):
-            ratio_cycle(circulation_form(inst_two_parallel), [0.0] * 4, [0.0] * 4, rel_tol=0.0)
-
-    @pytest.mark.parametrize("rel_tol", [0.1, 0.01])
-    def test_within_tolerance_of_exhaustive(self, rel_tol):
+    @pytest.mark.parametrize("gap", [0.1, 0.01])
+    def test_within_tolerance_of_exhaustive(self, gap):
+        # a test just above the minimum ratio finds a column below it, and
+        # one just below finds none
         rng = random.Random(42)
         checked = 0
         for seed in range(60):
@@ -155,14 +173,12 @@ class TestMinRatioCycle:
                 continue
             num = [rng.uniform(0.0, 4.0) for _ in inst.edges]
             den = [float(-e.cost) for e in inst.edges]
-            result = ratio_cycle(inst, num, den, rel_tol=rel_tol)
             best = exhaustive_min_ratio_cycle(inst, num, den)
-            if best is None:
-                assert result is None
-                continue
-            assert result is not None
-            checked += 1
-            assert float(result.ratio) <= (1.0 + rel_tol) * float(best[1]) * (1 + 1e-12)
+            checked += best is not None
+            for lam in thresholds(best, (1 / (1 + gap), 1 + gap)):
+                found = cycle_test(inst, num, den, lam)
+                assert threshold_violation(inst, found, num, den, lam, best) is None
+                assert (found is None) == (best is None or lam < best[1])
         assert checked >= 20
 
     def test_broken_predecessor_walk_raises(self):
@@ -196,18 +212,18 @@ class TestMinRatioCycle:
             find_negative_cycle(2, [(1, 2, 0), (2, 1, 1)], Turning())
 
     def test_nonpositive_denominator_cycle_raises(self, inst_two_parallel, monkeypatch):
-        # the two closure arcs form a cycle with denominator 0, which an exact
+        # the two closure arcs form a cycle with no gain, which an exact
         # negative-cycle test can never return
-        circ = circulation_form(inst_two_parallel)
         monkeypatch.setattr(mcc_mod, "find_negative_cycle", lambda *args: [2, 3])
-        with pytest.raises(InternalSolverError, match="float cancellation"):
-            ratio_cycle(circ, [1.0, 1.0, 0.0, 0.0], [4.0, 1.0, 0.0, 0.0], rel_tol=0.1)
+        with pytest.raises(InternalSolverError, match="gain 0: float cancellation"):
+            solve_gk(inst_two_parallel, 0.5)
 
     def test_lower_end_bounds_the_minimum_ratio(self):
-        # a coarse tolerance, so that some answers are not the optimal cycle
-        # and only the oracle's lower end, not the answer's ratio, is a bound
+        # thresholds spread around the minimum ratio: a test that finds
+        # nothing proves its threshold a lower end of the minimum, and one
+        # that finds a column proves the minimum below it
         rng = random.Random(7)
-        checked = suboptimal = 0
+        found_some = found_none = 0
         for seed in range(80):
             inst = preprocess(
                 generate_instance(nodes=2 + seed % 6, edges=2 + seed % 9, seed=900 + seed)
@@ -216,48 +232,28 @@ class TestMinRatioCycle:
                 continue
             num = [rng.uniform(0.0, 4.0) for _ in inst.edges]
             den = [float(-e.cost) for e in inst.edges]
-            result = ratio_cycle(inst, num, den, rel_tol=0.5)
             best = exhaustive_min_ratio_cycle(inst, num, den)
             if best is None:
                 continue
-            checked += 1
-            suboptimal += result.ratio > float(best[1]) * (1 + 1e-12)
-            assert 0 < result.lower <= float(best[1]) * (1 + 1e-12)
-            assert result.ratio <= 1.5 * result.lower * (1 + 1e-12)
-        assert checked >= 40 and suboptimal >= 3
+            lam = float(best[1]) * rng.uniform(0.5, 1.5)
+            found = cycle_test(inst, num, den, lam)
+            assert threshold_violation(inst, found, num, den, lam, best) is None
+            found_some += found is not None
+            found_none += found is None
+        assert found_some >= 15 and found_none >= 15
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(small_cycle_ratio_inputs())
     def test_property_matches_enumeration(self, case):
-        inst, num, den, rel_tol = case
-        result = ratio_cycle(inst, num, den, rel_tol=rel_tol)
+        inst, num, den, factor = case
         best = exhaustive_min_ratio_cycle(inst, num, den)
-        if best is None:
-            assert result is None
-            return
-        assert_nearly_minimal(inst, result, float(best[1]), rel_tol)
-
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(small_cycle_ratio_inputs(), st.data())
-    def test_property_warm_start_matches_enumeration(self, case, data):
-        # any simple cycle with positive denominator is a valid start
-        inst, num, den, rel_tol = case
-        starts = [c for c in iter_simple_cycles(inst) if sum(den[a] for a in c) > 0]
-        if not starts:
-            return
-        start = data.draw(st.sampled_from(starts))
-        result = ratio_cycle(inst, num, den, rel_tol=rel_tol, start=start)
-        best = exhaustive_min_ratio_cycle(inst, num, den)
-        assert_nearly_minimal(inst, result, float(best[1]), rel_tol)
-
-    def test_start_without_positive_denominator_rejected(self, inst_two_parallel):
-        circ = circulation_form(inst_two_parallel)
-        with pytest.raises(ValueError, match="positive denominator"):
-            ratio_cycle(circ, [1.0, 1.0, 0.0, 0.0], [4.0, 1.0, 0.0, 0.0], rel_tol=0.1, start=(2, 3))
+        lam = factor if best is None else float(best[1]) * factor
+        found = cycle_test(inst, num, den, lam)
+        assert threshold_violation(inst, found, num, den, lam, best) is None
 
     def test_non_improving_step_raises(self, inst_two_parallel, monkeypatch):
-        # a test that keeps finding the current cycle would loop forever
-        circ = circulation_form(inst_two_parallel)
+        # a test that keeps finding the seed cycle never lowers its ratio:
+        # the descent stops at its proven bound
         calls = []
 
         def stuck(node_count, arcs, weights):
@@ -265,24 +261,18 @@ class TestMinRatioCycle:
             return [0, 3]
 
         monkeypatch.setattr(mcc_mod, "find_negative_cycle", stuck)
-        with pytest.raises(InternalSolverError, match="did not lower the ratio"):
-            ratio_cycle(circ, [3.0, 1.0, 1.0, 1.0], [4.0, 1.0, 0.0, 0.0], rel_tol=0.1)
-        assert len(calls) == 2  # the seed search, then one step
+        with pytest.raises(InternalSolverError, match="descent exceeded its proven step bound"):
+            solve_gk(inst_two_parallel, 0.5)
+        # lengths y = 1/2 on both edges and mu = 1/2: the cycle's ratio is
+        # (1/2 + 2 mu) / 4, the least length 1/2 and the positive gains 5
+        steps = math.ceil(math.log(0.375 / (0.5 / 5)) / math.log1p(0.125)) + 1
+        assert len(calls) == 1 + steps  # the seed test, then the bound
 
     def test_slow_steps_hit_the_proven_bound(self, monkeypatch):
-        # each step finds a cycle whose ratio falls by less than 1 + rel_tol:
-        # the step bound, from the seed's ratio 1 down to the least positive
-        # num over the sum of positive dens, must raise
-        loops = 60
-        inst = Instance(
-            node_count=2,
-            edges=tuple(EdgeData(1, 1, 1, -1, 0) for _ in range(loops)),
-            source=1,
-            sink=2,
-            budget=0,
-        )
-        num = [1.0 - i / 1000 for i in range(loops)]
-        den = [1.0] * loops
+        # each step finds a cycle whose ratio falls by less than 1 + eps/4:
+        # the descent bound, from the seed's ratio down to the least length
+        # over the sum of the gains, must raise
+        inst = parallel_loops(60, acyclic=False)
         calls = []
 
         def slow(node_count, arcs, weights):
@@ -290,75 +280,11 @@ class TestMinRatioCycle:
             return [len(calls) - 1]
 
         monkeypatch.setattr(mcc_mod, "find_negative_cycle", slow)
-        with pytest.raises(InternalSolverError, match="proven step bound"):
-            ratio_cycle(inst, num, den, rel_tol=0.1)
-        steps = math.ceil(math.log(loops / min(num)) / math.log1p(0.1)) + 2
-        assert steps < loops
-        assert len(calls) == 1 + steps  # the seed search, then the bound
-
-    @pytest.mark.parametrize("first, steps", [(0, 65), (100, 62)])
-    def test_warm_steps_count_from_the_start_ratio(self, first, steps, monkeypatch):
-        # the same slow steps from a warm start: no seed search runs, and the
-        # bound counts from the start's ratio, not from any seed's
-        loops = 200
-        inst = Instance(
-            node_count=2,
-            edges=tuple(EdgeData(1, 1, 1, -1, 0) for _ in range(loops)),
-            source=1,
-            sink=2,
-            budget=0,
-        )
-        num = [1.0 - i / 400 for i in range(loops)]
-        den = [1.0] * loops
-        calls = []
-
-        def slow(node_count, arcs, weights):
-            calls.append(1)
-            return [first + len(calls)]
-
-        monkeypatch.setattr(mcc_mod, "find_negative_cycle", slow)
-        with pytest.raises(InternalSolverError, match="proven step bound"):
-            ratio_cycle(inst, num, den, rel_tol=0.1, start=(first,))
-        floor = min(num) / loops
-        assert steps == math.ceil(math.log(num[first] / floor) / math.log1p(0.1)) + 2
-        assert first + steps < loops
-        assert len(calls) == steps
-
-
-def assert_nearly_minimal(inst: Instance, result, minimum: float, rel_tol: float) -> None:
-    """``result`` is a closed simple cycle within (1 + ``rel_tol``) of ``minimum``."""
-    assert result is not None
-    tails = [inst.edges[a].tail for a in result.edges]
-    heads = [inst.edges[a].head for a in result.edges]
-    assert heads == tails[1:] + tails[:1]  # closed
-    assert len(set(tails)) == len(tails)  # simple
-    assert_within_tolerance(result, minimum, rel_tol)
-
-
-def assert_within_tolerance(result, minimum: float, rel_tol: float) -> None:
-    """``lower`` <= ``minimum`` <= ratio <= (1 + ``rel_tol``) * ``minimum``,
-    and ratio <= (1 + ``rel_tol``) * ``lower``, up to float rounding."""
-    slack = 1e-12
-    assert result.lower <= minimum * (1 + slack)
-    assert minimum <= result.ratio * (1 + slack)
-    assert result.ratio <= (1 + rel_tol) * minimum * (1 + slack)
-    assert result.ratio <= (1 + rel_tol) * result.lower * (1 + slack)
-
-
-def assert_nearly_minimal_path(inst: Instance, result, num, den, best, rel_tol, source=None, sink=None):
-    """``result`` is a ``source``-``sink`` path (the instance's by default)
-    whose ratio is its own, within (1 + ``rel_tol``) of ``best``'s."""
-    assert result is not None
-    source = inst.source if source is None else source
-    sink = inst.sink if sink is None else sink
-    edges = [inst.edges[i] for i in result.edges]
-    assert [e.tail for e in edges] == [source] + [e.head for e in edges[:-1]]
-    assert edges[-1].head == sink
-    numerator = sum(Fraction(num[i]) for i in result.edges)
-    denominator = sum(Fraction(den[i]) for i in result.edges)
-    assert denominator > 0
-    assert float(numerator / denominator) == pytest.approx(result.ratio, rel=1e-12, abs=0)
-    assert_within_tolerance(result, float(best[1]), rel_tol)
+        with pytest.raises(InternalSolverError, match="descent exceeded its proven step bound"):
+            solve_gk(inst, 0.4)
+        steps = descent_steps(inst, 0, 0.4)
+        assert steps < 60
+        assert len(calls) == 1 + steps  # the seed test, then the bound
 
 
 class TestMinRatioPathDag:
@@ -370,11 +296,9 @@ class TestMinRatioPathDag:
             sink=3,
             budget=0,
         )
-        result = ratio_path(inst, [1.0, 1.0, 3.0], [1.0, 1.0, 1.0], inst.source, inst.sink, 0.1)
-        assert result is not None
-        assert result.edges == (0, 1)
-        assert result.ratio == 1
-        assert result.lower == 1 / 1.1
+        num, den = [1.0, 1.0, 3.0], [1.0, 1.0, 1.0]
+        assert path_test(inst, num, den, 1.1) == [0, 1]
+        assert path_test(inst, num, den, 1.0) is None
 
     def test_single_path(self):
         inst = Instance(
@@ -384,10 +308,8 @@ class TestMinRatioPathDag:
             sink=3,
             budget=0,
         )
-        result = ratio_path(inst, [2.0, 3.0], [2.0, 3.0], inst.source, inst.sink, 0.1)
-        assert result is not None
-        assert result.edges == (0, 1)
-        assert result.ratio == 1
+        assert path_test(inst, [2.0, 3.0], [2.0, 3.0], 1.5) == [0, 1]
+        assert path_test(inst, [2.0, 3.0], [2.0, 3.0], 1.0) is None
 
     def test_nonpositive_denominators_return_none(self):
         inst = Instance(
@@ -397,7 +319,7 @@ class TestMinRatioPathDag:
             sink=3,
             budget=0,
         )
-        assert ratio_path(inst, [1.0, 1.0], [-1.0, 0.0], inst.source, inst.sink, 0.1) is None
+        assert path_test(inst, [1.0, 1.0], [-1.0, 0.0], 10.0) is None
 
     def test_cycle_detected(self):
         inst = Instance(
@@ -408,10 +330,9 @@ class TestMinRatioPathDag:
             budget=0,
         )
         with pytest.raises(CyclicGraphError):
-            ratio_path(inst, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], inst.source, inst.sink, 0.1)
+            path_test(inst, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 1.0)
 
     def test_within_tolerance_of_enumeration(self):
-        rel_tol = 0.01
         rng = random.Random(9)
         checked = 0
         for seed in range(80):
@@ -425,18 +346,18 @@ class TestMinRatioPathDag:
             )
             num = [rng.randint(0, 40) / 7 for _ in inst.edges]
             den = [float(-e.cost) for e in inst.edges]
-            result = ratio_path(inst, num, den, inst.source, inst.sink, rel_tol)
             best = exhaustive_min_ratio_path(inst, num, den)
-            if best is None:
-                assert result is None
-                continue
-            checked += 1
-            assert_nearly_minimal_path(inst, result, num, den, best, rel_tol)
+            checked += best is not None
+            for lam in thresholds(best, (1 / 1.01, 1.01)):
+                found = path_test(inst, num, den, lam)
+                ends = (inst.source, inst.sink)
+                assert threshold_violation(inst, found, num, den, lam, best, ends) is None
+                assert (found is None) == (best is None or lam < best[1])
         assert checked >= 25
 
     def test_extreme_float_magnitudes(self):
-        # dual lengths reach the oracle as floats anywhere in 1e-120..1e120;
-        # the float pass must keep its tolerance over that whole range
+        # dual lengths reach the tests as floats anywhere in 1e-120..1e120;
+        # the float pass must keep its contract over that whole range
         rng = random.Random(23)
         checked = 0
         for seed in range(80):
@@ -456,34 +377,33 @@ class TestMinRatioPathDag:
                 # path of positive-den edges ties at the extreme ratio c
                 c = 2.0 ** rng.randint(-398, 398)
                 num = [c * d if d > 0 else c for d in den]
-            result = ratio_path(inst, num, den, inst.source, inst.sink, 0.01)
             best = exhaustive_min_ratio_path(inst, num, den)
-            if best is None:
-                assert result is None
-                continue
-            checked += 1
-            assert_nearly_minimal_path(inst, result, num, den, best, 0.01)
+            checked += best is not None
+            for lam in thresholds(best, (1 / 1.01, 1.01)):
+                found = path_test(inst, num, den, lam)
+                ends = (inst.source, inst.sink)
+                assert threshold_violation(inst, found, num, den, lam, best, ends) is None
+                assert (found is None) == (best is None or lam < best[1])
         assert checked >= 30
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(small_dag_ratio_inputs())
     def test_property_matches_enumeration(self, case):
-        inst, num, den, rel_tol = case
-        result = ratio_path(inst, num, den, inst.source, inst.sink, rel_tol)
+        inst, num, den, factor = case
         best = exhaustive_min_ratio_path(inst, num, den)
-        if best is None:
-            assert result is None
-        else:
-            assert_nearly_minimal_path(inst, result, num, den, best, rel_tol)
+        lam = factor if best is None else float(best[1]) * factor
+        found = path_test(inst, num, den, lam)
+        ends = (inst.source, inst.sink)
+        assert threshold_violation(inst, found, num, den, lam, best, ends) is None
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(small_dag_ratio_inputs(), st.data())
     def test_one_setup_serves_many_calls(self, case, data):
-        # solve_gk_acyclic builds the set-up once and calls the oracle with
-        # fresh numerators every time: no call may disturb what the next reads
-        inst, num, den, rel_tol = case
-        setup = _path_setup(inst, topological_order(inst), den, inst.source, inst.sink)
-        kept = copy.deepcopy(setup)
+        # solve_gk_acyclic sorts the arcs once and tests fresh weights every
+        # time: no test may disturb what the next reads
+        inst, num, den, factor = case
+        arcs = dag_arcs(inst)
+        kept = copy.deepcopy(arcs)
         m = len(inst.edges)
         vectors = [num] + [
             data.draw(st.lists(numbers, min_size=m, max_size=m))
@@ -493,47 +413,39 @@ class TestMinRatioPathDag:
                 st.fractions(0, 50).map(float),
             )
         ]
+        ends = (inst.source, inst.sink)
         for fresh in vectors:
-            result = min_ratio_path_dag(inst, fresh, inst.source, inst.sink, setup, rel_tol)
             best = exhaustive_min_ratio_path(inst, fresh, den)
-            if best is None:
-                assert result is None
-            else:
-                assert_nearly_minimal_path(inst, result, fresh, den, best, rel_tol)
-        assert setup == kept
+            lam = factor if best is None else float(best[1]) * factor
+            weights = [x - lam * d for x, d in zip(fresh, den)]
+            found = min_ratio_path_dag(inst, arcs, *ends, weights)
+            assert threshold_violation(inst, found, fresh, den, lam, best, ends) is None
+        assert arcs == kept
 
     def test_non_improving_pass_hits_the_proven_bound(self, monkeypatch):
-        # parallel paths whose ratios fall by less than 1 + rel_tol per pass:
-        # the step bound, from the first path's ratio 1 down to the least
-        # positive num over the sum of positive dens, must raise; a pass that
-        # returns the current path again raises at once
-        loops = 60
-        inst = Instance(
-            node_count=2,
-            edges=tuple(EdgeData(1, 2, 1, -1, 0) for _ in range(loops)),
-            source=1,
-            sink=2,
-            budget=0,
-        )
-        num = [1.0 - i / 1000 for i in range(loops)]
-        setup = _path_setup(inst, topological_order(inst), [1.0] * loops, 1, 2)
-        assert setup.first == [0]  # the first maximum-denominator path found
+        # parallel paths whose ratios fall by less than 1 + eps/4 per pass:
+        # the descent bound, from the first path's ratio down to the least
+        # length over the sum of the gains, must raise; a pass that returns
+        # the seed path again never lowers the ratio and hits the same bound
+        inst = parallel_loops(60, acyclic=True)
         calls = []
 
-        def slow(inst, order, out_edges, source, sink, weights):
+        def slow(inst, arcs, source, sink, weights):
             calls.append(1)
-            return [len(calls)]
+            return [len(calls) - 1]
 
-        monkeypatch.setattr(fptas_mod, "_negative_dag_path", slow)
-        with pytest.raises(InternalSolverError, match="proven step bound"):
-            min_ratio_path_dag(inst, num, 1, 2, setup, 0.1)
-        steps = math.ceil(math.log(loops / min(num)) / math.log1p(0.1)) + 2
-        assert steps < loops
-        assert len(calls) == steps
+        monkeypatch.setattr(fptas_mod, "min_ratio_path_dag", slow)
+        with pytest.raises(InternalSolverError, match="descent exceeded its proven step bound"):
+            solve_gk_acyclic(inst, 0.4)
+        steps = descent_steps(inst, 0, 0.4)
+        assert steps < 60
+        assert len(calls) == 1 + steps
 
-        monkeypatch.setattr(fptas_mod, "_negative_dag_path", lambda *args: [0])
-        with pytest.raises(InternalSolverError, match="did not lower the ratio"):
-            min_ratio_path_dag(inst, num, 1, 2, setup, 0.1)
+        calls.clear()
+        monkeypatch.setattr(fptas_mod, "min_ratio_path_dag", lambda *args: calls.append(1) or [7])
+        with pytest.raises(InternalSolverError, match="descent exceeded its proven step bound"):
+            solve_gk_acyclic(inst, 0.4)
+        assert len(calls) == 1 + descent_steps(inst, 7, 0.4)
 
 
 class TestSolveGk:
@@ -586,16 +498,44 @@ class TestSolveGk:
     def test_routed_cycles_qualify(self, inst_two_parallel):
         reduced = _reduced_for_packing(inst_two_parallel)
         circ = circulation_form(reduced)
-        den = [float(-e.cost) for e in circ.edges]
-
-        def oracle(nums, rel_tol):
-            return ratio_cycle(circ, [*nums, 0.0, 0.0], den, rel_tol=rel_tol)
-
-        routed, _, _, _ = _gk_loop(reduced, 0.1, oracle)
+        arcs = _arcs(circ)
+        routed, _, _, _ = _gk_loop(reduced, 0.1, lambda w: min_ratio_cycle(circ, arcs, w))
         assert routed
         for cycle in routed:
             cost = sum(circ.edges[i].cost for i in cycle)
             assert cost < 0
+
+    @pytest.mark.parametrize("eps", [0.4, 0.1])
+    def test_raises_hit_the_proven_bound(self, eps):
+        # a test that finds nothing past the descent makes alpha rise until
+        # it would pass rho, the least true ratio no column reaches while the
+        # dual objective is below 1: the raise bound, counted from the
+        # descent's alpha on true lengths, must fire after exactly its count
+        inst = Instance(
+            node_count=2,
+            edges=(EdgeData(1, 1, 1, -1, 0), EdgeData(1, 1, 100, -100, 0)),
+            source=1,
+            sink=2,
+            budget=0,
+        )
+        calls = []
+
+        def never(weights):
+            # the seed test finds edge 0 alone; then nothing, though edge 1
+            # has the lower ratio, so that the certified stop stays out of reach
+            calls.append(1)
+            return [0] if len(calls) == 1 else None
+
+        with pytest.raises(InternalSolverError, match="alpha rose past its proven bound"):
+            _gk_loop(inst, eps, never)
+        eps_prime = eps / 4
+        log_delta = math.log1p(eps_prime) - math.log((1 + eps_prime) * 2) / eps_prime
+        alpha = 1 / (1 + eps_prime)  # the seed's stored ratio 1 over 1 + eps'
+        rho = 1 + 1 / 100
+        raises = math.ceil((math.log(rho / alpha) - log_delta) / math.log1p(eps_prime))
+        assert raises > 50
+        # the seed test, the descent's one test, the raises and the test past them
+        assert len(calls) == 2 + raises + 1
 
     def test_seed_search_runs_once_per_solve(self, monkeypatch):
         searches = []
@@ -944,31 +884,23 @@ class TestSolveGkAcyclic:
             solve_gk_acyclic(inst, 0.25)
 
     def test_oracle_setup_runs_once_per_solve(self, monkeypatch):
-        # the topological sort and the maximum-denominator pass depend only
-        # on the graph and the costs, so every oracle call of a solve shares
-        # them; the set-up pass is the one on the weights -den = cost
-        sorts, setup_passes, calls = [], [], []
-        sort, dag_pass, path_oracle = (
-            fptas_mod.topological_order,
-            fptas_mod._negative_dag_path,
-            fptas_mod.min_ratio_path_dag,
-        )
+        # the topological sort and the sorted arcs depend only on the graph,
+        # so every test of a solve shares them; the seed test is the one at
+        # the weights -den = cost
+        sorts, seeds, arc_lists = [], [], []
+        sort, path_test_fn = fptas_mod.topological_order, fptas_mod.min_ratio_path_dag
 
         def counted_sort(inst):
             sorts.append(1)
             return sort(inst)
 
-        def counted_pass(inst, order, out_edges, source, sink, weights):
-            setup_passes.append(list(weights) == [float(e.cost) for e in inst.edges])
-            return dag_pass(inst, order, out_edges, source, sink, weights)
-
-        def counted_oracle(*args):
-            calls.append(1)
-            return path_oracle(*args)
+        def counted_test(inst, arcs, source, sink, weights):
+            seeds.append(list(weights) == [float(e.cost) for e in inst.edges])
+            arc_lists.append(id(arcs))
+            return path_test_fn(inst, arcs, source, sink, weights)
 
         monkeypatch.setattr(fptas_mod, "topological_order", counted_sort)
-        monkeypatch.setattr(fptas_mod, "_negative_dag_path", counted_pass)
-        monkeypatch.setattr(fptas_mod, "min_ratio_path_dag", counted_oracle)
+        monkeypatch.setattr(fptas_mod, "min_ratio_path_dag", counted_test)
         # a slack, a tight and a zero budget, then paths from sink to source
         dag = generate_instance(5, 12, acyclic=True, seed=1400)
         cases = [
@@ -978,25 +910,25 @@ class TestSolveGkAcyclic:
             Instance(dag.node_count, dag.edges, dag.sink, dag.source, dag.budget),
         ]
         for solves, inst in enumerate(map(preprocess, cases), start=1):
-            before = len(calls)
+            before = len(seeds)
             solve_gk_acyclic(inst, 0.25)
-            assert len(calls) - before > 2
+            assert len(seeds) - before > 2
+            assert len(set(arc_lists[before:])) == 1
             assert len(sorts) == solves
-            assert sum(setup_passes) == solves
+            assert sum(seeds) == solves
 
     def test_shadow_audit_matches_enumeration(self, monkeypatch):
         calls = []
-        path_oracle = fptas_mod.min_ratio_path_dag
+        path_test_fn = fptas_mod.min_ratio_path_dag
 
-        def audited(graph, num, source, sink, setup, rel_tol):
-            result = path_oracle(graph, num, source, sink, setup, rel_tol)
-            best = exhaustive_min_ratio_path(graph, num, setup.den, source, sink)
-            if best is None:
-                assert result is None
-            else:
-                assert_nearly_minimal_path(
-                    graph, result, num, setup.den, best, rel_tol, source, sink
-                )
+        def audited(graph, arcs, source, sink, weights):
+            # the audit sees the weights w = num - lam * den alone, so it
+            # checks the contract at threshold 0 on the numerators w
+            result = path_test_fn(graph, arcs, source, sink, weights)
+            den = [-e.cost for e in graph.edges]
+            best = exhaustive_min_ratio_path(graph, weights, den, source, sink)
+            ends = (source, sink)
+            assert threshold_violation(graph, result, weights, den, 0.0, best, ends) is None
             calls.append(1)
             return result
 
@@ -1019,8 +951,8 @@ class TestSolveGkAcyclic:
         found = []
         path_oracle = fptas_mod.min_ratio_path_dag
 
-        def recording(graph, num, source, sink, setup, rel_tol):
-            result = path_oracle(graph, num, source, sink, setup, rel_tol)
+        def recording(graph, arcs, source, sink, weights):
+            result = path_oracle(graph, arcs, source, sink, weights)
             found.append(result is not None and source == graph.sink)
             return result
 
