@@ -7,12 +7,13 @@ lexicographic min-cost-circulation solves under costs ``cost + lam * fee``
 reveal whether ``lam`` is below, inside, or above the closed interval of
 optimal multipliers.  A chord search narrows a bracket until one probe lands
 inside that interval; the optimum is then a convex combination of that
-probe's two witness flows meeting the budget line.  The frontier needs
-only the fee-minimal solve, one per chord.  All the solves on one
-instance share one network-simplex :class:`~bcmcf.mcc.Basis`, so each
-starts from the optimal tree of the solve before it.  The search and the
-frontier run on each solve's int (cost, fee) totals; a :class:`Flow` is
-built only for the answers they keep.
+probe's two witness flows meeting the budget line.  All the solves of
+one search share one network-simplex :class:`~bcmcf.mcc.Basis`, so each
+starts from the optimal tree of the solve before it.  The frontier takes
+one solve and then walks its breakpoints on that basis, a parametric
+simplex in int cost and fee potentials.  The search and the frontier run
+on int (cost, fee) totals; a :class:`Flow` is built only for the answers
+they keep.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .mcc import Basis, InternalSolverError, lambda_cost, min_cost_circulation
@@ -215,49 +217,95 @@ def solve_exact(inst: Instance) -> Solution:
             x_under = verdict.x_maxfee
 
 
+def _next_breakpoint(
+    basis: Basis, costs: list[int], fees: list[int], pc: list[int], pb: list[int]
+) -> tuple[int, int, int]:
+    """The nonbasic arc that prices out first as the multiplier falls.
+
+    ``pc``/``pb`` are the tree's cost and fee potentials under ``costs``/
+    ``fees``.  An arc with state s and reduced cost r_c + lam * r_b turns
+    negative below lam' = -r_c / r_b when s * r_b > 0 > s * r_c.  Returns
+    (arc, -r_c * s, r_b * s) for the largest such lam', the first arc in
+    order among ties, or (-1, 0, 1) when no arc has lam' > 0.  The ratios
+    are compared as int cross-products.
+    """
+    tails, heads, state = basis.tails, basis.heads, basis.state
+    best, num, den = -1, 0, 1
+    for a in range(basis.arc_count):
+        s = state[a]
+        if s:
+            t, h = tails[a], heads[a]
+            rb = s * (fees[a] + pb[t] - pb[h])
+            if rb > 0:
+                rc = s * (pc[h] - pc[t] - costs[a])
+                if rc * den > num * rb:
+                    best, num, den = a, rc, rb
+    return best, num, den
+
+
 def enumerate_frontier(inst: Instance) -> list[FrontierPoint]:
     """All extreme points of the Pareto frontier, by increasing fee.
 
-    Dichotomic subdivision (Aneja & Nair 1979): solve at multipliers 0 and
-    one beyond every slope, then once per chord of two adjacent known
-    points, for the fee-minimal optimum at the chord's multiplier.  One that
-    ties the chord closes it as a segment.  One that beats it is a new
-    extreme point, strictly between the corners in fee, since each corner
-    is optimal at a multiplier on its own side of the chord's.  So P >= 2
-    points take exactly 2P - 1 solves (P = 1 takes 2), and P is not
-    polynomially bounded in general.  All solves share one simplex basis,
-    so each starts from the optimum of the solve before it.  The chords are
-    tested on the solves' int totals, and a solve's values are copied only
-    when it is a new extreme point; the kept points become :class:`Flow`
-    witnesses at the end.
+    A parametric network simplex (Ruhe 1991; Sedeño-Noda & González-Martín
+    2001) on one :class:`Basis`: one fee-minimal solve at a multiplier above
+    every slope, then a walk down to 0 that pivots in the arc of the next
+    breakpoint lam' (``_next_breakpoint``), with the tree's cost and fee
+    potentials kept as two int vectors.  The tree stays optimal at lam' and,
+    once no arc prices out there, down to the next breakpoint; so at each
+    strict drop of lam', and at the end, the flow is optimal on an interval
+    and is an extreme point, kept unless its totals repeat the last one's.
+    Breakpoints can be exponentially many (Zadeh 1973), so only the
+    frontier walks them.  The kept points become :class:`Flow` witnesses.
     """
     stats = instance_stats(inst)
     basis = Basis(inst)
     m = inst.edge_count
+    min_cost_circulation(basis, lambda_cost(basis, stats.lambda_above_all_slopes(), "min"))
+    flow, state, tails, heads, pred = basis.flow, basis.state, basis.tails, basis.heads, basis.pred
+    pad = [0] * (len(flow) - m)
+    costs, fees = basis.edge_costs + pad, basis.fees + pad
+    pc, pb = [0] * len(basis.parent), [0] * len(basis.parent)
+    basis.tree_potentials(costs, pc, basis.children[0])
+    basis.tree_potentials(fees, pb, basis.children[0])
+    # Pivot cap.  A breakpoint is -r_c / r_b for a cycle of the tree and one
+    # arc of positive capacity, so 1 <= |r_b| <= bbar and |r_c| <= cbar: at
+    # most cbar * bbar distinct ones, each p/q with p <= cbar, q <= bbar.
+    # The pivots at one breakpoint are network-simplex pivots on a strongly
+    # feasible tree under w = lambda_cost(basis, p/q, "max"), where each
+    # entering arc has reduced cost -|r_b| < 0, so the argument of
+    # min_cost_circulation bounds them by (A + 1) * (D + 1) with
+    # A = 2 * sum(u_e * |w_e|) and D = 2 * n^2 * max |w_e|.  Over the edges
+    # of positive capacity both sums are below R = 2 * cbar * bbar * K + bbar.
+    reach = 2 * stats.cbar * stats.bbar * basis.fee_scale + stats.bbar
+    cap = stats.cbar * stats.bbar * (2 * reach + 1) * (2 * inst.node_count**2 * reach + 1)
+    points: list[Witness] = []
 
-    def extreme(lam: Fraction) -> Witness:
-        cost, fee = min_cost_circulation(basis, lambda_cost(basis, lam, "min"))
-        return Witness(basis.flow[:m], cost, fee)
+    def keep() -> None:
+        cost, fee = sum(map(mul, basis.edge_costs, flow)), sum(map(mul, basis.fees, flow))
+        if not points or (points[-1].cost, points[-1].fee) != (cost, fee):
+            points.append(Witness(flow[:m], cost, fee))
 
-    top = extreme(Fraction(0))
-    bottom = extreme(stats.lambda_above_all_slopes())
-
-    def expand(x_low: Witness, x_high: Witness) -> list[Witness]:
-        """Extreme points strictly between two known ones (fee order)."""
-        lam = edge_multiplier(x_low, x_high)
-        cost, fee = min_cost_circulation(basis, lambda_cost(basis, lam, "min"))
-        # with lam = p/q, the solve ties the chord iff q * (cost - cost_low)
-        # + p * (fee - fee_low) = 0: the chord is a frontier segment
-        if lam.denominator * (cost - x_low.cost) + lam.numerator * (fee - x_low.fee) == 0:
-            return []
-        q = Witness(basis.flow[:m], cost, fee)
-        return expand(x_low, q) + [q] + expand(q, x_high)
-
-    if (top.cost, top.fee) == (bottom.cost, bottom.fee):
-        extremes = [bottom]
-    else:
-        extremes = [bottom] + expand(bottom, top) + [top]
-    witnesses = [Flow.from_values(inst, x.values) for x in extremes]
+    at_num, at_den = 1, 0  # the current breakpoint, above every finite one at the start
+    pivots = 0
+    while True:
+        arc, num, den = _next_breakpoint(basis, costs, fees, pc, pb)
+        if arc < 0:
+            break
+        if num * at_den < at_num * den:
+            keep()
+            at_num, at_den = num, den
+        if pivots == cap:
+            raise InternalSolverError(f"frontier walk exceeded its cap of {cap} pivots")
+        basis.pivot(arc)
+        pivots += 1
+        if not state[arc]:
+            # the arc entered the tree: refresh the subtree it now holds up
+            top = (tails[arc] if pred[tails[arc]] == arc else heads[arc],)
+            basis.tree_potentials(costs, pc, top)
+            basis.tree_potentials(fees, pb, top)
+    keep()
+    basis.pivots += pivots
+    witnesses = [Flow.from_values(inst, x.values) for x in points]
     return attach_lambda_intervals(
         [FrontierPoint(x.cost, x.fee, x, Fraction(0), None) for x in witnesses]
     )

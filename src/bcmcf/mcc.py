@@ -9,7 +9,9 @@ which it closes into a circulation itself, and the only handle the solves
 take on it; between the solves on that instance only the costs change, so
 the last optimal tree is primal feasible for the next solve and is its
 warm start.  A solve returns the int (cost, fee) totals of its optimum on
-the instance's own edges and leaves the optimum in the basis.
+the instance's own edges and leaves the optimum in the basis.  The
+frontier walk of :mod:`bcmcf.exact` pivots on a basis directly, with its
+own potentials from :meth:`Basis.tree_potentials`.
 :func:`find_negative_cycle` is the package's one negative-cycle detector,
 called by the approximation lane's cycle threshold test with float
 weights: a Bellman-Ford whose predecessor graph is searched for a cycle
@@ -72,8 +74,8 @@ class Basis:
     Between solves only the costs change, so the optimal tree a solve
     leaves is primal feasible and the next solve's start.  The edge costs,
     fees and packing factor K = sum(fees) + 1 of :func:`lambda_cost` are
-    read from the instance once.  ``pivots`` counts the pivots of all its
-    solves.
+    read from the instance once.  ``pivots`` counts every pivot made on
+    the basis.
     """
 
     def __init__(self, inst: Instance) -> None:
@@ -121,12 +123,17 @@ class Basis:
     def set_costs(self, costs: Sequence[int]) -> None:
         """Take new edge costs and recompute the tree's potentials."""
         self.costs[: len(costs)] = costs
-        costs, pi, parent, pred, dirs = self.costs, self.potentials, self.parent, self.pred, self.dirs
-        stack = list(self.children[0])
+        self.tree_potentials(self.costs, self.potentials, self.children[0])
+
+    def tree_potentials(self, costs: Sequence[int], pi: list[int], tops: Sequence[int]) -> None:
+        """Set ``pi`` on the subtrees of the nodes ``tops`` so that their tree
+        arcs have reduced cost 0 under ``costs``, one cost per arc."""
+        parent, pred, dirs, children = self.parent, self.pred, self.dirs, self.children
+        stack = list(tops)
         while stack:
             v = stack.pop()
             pi[v] = pi[parent[v]] - dirs[v] * costs[pred[v]]
-            stack.extend(self.children[v])
+            stack.extend(children[v])
 
     def entering(self) -> int:
         """An arc whose reduced cost breaks optimality, or -1 when none does.

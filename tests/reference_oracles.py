@@ -2,14 +2,17 @@
 
 Integral flow enumeration, the exact Pareto frontier as the lower-left hull
 of the integral point cloud, exhaustive minimum-ratio cycle and path
-searches, and the packing loop's flow assembly in ``Fraction`` arithmetic.  These are exponential by design and guarded to desk scale.  The
-frontier reference shares only the point type and the interval bookkeeping
-with ``bcmcf.exact``; its hull never calls a solver.
+searches, and the packing loop's flow assembly in ``Fraction`` arithmetic.
+These are exponential by design and guarded to desk scale.  The frontier
+reference shares only the point type and the interval bookkeeping with
+``bcmcf.exact``; its hull never calls a solver.
 
-Past the enumeration guard, the network simplex of ``bcmcf.mcc`` is checked
-against a second engine: negative-cycle canceling on the residual graph,
-pseudo-polynomial but simple enough to trust, and the residual graph on
-which the tests call ``find_negative_cycle``.
+Past the enumeration guard, second methods check the package.
+Negative-cycle canceling on the residual graph, pseudo-polynomial but simple
+enough to trust, checks the network simplex of ``bcmcf.mcc``; the residual
+graph is also where the tests call ``find_negative_cycle``.  Dichotomic
+chord subdivision, solve by solve on that simplex, checks the parametric
+walk of ``enumerate_frontier``.
 """
 
 from __future__ import annotations
@@ -18,9 +21,15 @@ from fractions import Fraction
 from operator import attrgetter, le, neg, sub
 from typing import Iterator, Sequence
 
-from bcmcf.exact import FrontierPoint, attach_lambda_intervals
-from bcmcf.mcc import InternalSolverError, find_negative_cycle
-from bcmcf.model import Flow, Instance, restore_flow
+from bcmcf.exact import FrontierPoint, Witness, attach_lambda_intervals, edge_multiplier
+from bcmcf.mcc import (
+    Basis,
+    InternalSolverError,
+    find_negative_cycle,
+    lambda_cost,
+    min_cost_circulation,
+)
+from bcmcf.model import Flow, Instance, instance_stats, restore_flow
 from bcmcf.oracle import DEFAULT_GUARD, build_point_cloud, iter_integral_values
 
 
@@ -98,6 +107,46 @@ def oracle_frontier(inst: Instance, guard: int = DEFAULT_GUARD) -> list[Frontier
         for i in hull
     ]
     return attach_lambda_intervals(points)
+
+
+def dichotomic_frontier(inst: Instance) -> list[FrontierPoint]:
+    """Frontier extreme points by dichotomic chord subdivision (Aneja & Nair 1979).
+
+    Solves fee-minimally at multiplier 0 and one beyond every slope, then
+    once per chord of two adjacent known points, at the chord's multiplier.
+    A solve that ties the chord closes it as a segment; one that beats it
+    is a new extreme point strictly between the corners in fee.  So P >= 2
+    points take 2P - 1 solves of ``min_cost_circulation`` (P = 1 takes 2),
+    all on one basis.  No enumeration guard: this checks
+    ``enumerate_frontier``'s parametric walk past ``oracle_frontier``'s.
+    """
+    basis = Basis(inst)
+    m = inst.edge_count
+
+    def extreme(lam: Fraction) -> Witness:
+        cost, fee = min_cost_circulation(basis, lambda_cost(basis, lam, "min"))
+        return Witness(basis.flow[:m], cost, fee)
+
+    def expand(x_low: Witness, x_high: Witness) -> list[Witness]:
+        """Extreme points strictly between two known ones (fee order)."""
+        lam = edge_multiplier(x_low, x_high)
+        x = extreme(lam)
+        # with lam = p/q, x ties the chord iff q * (cost - cost_low)
+        # + p * (fee - fee_low) = 0
+        if lam.denominator * (x.cost - x_low.cost) + lam.numerator * (x.fee - x_low.fee) == 0:
+            return []
+        return expand(x_low, x) + [x] + expand(x, x_high)
+
+    top = extreme(Fraction(0))
+    bottom = extreme(instance_stats(inst).lambda_above_all_slopes())
+    if (top.cost, top.fee) == (bottom.cost, bottom.fee):
+        extremes = [bottom]
+    else:
+        extremes = [bottom, *expand(bottom, top), top]
+    witnesses = [Flow.from_values(inst, x.values) for x in extremes]
+    return attach_lambda_intervals(
+        [FrontierPoint(x.cost, x.fee, x, Fraction(0), None) for x in witnesses]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,23 @@ from bcmcf.exact import (
 )
 from bcmcf.mcc import Basis, lambda_cost, min_cost_circulation
 from bcmcf.oracle import iter_integral_values
-from reference_oracles import oracle_frontier
+from reference_oracles import dichotomic_frontier, oracle_frontier
 
 
 def probe_cap(inst: Instance) -> int:
     """The proven probe cap of ``solve_exact``: bbar + 2."""
     return instance_stats(inst).bbar + 2
+
+
+def walk_cap(inst: Instance) -> int:
+    """The proven pivot cap of ``enumerate_frontier``'s walk."""
+    stats = instance_stats(inst)
+    reach = 2 * stats.cbar * stats.bbar * (sum(e.fee for e in inst.edges) + 1) + stats.bbar
+    return stats.cbar * stats.bbar * (2 * reach + 1) * (2 * inst.node_count**2 * reach + 1)
+
+
+def frontier_summary(points) -> list[tuple]:
+    return [(p.cost, p.fee, p.lambda_low, p.lambda_high) for p in points]
 
 
 @st.composite
@@ -362,15 +373,16 @@ class TestEnumerateFrontier:
             for s1, s2 in zip(slopes, slopes[1:]):
                 assert abs(s1 - s2) >= Fraction(1, cbar**2)
 
-    def test_two_solves_per_point_less_one(self, monkeypatch):
-        # each solve past the two endpoints closes a chord or finds a point
+    def test_one_solve_per_frontier(self, monkeypatch):
+        # one fee-minimal solve opens the walk, whose pivots stay within the
+        # proven cap; every point after the first takes at least one pivot
         real = exact_mod.min_cost_circulation
-        solves = 0
+        solves = []  # (basis, its pivot count after the solve)
 
         def counting(basis, costs):
-            nonlocal solves
-            solves += 1
-            return real(basis, costs)
+            totals = real(basis, costs)
+            solves.append((basis, basis.pivots))
+            return totals
 
         monkeypatch.setattr(exact_mod, "min_cost_circulation", counting)
         for seed in range(100):
@@ -383,9 +395,101 @@ class TestEnumerateFrontier:
                     seed=1900 + seed,
                 )
             )
-            solves = 0
+            solves.clear()
             points = len(enumerate_frontier(inst))
-            assert solves == (2 if points == 1 else 2 * points - 1)
+            assert len(solves) == 1
+            basis, solved = solves[0]
+            assert points - 1 <= basis.pivots - solved <= walk_cap(inst)
+
+
+class TestFrontierWalk:
+    """Degenerate and edge cases of the parametric walk."""
+
+    def test_tied_arcs_make_one_segment(self, monkeypatch):
+        # all three edges price out at lam' = 2: one breakpoint, two points
+        inst = Instance(
+            node_count=2,
+            edges=(EdgeData(1, 2, 1, -2, 1), EdgeData(1, 2, 1, -4, 2), EdgeData(1, 2, 1, -6, 3)),
+            source=1,
+            sink=2,
+            budget=3,
+        )
+        real = exact_mod._next_breakpoint
+        breakpoints = []
+
+        def recording(*args):
+            arc, num, den = real(*args)
+            breakpoints.append(Fraction(num, den) if arc >= 0 else None)
+            return arc, num, den
+
+        monkeypatch.setattr(exact_mod, "_next_breakpoint", recording)
+        points = enumerate_frontier(inst)
+        assert frontier_summary(points) == [(0, 0, 2, None), (-12, 6, 0, 2)]
+        # several pivots at lam' = 2, some degenerate, then none is left
+        assert breakpoints[-1] is None and set(breakpoints[:-1]) == {2}
+        assert frontier_summary(points) == frontier_summary(oracle_frontier(inst))
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            # a zero-capacity edge that would pay most, and one fee-free
+            ((1, 2, 0, -100, 1), (1, 2, 2, -3, 1), (1, 2, 0, -5, 0), (2, 3, 2, -1, 2)),
+            # self-loops at the source, at an inner node and at the sink
+            (
+                (1, 1, 2, -3, 1),
+                (1, 2, 1, -1, 1),
+                (2, 2, 3, -2, 3),
+                (2, 3, 1, 0, 1),
+                (3, 3, 1, -4, 1),
+            ),
+            # a sink -> source edge that closes a paying cycle
+            ((1, 2, 2, -1, 1), (2, 3, 2, -1, 2), (3, 1, 1, -2, 0), (1, 3, 1, -1, 3)),
+            # every edge fee-free, then every edge free of cost
+            ((1, 2, 2, -1, 0), (2, 3, 1, -2, 0), (1, 3, 1, 4, 0)),
+            ((1, 2, 2, 0, 1), (2, 3, 1, 0, 2), (3, 1, 1, 0, 0)),
+        ],
+    )
+    def test_edge_cases_match_both_references(self, edges):
+        inst = Instance(
+            node_count=3, edges=tuple(EdgeData(*e) for e in edges), source=1, sink=3, budget=2
+        )
+        mine = frontier_summary(enumerate_frontier(inst))
+        assert mine == frontier_summary(oracle_frontier(inst))
+        assert mine == frontier_summary(dichotomic_frontier(inst))
+
+    def test_instance_emptied_by_preprocess(self):
+        inst = preprocess(
+            Instance(node_count=3, edges=(EdgeData(1, 2, 3, -5, 1),), source=1, sink=3, budget=1)
+        )
+        assert inst.edge_count == 0
+        points = enumerate_frontier(inst)
+        assert frontier_summary(points) == [(0, 0, 0, None)]
+        assert points[0].witness.values == ()
+
+    @pytest.mark.parametrize("stall", ["pivot", "ratio step"])
+    def test_a_walk_that_never_advances_hits_the_cap(self, monkeypatch, stall):
+        # one self-loop that pays for fees: cbar = bbar = 1, K = 2, n = 2, so
+        # R = 5 and the cap is 1 * 1 * 11 * (2 * 4 * 5 + 1) = 451 pivots
+        inst = Instance(
+            node_count=2, edges=(EdgeData(1, 1, 1, -1, 1),), source=1, sink=2, budget=1
+        )
+        assert walk_cap(inst) == 451
+        assert frontier_summary(enumerate_frontier(inst)) == [(0, 0, 1, None), (-1, 1, 0, 1)]
+        if stall == "pivot":
+            real = exact_mod.min_cost_circulation
+
+            def stalled(basis, costs):
+                # the opening solve pivots as usual; the walk's pivots do nothing
+                totals = real(basis, costs)
+                basis.pivot = lambda arc: None
+                return totals
+
+            monkeypatch.setattr(exact_mod, "min_cost_circulation", stalled)
+        else:
+            # the self-loop flips between its bounds at one breakpoint
+            monkeypatch.setattr(exact_mod, "_next_breakpoint", lambda *args: (0, 1, 1))
+        with pytest.raises(InternalSolverError, match="cap of 451 pivots"):
+            enumerate_frontier(inst)
 
 
 class TestSolveCounts:
@@ -536,6 +640,37 @@ def test_frontier_agrees_with_solve_exact(inst):
     )
 
 
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(
+    st.sampled_from(range(2, 41)),
+    st.sampled_from(range(1, 201)),
+    st.sampled_from([1, 3, 100, 10**3]),
+    st.sampled_from([5, 10**3, 10**6]),
+    st.sampled_from([5, 10**3, 10**6]),
+    st.sampled_from(["tight", "slack", "zero"]),
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+def test_walk_matches_dichotomic_frontier(nodes, edges, cap, cost, fee, budget_mode, acyclic, seed):
+    """The parametric walk against chord subdivision, past the oracle's guard."""
+    inst = preprocess(
+        generate_instance(
+            nodes,
+            edges,
+            max_capacity=cap,
+            max_cost=cost,
+            max_fee=fee,
+            budget_mode=budget_mode,
+            acyclic=acyclic,
+            seed=seed,
+        )
+    )
+    points = enumerate_frontier(inst)
+    assert frontier_summary(points) == frontier_summary(dichotomic_frontier(inst))
+    for p in points:
+        assert (p.witness.cost, p.witness.fee) == (p.cost, p.fee)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(mid_instances(), st.data(), st.integers(2, 7))
 def test_answers_invariant_under_permutation_and_scaling(inst, data, k):
@@ -567,9 +702,10 @@ def test_answers_invariant_under_permutation_and_scaling(inst, data, k):
 
 
 class TestWarmStarts:
-    """The exact lane's solves share one simplex basis per instance;
+    """``solve_exact``'s solves share one simplex basis per instance;
     this pins the wiring by comparing pivots with a run that gives every
-    solve a fresh basis."""
+    solve a fresh basis.  The frontier makes one solve, so it has nothing
+    to warm."""
 
     INSTANCES = [
         preprocess(generate_instance(nodes=8, edges=20, max_capacity=5, seed=seed))
@@ -577,7 +713,7 @@ class TestWarmStarts:
     ]
 
     @staticmethod
-    def pivots_and_answers(solver, cold: bool):
+    def pivots_and_answers(cold: bool):
         """Pivots of all solves, the bases they ran on, and the answers, over
         ``INSTANCES``."""
         real = exact_mod.min_cost_circulation
@@ -595,26 +731,15 @@ class TestWarmStarts:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(exact_mod, "min_cost_circulation", counting)
-            answers = [solver(inst) for inst in TestWarmStarts.INSTANCES]
+            answers = [solve_exact(inst) for inst in TestWarmStarts.INSTANCES]
         if not cold:
             # one basis per instance serves all of its solves
             assert len({id(b) for b in bases}) == len(TestWarmStarts.INSTANCES)
         return pivots, answers
 
-    def test_frontier_cancels_fewer_cycles(self):
-        cold, cold_points = self.pivots_and_answers(enumerate_frontier, cold=True)
-        warm, warm_points = self.pivots_and_answers(enumerate_frontier, cold=False)
-        assert len(warm) == len(cold)
-        assert sum(warm) < sum(cold)
-
-        def summary(frontiers):
-            return [[(p.cost, p.fee, p.lambda_low, p.lambda_high) for p in f] for f in frontiers]
-
-        assert summary(warm_points) == summary(cold_points)
-
     def test_solve_exact_cancels_fewer_cycles(self):
-        cold, cold_sols = self.pivots_and_answers(solve_exact, cold=True)
-        warm, warm_sols = self.pivots_and_answers(solve_exact, cold=False)
+        cold, cold_sols = self.pivots_and_answers(cold=True)
+        warm, warm_sols = self.pivots_and_answers(cold=False)
         assert len(warm) == len(cold)
         assert sum(warm) < sum(cold)
         assert [(s.objective, s.lam, s.iterations) for s in warm_sols] == [

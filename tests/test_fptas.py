@@ -18,6 +18,7 @@ from bcmcf import (
     Flow,
     Instance,
     InternalSolverError,
+    enumerate_frontier,
     generate_instance,
     oracle_optimum,
     preprocess,
@@ -827,9 +828,12 @@ def test_guarantee_at_extreme_magnitudes(budget_mode, acyclic):
     # capacities, costs and fees up to 1e6 spread the dual lengths, ratios
     # and routed amounts over many orders of magnitude, where float
     # cancellation in the oracles' parametric tests would show; every third
-    # edge is fee-free, so that a zero budget still leaves a flow
+    # edge is fee-free, so that a zero budget still leaves a flow.  A
+    # generated tight budget seldom binds at these magnitudes, so a tight
+    # instance with more than one frontier point takes a budget strictly
+    # inside its widest frontier segment, which binds
     solver = solve_gk_acyclic if acyclic else solve_gk
-    nonzero = 0
+    nonzero = binding = 0
     for seed in range(8):
         raw = generate_instance(
             4 + seed % 7,
@@ -845,13 +849,24 @@ def test_guarantee_at_extreme_magnitudes(budget_mode, acyclic):
             dataclasses.replace(e, fee=0) if i % 3 == 0 else e for i, e in enumerate(raw.edges)
         )
         inst = preprocess(dataclasses.replace(raw, edges=edges))
-        exact = solve_exact(inst).objective
+        points = enumerate_frontier(inst) if budget_mode == "tight" else []
+        if len(points) > 1:
+            low, high = max(zip(points, points[1:]), key=lambda s: s[1].fee - s[0].fee)
+            inst = dataclasses.replace(inst, budget=(low.fee + high.fee) // 2)
+            assert low.fee < inst.budget < high.fee
+        sol = solve_exact(inst)
+        if len(points) > 1:
+            assert sol.flow.fee == inst.budget and sol.lam > 0
+            binding += 1
+        exact = sol.objective
         nonzero += exact < 0
         for eps in (0.5, 0.25, 0.1):
             sol = solver(inst, eps)
             assert validate_flow(inst, sol.flow).ok
             assert exact <= sol.objective <= (1 - Fraction(eps)) * exact
     assert nonzero >= 4
+    # one acyclic instance (n = 2, m = 3) has a single frontier point
+    assert binding == (8 - acyclic if budget_mode == "tight" else 0)
 
 
 class TestSolveGkAcyclic:
