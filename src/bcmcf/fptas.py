@@ -1,7 +1,8 @@
 """Packing-LP approximation scheme with threshold-test ratio oracles.
 
-The circulation form of the problem is a packing LP over negative-cost
-cycles: pack cycle flow against edge capacities and the fee budget.  The
+With the sink merged into the source (``model.merged_ends``) the problem's
+flows are circulations, so it is a packing LP over negative-cost cycles:
+pack cycle flow against edge capacities and the fee budget.  The
 multiplicative-weights loop keeps a positive length per capacity row and
 one for the budget row, and repeatedly routes a cycle of nearly minimal
 (fee-weighted length)/(-cost).  Every proven lower bound on that ratio
@@ -18,9 +19,8 @@ the test differs between the solvers.  On general graphs it is the
 package's negative-cycle detector, ``mcc.find_negative_cycle``, over arcs
 that ``solve_gk`` builds once per solve.  On acyclic graphs every
 candidate cycle is a path between source and sink (in one orientation or
-the other) plus the matching zero-cost closure arc, so the test is one
-float pass over the edges in a topological order of their tails, sorted
-once per solve.
+the other), so the test is one float pass over the edges in a
+topological order of their tails, sorted once per solve.
 
 Dual lengths and the dual objective are running floats; the loop counts
 routings per column and returns routed values as ints over one power-of-two
@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 from . import mcc
 from .mcc import InternalSolverError
-from .model import Flow, Instance, Solution, circulation_form, restore_flow
+from .model import Flow, Instance, Solution, merged_ends, restore_flow
 
 
 class CyclicGraphError(ValueError):
@@ -98,19 +98,17 @@ def _arcs(inst: Instance) -> list[tuple[int, int, int]]:
 
 
 def min_ratio_cycle(
-    inst: Instance, arcs: Sequence[tuple[int, int, int]], weights: list[float]
+    inst: Instance, arcs: Sequence[tuple[int, int, int]], weights: Sequence[float]
 ) -> list[int] | None:
     """The threshold test on general graphs: a simple cycle of negative weight, or None.
 
-    ``inst`` is a closed instance (``circulation_form``) and ``arcs`` is
-    ``_arcs(inst)``, built once by the caller.  ``weights`` holds the
-    weight of every edge before the two closure arcs, which weigh 0.0: the
-    test appends them to the list in place and runs the package's
-    negative-cycle detector.  At the weights num - lam * den with num >= 0,
-    a cycle of negative weight has a positive denominator and a ratio
-    below lam, and None proves every ratio at least lam.
+    ``arcs`` holds the ``(tail, head, index)`` triples of ``inst``'s edges
+    with the sink merged into the source, built once by the caller, and
+    ``weights[i]`` weighs edge i; the test runs the package's
+    negative-cycle detector on them.  At the weights num - lam * den with
+    num >= 0, a cycle of negative weight has a positive denominator and a
+    ratio below lam, and None proves every ratio at least lam.
     """
-    weights += (0.0, 0.0)
     return mcc.find_negative_cycle(inst.node_count, arcs, weights)
 
 
@@ -238,14 +236,12 @@ def _gk_loop(
     ``eps`` is the solver's accuracy; one outside (0, 1), or one so small
     that the loop's internal accuracy eps' = eps/4 leaves no float phase
     count, raises ``ValueError``.  ``test(weights)`` is a threshold test:
-    it takes a fresh list, which it may extend, of one weight per
-    ``reduced`` edge and returns a column of negative total weight, or
-    None when no column has one.  A column may pass through extra arcs of
-    the test's own, which carry no weight, cost or fee (the cycle test's
-    closure arcs).  A column's ratio is its length (the sum of y + b * mu
-    over its edges) over its gain (minus its cost), and at the weights
-    length - lam * gain a column found has a ratio below lam, while None
-    proves every ratio at least lam.
+    it takes one weight per ``reduced`` edge and returns a column, a list
+    of edges of negative total weight, or None when no column has one.  A
+    column's ratio is its length (the sum of y + b * mu over its edges)
+    over its gain (minus its cost), and at the weights length - lam * gain
+    a column found has a ratio below lam, while None proves every ratio at
+    least lam.
 
     The loop keeps alpha, a proven lower bound on the minimum ratio, which
     stays one since lengths only grow and gains are fixed (Fleischer's
@@ -328,10 +324,9 @@ def _gk_loop(
         mu = dual.budget_length or 0.0
         return [y + b * mu + lam * c for y, b, c in zip(dual.lengths, fees, costs)]
 
-    def priced(column: Sequence[int]) -> tuple[list[int], int, float]:
-        """The column's edges of ``reduced``, its int gain and its stored length."""
-        edges = [i for i in column if i < m]
-        gain = -sum(reduced.edges[i].cost for i in edges)
+    def priced(column: Sequence[int]) -> tuple[int, float]:
+        """The column's int gain and its stored length."""
+        gain = -sum(reduced.edges[i].cost for i in column)
         if gain <= 0:
             # exactly, a column of negative weight has a positive gain
             raise InternalSolverError(
@@ -339,12 +334,12 @@ def _gk_loop(
                 "float cancellation in its weights"
             )
         mu = dual.budget_length or 0.0
-        return edges, gain, sum(dual.lengths[i] + fees[i] * mu for i in edges)
+        return gain, sum(dual.lengths[i] + fees[i] * mu for i in column)
 
-    column = test(costs[:])  # the seed test; a test may extend its list
+    column = test(costs)  # the seed test
     if column is None:
         return {}, 1, 0, 0.0  # no column has a positive gain: the zero flow stands
-    _, gain, length = priced(column)
+    gain, length = priced(column)
     mu = dual.budget_length or 0.0
     floor = min(y + b * mu for y, b in zip(dual.lengths, fees)) / -sum(c for c in costs if c < 0)
     for _ in range(math.ceil(math.log(length / gain / floor) / math.log1p(eps_prime)) + 1):
@@ -353,7 +348,7 @@ def _gk_loop(
         if found is None:
             break
         column = found
-        _, gain, length = priced(column)
+        gain, length = priced(column)
     else:
         raise InternalSolverError("ratio descent exceeded its proven step bound")
     bound = dual.objective(capacities, budget) / alpha
@@ -381,7 +376,7 @@ def _gk_loop(
         lengths = dual.lengths
         mu = dual.budget_length or 0.0
         if current is None or (
-            length := sum(lengths[i] + fees[i] * mu for i in edges)
+            length := sum(lengths[i] + fees[i] * mu for i in current)
         ) / gain > threshold:
             if current is not None:
                 while (column := test(weights(grow * alpha))) is None:
@@ -392,10 +387,10 @@ def _gk_loop(
                     # stored lengths: log_shift cancels out of the ratio
                     bound = min(bound, dual.objective(capacities, budget) / alpha)
             current = tuple(column)
-            edges, gain, length = priced(current)
+            gain, length = priced(current)
             threshold = grow * (length / gain)
-            cycle_fee = sum(fees[i] for i in edges)
-            amount = min(capacities[i] for i in edges)
+            cycle_fee = sum(fees[i] for i in current)
+            amount = min(capacities[i] for i in current)
             if budget_row and cycle_fee > 0:
                 amount = min(amount, budget / cycle_fee)
             amounts[current] = amount
@@ -403,7 +398,7 @@ def _gk_loop(
         profit += amount * gain
         # sum of u * (growth of y) over the column's rows, budget row included
         dual.total += eps_prime * amount * length
-        for i in edges:
+        for i in current:
             loads[i] += amount
             worst = max(worst, loads[i] / capacities[i])
             lengths[i] *= 1.0 + eps_prime * amount / capacities[i]
@@ -431,12 +426,10 @@ def _assemble_flow(
     float rounding on the budget row.  As that load is top / (bottom * scale),
     ``scale`` cancels: one ``Fraction`` is built per distinct value and total.
     """
-    m = reduced.edge_count
-    values = [0] * m
-    for edges, amount in routed.items():
-        for i in edges:
-            if i < m:
-                values[i] += amount
+    values = [0] * reduced.edge_count
+    for column, amount in routed.items():
+        for i in column:
+            values[i] += amount
     cost, fee = (sum(map(mul, map(attrgetter(k), reduced.edges), values)) for k in ("cost", "fee"))
     top, bottom = 0, 1  # compared by cross-multiplying ints
     for load, size in zip([*values, fee], [*(e.capacity for e in reduced.edges), reduced.budget]):
@@ -452,18 +445,18 @@ def _assemble_flow(
 def solve_gk(inst: Instance, eps: float) -> Solution:
     """(1 - eps)-approximate solver for general graphs.
 
-    The threshold test is the negative-cycle detector on the closed
-    reduced instance, over arcs built once per solve.  The loop stops at a
-    certified (1 - eps) gap: the routed flow, scaled to feasibility,
-    reaches (1 - eps) of the weak-duality bound that its proven alpha
-    gives, or at the loop's proven fallback stop (``_gk_loop``).  The
-    budget-zero case drops fee-carrying edges and the budget row entirely.
+    The threshold test is the negative-cycle detector on the reduced
+    instance with its sink merged into its source, over arcs built once
+    per solve.  The loop stops at a certified (1 - eps) gap: the routed
+    flow, scaled to feasibility, reaches (1 - eps) of the weak-duality
+    bound that its proven alpha gives, or at the loop's proven fallback
+    stop (``_gk_loop``).  The budget-zero case drops fee-carrying edges
+    and the budget row entirely.
     """
     reduced = _reduced_for_packing(inst)
-    circ = circulation_form(reduced)
-    arcs = _arcs(circ)
+    arcs = [(t, h, a) for a, (t, h) in enumerate(merged_ends(reduced))]
     routed, scale, iterations, _ = _gk_loop(
-        reduced, eps, lambda weights: min_ratio_cycle(circ, arcs, weights)
+        reduced, eps, lambda weights: min_ratio_cycle(reduced, arcs, weights)
     )
     flow = _assemble_flow(inst, reduced, routed, scale)
     return Solution(flow=flow, objective=flow.cost, algorithm="gk", iterations=iterations)
@@ -472,14 +465,14 @@ def solve_gk(inst: Instance, eps: float) -> Solution:
 def solve_gk_acyclic(inst: Instance, eps: float) -> Solution:
     """(1 - eps)-approximate solver for acyclic graphs.
 
-    Every circulation cycle is a simple path between source and sink (in
-    either orientation) closed by the matching zero-cost closure arc, so
-    the threshold test is the path test on the original graph, one float
-    pass over its edges sorted by the topological order that the
-    acyclicity check computes, once per solve.  Every path runs forward in
-    that order, so only the orientation whose start comes first can hold
-    one, and the test runs in that one.  The loop and its stops are
-    ``solve_gk``'s.
+    With the sink merged into the source every cycle passes through the
+    merged node, as the graph holds no other, so it is a simple path
+    between source and sink in either orientation.  The threshold test is
+    therefore the path test on the original graph, one float pass over its
+    edges sorted by the topological order that the acyclicity check
+    computes, once per solve.  Every path runs forward in that order, so
+    only the orientation whose start comes first can hold one, and the
+    test runs in that one.  The loop and its stops are ``solve_gk``'s.
     """
     try:
         order = topological_order(inst)

@@ -5,11 +5,12 @@ Costs, capacities, flows and potentials are plain Python ints.
 into one int per edge, so a single solve returns, among all minimum-cost
 flows, the one with the smallest or largest total usage fee.  A
 :class:`Basis` is the simplex's spanning tree over one problem instance,
-which it closes into a circulation itself, and the only handle the solves
-take on it; between the solves on that instance only the costs change, so
-the last optimal tree is primal feasible for the next solve and is its
-warm start.  A solve returns the int (cost, fee) totals of its optimum on
-the instance's own edges and leaves the optimum in the basis.  The
+with the sink merged into the source so that the instance's flows are
+its circulations, and the only handle the solves take on it; between
+the solves on that instance only the costs change, so the last optimal
+tree is primal feasible for the next solve and is its warm start.  A
+solve returns the int (cost, fee) totals of its optimum on the
+instance's own edges and leaves the optimum in the basis.  The
 frontier walk of :mod:`bcmcf.exact` pivots on a basis directly, with its
 own potentials from :meth:`Basis.tree_potentials`.
 :func:`find_negative_cycle` is the package's one negative-cycle detector,
@@ -27,7 +28,7 @@ from math import isqrt
 from operator import le, mul
 from typing import Sequence
 
-from .model import Instance, circulation_form
+from .model import Instance, merged_ends
 
 
 class InternalSolverError(RuntimeError):
@@ -39,8 +40,8 @@ def lambda_cost(basis: Basis, lam: Fraction, fee_direction: str) -> list[int]:
 
     ``fee_direction`` "min" prefers the smallest total fee among primary
     optima, "max" the largest.  One cost per edge of ``basis``'s problem
-    instance; the basis's closure arcs keep cost 0.  The costs, fees and
-    packing factor are the ones ``basis`` read from its instance.
+    instance.  The costs, fees and packing factor are the ones ``basis``
+    read from its instance.
     """
     lam = Fraction(lam)
     if lam < 0:
@@ -61,10 +62,10 @@ def lambda_cost(basis: Basis, lam: Fraction, fee_direction: str) -> list[int]:
 class Basis:
     """A strongly feasible spanning-tree basis of one problem instance.
 
-    The basis closes ``inst`` once with ``circulation_form``: edge i is arc
-    i, and the closure arcs m (source -> sink) and m + 1 (sink -> source)
-    keep cost 0, so source and sink are free.  Node 0 is the root; arc
-    m + 1 + v is an artificial arc v -> root with cost 0 and a capacity no
+    Edge i is arc i, with its ends from ``merged_ends``, so the basis's
+    circulations are the instance's flows; the sink touches no arc but its
+    artificial one, which stays basic at 0.  Node 0 is the root; arc
+    m - 1 + v is an artificial arc v -> root with cost 0 and a capacity no
     flow can reach.  The root has no outgoing arc, so no circulation puts
     flow on an artificial arc, and the all-artificial start tree, holding
     the zero circulation, is strongly feasible: every node can send flow to
@@ -79,16 +80,16 @@ class Basis:
     """
 
     def __init__(self, inst: Instance) -> None:
-        closed = circulation_form(inst)
-        n, m = closed.node_count, closed.edge_count
-        caps = [e.capacity for e in closed.edges]
+        n, m = inst.node_count, inst.edge_count
+        caps = [e.capacity for e in inst.edges]
         self.inst = inst
-        self.arc_count = m  # the problem edges and the two closure arcs
+        self.arc_count = m
         self.edge_costs = [e.cost for e in inst.edges]
         self.fees = [e.fee for e in inst.edges]
         self.fee_scale = sum(self.fees) + 1
-        self.tails = [e.tail for e in closed.edges] + list(range(1, n + 1))
-        self.heads = [e.head for e in closed.edges] + [0] * n
+        ends = merged_ends(inst)
+        self.tails = [t for t, _ in ends] + list(range(1, n + 1))
+        self.heads = [h for _, h in ends] + [0] * n
         self.caps = caps + [sum(caps) + 1] * n
         self.flow = [0] * (m + n)
         self.state = [1 if u > 0 else 0 for u in caps] + [0] * n
@@ -318,17 +319,16 @@ def find_negative_cycle(
 def min_cost_circulation(basis: Basis, costs: Sequence[int]) -> tuple[int, int]:
     """Minimum cost flow on ``basis``'s instance under int edge costs.
 
-    Source and sink are free: the basis's closure arcs carry their net
-    value, at cost 0, either way.  Returns the optimum's int (cost, fee)
-    totals over the instance's own edges and leaves the optimum in
-    ``basis.flow``, whose first ``edge_count`` values are those edges'; a
-    caller that keeps the optimum copies them before its next solve.  A
-    primal network simplex: starts from the tree ``basis`` holds, fresh or
-    left by an earlier solve, and pivots until no arc prices out, which
-    certifies optimality: the tree's potentials give every residual arc a
-    nonnegative reduced cost.  The basis keeps the optimal tree for the
-    caller's next solve.  A basis whose flow is not an int circulation
-    within capacity raises ``ValueError``.
+    Source and sink are free, as one node of the basis.  Returns the
+    optimum's int (cost, fee) totals over the instance's own edges and
+    leaves the optimum in ``basis.flow``, whose first ``edge_count`` values
+    are those edges'; a caller that keeps the optimum copies them before
+    its next solve.  A primal network simplex: starts from the tree
+    ``basis`` holds, fresh or left by an earlier solve, and pivots until no
+    arc prices out, which certifies optimality: the tree's potentials give
+    every residual arc a nonnegative reduced cost.  The basis keeps the
+    optimal tree for the caller's next solve.  A basis whose flow is not an
+    int circulation within capacity raises ``ValueError``.
     """
     basis.check_flow()
     inst = basis.inst
@@ -361,5 +361,5 @@ def min_cost_circulation(basis: Basis, costs: Sequence[int]) -> tuple[int, int]:
         pivots += 1
     basis.pivots += pivots
     # the edge lists hold the problem edges only, so map stops before the
-    # closure and artificial arcs
+    # artificial arcs
     return sum(map(mul, basis.edge_costs, flow)), sum(map(mul, basis.fees, flow))

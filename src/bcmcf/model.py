@@ -85,9 +85,6 @@ class Instance:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def total_capacity(self) -> int:
-        return sum(e.capacity for e in self.edges)
-
 
 @dataclass(frozen=True)
 class Flow:
@@ -276,25 +273,19 @@ def restore_flow(parent: Instance, derived: Instance, flow: Flow) -> Flow:
     return Flow(tuple(values), flow.cost, flow.fee)
 
 
-def circulation_form(inst: Instance) -> Instance:
-    """Close the instance into circulation form for the cycle-based solvers.
+def merged_ends(inst: Instance) -> list[tuple[int, int]]:
+    """Each edge's (tail, head) with the sink merged into the source.
 
-    Appends a free source-to-sink closure arc and then the sink-to-source
-    return arc.  Conservation never binds at source or sink, so the net
-    source-sink value of a feasible flow may take either sign; one
-    zero-cost, zero-fee arc per orientation lets a circulation represent
-    both.  Both get the total capacity, which neither orientation can
-    exceed, so all arithmetic stays integral.
+    Conservation binds at every node but source and sink, and a flow's node
+    balances sum to 0, so its source and sink balances sum to 0 as well.
+    The circulations of the graph with the sink renamed to the source are
+    therefore exactly the instance's flows, on the same edges (Ahuja,
+    Magnanti & Orlin, "Network Flows", 1993, ch. 2).  Edges between source
+    and sink, either way, and loops at the sink become loops at the source,
+    and the sink touches no edge.
     """
-    u = inst.total_capacity()
-    closure = EdgeData(inst.source, inst.sink, u, 0, 0), EdgeData(inst.sink, inst.source, u, 0, 0)
-    return Instance(
-        node_count=inst.node_count,
-        edges=inst.edges + closure,
-        source=inst.source,
-        sink=inst.sink,
-        budget=inst.budget,
-    )
+    s, t = inst.source, inst.sink
+    return [(s if e.tail == t else e.tail, s if e.head == t else e.head) for e in inst.edges]
 
 
 # ---------------------------------------------------------------------------

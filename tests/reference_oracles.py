@@ -29,7 +29,7 @@ from bcmcf.mcc import (
     lambda_cost,
     min_cost_circulation,
 )
-from bcmcf.model import Flow, Instance, instance_stats, restore_flow
+from bcmcf.model import EdgeData, Flow, Instance, instance_stats, restore_flow
 from bcmcf.oracle import DEFAULT_GUARD, build_point_cloud, iter_integral_values
 
 
@@ -42,18 +42,15 @@ def fraction_assemble_flow(
 ) -> Flow:
     """Sum exact routed values per edge and scale them to feasibility.
 
-    ``routed`` maps each column of ``reduced`` to its exact routed value;
-    indices past ``reduced``'s edges are the cycle oracle's closure arcs.
-    The summed flow is divided by its worst load over the capacity rows and
-    a positive budget row, if that load is positive, and lifted back onto
-    ``inst``.  Every step is ``Fraction`` arithmetic.
+    ``routed`` maps each column, a tuple of edges of ``reduced``, to its
+    exact routed value.  The summed flow is divided by its worst load over
+    the capacity rows and a positive budget row, if that load is positive,
+    and lifted back onto ``inst``.  Every step is ``Fraction`` arithmetic.
     """
-    m = reduced.edge_count
-    values = [Fraction(0)] * m
-    for edges, amount in routed.items():
-        for i in edges:
-            if i < m:
-                values[i] += amount
+    values = [Fraction(0)] * reduced.edge_count
+    for column, amount in routed.items():
+        for i in column:
+            values[i] += amount
     worst = max((v / e.capacity for v, e in zip(values, reduced.edges)), default=Fraction(0))
     if reduced.budget > 0:
         fee_total = sum((e.fee * v for e, v in zip(reduced.edges, values)), Fraction(0))
@@ -61,6 +58,27 @@ def fraction_assemble_flow(
     if worst > 0:
         values = [v / worst for v in values]
     return restore_flow(inst, reduced, Flow.from_values(reduced, values))
+
+
+def circulation_form(inst: Instance) -> Instance:
+    """Close ``inst`` with a zero-cost, zero-fee arc each way between source and sink.
+
+    Edge m runs source -> sink and edge m + 1 sink -> source, each with the
+    total capacity, which no flow's net value can exceed; with them every
+    node conserves flow, so source and sink are free.  The package merges
+    the sink into the source instead (``bcmcf.model.merged_ends``); this
+    closed network is the independent reference for the canceling engine
+    and the exhaustive cycle enumeration.
+    """
+    u = sum(e.capacity for e in inst.edges)
+    closure = EdgeData(inst.source, inst.sink, u, 0, 0), EdgeData(inst.sink, inst.source, u, 0, 0)
+    return Instance(
+        node_count=inst.node_count,
+        edges=inst.edges + closure,
+        source=inst.source,
+        sink=inst.sink,
+        budget=inst.budget,
+    )
 
 
 def lower_left_hull(points: Sequence[tuple[int, int]]) -> list[int]:

@@ -782,3 +782,51 @@ class TestSinkToSourceValue:
         sol = solver(backwards, 0.5)
         assert validate_flow(backwards, sol.flow).ok
         assert -1 <= sol.objective <= Fraction(1, 2) * -1
+
+
+# Instances whose edges touch the sink in every way that merging it into
+# the source rewrites: (tail, head, capacity, cost, fee), source 1, sink n.
+MERGED_TERMINAL_CASES = {
+    "parallel source-sink edges": (
+        3, ((1, 3, 2, -4, 2), (1, 3, 1, -1, 0), (1, 3, 3, -2, 1), (1, 3, 1, 2, 0)),
+    ),
+    "sink-source edge": (3, ((3, 1, 2, -3, 2), (1, 3, 1, -1, 0), (1, 2, 1, -1, 1))),
+    "loop at the sink": (3, ((3, 3, 2, -5, 2), (1, 3, 1, -1, 1), (3, 3, 1, 1, 0))),
+    "inner node feeding the sink": (
+        3, ((1, 2, 3, -1, 1), (2, 3, 2, -2, 2), (2, 3, 1, 1, 0), (3, 2, 1, -1, 1)),
+    ),
+    "two nodes, every edge a loop": (
+        2, ((1, 2, 2, -4, 2), (2, 1, 1, -1, 0), (1, 1, 1, -2, 1), (2, 2, 2, -1, 1)),
+    ),
+    # the instance the console check of CI solves
+    "all at once": (
+        3,
+        (
+            (1, 3, 2, -4, 2),
+            (1, 3, 1, -1, 0),
+            (3, 1, 2, -3, 1),
+            (3, 3, 1, -2, 1),
+            (1, 2, 2, -1, 1),
+            (2, 3, 2, -2, 1),
+        ),
+    ),
+}
+
+
+class TestMergedTerminals:
+    """Both lanes free source and sink by merging them into one node."""
+
+    @pytest.mark.parametrize("budget", [0, 2, 100])
+    @pytest.mark.parametrize("case", MERGED_TERMINAL_CASES)
+    def test_solvers_match_the_oracle(self, case, budget):
+        n, edges = MERGED_TERMINAL_CASES[case]
+        inst = Instance(
+            node_count=n, edges=tuple(EdgeData(*e) for e in edges), source=1, sink=n, budget=budget
+        )
+        optimum = oracle_optimum(inst).objective
+        assert solve_exact(inst).objective == optimum
+        assert frontier_summary(enumerate_frontier(inst)) == frontier_summary(oracle_frontier(inst))
+        for eps in (0.5, 0.1):
+            sol = solve_gk(inst, eps)
+            assert validate_flow(inst, sol.flow).ok and sol.flow.fee <= budget
+            assert sol.objective <= (1 - Fraction(eps)) * optimum

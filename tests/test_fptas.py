@@ -29,11 +29,12 @@ from bcmcf import (
 )
 from bcmcf import fptas as fptas_mod
 from bcmcf import mcc as mcc_mod
-from bcmcf.fptas import _arcs, _gk_loop, _reduced_for_packing, min_ratio_cycle, min_ratio_path_dag
+from bcmcf.fptas import _gk_loop, _reduced_for_packing, min_ratio_cycle, min_ratio_path_dag
 from bcmcf.mcc import find_negative_cycle
-from bcmcf.model import circulation_form
+from bcmcf.model import merged_ends
 from conftest import cycle_test, dag_arcs, path_test, scaled_flow, threshold_violation
 from reference_oracles import (
+    circulation_form,
     exhaustive_min_ratio_cycle,
     exhaustive_min_ratio_path,
     fraction_assemble_flow,
@@ -212,12 +213,19 @@ class TestMinRatioCycle:
         with pytest.raises(InternalSolverError, match="predecessor cycle is not negative"):
             find_negative_cycle(2, [(1, 2, 0), (2, 1, 1)], Turning())
 
-    def test_nonpositive_denominator_cycle_raises(self, inst_two_parallel, monkeypatch):
-        # the two closure arcs form a cycle with no gain, which an exact
-        # negative-cycle test can never return
-        monkeypatch.setattr(mcc_mod, "find_negative_cycle", lambda *args: [2, 3])
+    def test_nonpositive_denominator_cycle_raises(self, monkeypatch):
+        # edges 1 -> 2 and 2 -> 1 form a cycle whose costs cancel, so it has
+        # no gain, which an exact negative-cycle test can never return
+        inst = Instance(
+            node_count=3,
+            edges=(EdgeData(1, 2, 1, -1, 0), EdgeData(2, 1, 1, 1, 0)),
+            source=1,
+            sink=3,
+            budget=0,
+        )
+        monkeypatch.setattr(mcc_mod, "find_negative_cycle", lambda *args: [0, 1])
         with pytest.raises(InternalSolverError, match="gain 0: float cancellation"):
-            solve_gk(inst_two_parallel, 0.5)
+            solve_gk(inst, 0.5)
 
     def test_lower_end_bounds_the_minimum_ratio(self):
         # thresholds spread around the minimum ratio: a test that finds
@@ -253,13 +261,14 @@ class TestMinRatioCycle:
         assert threshold_violation(inst, found, num, den, lam, best) is None
 
     def test_non_improving_step_raises(self, inst_two_parallel, monkeypatch):
-        # a test that keeps finding the seed cycle never lowers its ratio:
-        # the descent stops at its proven bound
+        # a test that keeps finding the seed cycle, edge 0 as a loop at the
+        # merged source and sink, never lowers its ratio: the descent stops
+        # at its proven bound
         calls = []
 
         def stuck(node_count, arcs, weights):
             calls.append(1)
-            return [0, 3]
+            return [0]
 
         monkeypatch.setattr(mcc_mod, "find_negative_cycle", stuck)
         with pytest.raises(InternalSolverError, match="descent exceeded its proven step bound"):
@@ -498,12 +507,11 @@ class TestSolveGk:
 
     def test_routed_cycles_qualify(self, inst_two_parallel):
         reduced = _reduced_for_packing(inst_two_parallel)
-        circ = circulation_form(reduced)
-        arcs = _arcs(circ)
-        routed, _, _, _ = _gk_loop(reduced, 0.1, lambda w: min_ratio_cycle(circ, arcs, w))
+        arcs = [(t, h, a) for a, (t, h) in enumerate(merged_ends(reduced))]
+        routed, _, _, _ = _gk_loop(reduced, 0.1, lambda w: min_ratio_cycle(reduced, arcs, w))
         assert routed
         for cycle in routed:
-            cost = sum(circ.edges[i].cost for i in cycle)
+            cost = sum(reduced.edges[i].cost for i in cycle)
             assert cost < 0
 
     @pytest.mark.parametrize("eps", [0.4, 0.1])
@@ -550,8 +558,7 @@ class TestSolveGk:
         warm = 0
         for seed in range(8):
             inst = preprocess(generate_instance(8, 24, max_capacity=10, seed=1400 + seed))
-            circ = circulation_form(_reduced_for_packing(inst))
-            seed_weights = [float(e.cost) for e in circ.edges]
+            seed_weights = [float(e.cost) for e in _reduced_for_packing(inst).edges]
             searches.clear()
             solve_gk(inst, 0.25)
             # the seed search tests the lengths -den = cost
@@ -732,9 +739,8 @@ class TestAssembleFlow:
     def test_extreme_amounts(self, budget):
         inst = Instance(node_count=4, edges=self.EDGES, source=1, sink=4, budget=budget)
         reduced = _reduced_for_packing(inst)
-        m = reduced.edge_count
-        # indices m and m + 1 stand for the cycle oracle's closure arcs
-        columns = [(0, 1, m), (2,), (0, m + 1), (1, 2), tuple(range(m))]
+        # columns are plain edge lists of reduced, which the assembly sums
+        columns = [(0, 1), (2,), (0,), (1, 2), tuple(range(reduced.edge_count))]
         counts = (1, 3, 1000, 7, 2)
         for amounts in [[a] for a in self.EXTREME_AMOUNTS] + [self.EXTREME_AMOUNTS]:
             picked = {c: (a, k) for c, a, k in zip(columns, amounts, counts)}
@@ -747,7 +753,7 @@ class TestAssembleFlow:
     def test_nothing_routed_is_the_zero_flow(self, budget):
         inst = Instance(node_count=4, edges=self.EDGES, source=1, sink=4, budget=budget)
         reduced = _reduced_for_packing(inst)
-        for routed, scale in [({}, 1), ({(0, 1): 0, (2, reduced.edge_count): 0}, 2**60)]:
+        for routed, scale in [({}, 1), ({(0, 1): 0, (2,): 0}, 2**60)]:
             exact = {c: Fraction(v, scale) for c, v in routed.items()}
             flow = assert_assembly_matches(inst, reduced, routed, scale, exact)
             assert flow == Flow((Fraction(0),) * len(self.EDGES), Fraction(0), Fraction(0))

@@ -19,9 +19,13 @@ from bcmcf import (
     preprocess,
 )
 from bcmcf.mcc import Basis, find_negative_cycle, lambda_cost, min_cost_circulation
-from bcmcf.model import circulation_form
 from bcmcf.oracle import DEFAULT_GUARD, iter_integral_values
-from reference_oracles import ResidualGraph, canceling_circulation, iter_simple_cycles
+from reference_oracles import (
+    ResidualGraph,
+    canceling_circulation,
+    circulation_form,
+    iter_simple_cycles,
+)
 
 
 def lex_optimum_by_enumeration(
@@ -73,6 +77,18 @@ def solve_at(inst: Instance, lam: Fraction, fee_direction: str) -> Flow:
 def search(rg: ResidualGraph):
     """The detector on a residual graph, as the reference engine calls it."""
     return find_negative_cycle(rg.node_count, rg.arcs(), rg.costs)
+
+
+def closed_flow(inst: Instance, values) -> list:
+    """``values`` on ``inst``'s edges, then on the two arcs of
+    ``circulation_form(inst)``: the sink's net inflow goes back to the
+    source on the return arc, or a net outflow reaches it on the closure
+    arc, so the closed network conserves flow everywhere."""
+    net = sum(
+        (e.head == inst.sink) * v - (e.tail == inst.sink) * v
+        for e, v in zip(inst.edges, values)
+    )
+    return [*values, max(-net, 0), max(net, 0)]
 
 
 def has_negative_cycle(n: int, arcs, weights) -> bool:
@@ -271,8 +287,8 @@ class TestLambdaCost:
         assert low[1] == high[1]
 
     def test_return_arc_gets_zero(self, inst_two_parallel):
-        # one cost per problem edge; the basis's closure arcs 2 and 3, the
-        # return arc last, keep cost 0 through a solve
+        # one cost per problem edge; the basis's artificial arcs 2 and 3
+        # keep cost 0 through a solve
         basis = Basis(inst_two_parallel)
         costs = lambda_cost(basis, Fraction(3), "min")
         assert len(costs) == inst_two_parallel.edge_count
@@ -353,9 +369,11 @@ class TestMinCostCirculation:
         basis = Basis(inst_two_hop)
         costs = lambda_cost(basis, Fraction(0), "min")
         min_cost_circulation(basis, costs)
-        # the closed instance's residual graph, with the basis's closure arcs
+        # the optimum, closed on the reference's own network, leaves its
+        # residual graph without a negative cycle
         circ = circulation_form(inst_two_hop)
-        rg = ResidualGraph(circ, [*costs, 0, 0], flow=basis.flow[: circ.edge_count])
+        flow = closed_flow(inst_two_hop, basis.flow[: inst_two_hop.edge_count])
+        rg = ResidualGraph(circ, [*costs, 0, 0], flow=flow)
         assert search(rg) is None
 
     def test_matches_enumeration_on_random_instances(self):
@@ -425,23 +443,23 @@ class TestWarmStart:
             assert pivots == 0
             assert again.values == warm.values
 
-    # the basis of inst_two_parallel: edges 0 and 1 run 1 -> 2 with
-    # capacity 2, closure arc 2 runs 1 -> 2 and return arc 3 runs 2 -> 1, both
-    # with capacity 4; arcs 4 and 5 are the artificial arcs
+    # the basis of inst_two_hop, sink 3 merged into source 1: edge 0 runs
+    # 1 -> 2 and edge 1 runs 2 -> 1, both with capacity 2, and edge 2, a
+    # loop at 1, has capacity 1; arcs 3 to 5 are the artificial arcs
     @pytest.mark.parametrize(
         "start, message",
         [
-            ([Fraction(1, 2), 0, 0, Fraction(1, 2)], "integral"),
-            ([3, 0, 0, 3], "capacity"),
-            ([1, 0, 0, 0], "not a circulation"),
+            ([Fraction(1, 2), Fraction(1, 2), 0], "integral"),
+            ([3, 3, 0], "capacity"),
+            ([1, 0, 0], "not a circulation"),
         ],
         ids=["fractional", "over-capacity", "unbalanced"],
     )
-    def test_bad_start_rejected(self, inst_two_parallel, start, message):
-        basis = Basis(inst_two_parallel)
-        basis.flow[:4] = start
+    def test_bad_start_rejected(self, inst_two_hop, start, message):
+        basis = Basis(inst_two_hop)
+        basis.flow[:3] = start
         with pytest.raises(ValueError, match=message):
-            min_cost_circulation(basis, plain_costs(inst_two_parallel))
+            min_cost_circulation(basis, plain_costs(inst_two_hop))
 
 
 @st.composite
@@ -467,25 +485,28 @@ class TestAgainstCanceling:
     def test_reused_basis_matches_canceling_and_certifies(self, case):
         inst, solves = case
         # the reference engine runs on the closed instance, whose closure
-        # arcs cost 0 as the basis's do
+        # arcs cost 0
         circ = circulation_form(inst)
         basis = Basis(inst)
         for lam, fee_direction in solves:
             costs = lambda_cost(basis, lam, fee_direction)
             flow = solve_flow(basis, costs)
-            closed_costs, closed_flow = [*costs, 0, 0], basis.flow[: circ.edge_count]
+            closed_costs, closed = [*costs, 0, 0], closed_flow(inst, flow.values)
             reference = canceling_circulation(circ, closed_costs)
             assert (flow.cost, flow.fee) == (reference.cost, reference.fee)
-            assert search(ResidualGraph(circ, closed_costs, flow=closed_flow)) is None
+            assert search(ResidualGraph(circ, closed_costs, flow=closed)) is None
             # the tree stays strongly feasible: every node can send flow to
             # the root along its tree path, which the pivot cap relies on
             for v in range(1, circ.node_count + 1):
                 a = basis.pred[v]
                 up = basis.caps[a] - basis.flow[a] if basis.dirs[v] == 1 else basis.flow[a]
                 assert up > 0
-            # the tree's potentials certify the optimum on every residual arc
-            pi = basis.potentials
-            for e, w, x in zip(circ.edges, closed_costs, closed_flow):
+            # the merged node's one potential, given to source and sink
+            # alike, certifies the optimum on every residual arc of the
+            # closed network, whose closure arcs then price at 0
+            pi = list(basis.potentials)
+            pi[inst.sink] = pi[inst.source]
+            for e, w, x in zip(circ.edges, closed_costs, closed):
                 reduced = w + pi[e.tail] - pi[e.head]
                 if x < e.capacity:
                     assert reduced >= 0

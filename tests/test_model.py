@@ -27,7 +27,7 @@ from bcmcf import (
     validate_flow,
 )
 from bcmcf.fptas import _reduced_for_packing
-from bcmcf.model import circulation_form, restore_flow
+from bcmcf.model import merged_ends, restore_flow
 
 I1_TEXT = """\
 p bcmcf 2 2 2
@@ -322,25 +322,27 @@ class TestValidateFlow:
             validate_flow(inst_two_parallel, short)
 
 
-class TestReturnArc:
-    def test_capacity_is_total(self, inst_two_parallel):
-        circ = circulation_form(inst_two_parallel)
-        assert circ.edges[:2] == inst_two_parallel.edges
-        closure, ret = circ.edges[2:]
-        assert (closure.tail, closure.head) == (1, 2)
-        assert (ret.tail, ret.head) == (2, 1)
-        assert closure.capacity == ret.capacity == 4
-        assert closure.cost == closure.fee == ret.cost == ret.fee == 0
-
-    def test_single_edge(self, inst_single_positive):
-        circ = circulation_form(inst_single_positive)
-        assert circ.edges[-1].capacity == 1
-
-    def test_zero_capacity_instance(self):
+class TestMergedEnds:
+    def test_sink_becomes_the_source(self):
+        # source 2, sink 4: every end at the sink reads 2, others stay
+        edges = [(2, 4), (4, 2), (4, 4), (1, 4), (4, 3), (1, 3), (3, 3), (2, 1)]
         inst = Instance(
-            node_count=2, edges=(EdgeData(1, 2, 0, -5, 0),), source=1, sink=2, budget=0
+            node_count=4,
+            edges=tuple(EdgeData(t, h, 1, 0, 0) for t, h in edges),
+            source=2,
+            sink=4,
+            budget=0,
         )
-        assert circulation_form(inst).edges[-1].capacity == 0
+        assert merged_ends(inst) == [
+            (2, 2), (2, 2), (2, 2), (1, 2), (2, 3), (1, 3), (3, 3), (2, 1)
+        ]
+
+    def test_two_nodes_give_only_self_loops(self, inst_two_parallel):
+        assert merged_ends(inst_two_parallel) == [(1, 1), (1, 1)]
+
+    def test_no_edges(self):
+        inst = Instance(node_count=3, edges=(), source=1, sink=3, budget=0)
+        assert merged_ends(inst) == []
 
 
 class TestSolutionDocument:

@@ -15,9 +15,9 @@ from bcmcf import (
     preprocess,
     validate_flow,
 )
-from bcmcf.model import circulation_form
 from bcmcf.oracle import build_point_cloud
 from reference_oracles import (
+    circulation_form,
     enumerate_integral_flows,
     exhaustive_min_ratio_cycle,
     iter_simple_cycles,
