@@ -12,20 +12,21 @@ one search share one network-simplex :class:`~bcmcf.mcc.Basis`, so each
 starts from the optimal tree of the solve before it.  The frontier takes
 one solve and then walks its breakpoints on that basis, a parametric
 simplex in int cost and fee potentials.  The search and the frontier run
-on int (cost, fee) totals; a :class:`Flow` is built only for the answers
-they keep.
+on int (cost, fee) totals.  A :class:`Flow` is built only for the answers
+they keep, once each, from int values: a witness's, or the budget
+combination's int numerators over the int fee gap of its two witnesses.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
 from .mcc import Basis, InternalSolverError, lambda_cost, min_cost_circulation
-from .model import Flow, Instance, InstanceError, Solution, instance_stats
+from .model import Flow, Instance, Solution, instance_stats
 
 
 class VerdictKind(enum.Enum):
@@ -88,29 +89,20 @@ def lambda_callback(basis: Basis, lam: Fraction) -> CallbackVerdict:
     return CallbackVerdict(kind, x_min, Witness(basis.flow[:m], cost, fee))
 
 
-def budget_combination(x1: Flow, x2: Flow, budget: Fraction | int) -> Flow:
-    """Convex combination of two flows meeting the budget with equality.
+def budget_combination(inst: Instance, x1: Witness, x2: Witness) -> Flow:
+    """The convex combination of two witnesses that meets ``inst``'s budget.
 
-    Requires flows of equal arity with fee(x1) <= budget <= fee(x2); the
-    combination ``alpha*x1 + (1-alpha)*x2`` keeps exact totals.  Returns x1
-    unchanged when both fees coincide.
+    Requires witnesses of equal arity with fee(x1) < budget <= fee(x2).  The
+    combination alpha * x1 + (1 - alpha) * x2 with alpha = (fee(x2) - budget)
+    / (fee(x2) - fee(x1)) is the int combination (fee(x2) - budget) * x1 +
+    (budget - fee(x1)) * x2 over the int fee gap, its fee exactly the budget.
     """
-    budget = Fraction(budget)
-    if len(x1.values) != len(x2.values):
-        raise InstanceError("flows have different arities")
-    if not x1.fee <= budget <= x2.fee:
-        raise ValueError(
-            f"budget {budget} not between fees {x1.fee} and {x2.fee}"
-        )
-    if x2.fee == x1.fee:
-        return x1
-    alpha = (x2.fee - budget) / (x2.fee - x1.fee)
-    beta = 1 - alpha
-    return Flow(
-        tuple(alpha * a + beta * b for a, b in zip(x1.values, x2.values)),
-        alpha * x1.cost + beta * x2.cost,
-        alpha * x1.fee + beta * x2.fee,
-    )
+    budget = inst.budget
+    if not x1.fee < budget <= x2.fee:
+        raise ValueError(f"budget {budget} not in ({x1.fee}, {x2.fee}]")
+    a, b = x2.fee - budget, budget - x1.fee
+    values = [a * p + b * q for p, q in zip(x1.values, x2.values, strict=True)]
+    return Flow.from_values(inst, values, x2.fee - x1.fee)
 
 
 @dataclass(frozen=True)
@@ -140,15 +132,21 @@ def edge_multiplier(p_low: FrontierPoint | Witness, p_high: FrontierPoint | Witn
     return Fraction(p_low.cost - p_high.cost, p_high.fee - p_low.fee)
 
 
-def attach_lambda_intervals(points: list[FrontierPoint]) -> list[FrontierPoint]:
-    """Fill optimality intervals from adjacent segment multipliers.
+def attach_lambda_intervals(inst: Instance, witnesses: list[Witness]) -> list[FrontierPoint]:
+    """The frontier points of ``witnesses``, with intervals from adjacent segment multipliers.
 
-    ``points`` must be extreme points sorted by increasing fee.  Segment
-    multipliers decrease along that order: the lowest-fee point is optimal
-    for all large multipliers, the highest-fee point down to zero.
+    ``witnesses`` must be ``inst``'s extreme points sorted by increasing
+    fee.  Segment multipliers decrease along that order: the lowest-fee
+    point is optimal for all large multipliers, the highest-fee point down
+    to zero.
     """
-    lams = [None, *(edge_multiplier(a, b) for a, b in zip(points, points[1:])), Fraction(0)]
-    return [replace(p, lambda_low=lams[i + 1], lambda_high=lams[i]) for i, p in enumerate(points)]
+    lams = [None, *(edge_multiplier(a, b) for a, b in zip(witnesses, witnesses[1:])), Fraction(0)]
+    return [
+        FrontierPoint(
+            Fraction(x.cost), Fraction(x.fee), Flow.from_values(inst, x.values), low, high
+        )
+        for x, low, high in zip(witnesses, lams[1:], lams)
+    ]
 
 
 def solve_exact(inst: Instance) -> Solution:
@@ -164,10 +162,10 @@ def solve_exact(inst: Instance) -> Solution:
     ``iterations`` counts every probe.  All solves share one simplex basis,
     so each starts from the optimum of the solve before it, which moves no
     verdict.  The bracket corners are int witnesses; only the INSIDE probe
-    builds :class:`Flow` values and their budget combination.
+    builds a :class:`Flow`, of its fee-minimal witness or of the budget
+    combination of its two.
     """
     basis = Basis(inst)
-    budget = Fraction(inst.budget)
     stats = instance_stats(inst)
     x_over = x_under = None  # bracket corners: optima with fee above / below the budget
 
@@ -203,10 +201,10 @@ def solve_exact(inst: Instance) -> Solution:
         if verdict.kind is VerdictKind.INSIDE:
             # without a fee-maximal witness the fee-minimal optimum is
             # feasible (fee <= budget) and is the answer
-            flow = Flow.from_values(inst, verdict.x_minfee.values)
-            if verdict.x_maxfee is not None:
-                x_max = Flow.from_values(inst, verdict.x_maxfee.values)
-                flow = budget_combination(flow, x_max, budget)
+            if verdict.x_maxfee is None:
+                flow = Flow.from_values(inst, verdict.x_minfee.values)
+            else:
+                flow = budget_combination(inst, verdict.x_minfee, verdict.x_maxfee)
             return Solution(
                 flow=flow, objective=flow.cost, algorithm="exact", iterations=probes, lam=lam
             )
@@ -305,7 +303,4 @@ def enumerate_frontier(inst: Instance) -> list[FrontierPoint]:
             basis.tree_potentials(fees, pb, top)
     keep()
     basis.pivots += pivots
-    witnesses = [Flow.from_values(inst, x.values) for x in points]
-    return attach_lambda_intervals(
-        [FrontierPoint(x.cost, x.fee, x, Fraction(0), None) for x in witnesses]
-    )
+    return attach_lambda_intervals(inst, points)

@@ -24,21 +24,22 @@ topological order of their tails, sorted once per solve.
 
 Dual lengths and the dual objective are running floats; the loop counts
 routings per column and returns routed values as ints over one power-of-two
-scale, so the flow conserves exactly, its scaling to feasibility is an exact
-int comparison, and one ``Fraction`` is built per distinct value.
+scale, so the flow conserves exactly and its scaling to feasibility is an
+exact int comparison.  The routed ints are summed straight onto the
+instance's edges and handed to ``Flow.from_values`` over the worst row
+load, its one denominator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import attrgetter, mul
+from operator import mul
 from typing import Callable, Sequence
 
 from . import mcc
 from .mcc import InternalSolverError
-from .model import Flow, Instance, Solution, merged_ends, restore_flow
+from .model import Flow, Instance, Solution, merged_ends
 
 
 class CyclicGraphError(ValueError):
@@ -49,7 +50,7 @@ class CyclicGraphError(ValueError):
 class DualState:
     """Multiplicative-weights lengths: one per capacity row, one for the budget.
 
-    ``budget_length`` is None when the budget row is dropped (budget zero).
+    ``budget_length`` is 0.0 when the budget row is dropped (budget zero).
     True lengths are the stored ones times ``exp(log_shift)``: only length
     ratios feed the tests, so the common scale lives in the exponent and
     the stored floats are renormalized whenever they grow large.  That keeps
@@ -60,17 +61,14 @@ class DualState:
     """
 
     lengths: list[float]
-    budget_length: float | None
+    budget_length: float
     log_shift: float = 0.0
     total: float = 0.0
 
     def objective(self, capacities: Sequence[int], budget: int) -> float:
         """The exact objective of the stored lengths; resyncs ``total``."""
-        total = sum(map(mul, capacities, self.lengths))
-        if self.budget_length is not None:
-            total += budget * self.budget_length
-        self.total = total
-        return total
+        self.total = sum(map(mul, capacities, self.lengths)) + budget * self.budget_length
+        return self.total
 
     def log_objective(self) -> float:
         """The true objective's log, in O(1) from the running ``total``."""
@@ -80,8 +78,7 @@ class DualState:
         """Divide stored lengths by their objective; returns the factor."""
         total = self.objective(capacities, budget)
         self.lengths = [y / total for y in self.lengths]
-        if self.budget_length is not None:
-            self.budget_length /= total
+        self.budget_length /= total
         self.log_shift += math.log(total)
         self.objective(capacities, budget)
         return total
@@ -293,8 +290,7 @@ def _gk_loop(
     target = 1.0 - eps
     m = reduced.edge_count
     budget = reduced.budget
-    budget_row = budget > 0
-    rows = m + (1 if budget_row else 0)
+    rows = m + (budget > 0)
     capacities = [e.capacity for e in reduced.edges]
     fees = [e.fee for e in reduced.edges]
     costs = [float(e.cost) for e in reduced.edges]
@@ -314,14 +310,14 @@ def _gk_loop(
 
     dual = DualState(
         lengths=[1.0 / u for u in capacities],
-        budget_length=(1.0 / budget) if budget_row else None,
+        budget_length=1.0 / budget if budget else 0.0,
         log_shift=log_delta,
     )
     dual.objective(capacities, budget)  # the running total starts exact
 
     def weights(lam: float) -> list[float]:
         """length - lam * gain per edge, on the stored lengths."""
-        mu = dual.budget_length or 0.0
+        mu = dual.budget_length
         return [y + b * mu + lam * c for y, b, c in zip(dual.lengths, fees, costs)]
 
     def priced(column: Sequence[int]) -> tuple[int, float]:
@@ -333,14 +329,14 @@ def _gk_loop(
                 f"threshold test returned a column with gain {gain}: "
                 "float cancellation in its weights"
             )
-        mu = dual.budget_length or 0.0
+        mu = dual.budget_length
         return gain, sum(dual.lengths[i] + fees[i] * mu for i in column)
 
     column = test(costs)  # the seed test
     if column is None:
         return {}, 1, 0, 0.0  # no column has a positive gain: the zero flow stands
     gain, length = priced(column)
-    mu = dual.budget_length or 0.0
+    mu = dual.budget_length
     floor = min(y + b * mu for y, b in zip(dual.lengths, fees)) / -sum(c for c in costs if c < 0)
     for _ in range(math.ceil(math.log(length / gain / floor) / math.log1p(eps_prime)) + 1):
         alpha = length / gain / grow
@@ -352,7 +348,7 @@ def _gk_loop(
     else:
         raise InternalSolverError("ratio descent exceeded its proven step bound")
     bound = dual.objective(capacities, budget) / alpha
-    rho = sum(1.0 / u for u in capacities) + (sum(fees) / budget if budget_row else 0.0)
+    rho = sum(1.0 / u for u in capacities) + (sum(fees) / budget if budget else 0.0)
     raises_left = math.ceil((math.log(rho / alpha) - dual.log_shift) / math.log1p(eps_prime))
 
     counts: dict[tuple[int, ...], int] = {}
@@ -374,7 +370,7 @@ def _gk_loop(
             threshold /= factor
             alpha /= factor
         lengths = dual.lengths
-        mu = dual.budget_length or 0.0
+        mu = dual.budget_length
         if current is None or (
             length := sum(lengths[i] + fees[i] * mu for i in current)
         ) / gain > threshold:
@@ -391,7 +387,7 @@ def _gk_loop(
             threshold = grow * (length / gain)
             cycle_fee = sum(fees[i] for i in current)
             amount = min(capacities[i] for i in current)
-            if budget_row and cycle_fee > 0:
+            if cycle_fee > 0:  # the reduction leaves no fee when the budget is 0
                 amount = min(amount, budget / cycle_fee)
             amounts[current] = amount
         counts[current] = counts.get(current, 0) + 1
@@ -402,8 +398,7 @@ def _gk_loop(
             loads[i] += amount
             worst = max(worst, loads[i] / capacities[i])
             lengths[i] *= 1.0 + eps_prime * amount / capacities[i]
-        if budget_row and cycle_fee > 0:
-            assert dual.budget_length is not None
+        if cycle_fee > 0:
             fee_load += amount * cycle_fee
             worst = max(worst, fee_load / budget)
             dual.budget_length *= 1.0 + eps_prime * amount * cycle_fee / budget
@@ -417,29 +412,29 @@ def _gk_loop(
 def _assemble_flow(
     inst: Instance, reduced: Instance, routed: dict[tuple[int, ...], int], scale: int
 ) -> Flow:
-    """Exactly accumulate routed columns and scale them to feasibility.
+    """Exactly accumulate routed columns on ``inst``'s edges and scale them to feasibility.
 
     A routed value is ``scale`` times its column's exact routed flow, on
-    each of its edges, so conservation holds exactly.  The flow is divided
-    by its worst row load (capacity or budget), the exact counterpart of the
-    loop's float stop test: 1 or more unless nothing was routed, save for
-    float rounding on the budget row.  As that load is top / (bottom * scale),
-    ``scale`` cancels: one ``Fraction`` is built per distinct value and total.
+    each of its edges, so conservation holds exactly; each edge of
+    ``reduced`` adds it to its origin in ``inst``, and the edges the
+    reduction dropped stay 0.  The flow is divided by its worst row load
+    (capacity or budget), the exact counterpart of the loop's float stop
+    test: 1 or more unless nothing was routed, save for float rounding on
+    the budget row.  As that load is top / (bottom * scale), ``scale``
+    cancels, and the flow is the int values times bottom over top.
     """
-    values = [0] * reduced.edge_count
+    values = [0] * inst.edge_count
+    origin = reduced.edge_origin
     for column, amount in routed.items():
         for i in column:
-            values[i] += amount
-    cost, fee = (sum(map(mul, map(attrgetter(k), reduced.edges), values)) for k in ("cost", "fee"))
+            values[origin[i]] += amount
+    fee = sum(map(mul, [e.fee for e in inst.edges], values))
     top, bottom = 0, 1  # compared by cross-multiplying ints
-    for load, size in zip([*values, fee], [*(e.capacity for e in reduced.edges), reduced.budget]):
+    for load, size in zip([*values, fee], [*(e.capacity for e in inst.edges), inst.budget]):
         if size > 0 and load * bottom > top * size:  # a zero budget has no row
             top, bottom = load, size
     top = top or scale  # nothing routed: the values stay zero
-    as_fraction = {v: Fraction(v * bottom, top) for v in set(values)}
-    values = tuple(map(as_fraction.__getitem__, values))
-    flow = Flow(values, Fraction(cost * bottom, top), Fraction(fee * bottom, top))
-    return restore_flow(inst, reduced, flow)  # lifted back onto inst's edges
+    return Flow.from_values(inst, [v * bottom for v in values], top)
 
 
 def solve_gk(inst: Instance, eps: float) -> Solution:

@@ -53,8 +53,7 @@ class Instance:
     edge order is significant (flows are reported positionally).  Parallel
     edges and self-loops are permitted.  Conservation binds at every node
     but source and sink.  ``edge_origin`` gives, for each edge of a derived instance, its position
-    in the instance it was derived from; :func:`restore_flow` lifts flows
-    back along it.
+    in the instance it was derived from, along which flows are lifted back.
     """
 
     node_count: int
@@ -88,21 +87,28 @@ class Instance:
 
 @dataclass(frozen=True)
 class Flow:
-    """Per-edge flow values with exact cost and fee aggregates."""
+    """Per-edge flow values with exact cost and fee aggregates.
+
+    Solvers build one with :meth:`from_values`, from int numerators over
+    one int denominator.
+    """
 
     values: tuple[Fraction, ...]
     cost: Fraction
     fee: Fraction
 
     @classmethod
-    def from_values(cls, inst: Instance, values: Iterable[Fraction | int]) -> Flow:
-        """A flow with ``values`` on ``inst``'s edges, in edge order.
+    def from_values(
+        cls, inst: Instance, values: Iterable[Fraction | int], denominator: int = 1
+    ) -> Flow:
+        """A flow with ``values`` / ``denominator`` on ``inst``'s edges, in edge order.
 
-        The stored values are always ``Fraction``, one built per distinct
-        value: a flow repeats 0 and a few capacities, and ints, floats and
-        Fractions all hash and convert exactly.  An int flow's cost and fee
-        totals are summed in ints, any other flow's over the converted
-        values, so no total is rounded; each becomes a ``Fraction`` once.
+        ``values`` are ints or ``Fraction``s, and ``denominator`` is a
+        positive int: a solver's answer is int numerators over one int
+        denominator.  One ``Fraction`` is built per distinct value, as a
+        flow repeats 0 and a few capacities.  Each total is summed over the
+        values as given and divided by ``denominator`` once, so no total is
+        rounded.  A float raises ``TypeError`` rather than being converted.
         """
         raw = tuple(values)
         if len(raw) != inst.edge_count:
@@ -110,12 +116,11 @@ class Flow:
                 f"flow has {len(raw)} values for {inst.edge_count} edges"
             )
         edges = inst.edges
-        as_fraction = {v: Fraction(v) for v in set(raw)}
+        as_fraction = {v: Fraction(v, denominator) for v in set(raw)}
         exact = tuple(map(as_fraction.__getitem__, raw))
-        summed = raw if set(map(type, raw)) <= {int} else exact
-        cost = sum(map(mul, map(attrgetter("cost"), edges), summed))
-        fee = sum(map(mul, map(attrgetter("fee"), edges), summed))
-        return cls(exact, Fraction(cost), Fraction(fee))
+        cost = sum(map(mul, map(attrgetter("cost"), edges), raw))
+        fee = sum(map(mul, map(attrgetter("fee"), edges), raw))
+        return cls(exact, Fraction(cost, denominator), Fraction(fee, denominator))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 Everything here is exponential by design and guarded to desk scale.  The
 solvers never call into this module; it gives the ``oracle`` CLI command
-and the reference checks an answer independent of every solver.
+and the reference checks an answer independent of every solver.  Like the
+solvers it hands its answer to ``Flow.from_values`` as int numerators over
+one int denominator, but it interpolates the objective itself.
 """
 
 from __future__ import annotations
@@ -136,17 +138,12 @@ def oracle_optimum(inst: Instance, guard: int = DEFAULT_GUARD) -> Solution:
             if b2 <= budget or c2 >= c1:
                 continue
             # interpolate to fee == budget on the segment (c1,b1)-(c2,b2)
-            t = Fraction(budget - b1, b2 - b1)
-            cost = c1 + t * (c2 - c1)
+            a, b = b2 - budget, budget - b1
+            cost = Fraction(a * c1 + b * c2, b2 - b1)
             if cost < best_cost:
                 best_cost = cost
-                w1 = Flow.from_values(inst, cloud.witnesses[i])
-                w2 = Flow.from_values(inst, cloud.witnesses[j])
-                best_flow = Flow(
-                    tuple((1 - t) * a + t * b for a, b in zip(w1.values, w2.values)),
-                    cost,
-                    Fraction(budget),
-                )
+                pairs = zip(cloud.witnesses[i], cloud.witnesses[j])
+                best_flow = Flow.from_values(inst, [a * p + b * q for p, q in pairs], b2 - b1)
 
     return Solution(
         flow=best_flow,

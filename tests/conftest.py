@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 from typing import Sequence
 
@@ -9,6 +10,18 @@ import pytest
 
 from bcmcf import EdgeData, Flow, Instance, generate_instance, preprocess
 from bcmcf.fptas import _arcs, min_ratio_cycle, min_ratio_path_dag, topological_order
+
+# Hypothesis imports libcst to print a failing test's patch, and libcst's own
+# import raises a DeprecationWarning, which `-W error` turns into an
+# INTERNALERROR that ends the session at the first failing @given test.
+# Importing it here once, with only that warning ignored, keeps every other
+# warning an error.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 
 def scaled_flow(x: Flow, factor: Fraction) -> Flow:

@@ -114,17 +114,9 @@ def oracle_frontier(inst: Instance, guard: int = DEFAULT_GUARD) -> list[Frontier
     """Exact Pareto frontier extreme points, cheapest-cost-first per fee."""
     cloud = build_point_cloud(inst, guard)
     hull = lower_left_hull(cloud.points)
-    points = [
-        FrontierPoint(
-            cost=Fraction(cloud.points[i][0]),
-            fee=Fraction(cloud.points[i][1]),
-            witness=Flow.from_values(inst, cloud.witnesses[i]),
-            lambda_low=Fraction(0),
-            lambda_high=None,
-        )
-        for i in hull
-    ]
-    return attach_lambda_intervals(points)
+    return attach_lambda_intervals(
+        inst, [Witness(cloud.witnesses[i], *cloud.points[i]) for i in hull]
+    )
 
 
 def dichotomic_frontier(inst: Instance) -> list[FrontierPoint]:
@@ -161,10 +153,7 @@ def dichotomic_frontier(inst: Instance) -> list[FrontierPoint]:
         extremes = [bottom]
     else:
         extremes = [bottom, *expand(bottom, top), top]
-    witnesses = [Flow.from_values(inst, x.values) for x in extremes]
-    return attach_lambda_intervals(
-        [FrontierPoint(x.cost, x.fee, x, Fraction(0), None) for x in witnesses]
-    )
+    return attach_lambda_intervals(inst, extremes)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from bcmcf import (
     EdgeData,
     Flow,
     Instance,
-    InstanceError,
     InternalSolverError,
     enumerate_frontier,
     generate_instance,
@@ -138,37 +137,32 @@ class TestLambdaCallback:
 
 
 class TestBudgetCombination:
+    # on inst_two_parallel, [0, 2] has cost -2 and fee 0, [2, 2] cost -10 and fee 4
     def test_interpolates_to_budget(self, inst_two_parallel):
-        x1 = Flow.from_values(inst_two_parallel, [0, 2])
-        x2 = Flow.from_values(inst_two_parallel, [2, 2])
-        combo = budget_combination(x1, x2, 2)
+        x1, x2 = Witness([0, 2], -2, 0), Witness([2, 2], -10, 4)
+        combo = budget_combination(inst_two_parallel, x1, x2)
         assert combo.values == (1, 2)
         assert combo.cost == -6
         assert combo.fee == 2
+        assert all(type(v) is Fraction for v in combo.values)
         assert validate_flow(inst_two_parallel, combo).ok
 
-    def test_degenerate_interval_returns_first(self, inst_two_parallel):
-        x1 = Flow.from_values(inst_two_parallel, [1, 0])
-        x2 = Flow.from_values(inst_two_parallel, [1, 2])
-        assert budget_combination(x1, x2, 2) is x1
-
     def test_budget_at_upper_end_returns_second(self, inst_two_parallel):
-        x1 = Flow.from_values(inst_two_parallel, [0, 2])
-        x2 = Flow.from_values(inst_two_parallel, [2, 2])
-        combo = budget_combination(x1, x2, 4)
-        assert combo.values == x2.values
+        x1, x2 = Witness([0, 2], -2, 0), Witness([2, 2], -10, 4)
+        combo = budget_combination(replace(inst_two_parallel, budget=4), x1, x2)
+        assert combo == Flow.from_values(inst_two_parallel, x2.values)
 
     def test_precondition_violation(self, inst_two_parallel):
-        x1 = Flow.from_values(inst_two_parallel, [1, 0])
-        x2 = Flow.from_values(inst_two_parallel, [2, 0])
-        with pytest.raises(ValueError):
-            budget_combination(x1, x2, 1)
+        # the budget must lie in (fee(x1), fee(x2)]
+        x1, x2 = Witness([0, 2], -2, 0), Witness([2, 2], -10, 4)
+        for budget in (0, 5):
+            with pytest.raises(ValueError):
+                budget_combination(replace(inst_two_parallel, budget=budget), x1, x2)
 
-    def test_arity_mismatch(self, inst_two_parallel, inst_two_hop):
-        x1 = Flow.from_values(inst_two_parallel, [0, 2])
-        x2 = Flow.from_values(inst_two_hop, [2, 2, 0])
-        with pytest.raises(InstanceError):
-            budget_combination(x1, x2, 2)
+    def test_arity_mismatch(self, inst_two_parallel):
+        x1, x2 = Witness([0, 2], -2, 0), Witness([2, 2, 0], -10, 4)
+        with pytest.raises(ValueError):
+            budget_combination(inst_two_parallel, x1, x2)
 
 
 class TestSolveFlows:
@@ -190,10 +184,15 @@ class TestSolveFlows:
             min_cost_circulation(low, lambda_cost(low, top, "min")),
             min_cost_circulation(high, lambda_cost(high, Fraction(0), "max")),
         ]
-        x_low, x_high = (Flow.from_values(inst, b.flow[: inst.edge_count]) for b in (low, high))
-        assert totals == [(x_low.cost, x_low.fee), (x_high.cost, x_high.fee)]
-        combo = budget_combination(x_low, x_high, x_low.fee + t * (x_high.fee - x_low.fee))
-        for x in (x_low, x_high, combo):
+        x_low, x_high = (Witness(b.flow[: inst.edge_count], *w) for b, w in zip((low, high), totals))
+        flows = [Flow.from_values(inst, x.values) for x in (x_low, x_high)]
+        assert totals == [(x.cost, x.fee) for x in flows]
+        if x_high.fee - x_low.fee > 1:
+            # an int budget strictly between the two fees
+            budget = x_low.fee + 1 + int(t * (x_high.fee - x_low.fee - 2))
+            flows.append(budget_combination(replace(inst, budget=budget), x_low, x_high))
+            assert flows[-1].fee == budget
+        for x in flows:
             assert x == Flow.from_values(inst, x.values)
             assert type(x.cost) is Fraction and type(x.fee) is Fraction
 

@@ -254,21 +254,27 @@ class TestFlowTotals:
             assert all(type(v) is Fraction for v in flow.values)
             assert type(flow.cost) is Fraction and type(flow.fee) is Fraction
 
-    def test_float_values_convert_exactly(self, inst_two_parallel):
-        # equal values of any type share one Fraction; a float keeps its
-        # exact binary value
-        flow = Flow.from_values(inst_two_parallel, [0.1, 2.0])
-        assert flow.values == (Fraction(0.1), Fraction(2))
-        assert all(type(v) is Fraction for v in flow.values)
-        assert flow.fee == 2 * Fraction(0.1)
-        # the totals are summed exactly: -4 * 0.1 - 2.0 is -2.4 as floats
-        assert flow.cost == -4 * Fraction(0.1) - 2
-        big = 2**60 + 1  # beyond a float's 53 bits, kept exact beside a float
-        mixed = Flow.from_values(inst_two_parallel, [0.5, big])
+    def test_float_values_raise(self, inst_two_parallel):
+        # a float is not converted in silence, not even an integral one
+        for values in ([0.5, 2], [1.0, Fraction(1)]):
+            with pytest.raises(TypeError):
+                Flow.from_values(inst_two_parallel, values)
+
+    def test_big_int_beside_fraction_is_exact(self, inst_two_parallel):
+        big = 2**60 + 1  # beyond a float's 53 bits
+        mixed = Flow.from_values(inst_two_parallel, [Fraction(1, 2), big])
+        assert mixed.values == (Fraction(1, 2), big)
         assert mixed.cost == -2 - big and mixed.fee == 1
         assert type(mixed.cost) is Fraction and type(mixed.fee) is Fraction
-        shared = Flow.from_values(inst_two_parallel, [1.0, Fraction(1)])
-        assert shared.values == (1, 1) and shared.values[0] is shared.values[1]
+
+    def test_denominator_divides_every_value(self, inst_two_hop):
+        raw, d = [4, 4, 6], 6
+        flow = Flow.from_values(inst_two_hop, raw, d)
+        assert flow.values == tuple(Fraction(v, d) for v in raw)
+        assert flow.cost == Fraction(-4 - 4 - 3 * 6, d) and flow.fee == Fraction(4 + 4 + 6, d)
+        assert type(flow.cost) is Fraction and type(flow.fee) is Fraction
+        # one Fraction object per distinct value
+        assert len({id(v) for v in flow.values}) == len(set(raw))
 
     def test_fractional_totals_are_exact(self, inst_two_parallel):
         flow = Flow.from_values(inst_two_parallel, [Fraction(1, 3), 2])
