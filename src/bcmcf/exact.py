@@ -12,9 +12,9 @@ one search share one network-simplex :class:`~bcmcf.mcc.Basis`, so each
 starts from the optimal tree of the solve before it.  The frontier takes
 one solve and then walks its breakpoints on that basis, a parametric
 simplex in int cost and fee potentials.  The search and the frontier run
-on int (cost, fee) totals.  A :class:`Flow` is built only for the answers
-they keep, once each, from int values: a witness's, or the budget
-combination's int numerators over the int fee gap of its two witnesses.
+on int (cost, fee) totals.  A :class:`Flow` is built only for the search's
+answer, once, from int values: a witness's, or the budget combination's
+int numerators over the int fee gap of its two witnesses.
 """
 
 from __future__ import annotations
@@ -105,18 +105,17 @@ def budget_combination(inst: Instance, x1: Witness, x2: Witness) -> Flow:
     return Flow.from_values(inst, values, x2.fee - x1.fee)
 
 
-@dataclass(frozen=True)
-class FrontierPoint:
+class FrontierPoint(NamedTuple):
     """An extreme point of the lower-left (cost, fee) frontier.
 
-    ``lambda_low``/``lambda_high`` delimit the closed multiplier interval for
-    which this point minimizes cost + lambda * fee; ``lambda_high`` is None
-    when the interval is unbounded above.
+    The fields of its int :class:`Witness`, then ``lambda_low``/
+    ``lambda_high``, the closed multiplier interval on which it minimizes
+    cost + lambda * fee; ``lambda_high`` is None when it is unbounded above.
     """
 
-    cost: Fraction
-    fee: Fraction
-    witness: Flow
+    values: list[int]
+    cost: int
+    fee: int
     lambda_low: Fraction
     lambda_high: Fraction | None
 
@@ -125,28 +124,23 @@ def edge_multiplier(p_low: FrontierPoint | Witness, p_high: FrontierPoint | Witn
     """Multiplier at which two (cost, fee) points have equal cost + lam * fee.
 
     ``p_low`` has the smaller fee.  The value is the negated slope of the
-    chord between them in cost-per-fee form, a reduced ``Fraction`` for int
-    and ``Fraction`` totals alike; for two adjacent frontier points it is
-    the multiplier at which their segment is optimal.
+    chord between their int totals in cost-per-fee form, a reduced
+    ``Fraction``; for two adjacent frontier points it is the multiplier at
+    which their segment is optimal.
     """
     return Fraction(p_low.cost - p_high.cost, p_high.fee - p_low.fee)
 
 
-def attach_lambda_intervals(inst: Instance, witnesses: list[Witness]) -> list[FrontierPoint]:
+def attach_lambda_intervals(witnesses: list[Witness]) -> list[FrontierPoint]:
     """The frontier points of ``witnesses``, with intervals from adjacent segment multipliers.
 
-    ``witnesses`` must be ``inst``'s extreme points sorted by increasing
+    ``witnesses`` must be an instance's extreme points sorted by increasing
     fee.  Segment multipliers decrease along that order: the lowest-fee
     point is optimal for all large multipliers, the highest-fee point down
     to zero.
     """
     lams = [None, *(edge_multiplier(a, b) for a, b in zip(witnesses, witnesses[1:])), Fraction(0)]
-    return [
-        FrontierPoint(
-            Fraction(x.cost), Fraction(x.fee), Flow.from_values(inst, x.values), low, high
-        )
-        for x, low, high in zip(witnesses, lams[1:], lams)
-    ]
+    return [FrontierPoint(*x, low, high) for x, low, high in zip(witnesses, lams[1:], lams)]
 
 
 def solve_exact(inst: Instance) -> Solution:
@@ -253,7 +247,8 @@ def enumerate_frontier(inst: Instance) -> list[FrontierPoint]:
     strict drop of lam', and at the end, the flow is optimal on an interval
     and is an extreme point, kept unless its totals repeat the last one's.
     Breakpoints can be exponentially many (Zadeh 1973), so only the
-    frontier walks them.  The kept points become :class:`Flow` witnesses.
+    frontier walks them.  A point keeps its int witness, and
+    ``Flow.from_values(inst, p.values)`` is its :class:`Flow`.
     """
     stats = instance_stats(inst)
     basis = Basis(inst)
@@ -303,4 +298,4 @@ def enumerate_frontier(inst: Instance) -> list[FrontierPoint]:
             basis.tree_potentials(fees, pb, top)
     keep()
     basis.pivots += pivots
-    return attach_lambda_intervals(inst, points)
+    return attach_lambda_intervals(points)

@@ -129,7 +129,7 @@ def oracle_optimum(inst: Instance, guard: int = DEFAULT_GUARD) -> Solution:
     # the cheapest feasible point, the one of least fee among ties
     first = min((i for i, (_, fee) in enumerate(pts) if fee <= budget), key=lambda i: pts[i][0])
     best_cost = Fraction(pts[first][0])
-    best_flow = Flow.from_values(inst, cloud.witnesses[first])
+    best = first, first, 1, 0  # the answer (a * x_i + b * x_j) / (a + b), as i, j, a, b
 
     for i, (c1, b1) in enumerate(pts):
         if b1 > budget:
@@ -141,13 +141,9 @@ def oracle_optimum(inst: Instance, guard: int = DEFAULT_GUARD) -> Solution:
             a, b = b2 - budget, budget - b1
             cost = Fraction(a * c1 + b * c2, b2 - b1)
             if cost < best_cost:
-                best_cost = cost
-                pairs = zip(cloud.witnesses[i], cloud.witnesses[j])
-                best_flow = Flow.from_values(inst, [a * p + b * q for p, q in pairs], b2 - b1)
+                best_cost, best = cost, (i, j, a, b)
 
-    return Solution(
-        flow=best_flow,
-        objective=best_cost,
-        algorithm="oracle",
-        iterations=len(pts),
-    )
+    i, j, a, b = best
+    pairs = zip(cloud.witnesses[i], cloud.witnesses[j])
+    flow = Flow.from_values(inst, [a * p + b * q for p, q in pairs], a + b)
+    return Solution(flow=flow, objective=best_cost, algorithm="oracle", iterations=len(pts))

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import pytest
 
-from bcmcf import EdgeData, Flow, Instance, generate_instance, preprocess
+from bcmcf import EdgeData, Flow, FrontierPoint, Instance, generate_instance, preprocess
 from bcmcf.fptas import _arcs, min_ratio_cycle, min_ratio_path_dag, topological_order
 
 # Hypothesis imports libcst to print a failing test's patch, and libcst's own
@@ -27,6 +27,11 @@ with warnings.catch_warnings():
 def scaled_flow(x: Flow, factor: Fraction) -> Flow:
     """``x`` with every value and both totals multiplied by ``factor``."""
     return Flow(tuple(v * factor for v in x.values), x.cost * factor, x.fee * factor)
+
+
+def point_flow(inst: Instance, p: FrontierPoint) -> Flow:
+    """The exact :class:`Flow` of frontier point ``p``'s int witness on ``inst``."""
+    return Flow.from_values(inst, p.values)
 
 
 def dag_arcs(inst: Instance) -> list[tuple[int, int, int]]:

@@ -114,9 +114,7 @@ def oracle_frontier(inst: Instance, guard: int = DEFAULT_GUARD) -> list[Frontier
     """Exact Pareto frontier extreme points, cheapest-cost-first per fee."""
     cloud = build_point_cloud(inst, guard)
     hull = lower_left_hull(cloud.points)
-    return attach_lambda_intervals(
-        inst, [Witness(cloud.witnesses[i], *cloud.points[i]) for i in hull]
-    )
+    return attach_lambda_intervals([Witness(cloud.witnesses[i], *cloud.points[i]) for i in hull])
 
 
 def dichotomic_frontier(inst: Instance) -> list[FrontierPoint]:
@@ -153,7 +151,7 @@ def dichotomic_frontier(inst: Instance) -> list[FrontierPoint]:
         extremes = [bottom]
     else:
         extremes = [bottom, *expand(bottom, top), top]
-    return attach_lambda_intervals(inst, extremes)
+    return attach_lambda_intervals(extremes)
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def test_frontier_slope_separation(corpus):
         if cbar == 0:
             continue
         slopes = [
-            (b.fee - a.fee) / (b.cost - a.cost) for a, b in zip(mine, mine[1:])
+            Fraction(b.fee - a.fee, b.cost - a.cost) for a, b in zip(mine, mine[1:])
         ]
         gap = Fraction(1, cbar**2)
         for s1, s2 in zip(slopes, slopes[1:]):

@@ -35,6 +35,7 @@ from bcmcf.exact import (
 )
 from bcmcf.mcc import Basis, lambda_cost, min_cost_circulation
 from bcmcf.oracle import iter_integral_values
+from conftest import point_flow
 from reference_oracles import dichotomic_frontier, oracle_frontier
 
 
@@ -364,10 +365,11 @@ class TestEnumerateFrontier:
                 (p.cost, p.fee) for p in reference
             ]
             for p in mine:
-                assert (p.witness.cost, p.witness.fee) == (p.cost, p.fee)
+                flow = point_flow(inst, p)
+                assert (flow.cost, flow.fee) == (p.cost, p.fee)
             cbar = instance_stats(inst).cbar
             slopes = [
-                (b.fee - a.fee) / (b.cost - a.cost) for a, b in zip(mine, mine[1:])
+                Fraction(b.fee - a.fee, b.cost - a.cost) for a, b in zip(mine, mine[1:])
             ]
             for s1, s2 in zip(slopes, slopes[1:]):
                 assert abs(s1 - s2) >= Fraction(1, cbar**2)
@@ -463,7 +465,7 @@ class TestFrontierWalk:
         assert inst.edge_count == 0
         points = enumerate_frontier(inst)
         assert frontier_summary(points) == [(0, 0, 0, None)]
-        assert points[0].witness.values == ()
+        assert point_flow(inst, points[0]).values == ()
 
     @pytest.mark.parametrize("stall", ["pivot", "ratio step"])
     def test_a_walk_that_never_advances_hits_the_cap(self, monkeypatch, stall):
@@ -575,21 +577,49 @@ class TestIntChords:
             points = enumerate_frontier(inst)
             many += len(points) >= 4
             for p in points:
-                assert type(p.witness) is Flow
-                assert all(type(v) is Fraction for v in p.witness.values)
-                assert type(p.cost) is Fraction and type(p.fee) is Fraction
-                report = validate_flow(inst, p.witness)
+                assert all(type(v) is int for v in p.values)
+                assert type(p.cost) is int and type(p.fee) is int
+                flow = point_flow(inst, p)
+                assert all(type(v) is Fraction for v in flow.values)
+                report = validate_flow(inst, flow)
                 assert not (
                     report.capacity_violations
                     or report.negative_values
                     or report.conservation_residuals
                 )
-                assert (report.cost, report.fee) == (p.witness.cost, p.witness.fee)
-                assert (p.witness.cost, p.witness.fee) == (p.cost, p.fee)
+                assert (report.cost, report.fee) == (flow.cost, flow.fee)
+                assert (flow.cost, flow.fee) == (p.cost, p.fee)
             # adjacent intervals meet at the chord's reduced multiplier
             for a, b in zip(points, points[1:]):
                 assert a.lambda_low == b.lambda_high == edge_multiplier(a, b)
         assert many >= 10
+
+    @pytest.mark.parametrize("case", ["generated", "single point"])
+    def test_frontier_builds_no_flow(self, monkeypatch, inst_single_positive, case):
+        # a frontier point is its int witness: the walk never reaches the
+        # Flow constructor, and the Flow built afterwards has its totals
+        if case == "generated":
+            inst = preprocess(generate_instance(30, 120, max_capacity=10, seed=26))
+        else:
+            inst = inst_single_positive
+
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("enumerate_frontier built a Flow")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Flow, "from_values", classmethod(refuse))
+            points = enumerate_frontier(inst)
+        assert (len(points) > 1) == (case == "generated")
+        for p in points:
+            assert type(p.cost) is int and type(p.fee) is int
+            flow = point_flow(inst, p)
+            report = validate_flow(inst, flow)
+            assert not (
+                report.capacity_violations
+                or report.negative_values
+                or report.conservation_residuals
+            )
+            assert (flow.cost, flow.fee) == (p.cost, p.fee)
 
 
 @st.composite
@@ -619,18 +649,19 @@ def test_frontier_agrees_with_solve_exact(inst):
     multipliers = [edge_multiplier(a, b) for a, b in zip(points, points[1:])]
     assert all(l1 > l2 for l1, l2 in zip(multipliers, multipliers[1:]))
     for p in points:
-        report = validate_flow(inst, p.witness)
+        flow = point_flow(inst, p)
+        report = validate_flow(inst, flow)
         assert not (
             report.capacity_violations or report.negative_values or report.conservation_residuals
         )
-        assert (report.cost, report.fee) == (p.witness.cost, p.witness.fee) == (p.cost, p.fee)
+        assert (report.cost, report.fee) == (flow.cost, flow.fee) == (p.cost, p.fee)
 
     budget = inst.budget
     if budget >= points[-1].fee:
         expected = points[-1].cost
     else:
         a, b = next((a, b) for a, b in zip(points, points[1:]) if a.fee <= budget < b.fee)
-        expected = a.cost + (b.cost - a.cost) * (budget - a.fee) / (b.fee - a.fee)
+        expected = a.cost + Fraction((b.cost - a.cost) * (budget - a.fee), b.fee - a.fee)
     sol = solve_exact(inst)
     assert sol.objective == expected
     assert any(
@@ -667,7 +698,8 @@ def test_walk_matches_dichotomic_frontier(nodes, edges, cap, cost, fee, budget_m
     points = enumerate_frontier(inst)
     assert frontier_summary(points) == frontier_summary(dichotomic_frontier(inst))
     for p in points:
-        assert (p.witness.cost, p.witness.fee) == (p.cost, p.fee)
+        flow = point_flow(inst, p)
+        assert (flow.cost, flow.fee) == (p.cost, p.fee)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -16,6 +16,7 @@ from bcmcf import (
     validate_flow,
 )
 from bcmcf.oracle import build_point_cloud
+from conftest import point_flow
 from reference_oracles import (
     circulation_form,
     enumerate_integral_flows,
@@ -130,6 +131,7 @@ class TestOracleFrontier:
             )
             points = oracle_frontier(inst)
             for p in points:
+                flow = point_flow(inst, p)
                 assert validate_flow(
                     Instance(
                         node_count=inst.node_count,
@@ -138,14 +140,14 @@ class TestOracleFrontier:
                         sink=inst.sink,
                         budget=10**9,
                     ),
-                    p.witness,
+                    flow,
                 ).ok
-                assert (p.witness.cost, p.witness.fee) == (p.cost, p.fee)
+                assert (flow.cost, flow.fee) == (p.cost, p.fee)
             # strictly decreasing fee-per-cost slopes (convexity), fee ascending
             for (a, b) in zip(points, points[1:]):
                 assert a.fee < b.fee and a.cost > b.cost
             slopes = [
-                (b.fee - a.fee) / (b.cost - a.cost) for a, b in zip(points, points[1:])
+                Fraction(b.fee - a.fee, b.cost - a.cost) for a, b in zip(points, points[1:])
             ]
             assert all(s2 < s1 for s1, s2 in zip(slopes, slopes[1:]))
             # no cloud point strictly below any hull segment
@@ -153,7 +155,7 @@ class TestOracleFrontier:
             for a, b in zip(points, points[1:]):
                 for c, f in cloud.points:
                     if a.fee <= f <= b.fee:
-                        lam = (a.cost - b.cost) / (b.fee - a.fee)
+                        lam = Fraction(a.cost - b.cost, b.fee - a.fee)
                         assert c + lam * f >= a.cost + lam * a.fee
 
 
