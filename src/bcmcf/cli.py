@@ -25,6 +25,7 @@ from .generate import BUDGET_MODES, generate_instance
 from .model import (
     Flow,
     Instance,
+    InstanceError,
     ParseError,
     format_fraction,
     format_solution,
@@ -85,8 +86,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise CliError(f"--epsilon is required for --algorithm {args.algorithm}", EXIT_USAGE)
     if args.algorithm in ("exact", "oracle") and args.epsilon is not None:
         raise CliError(f"--epsilon does not apply to --algorithm {args.algorithm}", EXIT_USAGE)
-    if args.algorithm != "oracle" and args.guard is not None:
-        raise CliError(f"--guard does not apply to --algorithm {args.algorithm}", EXIT_USAGE)
     original = _load_instance(args.instance)
     inst = preprocess(original)
     try:
@@ -97,10 +96,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         elif args.algorithm == "gk-acyclic":
             sol = fptas.solve_gk_acyclic(inst, args.epsilon)
         else:
-            sol = oracle.oracle_optimum(inst, guard=args.guard or oracle.DEFAULT_GUARD)
+            sol = oracle.oracle_optimum(inst)
     except oracle.EnumerationGuardError as exc:
         raise CliError(str(exc), EXIT_GUARD) from None
-    except (ValueError, fptas.CyclicGraphError) as exc:
+    except ValueError as exc:  # CyclicGraphError among them
         raise CliError(str(exc), EXIT_USAGE) from None
     sol = dataclasses.replace(sol, flow=restore_flow(original, inst, sol.flow))
     _write_text(args.output, format_solution(sol))
@@ -123,12 +122,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
         doc = parse_solution(_read_text(args.flow_file))
     except ParseError as exc:
         raise CliError(f"{args.flow_file}: {exc}", EXIT_USAGE) from None
-    if len(doc.values) != inst.edge_count:
-        raise CliError(
-            f"flow has {len(doc.values)} values for {inst.edge_count} edges",
-            EXIT_USAGE,
-        )
-    report = validate_flow(inst, Flow.from_values(inst, doc.values))
+    try:
+        flow = Flow.from_values(inst, doc.values)
+    except InstanceError as exc:  # a flow of the wrong arity
+        raise CliError(str(exc), EXIT_USAGE) from None
+    report = validate_flow(inst, flow)
     # the document's stated totals must be its own flow's
     stated = [("objective", doc.objective, "cost", report.cost)]
     if doc.budget_used is not None:
@@ -160,14 +158,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def positive_int(token: str) -> int:
-    """A ``--guard`` value: the assignment space is never below 1, so neither is a guard."""
-    value = int(token)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is below 1")
-    return value
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -180,8 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", default=None, help="output file (default stdout)")
 
     def add_instance_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument("instance", nargs="?", default=None,
-                       help="instance file ('-' for stdin)")
+        p.add_argument("instance", help="instance file ('-' for stdin)")
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     add_instance_arg(p_solve)
@@ -189,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--epsilon", "-e", type=float, default=None,
                          help="accuracy for the gk solvers, in (0, 1); their work grows "
                               "as about 1/eps^2, and -a exact answers exactly")
-    p_solve.add_argument("--guard", type=positive_int, default=None,
-                         help="enumeration guard for --algorithm oracle")
     add_common(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
@@ -223,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if hasattr(args, "instance") and args.instance is None:
-            raise CliError("no instance file given", EXIT_USAGE)
         return args.func(args)
     except CliError as exc:
         print(f"bcmcf: {exc}", file=sys.stderr)

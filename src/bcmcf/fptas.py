@@ -126,7 +126,7 @@ def topological_order(inst: Instance) -> list[int]:
             if indeg[w] == 0:
                 queue.append(w)
     if len(order) != inst.node_count:
-        raise CyclicGraphError("graph contains a directed cycle")
+        raise CyclicGraphError("graph contains a directed cycle; use solve_gk instead")
     return order
 
 
@@ -232,7 +232,8 @@ def _gk_loop(
     Returns (routed columns, scale, iterations, upper bound on the optimum).
     ``eps`` is the solver's accuracy; one outside (0, 1), or one so small
     that the loop's internal accuracy eps' = eps/4 leaves no float phase
-    count, raises ``ValueError``.  ``test(weights)`` is a threshold test:
+    count, raises ``ValueError``, as does an instance beyond the float
+    range (below).  ``test(weights)`` is a threshold test:
     it takes one weight per ``reduced`` edge and returns a column, a list
     of edges of negative total weight, or None when no column has one.  A
     column's ratio is its length (the sum of y + b * mu over its edges)
@@ -282,6 +283,17 @@ def _gk_loop(
     stops once the routed flow divided by its worst row load reaches
     1 - ``eps`` times the least such bound, or, as the scheme's proven
     fallback, once the dual objective reaches 1.
+
+    Float range, decided once before the loop: with M the largest
+    capacity, |cost|, fee or budget of ``reduced`` and phases the phase
+    count, an instance with (phases + 1) * m * M^2 above 2^1022, the
+    reciprocal of the least normal float, raises ``ValueError``;
+    ``solve_exact`` answers it.  Below that every int the loop converts is
+    at most M, the descent's floor on the ratios is at least 1/(m M^2),
+    and no row's load passes phases times its size: a routing at relative
+    load x <= 1 multiplies its rows' true lengths by at least (1 + eps')^x,
+    from delta/size to below 1/size.  So the routed profit stays below
+    phases times the optimum, at most m M^2.
     """
     if not 0 < eps < 1:
         raise ValueError(f"epsilon {eps} outside (0, 1)")
@@ -293,7 +305,6 @@ def _gk_loop(
     rows = m + (budget > 0)
     capacities = [e.capacity for e in reduced.edges]
     fees = [e.fee for e in reduced.edges]
-    costs = [float(e.cost) for e in reduced.edges]
     if m == 0:
         return {}, 1, 0, 0.0  # no edges means no columns: the zero flow stands
 
@@ -307,6 +318,13 @@ def _gk_loop(
         # eps_prime is 0, or the phases, about log(rows) / eps_prime^2, exceed
         # every float: eps below about 1e-154
         raise ValueError(f"epsilon {eps} is too small for float lengths") from None
+    magnitude = max(budget, max(capacities), max(fees), max(abs(e.cost) for e in reduced.edges))
+    if (int(phases) + 1) * m * magnitude**2 > 2**1022:
+        raise ValueError(
+            f"magnitudes up to 2^{magnitude.bit_length()} are too large for float "
+            f"lengths at epsilon {eps}; solve exactly (solve_exact, -a exact)"
+        )
+    costs = [float(e.cost) for e in reduced.edges]
 
     dual = DualState(
         lengths=[1.0 / u for u in capacities],
@@ -469,12 +487,7 @@ def solve_gk_acyclic(inst: Instance, eps: float) -> Solution:
     only the orientation whose start comes first can hold one, and the
     test runs in that one.  The loop and its stops are ``solve_gk``'s.
     """
-    try:
-        order = topological_order(inst)
-    except CyclicGraphError:
-        raise CyclicGraphError(
-            "graph contains a directed cycle; use solve_gk instead"
-        ) from None
+    order = topological_order(inst)
     reduced = _reduced_for_packing(inst)
     rank = {v: k for k, v in enumerate(order)}
     arcs = sorted(_arcs(reduced), key=lambda arc: rank[arc[0]])

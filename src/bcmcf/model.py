@@ -448,11 +448,10 @@ class SolutionDocument:
 
 
 def format_solution(sol: Solution) -> str:
-    obj = sol.objective
     lines = [
         "bcmcf-solution 1",
         f"algorithm {sol.algorithm}",
-        f"objective {obj.numerator}/{obj.denominator} {float(obj)!r}",
+        f"objective {format_fraction(sol.objective)}",
         f"budget-used {format_fraction(sol.flow.fee)}",
         f"iterations {sol.iterations}",
     ]

@@ -34,6 +34,15 @@ def i0_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def big_path(tmp_path):
+    """An instance whose preprocessed assignment space is past ``DEFAULT_GUARD``
+    (``TestFrontier::test_beyond_enumeration_guard`` shows it)."""
+    path = tmp_path / "big.bcmcf"
+    path.write_text(serialize_instance(generate_instance(8, 32, max_capacity=3, seed=7)))
+    return str(path)
+
+
 class TestSolve:
     def test_exact_document(self, i1_path, capsys):
         assert main(["solve", "--algorithm", "exact", i1_path]) == 0
@@ -70,19 +79,15 @@ class TestSolve:
         assert captured.out == ""
         assert f"epsilon {float(epsilon)!r}" in captured.err
 
-    @pytest.mark.parametrize(
-        "options", [["-a", "exact"], ["-a", "gk", "-e", "0.5"], ["-a", "gk-acyclic", "-e", "0.5"]]
-    )
-    def test_guard_without_oracle_is_usage_error(self, i1_path, capsys, options):
-        # only the oracle enumerates; elsewhere the guard would be ignored
-        assert main(["solve", *options, "--guard", "5", i1_path]) == 2
+    def test_guard_with_oracle_algorithm(self, i1_path, big_path, capsys):
+        # the oracle enumerates under its default guard, 10^7: i1's space
+        # is 9 assignments, big's is past the guard
+        assert main(["solve", "-a", "oracle", i1_path]) == 0
+        capsys.readouterr()
+        assert main(["solve", "-a", "oracle", big_path]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--guard" in captured.err
-
-    def test_guard_with_oracle_algorithm(self, i1_path, capsys):
-        assert main(["solve", "-a", "oracle", "--guard", "2", i1_path]) == 3
-        assert main(["solve", "-a", "oracle", "--guard", "9", i1_path]) == 0
+        assert f"exceeds guard {DEFAULT_GUARD}" in captured.err
 
     def test_oracle_algorithm(self, i1_path, capsys):
         assert main(["solve", "--algorithm", "oracle", i1_path]) == 0
@@ -90,16 +95,24 @@ class TestSolve:
 
     def test_input_flag(self, i1_path, capsys):
         # the instance is positional only; a second spelling was dropped
-        # silently whenever both were given
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", i1_path, "--input", "/nonexistent"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--input" in captured.err
+        # silently whenever both were given.  --guard went too: the oracle
+        # always enumerates under its default guard
+        for removed in (["--input", "/nonexistent"], ["--guard", "5"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", i1_path, *removed])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"unrecognized arguments: {' '.join(removed)}" in captured.err
 
     def test_missing_instance(self, capsys):
-        assert main(["solve"]) == 2
+        for command in ("solve", "frontier"):
+            with pytest.raises(SystemExit) as exc:
+                main([command])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "instance" in captured.err
 
     def test_parse_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.bcmcf"
@@ -117,6 +130,22 @@ class TestSolve:
         doc = parse_solution(capsys.readouterr().out)
         assert doc.values == (1, 2, 0)
         assert doc.objective == -6
+
+    @pytest.mark.parametrize("edge", [f"1 -{10**400}", f"{10**400} -1"], ids=["cost", "capacity"])
+    def test_objective_past_the_float_range(self, tmp_path, capsys, edge):
+        # an objective of -10^400 has no float; the document states it
+        # exactly, and the packing lane's floats refuse the instance
+        path = tmp_path / "huge.bcmcf"
+        path.write_text(f"p bcmcf 2 1 0\nn 1 s\nn 2 t\na 1 2 {edge} 0\n")
+        out = tmp_path / "huge.sol"
+        assert main(["solve", str(path), "-o", str(out)]) == 0
+        assert parse_solution(out.read_text()).objective == -(10**400)
+        assert main(["validate", str(path), str(out)]) == 0
+        capsys.readouterr()
+        assert main(["solve", "-a", "gk", "-e", "0.25", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "-a exact" in captured.err
 
     def test_unwritable_output_is_usage_error(self, i1_path, tmp_path, capsys):
         missing = tmp_path / "missing" / "sol.txt"
@@ -161,22 +190,11 @@ class TestOracleCommand:
         assert main(["solve", "-a", "exact", i1_path]) == 0
         assert brute.objective == parse_solution(capsys.readouterr().out).objective == -6
 
-    def test_guard_exit(self, i1_path, capsys):
-        assert main(["solve", "-a", "oracle", i1_path, "--guard", "2"]) == 3
+    def test_guard_exit(self, big_path, capsys):
+        assert main(["solve", "-a", "oracle", big_path]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "exceeds guard 2" in captured.err
-
-    @pytest.mark.parametrize("command", [["solve", "-a", "oracle"], ["solve", "-a", "exact"]])
-    @pytest.mark.parametrize("guard", ["0", "-1"])
-    def test_guard_below_one_is_usage_error(self, i1_path, capsys, command, guard):
-        # the assignment space is at least 1, so such a guard is a usage
-        # error, not a guard that every instance exceeds; the parser refuses
-        # it before the rule that only the oracle takes a guard
-        with pytest.raises(SystemExit) as exc:
-            main(command + [i1_path, "--guard", guard])
-        assert exc.value.code == 2
-        assert "--guard" in capsys.readouterr().err
+        assert "exceeds guard 10000000" in captured.err
 
 
 class TestValidate:

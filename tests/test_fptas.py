@@ -875,6 +875,42 @@ def test_guarantee_at_extreme_magnitudes(budget_mode, acyclic):
     assert binding == (8 - acyclic if budget_mode == "tight" else 0)
 
 
+def times_ten_to(inst: Instance, k: int) -> Instance:
+    """``inst`` with its capacities, costs and budget times 10^k; fees stay."""
+    f = 10**k
+    edges = tuple(dataclasses.replace(e, capacity=e.capacity * f, cost=e.cost * f) for e in inst.edges)
+    return dataclasses.replace(inst, edges=edges, budget=inst.budget * f)
+
+
+@pytest.mark.parametrize("acyclic", [False, True])
+def test_magnitudes_past_the_float_range_are_refused(acyclic):
+    # the loop decides before it starts whether its floats carry the
+    # instance: scaled by 10^160 its profit would overflow, by 10^200 its
+    # descent floor would underflow, and a single 10^400 would not convert
+    solver = solve_gk_acyclic if acyclic else solve_gk
+    seed = 9 if acyclic else 3  # seed 3's acyclic instance has optimum 0
+    inst = preprocess(generate_instance(8, 24, max_capacity=5, seed=seed, acyclic=acyclic))
+    scaled = times_ten_to(inst, 100)
+    exact = solve_exact(scaled).objective
+    assert exact < 0
+    sol = solver(scaled, 0.25)
+    assert validate_flow(scaled, sol.flow).ok
+    assert exact <= sol.objective <= (1 - Fraction(0.25)) * exact
+    beyond = 10**400
+    refused = [times_ten_to(inst, 160), times_ten_to(inst, 200)] + [
+        Instance(node_count=2, edges=(edge,), source=1, sink=2, budget=budget)
+        for edge, budget in [
+            (EdgeData(1, 2, 1, -beyond, 0), 0),
+            (EdgeData(1, 2, beyond, -1, 0), 0),
+            (EdgeData(1, 2, 1, -1, beyond), 1),
+            (EdgeData(1, 2, 1, -1, 1), beyond),
+        ]
+    ]
+    for case in refused:
+        with pytest.raises(ValueError, match="too large for float lengths.*-a exact"):
+            solver(case, 0.25)
+
+
 class TestSolveGkAcyclic:
     def test_guarantee_on_parallel_pair(self, inst_two_parallel):
         sol = solve_gk_acyclic(inst_two_parallel, 0.25)
