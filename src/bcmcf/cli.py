@@ -3,9 +3,11 @@
 Commands: solve, frontier, validate, gen.  Exit codes: 0 success,
 1 validate found the flow infeasible or a stated total that is not the
 flow's, 2 usage or parse errors or an output file that cannot be written,
-3 enumeration guard of ``solve -a oracle`` exceeded, 141 standard output
-closed by its reader before all output was written (what a shell reports
-for a command killed by SIGPIPE); that exit prints nothing.
+3 enumeration guard of ``solve -a oracle`` exceeded, 4 a solver stopped
+on ``InternalSolverError`` (one line on stderr names it and points to
+``-a exact``), 141 standard output closed by its reader before all output
+was written (what a shell reports for a command killed by SIGPIPE); that
+exit prints nothing.
 
 The argument parser is built once per process, on the first call of
 :func:`main`, and reused: parsing keeps no state between calls, and argparse
@@ -22,6 +24,7 @@ import sys
 
 from . import exact, fptas, oracle
 from .generate import BUDGET_MODES, generate_instance
+from .mcc import InternalSolverError
 from .model import (
     Flow,
     Instance,
@@ -41,6 +44,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_SOLVER = 4
 EXIT_PIPE = 141
 
 ALGORITHMS = ("exact", "gk", "gk-acyclic", "oracle")
@@ -214,6 +218,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"bcmcf: {exc}", file=sys.stderr)
         return exc.code
+    except InternalSolverError as exc:
+        print(f"bcmcf: solver failed: {exc}; -a exact solves exactly", file=sys.stderr)
+        return EXIT_SOLVER
     except BrokenPipeError:
         # stdout's reader exited first; pointing stdout at devnull spares the
         # interpreter's final flush the same error

@@ -231,15 +231,15 @@ def _gk_loop(
 
     Returns (routed columns, scale, iterations, upper bound on the optimum).
     ``eps`` is the solver's accuracy; one outside (0, 1), or one so small
-    that the loop's internal accuracy eps' = eps/4 leaves no float phase
-    count, raises ``ValueError``, as does an instance beyond the float
-    range (below).  ``test(weights)`` is a threshold test:
-    it takes one weight per ``reduced`` edge and returns a column, a list
-    of edges of negative total weight, or None when no column has one.  A
-    column's ratio is its length (the sum of y + b * mu over its edges)
-    over its gain (minus its cost), and at the weights length - lam * gain
-    a column found has a ratio below lam, while None proves every ratio at
-    least lam.
+    that the internal accuracy eps' = eps/4 leaves no float phase count,
+    raises ``ValueError``, as does an instance beyond the float range
+    (below); both are decided once, at eps/4, before the first run.
+    ``test(weights)`` is a threshold test: it takes one weight per
+    ``reduced`` edge and returns a column, a list of edges of negative
+    total weight, or None when no column has one.  A column's ratio is its
+    length (the sum of y + b * mu over its edges) over its gain (minus its
+    cost), and at the weights length - lam * gain a column found has a
+    ratio below lam, while None proves every ratio at least lam.
 
     The loop keeps alpha, a proven lower bound on the minimum ratio, which
     stays one since lengths only grow and gains are fixed (Fleischer's
@@ -254,23 +254,33 @@ def _gk_loop(
     column's ratio over 1 + eps' until a test finds none; that threshold
     is alpha's start.
 
-    Why eps/4: a column found has a ratio below (1 + eps') * alpha, at most
-    (1 + eps') times the minimum, and the lazy rule keeps a routed column
-    within (1 + eps') of that, so every routed column is within
-    (1 + eps')^2 of the minimum.  Garg and Koenemann's analysis of the
-    proven stop at dual objective 1 loses a factor of about 1 - 2 eps' in
-    the loop itself and the column's factor on top, and
-    (1 - 2 eps') / (1 + eps')^2 >= 1 - 4 eps' = 1 - eps.
+    Which stop proves what.  The certified stop (below) proves the
+    (1 - eps) guarantee at any eps', since alpha is a proven lower bound
+    whatever its pace.  The fallback stop at dual objective 1 proves it
+    only at eps' = eps/4: a column found has a ratio below
+    (1 + eps') * alpha, at most (1 + eps') times the minimum, and the lazy
+    rule keeps a routed column within (1 + eps') of that, so every routed
+    column is within (1 + eps')^2 of the minimum.  Garg and Koenemann's
+    analysis of that stop loses a factor of about 1 - 2 eps' in the loop
+    itself and the column's factor on top, and
+    (1 - 2 eps') / (1 + eps')^2 >= 1 - 4 eps' = 1 - eps.  So the loop runs
+    first at eps' = eps, whose proven iteration cap is about a sixteenth
+    of eps/4's, and returns that run's answer when it stops on the
+    certificate.  Only when that run reaches the fallback stop uncertified
+    does the loop run once more, from fresh lengths, at eps' = eps/4, and
+    return that run's answer, whichever stop ends it.  The seed test runs
+    once; the iteration count is the sum over the runs.
 
-    Both test loops have proven bounds that raise InternalSolverError.
-    Each descent step divides a positive ratio by more than 1 + eps', and
-    no ratio falls below (least length)/(sum of the positive gains), so
-    log(r0 / that floor) / log1p(eps') + 1 tests from the seed's ratio r0
-    certify alpha.  While the loop runs the true dual objective stays
-    below 1, so y_e < 1/u_e and mu < 1/B, and every column, whose gain is
-    an int >= 1, has a true ratio below rho = sum_e (1/u_e + b_e/B); alpha
-    never passes the minimum, so at most ceil(log(rho / alpha_0) /
-    log1p(eps')) raises happen, counted on true lengths.
+    Both test loops of each run have proven bounds, at its eps', that
+    raise InternalSolverError.  Each descent step divides a positive ratio
+    by more than 1 + eps', and no ratio falls below (least length)/(sum of
+    the positive gains), so log(r0 / that floor) / log1p(eps') + 1 tests
+    from the seed's ratio r0 certify alpha.  While the loop runs the true
+    dual objective stays below 1, so y_e < 1/u_e and mu < 1/B, and every
+    column, whose gain is an int >= 1, has a true ratio below
+    rho = sum_e (1/u_e + b_e/B); alpha never passes the minimum, so at most
+    ceil(log(rho / alpha_0) / log1p(eps')) raises happen, counted on true
+    lengths.
 
     Between tests an iteration touches only its column's edges (the lazy
     test, the running objective).  Routings are counted per column: a
@@ -284,21 +294,19 @@ def _gk_loop(
     1 - ``eps`` times the least such bound, or, as the scheme's proven
     fallback, once the dual objective reaches 1.
 
-    Float range, decided once before the loop: with M the largest
+    Float range, decided once before the runs: with M the largest
     capacity, |cost|, fee or budget of ``reduced`` and phases the phase
-    count, an instance with (phases + 1) * m * M^2 above 2^1022, the
-    reciprocal of the least normal float, raises ``ValueError``;
-    ``solve_exact`` answers it.  Below that every int the loop converts is
-    at most M, the descent's floor on the ratios is at least 1/(m M^2),
-    and no row's load passes phases times its size: a routing at relative
-    load x <= 1 multiplies its rows' true lengths by at least (1 + eps')^x,
-    from delta/size to below 1/size.  So the routed profit stays below
-    phases times the optimum, at most m M^2.
+    count at eps/4, which bounds eps's, an instance with
+    (phases + 1) * m * M^2 above 2^1022, the reciprocal of the least normal
+    float, raises ``ValueError``; ``solve_exact`` answers it.  Below that
+    every int the loop converts is at most M, the descent's floor on the
+    ratios is at least 1/(m M^2), and no row's load passes phases times its
+    size: a routing at relative load x <= 1 multiplies its rows' true
+    lengths by at least (1 + eps')^x, from delta/size to below 1/size.  So
+    the routed profit stays below phases times the optimum, at most m M^2.
     """
     if not 0 < eps < 1:
         raise ValueError(f"epsilon {eps} outside (0, 1)")
-    eps_prime = eps / 4.0
-    grow = 1.0 + eps_prime
     target = 1.0 - eps
     m = reduced.edge_count
     budget = reduced.budget
@@ -308,30 +316,29 @@ def _gk_loop(
     if m == 0:
         return {}, 1, 0, 0.0  # no edges means no columns: the zero flow stands
 
-    # start value delta is handled in log space: it underflows a float for
-    # small accuracies, but only length ratios ever reach the tests
-    try:
+    def start(eps_prime: float) -> tuple[float, int]:
+        """log delta and the phase count, rounded up, at internal accuracy eps_prime."""
+        # delta is handled in log space: it underflows a float for small
+        # accuracies, but only length ratios ever reach the tests
         log_delta = math.log1p(eps_prime) - math.log((1.0 + eps_prime) * rows) / eps_prime
-        phases = (math.log1p(eps_prime) - log_delta) / math.log1p(eps_prime)
-        iteration_cap = 4 * rows * (int(phases) + 1) + 64
+        return log_delta, int((math.log1p(eps_prime) - log_delta) / math.log1p(eps_prime)) + 1
+
+    try:
+        _, phases = start(eps / 4.0)  # the finer run's count bounds the coarser one's
     except (ZeroDivisionError, OverflowError):
-        # eps_prime is 0, or the phases, about log(rows) / eps_prime^2, exceed
+        # eps / 4 is 0, or the phases, about log(rows) / (eps/4)^2, exceed
         # every float: eps below about 1e-154
         raise ValueError(f"epsilon {eps} is too small for float lengths") from None
     magnitude = max(budget, max(capacities), max(fees), max(abs(e.cost) for e in reduced.edges))
-    if (int(phases) + 1) * m * magnitude**2 > 2**1022:
+    if phases * m * magnitude**2 > 2**1022:
         raise ValueError(
             f"magnitudes up to 2^{magnitude.bit_length()} are too large for float "
             f"lengths at epsilon {eps}; solve exactly (solve_exact, -a exact)"
         )
     costs = [float(e.cost) for e in reduced.edges]
-
-    dual = DualState(
-        lengths=[1.0 / u for u in capacities],
-        budget_length=1.0 / budget if budget else 0.0,
-        log_shift=log_delta,
-    )
-    dual.objective(capacities, budget)  # the running total starts exact
+    seed = test(costs)
+    if seed is None:
+        return {}, 1, 0, 0.0  # no column has a positive gain: the zero flow stands
 
     def weights(lam: float) -> list[float]:
         """length - lam * gain per edge, on the stored lengths."""
@@ -350,78 +357,91 @@ def _gk_loop(
         mu = dual.budget_length
         return gain, sum(dual.lengths[i] + fees[i] * mu for i in column)
 
-    column = test(costs)  # the seed test
-    if column is None:
-        return {}, 1, 0, 0.0  # no column has a positive gain: the zero flow stands
-    gain, length = priced(column)
-    mu = dual.budget_length
-    floor = min(y + b * mu for y, b in zip(dual.lengths, fees)) / -sum(c for c in costs if c < 0)
-    for _ in range(math.ceil(math.log(length / gain / floor) / math.log1p(eps_prime)) + 1):
-        alpha = length / gain / grow
-        found = test(weights(alpha))
-        if found is None:
-            break
-        column = found
-        gain, length = priced(column)
-    else:
-        raise InternalSolverError("ratio descent exceeded its proven step bound")
-    bound = dual.objective(capacities, budget) / alpha
-    rho = sum(1.0 / u for u in capacities) + (sum(fees) / budget if budget else 0.0)
-    raises_left = math.ceil((math.log(rho / alpha) - dual.log_shift) / math.log1p(eps_prime))
-
-    counts: dict[tuple[int, ...], int] = {}
-    amounts: dict[tuple[int, ...], int | float] = {}
     iterations = 0
-    current: tuple[int, ...] | None = None  # the first iteration takes the descent's column
-    threshold = math.inf
-    loads = [0.0] * m
-    fee_load = 0.0
-    worst = 0.0  # max over rows of load / capacity
-    profit = 0.0
-    while dual.log_objective() < 0.0:
-        iterations += 1
-        if iterations > iteration_cap:
-            raise InternalSolverError("packing loop exceeded its iteration cap")
-        if dual.total > LENGTH_CEILING:
-            # thresholds and alpha are length ratios, so they rescale with the lengths
-            factor = dual.renormalize(capacities, budget)
-            threshold /= factor
-            alpha /= factor
-        lengths = dual.lengths
+    for eps_prime in (eps, eps / 4.0):
+        log_delta, phases = start(eps_prime)
+        iteration_cap = iterations + 4 * rows * phases + 64
+        grow = 1.0 + eps_prime
+        dual = DualState(
+            lengths=[1.0 / u for u in capacities],
+            budget_length=1.0 / budget if budget else 0.0,
+            log_shift=log_delta,
+        )
+        dual.objective(capacities, budget)  # the running total starts exact
+
+        column = seed
+        gain, length = priced(column)
         mu = dual.budget_length
-        if current is None or (
-            length := sum(lengths[i] + fees[i] * mu for i in current)
-        ) / gain > threshold:
-            if current is not None:
-                while (column := test(weights(grow * alpha))) is None:
-                    raises_left -= 1
-                    if raises_left < 0:
-                        raise InternalSolverError("alpha rose past its proven bound")
-                    alpha *= grow
-                    # stored lengths: log_shift cancels out of the ratio
-                    bound = min(bound, dual.objective(capacities, budget) / alpha)
-            current = tuple(column)
-            gain, length = priced(current)
-            threshold = grow * (length / gain)
-            cycle_fee = sum(fees[i] for i in current)
-            amount = min(capacities[i] for i in current)
-            if cycle_fee > 0:  # the reduction leaves no fee when the budget is 0
-                amount = min(amount, budget / cycle_fee)
-            amounts[current] = amount
-        counts[current] = counts.get(current, 0) + 1
-        profit += amount * gain
-        # sum of u * (growth of y) over the column's rows, budget row included
-        dual.total += eps_prime * amount * length
-        for i in current:
-            loads[i] += amount
-            worst = max(worst, loads[i] / capacities[i])
-            lengths[i] *= 1.0 + eps_prime * amount / capacities[i]
-        if cycle_fee > 0:
-            fee_load += amount * cycle_fee
-            worst = max(worst, fee_load / budget)
-            dual.budget_length *= 1.0 + eps_prime * amount * cycle_fee / budget
-        if profit >= target * bound * (1.0 + CERTIFICATE_MARGIN) * worst:
-            break
+        floor = min(y + b * mu for y, b in zip(dual.lengths, fees))
+        floor /= -sum(c for c in costs if c < 0)
+        for _ in range(math.ceil(math.log(length / gain / floor) / math.log1p(eps_prime)) + 1):
+            alpha = length / gain / grow
+            found = test(weights(alpha))
+            if found is None:
+                break
+            column = found
+            gain, length = priced(column)
+        else:
+            raise InternalSolverError("ratio descent exceeded its proven step bound")
+        bound = dual.objective(capacities, budget) / alpha
+        rho = sum(1.0 / u for u in capacities) + (sum(fees) / budget if budget else 0.0)
+        raises_left = math.ceil((math.log(rho / alpha) - dual.log_shift) / math.log1p(eps_prime))
+
+        counts: dict[tuple[int, ...], int] = {}
+        amounts: dict[tuple[int, ...], int | float] = {}
+        current: tuple[int, ...] | None = None  # the first iteration takes the descent's column
+        threshold = math.inf
+        loads = [0.0] * m
+        fee_load = 0.0
+        worst = 0.0  # max over rows of load / capacity
+        profit = 0.0
+        while dual.log_objective() < 0.0:
+            iterations += 1
+            if iterations > iteration_cap:
+                raise InternalSolverError("packing loop exceeded its iteration cap")
+            if dual.total > LENGTH_CEILING:
+                # thresholds and alpha are length ratios, so they rescale with the lengths
+                factor = dual.renormalize(capacities, budget)
+                threshold /= factor
+                alpha /= factor
+            lengths = dual.lengths
+            mu = dual.budget_length
+            if current is None or (
+                length := sum(lengths[i] + fees[i] * mu for i in current)
+            ) / gain > threshold:
+                if current is not None:
+                    while (column := test(weights(grow * alpha))) is None:
+                        raises_left -= 1
+                        if raises_left < 0:
+                            raise InternalSolverError("alpha rose past its proven bound")
+                        alpha *= grow
+                        # stored lengths: log_shift cancels out of the ratio
+                        bound = min(bound, dual.objective(capacities, budget) / alpha)
+                current = tuple(column)
+                gain, length = priced(current)
+                threshold = grow * (length / gain)
+                cycle_fee = sum(fees[i] for i in current)
+                amount = min(capacities[i] for i in current)
+                if cycle_fee > 0:  # the reduction leaves no fee when the budget is 0
+                    amount = min(amount, budget / cycle_fee)
+                amounts[current] = amount
+            counts[current] = counts.get(current, 0) + 1
+            profit += amount * gain
+            # sum of u * (growth of y) over the column's rows, budget row included
+            dual.total += eps_prime * amount * length
+            for i in current:
+                loads[i] += amount
+                worst = max(worst, loads[i] / capacities[i])
+                lengths[i] *= 1.0 + eps_prime * amount / capacities[i]
+            if cycle_fee > 0:
+                fee_load += amount * cycle_fee
+                worst = max(worst, fee_load / budget)
+                dual.budget_length *= 1.0 + eps_prime * amount * cycle_fee / budget
+            if profit >= target * bound * (1.0 + CERTIFICATE_MARGIN) * worst:
+                break  # the certified stop
+        else:
+            continue  # the fallback stop, proven at eps / 4 alone: rerun there once
+        break
     ints, scale = _scaled_ints(list(amounts.values()))
     routed = {column: p * counts[column] for column, p in zip(amounts, ints)}
     return routed, scale, iterations, bound

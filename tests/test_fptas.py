@@ -125,10 +125,17 @@ def parallel_loops(loops: int, acyclic: bool) -> Instance:
 def descent_steps(reduced: Instance, first: int, eps: float) -> int:
     """The loop's proven descent bound from column ``(first,)`` of
     ``reduced``, whose edges all have gain 1 and no fee: log(r0 / floor)
-    over log1p(eps / 4), plus the certifying test."""
+    over log1p(eps), plus the certifying test.  The loop's first run is at
+    the internal accuracy eps' = eps, and a descent that raises ends it."""
     ratio = 1 / reduced.edges[first].capacity
     floor = min(1 / e.capacity for e in reduced.edges) / reduced.edge_count
-    return math.ceil(math.log(ratio / floor) / math.log1p(eps / 4)) + 1
+    return math.ceil(math.log(ratio / floor) / math.log1p(eps)) + 1
+
+
+def log_delta(reduced: Instance, eps_prime: float) -> float:
+    """The log of the loop's start value delta at internal accuracy ``eps_prime``."""
+    rows = reduced.edge_count + (reduced.budget > 0)
+    return math.log1p(eps_prime) - math.log((1 + eps_prime) * rows) / eps_prime
 
 
 class TestMinRatioCycle:
@@ -274,12 +281,13 @@ class TestMinRatioCycle:
         with pytest.raises(InternalSolverError, match="descent exceeded its proven step bound"):
             solve_gk(inst_two_parallel, 0.5)
         # lengths y = 1/2 on both edges and mu = 1/2: the cycle's ratio is
-        # (1/2 + 2 mu) / 4, the least length 1/2 and the positive gains 5
-        steps = math.ceil(math.log(0.375 / (0.5 / 5)) / math.log1p(0.125)) + 1
+        # (1/2 + 2 mu) / 4, the least length 1/2 and the positive gains 5;
+        # the first run, at eps' = eps, raises
+        steps = math.ceil(math.log(0.375 / (0.5 / 5)) / math.log1p(0.5)) + 1
         assert len(calls) == 1 + steps  # the seed test, then the bound
 
     def test_slow_steps_hit_the_proven_bound(self, monkeypatch):
-        # each step finds a cycle whose ratio falls by less than 1 + eps/4:
+        # each step finds a cycle whose ratio falls by less than 1 + eps:
         # the descent bound, from the seed's ratio down to the least length
         # over the sum of the gains, must raise
         inst = parallel_loops(60, acyclic=False)
@@ -433,7 +441,7 @@ class TestMinRatioPathDag:
         assert arcs == kept
 
     def test_non_improving_pass_hits_the_proven_bound(self, monkeypatch):
-        # parallel paths whose ratios fall by less than 1 + eps/4 per pass:
+        # parallel paths whose ratios fall by less than 1 + eps per pass:
         # the descent bound, from the first path's ratio down to the least
         # length over the sum of the gains, must raise; a pass that returns
         # the seed path again never lowers the ratio and hits the same bound
@@ -519,7 +527,8 @@ class TestSolveGk:
         # a test that finds nothing past the descent makes alpha rise until
         # it would pass rho, the least true ratio no column reaches while the
         # dual objective is below 1: the raise bound, counted from the
-        # descent's alpha on true lengths, must fire after exactly its count
+        # descent's alpha on true lengths, must fire after exactly its count,
+        # in the loop's first run, at eps' = eps
         inst = Instance(
             node_count=2,
             edges=(EdgeData(1, 1, 1, -1, 0), EdgeData(1, 1, 100, -100, 0)),
@@ -537,12 +546,10 @@ class TestSolveGk:
 
         with pytest.raises(InternalSolverError, match="alpha rose past its proven bound"):
             _gk_loop(inst, eps, never)
-        eps_prime = eps / 4
-        log_delta = math.log1p(eps_prime) - math.log((1 + eps_prime) * 2) / eps_prime
-        alpha = 1 / (1 + eps_prime)  # the seed's stored ratio 1 over 1 + eps'
+        alpha = 1 / (1 + eps)  # the seed's stored ratio 1 over 1 + eps'
         rho = 1 + 1 / 100
-        raises = math.ceil((math.log(rho / alpha) - log_delta) / math.log1p(eps_prime))
-        assert raises > 50
+        raises = math.ceil((math.log(rho / alpha) - log_delta(inst, eps)) / math.log1p(eps))
+        assert raises > 5  # many raises, not one: 8 at eps 0.4, 83 at eps 0.1
         # the seed test, the descent's one test, the raises and the test past them
         assert len(calls) == 2 + raises + 1
 
@@ -801,6 +808,41 @@ def test_loop_bound_covers_the_optimum(eps, acyclic, monkeypatch):
     assert nonzero >= 9
 
 
+@pytest.mark.parametrize("acyclic", [False, True])
+def test_uncertified_fallback_reruns_at_a_quarter_of_eps(acyclic, monkeypatch):
+    # with an infinite margin the certified stop never fires, so the run at
+    # eps' = eps ends on the fallback stop, which proves nothing there: the
+    # loop must rerun from fresh lengths at eps / 4, whose fallback stop is
+    # proven, and count the iterations of both runs
+    monkeypatch.setattr(fptas_mod, "CERTIFICATE_MARGIN", math.inf)
+    runs = []  # per run: its start log delta and its objective checks
+
+    class Recording(fptas_mod.DualState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runs.append([self.log_shift, 0])
+
+        def log_objective(self):
+            runs[-1][1] += 1
+            return super().log_objective()
+
+    monkeypatch.setattr(fptas_mod, "DualState", Recording)
+    solver = solve_gk_acyclic if acyclic else solve_gk
+    eps = 0.25
+    inst = preprocess(generate_instance(8, 24, max_capacity=10, acyclic=acyclic, seed=1700))
+    sol = solver(inst, eps)
+    reduced = _reduced_for_packing(inst)
+    assert [start for start, _ in runs] == [log_delta(reduced, eps), log_delta(reduced, eps / 4)]
+    # each iteration checks the objective once, and a fallback stop once more
+    iterations = [checks - 1 for _, checks in runs]
+    assert sol.iterations == sum(iterations) > iterations[1] > iterations[0] > 0
+    exact = solve_exact(inst).objective
+    assert exact < 0
+    assert validate_flow(inst, sol.flow).ok
+    assert sol.flow.fee <= inst.budget
+    assert exact <= sol.objective <= (1 - Fraction(eps)) * exact
+
+
 @st.composite
 def packing_instances(draw):
     """A generated instance past the enumeration guard (n <= 16, m <= 64),
@@ -909,6 +951,30 @@ def test_magnitudes_past_the_float_range_are_refused(acyclic):
     for case in refused:
         with pytest.raises(ValueError, match="too large for float lengths.*-a exact"):
             solver(case, 0.25)
+
+
+@pytest.mark.parametrize("acyclic", [False, True])
+def test_refusals_are_decided_at_a_quarter_of_eps(acyclic, inst_two_parallel):
+    # the loop's first run is at eps' = eps, but both refusals take the
+    # phase count of eps / 4 and are decided before it, so they refuse what
+    # eps' = eps alone would carry.  One row and |cost| 2^509: the phase
+    # count is 5 at 0.2 and 21 at 0.05, so 5 * 2^1018 is inside 2^1022 and
+    # 21 * 2^1018 is not; at 2e-154 the phase count is a float and at
+    # 5e-155 it is not
+    solver = solve_gk_acyclic if acyclic else solve_gk
+    cases = [(-(2**509), 0.2, True), (-(2**509), 0.8, False), (-(2**508), 0.2, False)]
+    for cost, eps, refused in cases:
+        edges = (EdgeData(1, 2, 1, cost, 0),)
+        inst = Instance(node_count=2, edges=edges, source=1, sink=2, budget=0)
+        if refused:
+            with pytest.raises(ValueError, match="too large for float lengths.*-a exact"):
+                solver(inst, eps)
+        else:
+            sol = solver(inst, eps)
+            assert validate_flow(inst, sol.flow).ok
+            assert cost <= sol.objective <= (1 - Fraction(eps)) * cost
+    with pytest.raises(ValueError, match="^epsilon 2e-154 is too small for float lengths"):
+        solver(inst_two_parallel, 2e-154)
 
 
 class TestSolveGkAcyclic:
