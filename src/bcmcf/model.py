@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from operator import attrgetter, mul
 from typing import Iterable
 
@@ -28,7 +29,7 @@ class ParseError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeData:
     """A directed edge with capacity, per-unit cost, and per-unit usage fee."""
 
@@ -74,9 +75,10 @@ class Instance:
                 raise InstanceError(f"{name} {node} outside 1..{self.node_count}")
         if self.source == self.sink:
             raise InstanceError("source and sink coincide")
+        n = self.node_count
         for i, e in enumerate(self.edges):
-            if not (1 <= e.tail <= self.node_count and 1 <= e.head <= self.node_count):
-                raise InstanceError(f"edge {i} endpoint outside 1..{self.node_count}")
+            if not (0 < e.tail <= n >= e.head > 0):
+                raise InstanceError(f"edge {i} endpoint outside 1..{n}")
         if self.edge_origin is not None and len(self.edge_origin) != len(self.edges):
             raise InstanceError("edge_origin length mismatch")
 
@@ -227,41 +229,36 @@ def preprocess(inst: Instance) -> Instance:
     edges preserves every feasible flow.  Removal is iterated to a fixed
     point; surviving nodes are renumbered contiguously and each surviving
     edge's position in ``inst`` is recorded as the result's ``edge_origin``.
+    When no node dies, the result holds ``inst``'s own edges.
     """
-    alive_nodes = set(range(1, inst.node_count + 1))
-    alive_edges = list(range(inst.edge_count))
+    kept = range(inst.edge_count)
+    tails = [e.tail for e in inst.edges]
+    heads = [e.head for e in inst.edges]
+    alive = inst.node_count
     while True:
-        outdeg = {v: 0 for v in alive_nodes}
-        indeg = {v: 0 for v in alive_nodes}
-        for i in alive_edges:
-            e = inst.edges[i]
-            outdeg[e.tail] += 1
-            indeg[e.head] += 1
-        dead = {
-            v
-            for v in alive_nodes
-            if v not in (inst.source, inst.sink) and (outdeg[v] == 0 or indeg[v] == 0)
-        }
-        if not dead:
+        # a node lives while some kept edge leaves it and some kept edge enters it
+        live = set(tails).intersection(heads)
+        live.update((inst.source, inst.sink))
+        if len(live) == alive:
             break
-        alive_nodes -= dead
-        alive_edges = [
-            i
-            for i in alive_edges
-            if inst.edges[i].tail not in dead and inst.edges[i].head not in dead
-        ]
-
-    old_ids = sorted(alive_nodes)
-    renum = {old: new for new, old in enumerate(old_ids, start=1)}
-    kept = [inst.edges[i] for i in alive_edges]
-    edges = tuple(EdgeData(renum[e.tail], renum[e.head], e.capacity, e.cost, e.fee) for e in kept)
+        alive = len(live)
+        keep = [t in live and h in live for t, h in zip(tails, heads)]
+        kept, tails, heads = (list(compress(x, keep)) for x in (kept, tails, heads))
+    if alive == inst.node_count:
+        return Instance(alive, inst.edges, inst.source, inst.sink, inst.budget, tuple(kept))
+    renum = [0] * (inst.node_count + 1)
+    for new, old in enumerate(sorted(live), start=1):
+        renum[old] = new
     return Instance(
-        node_count=len(old_ids),
-        edges=edges,
+        node_count=alive,
+        edges=tuple(
+            EdgeData(renum[e.tail], renum[e.head], e.capacity, e.cost, e.fee)
+            for e in map(inst.edges.__getitem__, kept)
+        ),
         source=renum[inst.source],
         sink=renum[inst.sink],
         budget=inst.budget,
-        edge_origin=tuple(alive_edges),
+        edge_origin=tuple(kept),
     )
 
 
@@ -314,18 +311,36 @@ def _int_field(token: str, what: str, lineno: int) -> int:
 
 def parse_instance(text: str) -> Instance:
     header: tuple[int, int, int] | None = None
+    n = 0  # the node count, once the problem line is read
     source: int | None = None
     sink: int | None = None
     edges: list[EdgeData] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         kind = tokens[0]
-        if kind == "c":
+        if kind[0] == "#" or kind == "c":
             continue
-        if kind == "p":
+        if kind == "a":
+            if header is None:
+                raise ParseError(lineno, "arc line before problem line")
+            if len(tokens) != 6:
+                raise ParseError(lineno, "expected 'a <tail> <head> <capacity> <cost> <fee>'")
+            try:
+                tail, head, capacity, cost, fee = map(int, tokens[1:])
+            except ValueError:
+                for token, what in zip(tokens[1:], ("tail", "head", "capacity", "cost", "fee")):
+                    _int_field(token, what, lineno)  # raises on the first bad field
+                raise
+            if not (0 < tail <= n >= head > 0):
+                name, node = ("head", head) if 0 < tail <= n else ("tail", tail)
+                raise ParseError(lineno, f"unknown {name} node id {node}")
+            try:
+                edges.append(EdgeData(tail, head, capacity, cost, fee))
+            except InstanceError as exc:  # a negative capacity or fee
+                raise ParseError(lineno, str(exc)) from None
+        elif kind == "p":
             if header is not None:
                 raise ParseError(lineno, "duplicate problem line")
             if len(tokens) != 5 or tokens[1] != "bcmcf":
@@ -342,7 +357,7 @@ def parse_instance(text: str) -> Instance:
             if len(tokens) != 3 or tokens[2] not in ("s", "t"):
                 raise ParseError(lineno, "expected 'n <id> s' or 'n <id> t'")
             node = _int_field(tokens[1], "node id", lineno)
-            if not 1 <= node <= header[0]:
+            if not 1 <= node <= n:
                 raise ParseError(lineno, f"unknown node id {node}")
             if tokens[2] == "s":
                 if source is not None:
@@ -352,24 +367,6 @@ def parse_instance(text: str) -> Instance:
                 if sink is not None:
                     raise ParseError(lineno, "duplicate sink line")
                 sink = node
-        elif kind == "a":
-            if header is None:
-                raise ParseError(lineno, "arc line before problem line")
-            if len(tokens) != 6:
-                raise ParseError(lineno, "expected 'a <tail> <head> <capacity> <cost> <fee>'")
-            tail = _int_field(tokens[1], "tail", lineno)
-            head = _int_field(tokens[2], "head", lineno)
-            capacity = _int_field(tokens[3], "capacity", lineno)
-            cost = _int_field(tokens[4], "cost", lineno)
-            fee = _int_field(tokens[5], "fee", lineno)
-            for name, node in (("tail", tail), ("head", head)):
-                if not 1 <= node <= header[0]:
-                    raise ParseError(lineno, f"unknown {name} node id {node}")
-            if capacity < 0:
-                raise ParseError(lineno, f"negative capacity {capacity}")
-            if fee < 0:
-                raise ParseError(lineno, f"negative fee {fee}")
-            edges.append(EdgeData(tail, head, capacity, cost, fee))
         else:
             raise ParseError(lineno, f"unrecognized line kind {kind!r}")
 
@@ -403,7 +400,6 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def format_fraction(q: Fraction | int) -> str:
-    q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -2,10 +2,11 @@
 
 Integral flow enumeration, the exact Pareto frontier as the lower-left hull
 of the integral point cloud, exhaustive minimum-ratio cycle and path
-searches, and the packing loop's flow assembly in ``Fraction`` arithmetic.
-These are exponential by design and guarded to desk scale.  The frontier
-reference shares only the point type and the interval bookkeeping with
-``bcmcf.exact``; its hull never calls a solver.
+searches, the packing loop's flow assembly in ``Fraction`` arithmetic, and
+the dead-node removal of ``preprocess`` by degree dicts and node sets.
+All but the last are exponential by design and guarded to desk scale.
+The frontier reference shares only the point type and the interval
+bookkeeping with ``bcmcf.exact``; its hull never calls a solver.
 
 Past the enumeration guard, second methods check the package.
 Negative-cycle canceling on the residual graph, pseudo-polynomial but simple
@@ -31,6 +32,46 @@ from bcmcf.mcc import (
 )
 from bcmcf.model import EdgeData, Flow, Instance, instance_stats, restore_flow
 from bcmcf.oracle import DEFAULT_GUARD, build_point_cloud, iter_integral_values
+
+
+def reference_preprocess(inst: Instance) -> Instance:
+    """``preprocess`` by degree dicts and dead-node sets, rescanning every
+    edge after each round of removals and rebuilding every edge."""
+    alive_nodes = set(range(1, inst.node_count + 1))
+    alive_edges = list(range(inst.edge_count))
+    while True:
+        outdeg = {v: 0 for v in alive_nodes}
+        indeg = {v: 0 for v in alive_nodes}
+        for i in alive_edges:
+            e = inst.edges[i]
+            outdeg[e.tail] += 1
+            indeg[e.head] += 1
+        dead = {
+            v
+            for v in alive_nodes
+            if v not in (inst.source, inst.sink) and (outdeg[v] == 0 or indeg[v] == 0)
+        }
+        if not dead:
+            break
+        alive_nodes -= dead
+        alive_edges = [
+            i
+            for i in alive_edges
+            if inst.edges[i].tail not in dead and inst.edges[i].head not in dead
+        ]
+
+    old_ids = sorted(alive_nodes)
+    renum = {old: new for new, old in enumerate(old_ids, start=1)}
+    kept = [inst.edges[i] for i in alive_edges]
+    edges = tuple(EdgeData(renum[e.tail], renum[e.head], e.capacity, e.cost, e.fee) for e in kept)
+    return Instance(
+        node_count=len(old_ids),
+        edges=edges,
+        source=renum[inst.source],
+        sink=renum[inst.sink],
+        budget=inst.budget,
+        edge_origin=tuple(alive_edges),
+    )
 
 
 def enumerate_integral_flows(inst: Instance, guard: int = DEFAULT_GUARD) -> list[Flow]:

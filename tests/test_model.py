@@ -27,7 +27,9 @@ from bcmcf import (
     validate_flow,
 )
 from bcmcf.fptas import _reduced_for_packing
-from bcmcf.model import merged_ends, restore_flow
+from bcmcf.model import format_fraction, merged_ends, restore_flow
+
+from reference_oracles import reference_preprocess
 
 I1_TEXT = """\
 p bcmcf 2 2 2
@@ -43,6 +45,9 @@ n 1 s
 n 2 t
 a 1 2 1 1 0
 """
+
+# the first three lines of a one-arc instance on nodes 1 and 2
+HEAD = "p bcmcf 2 1 0\nn 1 s\nn 2 t\n"
 
 
 class TestParse:
@@ -77,6 +82,69 @@ class TestParse:
         text = "# header\nc another comment\n" + I1_TEXT
         assert parse_instance(text) == inst_two_parallel
 
+    def test_comment_forms_blank_and_indented_lines(self, inst_two_parallel):
+        lines = I1_TEXT.splitlines()
+        text = "#x\nc\n\n   \n\t# indented\n  c bare c token\n" + "\n".join(
+            f"  {line}\t" if i % 2 else f"{line}\n#a 1 2 3 4 5" for i, line in enumerate(lines)
+        )
+        assert parse_instance(text) == inst_two_parallel
+
+    @pytest.mark.parametrize(
+        ("text", "line", "message"),
+        [
+            # a non-integer field, each of the five; the first bad field is named
+            (HEAD + "a x 2 1 0 0\n", 4, "tail is not an integer: 'x'"),
+            (HEAD + "a 1 2.0 1 0 0\n", 4, "head is not an integer: '2.0'"),
+            (HEAD + "a 1 2 x 0 0\n", 4, "capacity is not an integer: 'x'"),
+            (HEAD + "a 1 2 1 1/2 0\n", 4, "cost is not an integer: '1/2'"),
+            (HEAD + "a 1 2 1 0 e\n", 4, "fee is not an integer: 'e'"),
+            (HEAD + "a 1 2 u c 0\n", 4, "capacity is not an integer: 'u'"),
+            (HEAD + "a 1 2 1 c f\n", 4, "cost is not an integer: 'c'"),
+            # node range: tail and head alike, the tail named when both are bad
+            (HEAD + "a 0 2 1 0 0\n", 4, "unknown tail node id 0"),
+            (HEAD + "a 1 9 1 0 0\n", 4, "unknown head node id 9"),
+            (HEAD + "a 3 -1 1 0 0\n", 4, "unknown tail node id 3"),
+            # signs: the capacity named when both are negative
+            (HEAD + "a 1 2 -1 0 0\n", 4, "negative capacity -1"),
+            (HEAD + "a 1 2 1 0 -2\n", 4, "negative fee -2"),
+            (HEAD + "a 1 2 -3 0 -2\n", 4, "negative capacity -3"),
+            # range before sign
+            (HEAD + "a 1 9 -1 0 0\n", 4, "unknown head node id 9"),
+            (HEAD + "a 1 2 1 0\n", 4, "expected 'a <tail> <head> <capacity> <cost> <fee>'"),
+            (HEAD + "a 1 2 1 0 0 0\n", 4, "expected 'a <tail> <head> <capacity> <cost> <fee>'"),
+            ("a 1 2 1 0 0\np bcmcf 2 1 0\n", 1, "arc line before problem line"),
+            ("# c\nn 1 s\np bcmcf 2 1 0\n", 2, "node line before problem line"),
+            (HEAD + "x 1 2\n", 4, "unrecognized line kind 'x'"),
+            (HEAD + "p bcmcf 2 1 0\n", 4, "duplicate problem line"),
+            (HEAD + "n 2 s\n", 4, "duplicate source line"),
+            (HEAD + "n 1 t\n", 4, "duplicate sink line"),
+            ("p bcmcf 2 1\n", 1, "expected 'p bcmcf <nodes> <edges> <budget>'"),
+            ("p dimacs 2 1 0\n", 1, "expected 'p bcmcf <nodes> <edges> <budget>'"),
+            ("p bcmcf two 1 0\n", 1, "node count is not an integer: 'two'"),
+            ("p bcmcf 2 one 0\n", 1, "edge count is not an integer: 'one'"),
+            ("p bcmcf 2 1 b\n", 1, "budget is not an integer: 'b'"),
+            ("p bcmcf 2 1 -1\n", 1, "negative budget -1"),
+            ("p bcmcf 2 1 0\nn 1 x\n", 2, "expected 'n <id> s' or 'n <id> t'"),
+            ("p bcmcf 2 1 0\nn 1\n", 2, "expected 'n <id> s' or 'n <id> t'"),
+            ("p bcmcf 2 1 0\nn one s\n", 2, "node id is not an integer: 'one'"),
+            ("p bcmcf 2 1 0\nn 3 s\n", 2, "unknown node id 3"),
+            ("p bcmcf 2 1 0\nn 0 t\n", 2, "unknown node id 0"),
+            # end of file: the line after the last newline
+            ("", 1, "missing problem line"),
+            ("# only a comment\n", 2, "missing problem line"),
+            ("p bcmcf 2 0 0\nn 2 t\n", 3, "missing source line"),
+            ("p bcmcf 2 0 0\nn 1 s", 2, "missing sink line"),
+            ("p bcmcf 2 0 0\nn 1 s\nn 1 t\n", 4, "source and sink coincide"),
+            (HEAD, 4, "expected 1 arcs, found 0"),
+            (HEAD + "a 1 2 1 0 0\na 2 1 1 0 0\n\n", 7, "expected 1 arcs, found 2"),
+        ],
+    )
+    def test_error_table(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert (err.value.line, err.value.message) == (line, message)
+        assert str(err.value) == f"line {line}: {message}"
+
     def test_roundtrip_on_generated_instances(self):
         for seed in range(100):
             inst = generate_instance(
@@ -101,6 +169,28 @@ class TestInstanceInvariants:
     def test_negative_fee_rejected(self):
         with pytest.raises(InstanceError):
             EdgeData(1, 2, 1, 0, -1)
+
+    @pytest.mark.parametrize(
+        ("bad_head", "bad_tail"),
+        [(4, 0), (0, 4), (4, -1)],
+        ids=["head-4-tail-0", "head-0-tail-4", "head-4-tail--1"],
+    )
+    def test_endpoint_message_names_the_first_bad_edge(self, bad_head, bad_tail):
+        # edge 1 has a bad head and edge 3 a bad tail, so a scan of every
+        # tail before any head would name edge 3
+        edges = [EdgeData(1, 2, 1, 0, 0) for _ in range(5)]
+        edges[1] = EdgeData(2, bad_head, 1, 0, 0)
+        edges[3] = EdgeData(bad_tail, 3, 1, 0, 0)
+        with pytest.raises(InstanceError) as err:
+            Instance(node_count=3, edges=tuple(edges), source=1, sink=3, budget=0)
+        assert str(err.value) == "edge 1 endpoint outside 1..3"
+
+    @pytest.mark.parametrize(("tail", "head"), [(0, 2), (2, 4), (4, 1), (1, 0)])
+    def test_endpoint_message_on_one_bad_edge(self, tail, head):
+        edges = (EdgeData(1, 2, 1, 0, 0), EdgeData(tail, head, 1, 0, 0))
+        with pytest.raises(InstanceError) as err:
+            Instance(node_count=3, edges=edges, source=1, sink=3, budget=0)
+        assert str(err.value) == "edge 1 endpoint outside 1..3"
 
     def test_self_loops_and_parallel_edges_allowed(self):
         Instance(
@@ -149,9 +239,61 @@ class TestStats:
             assert stats.bbar <= m * max_capacity * max_abs_value
 
 
+@st.composite
+def small_digraphs(draw) -> Instance:
+    """Instances on up to 7 nodes whose drawn edges leave chains of dead
+    nodes, self-loops and parallel edges as they fall."""
+    n = draw(st.integers(2, 7))
+    node = st.integers(1, n)
+    source, sink = draw(st.lists(node, min_size=2, max_size=2, unique=True))
+    edge = st.builds(EdgeData, node, node, st.integers(0, 3), st.integers(-3, 3), st.integers(0, 2))
+    edges = draw(st.lists(edge, max_size=12))
+    return Instance(n, tuple(edges), source, sink, draw(st.integers(0, 4)))
+
+
+def assert_preprocess_matches_reference(inst: Instance) -> None:
+    result, expected = preprocess(inst), reference_preprocess(inst)
+    assert result == expected
+    assert result.edge_origin == expected.edge_origin
+
+
 class TestPreprocess:
     def test_no_dead_nodes_is_identity(self, inst_two_parallel):
         assert preprocess(inst_two_parallel) == inst_two_parallel
+
+    def test_no_dead_nodes_keeps_the_edge_objects(self):
+        inst = generate_instance(8, 40, seed=2)
+        result = preprocess(inst)
+        assert result.node_count == inst.node_count
+        assert all(kept is e for kept, e in zip(result.edges, inst.edges, strict=True))
+        assert result.edge_origin == tuple(range(inst.edge_count))
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(small_digraphs())
+    def test_matches_reference(self, inst):
+        assert_preprocess_matches_reference(inst)
+
+    def test_matches_reference_where_removal_iterates(self):
+        # 5 -> 4 -> 3 -> 2 is a chain into a node with no way out, so each
+        # round removes one more of it; a loop gives its node an edge in and
+        # one out, so 6, with only a loop, and 7, with a loop and an edge
+        # out, stay
+        inst = Instance(
+            node_count=8,
+            edges=(
+                EdgeData(1, 5, 1, -1, 0), EdgeData(5, 4, 1, -1, 1), EdgeData(4, 3, 2, 0, 0),
+                EdgeData(3, 2, 1, 2, 1), EdgeData(1, 8, 3, -2, 1), EdgeData(6, 6, 1, -1, 0),
+                EdgeData(7, 7, 1, -1, 0), EdgeData(7, 8, 1, 0, 0),
+            ),
+            source=1,
+            sink=8,
+            budget=1,
+        )
+        assert_preprocess_matches_reference(inst)
+        assert preprocess(inst).edge_origin == (4, 5, 6, 7)
+        for seed in range(40):
+            raw = generate_instance(3 + seed % 9, 2 + seed % 13, seed=seed)
+            assert_preprocess_matches_reference(raw)
 
     def test_isolated_node_removed(self, inst_two_parallel):
         padded = Instance(
@@ -369,6 +511,25 @@ class TestSolutionDocument:
             assert doc.objective == flow.cost
             assert doc.lam == sol.lam
             assert doc.budget_used == flow.fee
+
+        # every value renders as Fraction's own form: an int where the
+        # denominator is 1, else numerator/denominator with the sign on top
+        values = (0, -4, Fraction(-3, 2), 10**400, Fraction(-(10**400), 3), Fraction(7, 1))
+        flow = Flow(tuple(map(Fraction, values)), Fraction(-3, 2), Fraction(0))
+        text = format_solution(Solution(flow, Fraction(-3, 2), "exact", 0, Fraction(10**400)))
+        expected = [f"f {i} {Fraction(v)}" for i, v in enumerate(values)]
+        assert text.splitlines()[-7:-1] == expected
+        assert expected[2] == "f 2 -3/2" and expected[3] == f"f 3 {10**400}"
+        assert text.splitlines()[1:6] == [
+            "algorithm exact", "objective -3/2", "budget-used 0", "iterations 0",
+            f"lambda {10**400}",
+        ]
+        assert parse_solution(text).values == tuple(map(Fraction, values))
+
+    @pytest.mark.parametrize("q", [0, 1, -4, 10**400, -(10**400), True])
+    def test_format_fraction_takes_an_int(self, q):
+        assert format_fraction(q) == str(int(q))
+        assert format_fraction(Fraction(q)) == str(int(q))
 
     def test_malformed_document(self):
         with pytest.raises(ParseError):
