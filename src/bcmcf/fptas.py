@@ -231,9 +231,9 @@ def _gk_loop(
 
     Returns (routed columns, scale, iterations, upper bound on the optimum).
     ``eps`` is the solver's accuracy; one outside (0, 1), or one so small
-    that the internal accuracy eps' = eps/4 leaves no float phase count,
-    raises ``ValueError``, as does an instance beyond the float range
-    (below); both are decided once, at eps/4, before the first run.
+    that 1 + eps/4 rounds to 1 in a float, raises ``ValueError``, as does
+    an instance beyond the float range (below); both are decided once, at
+    eps/4, before the first run.
     ``test(weights)`` is a threshold test: it takes one weight per
     ``reduced`` edge and returns a column, a list of edges of negative
     total weight, or None when no column has one.  A column's ratio is its
@@ -282,10 +282,16 @@ def _gk_loop(
     ceil(log(rho / alpha_0) / log1p(eps')) raises happen, counted on true
     lengths.
 
-    Between tests an iteration touches only its column's edges (the lazy
-    test, the running objective).  Routings are counted per column: a
-    routed value is ``scale`` times the column's exact amount times its
-    count, an int: each amount is an int capacity or a float budget / fee.
+    Between tests an iteration touches only its column's edges: one loop
+    sums the lazy test's length, one routes.  A new column is priced in one
+    pass, which gives its gain, length, fee and least capacity; its amount
+    and eps' times that amount stay fixed until the next column, and the
+    stop test's (1 - eps) * bound changes only when the bound falls.  Each
+    such constant is the product or quotient of the same operands in the
+    same order as inside the routing, so keeping it rounds nothing new.
+    Routings are counted per column: a routed value is ``scale`` times the
+    column's exact amount times its count, an int: each amount is an int
+    capacity or a float budget / fee.
 
     Weak duality: lengths divided by a lower bound on the minimum column
     ratio are dual feasible, so the optimum is at most (dual
@@ -313,6 +319,7 @@ def _gk_loop(
     rows = m + (budget > 0)
     capacities = [e.capacity for e in reduced.edges]
     fees = [e.fee for e in reduced.edges]
+    int_costs = [e.cost for e in reduced.edges]
     if m == 0:
         return {}, 1, 0, 0.0  # no edges means no columns: the zero flow stands
 
@@ -323,19 +330,21 @@ def _gk_loop(
         log_delta = math.log1p(eps_prime) - math.log((1.0 + eps_prime) * rows) / eps_prime
         return log_delta, int((math.log1p(eps_prime) - log_delta) / math.log1p(eps_prime)) + 1
 
-    try:
-        _, phases = start(eps / 4.0)  # the finer run's count bounds the coarser one's
-    except (ZeroDivisionError, OverflowError):
-        # eps / 4 is 0, or the phases, about log(rows) / (eps/4)^2, exceed
-        # every float: eps below about 1e-154
-        raise ValueError(f"epsilon {eps} is too small for float lengths") from None
-    magnitude = max(budget, max(capacities), max(fees), max(abs(e.cost) for e in reduced.edges))
+    if 1.0 + eps / 4.0 == 1.0:
+        # eps at most 2^-51, about 4.4e-16: a factor 1 + eps/4 leaves alpha
+        # and every length as they are, and log delta may round to 0 or
+        # more, where the loop would stop at once on the zero flow.  Above
+        # it the phase count, about log(rows) / (eps/4)^2, is a finite int
+        raise ValueError(f"epsilon {eps} is too small for float lengths")
+    _, phases = start(eps / 4.0)  # the finer run's count bounds the coarser one's
+    magnitude = max(budget, max(capacities), max(fees), max(map(abs, int_costs)))
     if phases * m * magnitude**2 > 2**1022:
         raise ValueError(
             f"magnitudes up to 2^{magnitude.bit_length()} are too large for float "
             f"lengths at epsilon {eps}; solve exactly (solve_exact, -a exact)"
         )
-    costs = [float(e.cost) for e in reduced.edges]
+    costs = [float(c) for c in int_costs]
+    float_fees = [float(b) for b in fees]
     seed = test(costs)
     if seed is None:
         return {}, 1, 0, 0.0  # no column has a positive gain: the zero flow stands
@@ -343,19 +352,26 @@ def _gk_loop(
     def weights(lam: float) -> list[float]:
         """length - lam * gain per edge, on the stored lengths."""
         mu = dual.budget_length
-        return [y + b * mu + lam * c for y, b, c in zip(dual.lengths, fees, costs)]
+        return [y + b * mu + lam * c for y, b, c in zip(dual.lengths, float_fees, costs)]
 
-    def priced(column: Sequence[int]) -> tuple[int, float]:
-        """The column's int gain and its stored length."""
-        gain = -sum(reduced.edges[i].cost for i in column)
+    def priced(column: Sequence[int]) -> tuple[int, float, int, int]:
+        """The column's int gain, stored length, int fee and least capacity, in one pass."""
+        lengths = dual.lengths
+        mu = dual.budget_length
+        gain, length, fee, least = 0, 0.0, 0, math.inf
+        for i in column:
+            gain -= int_costs[i]
+            length += lengths[i] + float_fees[i] * mu
+            fee += fees[i]
+            if capacities[i] < least:
+                least = capacities[i]
         if gain <= 0:
             # exactly, a column of negative weight has a positive gain
             raise InternalSolverError(
                 f"threshold test returned a column with gain {gain}: "
                 "float cancellation in its weights"
             )
-        mu = dual.budget_length
-        return gain, sum(dual.lengths[i] + fees[i] * mu for i in column)
+        return gain, length, fee, least
 
     iterations = 0
     for eps_prime in (eps, eps / 4.0):
@@ -370,9 +386,9 @@ def _gk_loop(
         dual.objective(capacities, budget)  # the running total starts exact
 
         column = seed
-        gain, length = priced(column)
+        gain, length, _, _ = priced(column)
         mu = dual.budget_length
-        floor = min(y + b * mu for y, b in zip(dual.lengths, fees))
+        floor = min(y + b * mu for y, b in zip(dual.lengths, float_fees))
         floor /= -sum(c for c in costs if c < 0)
         for _ in range(math.ceil(math.log(length / gain / floor) / math.log1p(eps_prime)) + 1):
             alpha = length / gain / grow
@@ -380,10 +396,11 @@ def _gk_loop(
             if found is None:
                 break
             column = found
-            gain, length = priced(column)
+            gain, length, _, _ = priced(column)
         else:
             raise InternalSolverError("ratio descent exceeded its proven step bound")
         bound = dual.objective(capacities, budget) / alpha
+        stop = target * bound * (1.0 + CERTIFICATE_MARGIN)  # recomputed as bound falls
         rho = sum(1.0 / u for u in capacities) + (sum(fees) / budget if budget else 0.0)
         raises_left = math.ceil((math.log(rho / alpha) - dual.log_shift) / math.log1p(eps_prime))
 
@@ -405,10 +422,12 @@ def _gk_loop(
                 threshold /= factor
                 alpha /= factor
             lengths = dual.lengths
-            mu = dual.budget_length
-            if current is None or (
-                length := sum(lengths[i] + fees[i] * mu for i in current)
-            ) / gain > threshold:
+            if current is not None:
+                mu = dual.budget_length
+                length = 0.0
+                for i in current:
+                    length += lengths[i] + float_fees[i] * mu
+            if current is None or length / gain > threshold:
                 if current is not None:
                     while (column := test(weights(grow * alpha))) is None:
                         raises_left -= 1
@@ -417,27 +436,31 @@ def _gk_loop(
                         alpha *= grow
                         # stored lengths: log_shift cancels out of the ratio
                         bound = min(bound, dual.objective(capacities, budget) / alpha)
+                        stop = target * bound * (1.0 + CERTIFICATE_MARGIN)
                 current = tuple(column)
-                gain, length = priced(current)
+                gain, length, cycle_fee, amount = priced(current)
                 threshold = grow * (length / gain)
-                cycle_fee = sum(fees[i] for i in current)
-                amount = min(capacities[i] for i in current)
                 if cycle_fee > 0:  # the reduction leaves no fee when the budget is 0
                     amount = min(amount, budget / cycle_fee)
                 amounts[current] = amount
+                step = eps_prime * amount  # every routing's growth factors read it
             counts[current] = counts.get(current, 0) + 1
             profit += amount * gain
             # sum of u * (growth of y) over the column's rows, budget row included
-            dual.total += eps_prime * amount * length
+            dual.total += step * length
             for i in current:
                 loads[i] += amount
-                worst = max(worst, loads[i] / capacities[i])
-                lengths[i] *= 1.0 + eps_prime * amount / capacities[i]
+                load = loads[i] / capacities[i]
+                if load > worst:
+                    worst = load
+                lengths[i] *= 1.0 + step / capacities[i]
             if cycle_fee > 0:
                 fee_load += amount * cycle_fee
-                worst = max(worst, fee_load / budget)
-                dual.budget_length *= 1.0 + eps_prime * amount * cycle_fee / budget
-            if profit >= target * bound * (1.0 + CERTIFICATE_MARGIN) * worst:
+                load = fee_load / budget
+                if load > worst:
+                    worst = load
+                dual.budget_length *= 1.0 + step * cycle_fee / budget
+            if profit >= stop * worst:
                 break  # the certified stop
         else:
             continue  # the fallback stop, proven at eps / 4 alone: rerun there once

@@ -19,6 +19,7 @@ from bcmcf.oracle import DEFAULT_GUARD
 
 I1_TEXT = "p bcmcf 2 2 2\nn 1 s\nn 2 t\na 1 2 2 -4 2\na 1 2 2 -1 0\n"
 I0_TEXT = "p bcmcf 2 1 0\nn 1 s\nn 2 t\na 1 2 1 1 0\n"
+ONE_EDGE_TEXT = "p bcmcf 2 1 0\nn 1 s\nn 2 t\na 1 2 1 -1 0\n"
 
 
 @pytest.fixture
@@ -32,6 +33,13 @@ def i1_path(tmp_path):
 def i0_path(tmp_path):
     path = tmp_path / "i0.bcmcf"
     path.write_text(I0_TEXT)
+    return str(path)
+
+
+@pytest.fixture
+def one_edge_path(tmp_path):
+    path = tmp_path / "one-edge.bcmcf"
+    path.write_text(ONE_EDGE_TEXT)
     return str(path)
 
 
@@ -71,14 +79,19 @@ class TestSolve:
         assert "--epsilon" in captured.err
 
     @pytest.mark.parametrize("algorithm", ["gk", "gk-acyclic"])
-    @pytest.mark.parametrize("epsilon", ["1e-200", "5e-324"])
-    def test_tiny_epsilon_is_usage_error(self, i1_path, capsys, algorithm, epsilon):
-        # the loop's phase count overflows a float below about 1e-154, and
-        # 5e-324 / 4 is 0; neither is an infeasible flow, so not exit 1
-        assert main(["solve", "-a", algorithm, "-e", epsilon, i1_path]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"epsilon {float(epsilon)!r}" in captured.err
+    @pytest.mark.parametrize("epsilon", ["1e-200", "5e-324", "1e-16", "1e-17"])
+    def test_tiny_epsilon_is_usage_error(
+        self, one_edge_path, i1_path, capsys, algorithm, epsilon
+    ):
+        # 1 + eps / 4 rounds to 1 up to about 4.4e-16, so no length could
+        # grow, and 5e-324 / 4 is 0.  On the one edge of cost -1 log delta
+        # rounds to above 0 too, where a loop left to run would print the
+        # zero flow.  Neither is an infeasible flow, so not exit 1
+        for path in (one_edge_path, i1_path):
+            assert main(["solve", "-a", algorithm, "-e", epsilon, path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"epsilon {float(epsilon)!r} is too small for float lengths" in captured.err
 
     def test_guard_with_oracle_algorithm(self, i1_path, big_path, capsys):
         # the oracle enumerates under its default guard, 10^7: i1's space

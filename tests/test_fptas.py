@@ -488,8 +488,8 @@ class TestSolveGk:
         assert sol.objective <= Fraction(1, 2) * -2  # fee-free optimum is -2
 
     def test_epsilon_validated(self, inst_two_parallel):
-        # below about 1e-154 the loop's phase count, about log(rows) / eps^2,
-        # overflows a float, and eps / 4 of 5e-324 is 0; the check in the
+        # up to 2^-51, about 4.4e-16, 1 + eps / 4 rounds to 1, so no length
+        # could grow, and eps / 4 of 5e-324 is 0; the check in the
         # loop that both solvers share names epsilon
         for solver in (solve_gk, solve_gk_acyclic):
             for eps in (0.0, 1.0, -0.5, 2.0, math.nan, 1e-155, 1e-200, 5e-324):
@@ -959,8 +959,11 @@ def test_refusals_are_decided_at_a_quarter_of_eps(acyclic, inst_two_parallel):
     # phase count of eps / 4 and are decided before it, so they refuse what
     # eps' = eps alone would carry.  One row and |cost| 2^509: the phase
     # count is 5 at 0.2 and 21 at 0.05, so 5 * 2^1018 is inside 2^1022 and
-    # 21 * 2^1018 is not; at 2e-154 the phase count is a float and at
-    # 5e-155 it is not
+    # 21 * 2^1018 is not.  1 + eps / 4 rounds to 1 for eps up to 2^-51,
+    # about 4.4e-16, and 1 + eps only up to 2^-53, so 4e-16 is refused at
+    # eps / 4 alone.  On one edge of cost -1, whose optimum is -1, log delta
+    # rounds to above 0 at 1e-16 and 1e-17, where a loop left to run would
+    # return the zero flow
     solver = solve_gk_acyclic if acyclic else solve_gk
     cases = [(-(2**509), 0.2, True), (-(2**509), 0.8, False), (-(2**508), 0.2, False)]
     for cost, eps, refused in cases:
@@ -973,8 +976,14 @@ def test_refusals_are_decided_at_a_quarter_of_eps(acyclic, inst_two_parallel):
             sol = solver(inst, eps)
             assert validate_flow(inst, sol.flow).ok
             assert cost <= sol.objective <= (1 - Fraction(eps)) * cost
-    with pytest.raises(ValueError, match="^epsilon 2e-154 is too small for float lengths"):
-        solver(inst_two_parallel, 2e-154)
+    one_edge = Instance(
+        node_count=2, edges=(EdgeData(1, 2, 1, -1, 0),), source=1, sink=2, budget=0
+    )
+    for eps in (1e-16, 1e-17, 4e-16, 2e-154):
+        for inst in (one_edge, inst_two_parallel):
+            too_small = f"^epsilon {eps!r} is too small for float lengths"
+            with pytest.raises(ValueError, match=too_small):
+                solver(inst, eps)
 
 
 class TestSolveGkAcyclic:
