@@ -22,6 +22,11 @@ candidate cycle is a path between source and sink (in one orientation or
 the other), so the test is one float pass over the edges in a
 topological order of their tails, sorted once per solve.
 
+Most tests would find a column the loop has routed before, so each run
+keeps its routed columns in a heap keyed by lower bounds on their ratios,
+and runs a test only once no pooled column is below its threshold; a
+test that finds none is still the only proof that raises alpha.
+
 Dual lengths and the dual objective are running floats; the loop counts
 routings per column and returns routed values as ints over one power-of-two
 scale, so the flow conserves exactly and its scaling to feasibility is an
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush, heapreplace
 from operator import mul
 from typing import Callable, Sequence
 
@@ -229,7 +235,8 @@ def _gk_loop(
 ) -> tuple[dict[tuple[int, ...], int], int, int, float]:
     """Run the width-controlled packing loop until a certified gap closes.
 
-    Returns (routed columns, scale, iterations, upper bound on the optimum).
+    Returns (routed columns, scale, iterations, upper bound on the optimum);
+    after a rerun (below) the bound is the lesser of both runs'.
     ``eps`` is the solver's accuracy; one outside (0, 1), or one so small
     that 1 + eps/4 rounds to 1 in a float, raises ``ValueError``, as does
     an instance beyond the float range (below); both are decided once, at
@@ -245,9 +252,10 @@ def _gk_loop(
     stays one since lengths only grow and gains are fixed (Fleischer's
     phases on Garg and Koenemann's loop).  Its current column is routed
     while its ratio stays within (1 + eps') of its ratio when it was found
-    (the lazy rule).  Once the column fails that rule, the loop tests at
-    (1 + eps') * alpha: a column found becomes the current one, and a test
-    that finds none multiplies alpha by 1 + eps' and tests again.  alpha
+    (the lazy rule).  Once the column fails that rule, the loop looks for
+    a column below t = (1 + eps') * alpha, first in its pool (below), then
+    by a test at t: a column found becomes the current one, and a test
+    that finds none multiplies alpha by 1 + eps' and looks again.  alpha
     starts from one descent per solve: the seed test, at the weights
     cost = -gain, finds a first column with positive gain, or none (then
     the optimum is the zero flow), and the loop tests at the current
@@ -269,7 +277,27 @@ def _gk_loop(
     certificate.  Only when that run reaches the fallback stop uncertified
     does the loop run once more, from fresh lengths, at eps' = eps/4, and
     return that run's answer, whichever stop ends it.  The seed test runs
-    once; the iteration count is the sum over the runs.
+    once; the iteration count is the sum over the runs.  The first run's
+    bound holds in the rerun too, as it bounds the optimum.
+
+    The pool.  Most tests would find a column the run has routed before,
+    so each run keeps a heap of its routed columns but the current one,
+    each at most once, keyed by a ratio the column once had.  Between
+    renormalizations lengths only grow and gains are fixed, so a column's
+    ratio only grows, and every key is a lower bound on its column's
+    current ratio; a renormalization divides every ratio, and every key,
+    by one factor, which keeps the heap's order.  Before a test at t the
+    loop pops each key below t and recomputes that column's ratio in
+    O(column): one below t is a column a test at t could return, and
+    becomes the current one; one at t or above is pushed back with its new
+    key.  The test runs only once the least key reaches t.  The rerun
+    starts again from fresh lengths, below the first run's, where the
+    first run's keys bound nothing: each run starts with an empty pool.
+    A test that finds none is still the only step that raises alpha, so
+    alpha stays proven and the raise cap, the iteration cap and the
+    weak-duality bound keep their proofs; a column from the pool has a
+    ratio below (1 + eps') * alpha, as a found one has, so the fallback
+    stop's proof holds too.
 
     Both test loops of each run have proven bounds, at its eps', that
     raise InternalSolverError.  Each descent step divides a positive ratio
@@ -373,7 +401,24 @@ def _gk_loop(
             )
         return gain, length, fee, least
 
+    def reoffered(threshold: float) -> tuple[int, ...] | None:
+        """A pooled column whose ratio, recomputed, is below ``threshold``, or None."""
+        lengths = dual.lengths
+        mu = dual.budget_length
+        while pool and pool[0][0] < threshold:
+            _, column, gain = pool[0]
+            length = 0.0
+            for i in column:
+                length += lengths[i] + float_fees[i] * mu
+            if length / gain < threshold:
+                heappop(pool)
+                pooled.discard(column)
+                return column
+            heapreplace(pool, (length / gain, column, gain))
+        return None
+
     iterations = 0
+    least_bound = math.inf
     for eps_prime in (eps, eps / 4.0):
         log_delta, phases = start(eps_prime)
         iteration_cap = iterations + 4 * rows * phases + 64
@@ -406,6 +451,10 @@ def _gk_loop(
 
         counts: dict[tuple[int, ...], int] = {}
         amounts: dict[tuple[int, ...], int | float] = {}
+        # this run's routed columns but the current one, keyed by a ratio
+        # each once had: a lower bound until fresh lengths start a new run
+        pool: list[tuple[float, tuple[int, ...], int]] = []
+        pooled: set[tuple[int, ...]] = set()
         current: tuple[int, ...] | None = None  # the first iteration takes the descent's column
         threshold = math.inf
         loads = [0.0] * m
@@ -421,6 +470,8 @@ def _gk_loop(
                 factor = dual.renormalize(capacities, budget)
                 threshold /= factor
                 alpha /= factor
+                # one positive factor keeps the heap's order
+                pool = [(key / factor, column, gain) for key, column, gain in pool]
             lengths = dual.lengths
             if current is not None:
                 mu = dual.budget_length
@@ -429,7 +480,12 @@ def _gk_loop(
                     length += lengths[i] + float_fees[i] * mu
             if current is None or length / gain > threshold:
                 if current is not None:
-                    while (column := test(weights(grow * alpha))) is None:
+                    if current not in pooled:
+                        pooled.add(current)
+                        heappush(pool, (length / gain, current, gain))
+                    while (
+                        column := reoffered(grow * alpha) or test(weights(grow * alpha))
+                    ) is None:
                         raises_left -= 1
                         if raises_left < 0:
                             raise InternalSolverError("alpha rose past its proven bound")
@@ -463,11 +519,12 @@ def _gk_loop(
             if profit >= stop * worst:
                 break  # the certified stop
         else:
+            least_bound = min(least_bound, bound)  # still valid after the rerun
             continue  # the fallback stop, proven at eps / 4 alone: rerun there once
         break
     ints, scale = _scaled_ints(list(amounts.values()))
     routed = {column: p * counts[column] for column, p in zip(amounts, ints)}
-    return routed, scale, iterations, bound
+    return routed, scale, iterations, min(least_bound, bound)
 
 
 def _assemble_flow(

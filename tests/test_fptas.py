@@ -523,12 +523,15 @@ class TestSolveGk:
             assert cost < 0
 
     @pytest.mark.parametrize("eps", [0.4, 0.1])
-    def test_raises_hit_the_proven_bound(self, eps):
+    def test_raises_hit_the_proven_bound(self, eps, monkeypatch):
         # a test that finds nothing past the descent makes alpha rise until
         # it would pass rho, the least true ratio no column reaches while the
         # dual objective is below 1: the raise bound, counted from the
         # descent's alpha on true lengths, must fire after exactly its count,
-        # in the loop's first run, at eps' = eps
+        # in the loop's first run, at eps' = eps.  The pool of routed columns
+        # is held empty: it would re-offer the seed column, whose ratio
+        # alpha reaches long before rho, and no raise would follow
+        monkeypatch.setattr(fptas_mod, "heappush", lambda pool, entry: None)
         inst = Instance(
             node_count=2,
             edges=(EdgeData(1, 1, 1, -1, 0), EdgeData(1, 1, 100, -100, 0)),
@@ -552,6 +555,36 @@ class TestSolveGk:
         assert raises > 5  # many raises, not one: 8 at eps 0.4, 83 at eps 0.1
         # the seed test, the descent's one test, the raises and the test past them
         assert len(calls) == 2 + raises + 1
+
+    def test_pool_takes_repeat_columns_in_place_of_tests(self, monkeypatch):
+        # a routed column that the pool re-offers below the threshold is
+        # taken with no test, so the detector runs fewer times than the loop
+        # takes a column, from a test or from the pool
+        found: list[tuple[int, ...] | None] = []
+        hits: list[tuple[int, ...]] = []
+        detector = mcc_mod.find_negative_cycle
+        heappop = fptas_mod.heappop
+
+        def recording(node_count, arcs, weights):
+            column = detector(node_count, arcs, weights)
+            found.append(column and tuple(column))
+            return column
+
+        def popping(pool):
+            entry = heappop(pool)
+            # only a column some earlier test found was routed and pooled
+            assert entry[1] in found
+            hits.append(entry[1])
+            return entry
+
+        monkeypatch.setattr(mcc_mod, "find_negative_cycle", recording)
+        monkeypatch.setattr(fptas_mod, "heappop", popping)
+        inst = preprocess(generate_instance(12, 48, max_capacity=3, seed=7))
+        sol = solve_gk(inst, 0.25)
+        taken = len(hits) + sum(column is not None for column in found)
+        assert 0 < len(found) < taken
+        assert validate_flow(inst, sol.flow).ok
+        assert sol.objective <= Fraction(3, 4) * solve_exact(inst).objective
 
     def test_seed_search_runs_once_per_solve(self, monkeypatch):
         searches = []
@@ -656,8 +689,25 @@ class TestSolveGk:
             trace.append(log_objective(self))
             return trace[-1]
 
+        # the pool's keys are divided by each factor; a column pooled
+        # before a renormalization and taken after it is a hit across it
+        pooled_at: dict[tuple[int, ...], int] = {}
+        across = []
+        heappush, heappop = fptas_mod.heappush, fptas_mod.heappop
+
+        def pushing(pool, entry):
+            pooled_at[entry[1]] = len(factors)
+            heappush(pool, entry)
+
+        def popping(pool):
+            entry = heappop(pool)
+            across.append(pooled_at[entry[1]] < len(factors))
+            return entry
+
         monkeypatch.setattr(fptas_mod.DualState, "renormalize", renormalizing)
         monkeypatch.setattr(fptas_mod.DualState, "log_objective", recording)
+        monkeypatch.setattr(fptas_mod, "heappush", pushing)
+        monkeypatch.setattr(fptas_mod, "heappop", popping)
         solver = solve_gk_acyclic if acyclic else solve_gk
         for seed in range(4):
             raw = generate_instance(8, 24, max_capacity=10, acyclic=acyclic, seed=1600 + seed)
@@ -669,6 +719,7 @@ class TestSolveGk:
             assert all(b > a for a, b in zip(trace, trace[1:]))
         # the initial lengths trigger at most one renormalization per solve
         assert len(factors) >= 10
+        assert sum(across) >= 10
 
     @pytest.mark.parametrize(
         "max_capacity, budget_mode, seed", [(3, "tight", 7), (10, "slack", 14)]
@@ -813,29 +864,45 @@ def test_uncertified_fallback_reruns_at_a_quarter_of_eps(acyclic, monkeypatch):
     # with an infinite margin the certified stop never fires, so the run at
     # eps' = eps ends on the fallback stop, which proves nothing there: the
     # loop must rerun from fresh lengths at eps / 4, whose fallback stop is
-    # proven, and count the iterations of both runs
+    # proven, and count the iterations of both runs.  The first run's bound
+    # stays valid, so the loop returns the least bound of the two runs
     monkeypatch.setattr(fptas_mod, "CERTIFICATE_MARGIN", math.inf)
-    runs = []  # per run: its start log delta and its objective checks
+    runs = []  # per run: its start log delta, its objective checks, its bounds
+
+    class Quotients(float):
+        """An objective that records each bound, its quotient by an alpha."""
+
+        def __truediv__(self, alpha):
+            runs[-1][2].append(float(self) / alpha)
+            return runs[-1][2][-1]
 
     class Recording(fptas_mod.DualState):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            runs.append([self.log_shift, 0])
+            runs.append([self.log_shift, 0, []])
 
         def log_objective(self):
             runs[-1][1] += 1
             return super().log_objective()
 
+        def objective(self, capacities, budget):
+            return Quotients(super().objective(capacities, budget))
+
     monkeypatch.setattr(fptas_mod, "DualState", Recording)
+    bounds = record_loop_bounds(monkeypatch)
     solver = solve_gk_acyclic if acyclic else solve_gk
     eps = 0.25
     inst = preprocess(generate_instance(8, 24, max_capacity=10, acyclic=acyclic, seed=1700))
     sol = solver(inst, eps)
     reduced = _reduced_for_packing(inst)
-    assert [start for start, _ in runs] == [log_delta(reduced, eps), log_delta(reduced, eps / 4)]
+    assert [start for start, _, _ in runs] == [
+        log_delta(reduced, eps),
+        log_delta(reduced, eps / 4),
+    ]
     # each iteration checks the objective once, and a fallback stop once more
-    iterations = [checks - 1 for _, checks in runs]
+    iterations = [checks - 1 for _, checks, _ in runs]
     assert sol.iterations == sum(iterations) > iterations[1] > iterations[0] > 0
+    assert all(bounds[-1] <= min(quotients) for _, _, quotients in runs)
     exact = solve_exact(inst).objective
     assert exact < 0
     assert validate_flow(inst, sol.flow).ok
