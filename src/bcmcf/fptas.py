@@ -14,8 +14,9 @@ Both oracles are threshold tests, as in Fleischer's phases: a test at lam
 weighs each edge num - lam * den, its length minus lam times its gain, and
 returns a column of negative weight, one whose ratio is below lam, or None,
 which proves every ratio at least lam.  The loop keeps alpha, a proven
-lower bound on the minimum ratio, and tests at (1 + eps') * alpha.  Only
-the test differs between the solvers.  On general graphs it is the
+lower bound on the minimum ratio, and routes a column only while its ratio
+is below t = (1 + eps') * alpha, where it tests.  Only the test differs
+between the solvers.  On general graphs it is the
 package's negative-cycle detector, ``mcc.find_negative_cycle``, over arcs
 that ``solve_gk`` builds once per solve.  On acyclic graphs every
 candidate cycle is a path between source and sink (in one orientation or
@@ -110,9 +111,13 @@ def min_ratio_cycle(
     ``weights[i]`` weighs edge i; the test runs the package's
     negative-cycle detector on them.  At the weights num - lam * den with
     num >= 0, a cycle of negative weight has a positive denominator and a
-    ratio below lam, and None proves every ratio at least lam.
+    ratio below lam, and None proves every ratio at least lam.  A float run
+    too close to call raises; the same weights, as exact ints, then decide.
     """
-    return mcc.find_negative_cycle(inst.node_count, arcs, weights)
+    try:
+        return mcc.find_negative_cycle(inst.node_count, arcs, weights)
+    except InternalSolverError:
+        return mcc.find_negative_cycle(inst.node_count, arcs, _scaled_ints(weights)[0])
 
 
 def topological_order(inst: Instance) -> list[int]:
@@ -251,9 +256,8 @@ def _gk_loop(
     The loop keeps alpha, a proven lower bound on the minimum ratio, which
     stays one since lengths only grow and gains are fixed (Fleischer's
     phases on Garg and Koenemann's loop).  Its current column is routed
-    while its ratio stays within (1 + eps') of its ratio when it was found
-    (the lazy rule).  Once the column fails that rule, the loop looks for
-    a column below t = (1 + eps') * alpha, first in its pool (below), then
+    while its ratio stays below t = (1 + eps') * alpha.  Once it reaches t,
+    the loop looks for a column below t, first in its pool (below), then
     by a test at t: a column found becomes the current one, and a test
     that finds none multiplies alpha by 1 + eps' and looks again.  alpha
     starts from one descent per solve: the seed test, at the weights
@@ -265,13 +269,11 @@ def _gk_loop(
     Which stop proves what.  The certified stop (below) proves the
     (1 - eps) guarantee at any eps', since alpha is a proven lower bound
     whatever its pace.  The fallback stop at dual objective 1 proves it
-    only at eps' = eps/4: a column found has a ratio below
-    (1 + eps') * alpha, at most (1 + eps') times the minimum, and the lazy
-    rule keeps a routed column within (1 + eps') of that, so every routed
-    column is within (1 + eps')^2 of the minimum.  Garg and Koenemann's
-    analysis of that stop loses a factor of about 1 - 2 eps' in the loop
-    itself and the column's factor on top, and
-    (1 - 2 eps') / (1 + eps')^2 >= 1 - 4 eps' = 1 - eps.  So the loop runs
+    only at eps' = eps/4: every column routed, found, pooled or current,
+    has a ratio of at most t, which is at most (1 + eps') times the
+    minimum.  Garg and Koenemann's analysis of that stop loses a factor of
+    about 1 - 2 eps' in the loop itself and the column's factor on top,
+    and (1 - 2 eps') / (1 + eps') >= 1 - 3 eps' > 1 - eps.  So the loop runs
     first at eps' = eps, whose proven iteration cap is about a sixteenth
     of eps/4's, and returns that run's answer when it stops on the
     certificate.  Only when that run reaches the fallback stop uncertified
@@ -311,12 +313,13 @@ def _gk_loop(
     lengths.
 
     Between tests an iteration touches only its column's edges: one loop
-    sums the lazy test's length, one routes.  A new column is priced in one
-    pass, which gives its gain, length, fee and least capacity; its amount
-    and eps' times that amount stay fixed until the next column, and the
-    stop test's (1 - eps) * bound changes only when the bound falls.  Each
-    such constant is the product or quotient of the same operands in the
-    same order as inside the routing, so keeping it rounds nothing new.
+    sums its length, which it compares with t, one routes.  A new column is
+    priced in one pass, which gives its gain, length, fee and least
+    capacity; its amount and eps' times that amount stay fixed until the
+    next column, and the stop test's (1 - eps) * bound changes only when
+    the bound falls.  Each such constant is the product or quotient of the
+    same operands in the same order as inside the routing, so keeping it
+    rounds nothing new.
     Routings are counted per column: a routed value is ``scale`` times the
     column's exact amount times its count, an int: each amount is an int
     capacity or a float budget / fee.
@@ -456,7 +459,6 @@ def _gk_loop(
         pool: list[tuple[float, tuple[int, ...], int]] = []
         pooled: set[tuple[int, ...]] = set()
         current: tuple[int, ...] | None = None  # the first iteration takes the descent's column
-        threshold = math.inf
         loads = [0.0] * m
         fee_load = 0.0
         worst = 0.0  # max over rows of load / capacity
@@ -466,9 +468,8 @@ def _gk_loop(
             if iterations > iteration_cap:
                 raise InternalSolverError("packing loop exceeded its iteration cap")
             if dual.total > LENGTH_CEILING:
-                # thresholds and alpha are length ratios, so they rescale with the lengths
+                # alpha is a length ratio, so it rescales with the lengths
                 factor = dual.renormalize(capacities, budget)
-                threshold /= factor
                 alpha /= factor
                 # one positive factor keeps the heap's order
                 pool = [(key / factor, column, gain) for key, column, gain in pool]
@@ -478,7 +479,7 @@ def _gk_loop(
                 length = 0.0
                 for i in current:
                     length += lengths[i] + float_fees[i] * mu
-            if current is None or length / gain > threshold:
+            if current is None or length / gain >= grow * alpha:
                 if current is not None:
                     if current not in pooled:
                         pooled.add(current)
@@ -495,7 +496,6 @@ def _gk_loop(
                         stop = target * bound * (1.0 + CERTIFICATE_MARGIN)
                 current = tuple(column)
                 gain, length, cycle_fee, amount = priced(current)
-                threshold = grow * (length / gain)
                 if cycle_fee > 0:  # the reduction leaves no fee when the budget is 0
                     amount = min(amount, budget / cycle_fee)
                 amounts[current] = amount

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import errno
 import os
 import subprocess
@@ -12,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import bcmcf
-from bcmcf import enumerate_frontier, generate_instance, preprocess
+from bcmcf import InternalSolverError, enumerate_frontier, generate_instance, preprocess
 from bcmcf.cli import EXIT_PIPE, EXIT_SOLVER, build_parser, main
 from bcmcf.model import format_fraction, parse_instance, parse_solution, serialize_instance
 from bcmcf.oracle import DEFAULT_GUARD
@@ -161,26 +160,20 @@ class TestSolve:
         assert captured.out == ""
         assert "-a exact" in captured.err
 
-    def test_internal_solver_error_exits_4(self, tmp_path, capsys):
-        # capacities, costs, fees and budget times 10^20: the cycle test's
-        # float weights cancel, and its detector raises InternalSolverError,
-        # which the command reports in one line, not a traceback
-        inst = preprocess(generate_instance(8, 24, max_capacity=5, seed=3))
-        f = 10**20
-        edges = tuple(
-            dataclasses.replace(e, capacity=e.capacity * f, cost=e.cost * f, fee=e.fee * f)
-            for e in inst.edges
-        )
-        scaled = dataclasses.replace(inst, edges=edges, budget=inst.budget * f)
-        path = tmp_path / "scaled.bcmcf"
-        path.write_text(serialize_instance(scaled))
-        assert main(["solve", "-a", "gk", "-e", "0.25", str(path)]) == EXIT_SOLVER
+    def test_internal_solver_error_exits_4(self, i1_path, monkeypatch, capsys):
+        # a solver that stops on InternalSolverError: the command reports it
+        # in one line, not a traceback
+        def failing(inst, eps):
+            raise InternalSolverError("packing loop exceeded its iteration cap")
+
+        monkeypatch.setattr(bcmcf.fptas, "solve_gk", failing)
+        assert main(["solve", "-a", "gk", "-e", "0.25", i1_path]) == EXIT_SOLVER
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("bcmcf: solver failed: ")
         assert "-a exact" in captured.err
-        assert main(["solve", "-a", "exact", str(path)]) == 0
+        assert main(["solve", "-a", "exact", i1_path]) == 0
 
     def test_unwritable_output_is_usage_error(self, i1_path, tmp_path, capsys):
         missing = tmp_path / "missing" / "sol.txt"

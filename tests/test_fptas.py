@@ -220,6 +220,30 @@ class TestMinRatioCycle:
         with pytest.raises(InternalSolverError, match="predecessor cycle is not negative"):
             find_negative_cycle(2, [(1, 2, 0), (2, 1, 1)], Turning())
 
+    def test_indecisive_float_run_is_decided_on_exact_ints(self, inst_two_parallel, monkeypatch):
+        # a float run that raises runs once more on the same weights as exact
+        # ints, whose answer stands; a raise on the ints propagates
+        arcs = [(t, h, a) for a, (t, h) in enumerate(merged_ends(inst_two_parallel))]
+        weights = [0.1 - 0.3, 0.1]
+        runs = []
+
+        def detector(node_count, arcs, weights):
+            runs.append(weights)
+            if len(runs) == 1 or failing:
+                raise InternalSolverError("extracted predecessor cycle is not negative")
+            return find_negative_cycle(node_count, arcs, weights)
+
+        monkeypatch.setattr(mcc_mod, "find_negative_cycle", detector)
+        failing = False
+        assert min_ratio_cycle(inst_two_parallel, arcs, weights) == [0]
+        assert runs[1] == fptas_mod._scaled_ints(weights)[0]
+        assert all(type(w) is int for w in runs[1])
+        failing = True
+        runs.clear()
+        with pytest.raises(InternalSolverError, match="predecessor cycle is not negative"):
+            min_ratio_cycle(inst_two_parallel, arcs, weights)
+        assert len(runs) == 2
+
     def test_nonpositive_denominator_cycle_raises(self, monkeypatch):
         # edges 1 -> 2 and 2 -> 1 form a cycle whose costs cancel, so it has
         # no gain, which an exact negative-cycle test can never return
@@ -984,11 +1008,42 @@ def test_guarantee_at_extreme_magnitudes(budget_mode, acyclic):
     assert binding == (8 - acyclic if budget_mode == "tight" else 0)
 
 
-def times_ten_to(inst: Instance, k: int) -> Instance:
-    """``inst`` with its capacities, costs and budget times 10^k; fees stay."""
+def times_ten_to(inst: Instance, k: int, kinds=("capacity", "cost", "budget")) -> Instance:
+    """``inst`` with the ``kinds`` of its numbers times 10^k; the others stay.
+
+    A kind is an edge field (capacity, cost or fee) or the budget.
+    """
     f = 10**k
-    edges = tuple(dataclasses.replace(e, capacity=e.capacity * f, cost=e.cost * f) for e in inst.edges)
-    return dataclasses.replace(inst, edges=edges, budget=inst.budget * f)
+    edges = tuple(
+        dataclasses.replace(e, **{kind: getattr(e, kind) * f for kind in kinds if kind != "budget"})
+        for e in inst.edges
+    )
+    return dataclasses.replace(inst, edges=edges, budget=inst.budget * (f if "budget" in kinds else 1))
+
+
+@pytest.mark.parametrize("acyclic", [False, True])
+@pytest.mark.parametrize(
+    "kinds",
+    [("capacity", "cost", "fee", "budget"), ("capacity",), ("cost",), ("fee",), ("budget",)],
+    ids="+".join,
+)
+def test_magnitudes_inside_the_float_range_are_answered(kinds, acyclic):
+    # numbers 10^k apart put capacity lengths far below the fee and cost
+    # terms of a threshold test's weights, so the float Bellman-Ford labels
+    # carry rounding larger than those lengths, and the float run can
+    # return a cycle whose float sum is not negative: the cycle test then
+    # decides on the same weights as exact ints.  Every instance here is
+    # inside the float range, so each solve must answer within (1 - eps)
+    solver = solve_gk_acyclic if acyclic else solve_gk
+    seed = 9 if acyclic else 3  # seed 3's acyclic instance has optimum 0
+    inst = preprocess(generate_instance(8, 24, max_capacity=5, seed=seed, acyclic=acyclic))
+    for k in (17, 18, 20, 25, 30, 50, 100):
+        scaled = times_ten_to(inst, k, kinds)
+        exact = solve_exact(scaled).objective
+        assert exact < 0
+        sol = solver(scaled, 0.25)
+        assert validate_flow(scaled, sol.flow).ok
+        assert exact <= sol.objective <= (1 - Fraction(0.25)) * exact
 
 
 @pytest.mark.parametrize("acyclic", [False, True])
