@@ -137,7 +137,7 @@ def topological_order(inst: Instance) -> list[int]:
             if indeg[w] == 0:
                 queue.append(w)
     if len(order) != inst.node_count:
-        raise CyclicGraphError("graph contains a directed cycle; use solve_gk instead")
+        raise CyclicGraphError("graph contains a directed cycle; use solve_gk (-a gk) instead")
     return order
 
 
@@ -243,9 +243,9 @@ def _gk_loop(
     Returns (routed columns, scale, iterations, upper bound on the optimum);
     after a rerun (below) the bound is the lesser of both runs'.
     ``eps`` is the solver's accuracy; one outside (0, 1), or one so small
-    that 1 + eps/4 rounds to 1 in a float, raises ``ValueError``, as does
-    an instance beyond the float range (below); both are decided once, at
-    eps/4, before the first run.
+    that the certified stop (below) could never fire, raises
+    ``ValueError``, as does an instance beyond the float range (below);
+    both are decided once, before the first run.
     ``test(weights)`` is a threshold test: it takes one weight per
     ``reduced`` edge and returns a column, a list of edges of negative
     total weight, or None when no column has one.  A column's ratio is its
@@ -255,25 +255,23 @@ def _gk_loop(
 
     The loop keeps alpha, a proven lower bound on the minimum ratio, which
     stays one since lengths only grow and gains are fixed (Fleischer's
-    phases on Garg and Koenemann's loop).  Its current column is routed
-    while its ratio stays below t = (1 + eps') * alpha.  Once it reaches t,
-    the loop looks for a column below t, first in its pool (below), then
-    by a test at t: a column found becomes the current one, and a test
-    that finds none multiplies alpha by 1 + eps' and looks again.  alpha
-    starts from one descent per solve: the seed test, at the weights
-    cost = -gain, finds a first column with positive gain, or none (then
-    the optimum is the zero flow), and the loop tests at the current
-    column's ratio over 1 + eps' until a test finds none; that threshold
-    is alpha's start.
+    phases on Garg and Koenemann's loop).  Every iteration routes a column
+    whose ratio is below t = (1 + eps') * alpha, taken first from its pool
+    (below), else from a test at t; a test that finds none multiplies
+    alpha by 1 + eps' and the loop looks again.  alpha starts from a
+    descent in each run: the seed test, at the weights cost = -gain, finds
+    a first column with positive gain, or none (then the optimum is the
+    zero flow), and the run tests at its last column's ratio over 1 + eps'
+    until a test finds none; that threshold is alpha's start.
 
     Which stop proves what.  The certified stop (below) proves the
     (1 - eps) guarantee at any eps', since alpha is a proven lower bound
     whatever its pace.  The fallback stop at dual objective 1 proves it
-    only at eps' = eps/4: every column routed, found, pooled or current,
-    has a ratio of at most t, which is at most (1 + eps') times the
-    minimum.  Garg and Koenemann's analysis of that stop loses a factor of
-    about 1 - 2 eps' in the loop itself and the column's factor on top,
-    and (1 - 2 eps') / (1 + eps') >= 1 - 3 eps' > 1 - eps.  So the loop runs
+    only at eps' = eps/4: every column routed had a ratio below t when the
+    loop took it, which is at most (1 + eps') times the minimum.  Garg and
+    Koenemann's analysis of that stop loses a factor of about 1 - 2 eps' in
+    the loop itself and the column's factor on top, and
+    (1 - 2 eps') / (1 + eps') >= 1 - 3 eps' > 1 - eps.  So the loop runs
     first at eps' = eps, whose proven iteration cap is about a sixteenth
     of eps/4's, and returns that run's answer when it stops on the
     certificate.  Only when that run reaches the fallback stop uncertified
@@ -283,23 +281,24 @@ def _gk_loop(
     bound holds in the rerun too, as it bounds the optimum.
 
     The pool.  Most tests would find a column the run has routed before,
-    so each run keeps a heap of its routed columns but the current one,
-    each at most once, keyed by a ratio the column once had.  Between
-    renormalizations lengths only grow and gains are fixed, so a column's
-    ratio only grows, and every key is a lower bound on its column's
-    current ratio; a renormalization divides every ratio, and every key,
-    by one factor, which keeps the heap's order.  Before a test at t the
-    loop pops each key below t and recomputes that column's ratio in
-    O(column): one below t is a column a test at t could return, and
-    becomes the current one; one at t or above is pushed back with its new
-    key.  The test runs only once the least key reaches t.  The rerun
-    starts again from fresh lengths, below the first run's, where the
-    first run's keys bound nothing: each run starts with an empty pool.
-    A test that finds none is still the only step that raises alpha, so
-    alpha stays proven and the raise cap, the iteration cap and the
-    weak-duality bound keep their proofs; a column from the pool has a
-    ratio below (1 + eps') * alpha, as a found one has, so the fallback
-    stop's proof holds too.
+    so each run keeps a heap of columns keyed by a ratio each once had: the
+    descent's last column goes in first, and every routed column goes back
+    in, keyed by its ratio before that routing.  Between renormalizations
+    lengths only grow and gains are fixed, so a column's ratio only grows,
+    and every key is a lower bound on its column's current ratio; a
+    renormalization divides every ratio, and every key, by one factor,
+    which keeps the heap's order.  An iteration pops each key below t and
+    recomputes that column's ratio in O(column): one below t is a column a
+    test at t could return, and is routed; one at t or above is pushed back
+    with its new key.  The test runs only once the least key reaches t, so
+    a column it finds is below every key, and not in the heap but for float
+    rounding, which costs a recompute.  The rerun starts again from fresh
+    lengths, below the first run's, where the first run's keys bound
+    nothing: each run starts a pool of its own.  A test that finds none is
+    still the only step that raises alpha, so alpha stays proven and the
+    raise cap, the iteration cap and the weak-duality bound keep their
+    proofs; every routed column was below (1 + eps') * alpha when the loop
+    took it, so the fallback stop's proof holds too.
 
     Both test loops of each run have proven bounds, at its eps', that
     raise InternalSolverError.  Each descent step divides a positive ratio
@@ -312,14 +311,9 @@ def _gk_loop(
     ceil(log(rho / alpha_0) / log1p(eps')) raises happen, counted on true
     lengths.
 
-    Between tests an iteration touches only its column's edges: one loop
-    sums its length, which it compares with t, one routes.  A new column is
-    priced in one pass, which gives its gain, length, fee and least
-    capacity; its amount and eps' times that amount stay fixed until the
-    next column, and the stop test's (1 - eps) * bound changes only when
-    the bound falls.  Each such constant is the product or quotient of the
-    same operands in the same order as inside the routing, so keeping it
-    rounds nothing new.
+    Between tests an iteration touches only columns' edges: each recompute
+    sums a pooled column's length, one pass prices the column taken, which
+    gives its gain, length, fee and least capacity, and one loop routes it.
     Routings are counted per column: a routed value is ``scale`` times the
     column's exact amount times its count, an int: each amount is an int
     capacity or a float budget / fee.
@@ -361,11 +355,11 @@ def _gk_loop(
         log_delta = math.log1p(eps_prime) - math.log((1.0 + eps_prime) * rows) / eps_prime
         return log_delta, int((math.log1p(eps_prime) - log_delta) / math.log1p(eps_prime)) + 1
 
-    if 1.0 + eps / 4.0 == 1.0:
-        # eps at most 2^-51, about 4.4e-16: a factor 1 + eps/4 leaves alpha
-        # and every length as they are, and log delta may round to 0 or
-        # more, where the loop would stop at once on the zero flow.  Above
-        # it the phase count, about log(rows) / (eps/4)^2, is a finite int
+    if target * (1.0 + CERTIFICATE_MARGIN) > 1.0:
+        # eps below about the margin: the routed value, scaled to
+        # feasibility, is at most the optimum, which is at most every
+        # bound, so only the fallback stop could end a run, about
+        # log(rows) / eps^2 iterations away
         raise ValueError(f"epsilon {eps} is too small for float lengths")
     _, phases = start(eps / 4.0)  # the finer run's count bounds the coarser one's
     magnitude = max(budget, max(capacities), max(fees), max(map(abs, int_costs)))
@@ -415,7 +409,6 @@ def _gk_loop(
                 length += lengths[i] + float_fees[i] * mu
             if length / gain < threshold:
                 heappop(pool)
-                pooled.discard(column)
                 return column
             heapreplace(pool, (length / gain, column, gain))
         return None
@@ -454,11 +447,10 @@ def _gk_loop(
 
         counts: dict[tuple[int, ...], int] = {}
         amounts: dict[tuple[int, ...], int | float] = {}
-        # this run's routed columns but the current one, keyed by a ratio
-        # each once had: a lower bound until fresh lengths start a new run
+        # this run's columns, keyed by a ratio each once had: a lower bound
+        # until fresh lengths start a new run
         pool: list[tuple[float, tuple[int, ...], int]] = []
-        pooled: set[tuple[int, ...]] = set()
-        current: tuple[int, ...] | None = None  # the first iteration takes the descent's column
+        heappush(pool, (length / gain, tuple(column), gain))
         loads = [0.0] * m
         fee_load = 0.0
         worst = 0.0  # max over rows of load / capacity
@@ -473,38 +465,26 @@ def _gk_loop(
                 alpha /= factor
                 # one positive factor keeps the heap's order
                 pool = [(key / factor, column, gain) for key, column, gain in pool]
-            lengths = dual.lengths
-            if current is not None:
-                mu = dual.budget_length
-                length = 0.0
-                for i in current:
-                    length += lengths[i] + float_fees[i] * mu
-            if current is None or length / gain >= grow * alpha:
-                if current is not None:
-                    if current not in pooled:
-                        pooled.add(current)
-                        heappush(pool, (length / gain, current, gain))
-                    while (
-                        column := reoffered(grow * alpha) or test(weights(grow * alpha))
-                    ) is None:
-                        raises_left -= 1
-                        if raises_left < 0:
-                            raise InternalSolverError("alpha rose past its proven bound")
-                        alpha *= grow
-                        # stored lengths: log_shift cancels out of the ratio
-                        bound = min(bound, dual.objective(capacities, budget) / alpha)
-                        stop = target * bound * (1.0 + CERTIFICATE_MARGIN)
-                current = tuple(column)
-                gain, length, cycle_fee, amount = priced(current)
-                if cycle_fee > 0:  # the reduction leaves no fee when the budget is 0
-                    amount = min(amount, budget / cycle_fee)
-                amounts[current] = amount
-                step = eps_prime * amount  # every routing's growth factors read it
-            counts[current] = counts.get(current, 0) + 1
+            while (column := reoffered(grow * alpha) or test(weights(grow * alpha))) is None:
+                raises_left -= 1
+                if raises_left < 0:
+                    raise InternalSolverError("alpha rose past its proven bound")
+                alpha *= grow
+                # stored lengths: log_shift cancels out of the ratio
+                bound = min(bound, dual.objective(capacities, budget) / alpha)
+                stop = target * bound * (1.0 + CERTIFICATE_MARGIN)
+            column = tuple(column)
+            gain, length, cycle_fee, amount = priced(column)
+            if cycle_fee > 0:  # the reduction leaves no fee when the budget is 0
+                amount = min(amount, budget / cycle_fee)
+            amounts[column] = amount
+            counts[column] = counts.get(column, 0) + 1
+            step = eps_prime * amount
             profit += amount * gain
             # sum of u * (growth of y) over the column's rows, budget row included
             dual.total += step * length
-            for i in current:
+            lengths = dual.lengths
+            for i in column:
                 loads[i] += amount
                 load = loads[i] / capacities[i]
                 if load > worst:
@@ -516,6 +496,7 @@ def _gk_loop(
                 if load > worst:
                     worst = load
                 dual.budget_length *= 1.0 + step * cycle_fee / budget
+            heappush(pool, (length / gain, column, gain))
             if profit >= stop * worst:
                 break  # the certified stop
         else:

@@ -78,14 +78,18 @@ class TestSolve:
         assert "--epsilon" in captured.err
 
     @pytest.mark.parametrize("algorithm", ["gk", "gk-acyclic"])
-    @pytest.mark.parametrize("epsilon", ["1e-200", "5e-324", "1e-16", "1e-17"])
+    @pytest.mark.parametrize(
+        "epsilon", ["1e-200", "5e-324", "1e-16", "1e-17", "1e-10", "5e-10"]
+    )
     def test_tiny_epsilon_is_usage_error(
         self, one_edge_path, i1_path, capsys, algorithm, epsilon
     ):
-        # 1 + eps / 4 rounds to 1 up to about 4.4e-16, so no length could
-        # grow, and 5e-324 / 4 is 0.  On the one edge of cost -1 log delta
-        # rounds to above 0 too, where a loop left to run would print the
-        # zero flow.  Neither is an infeasible flow, so not exit 1
+        # below about 1e-9 the certified stop could never fire, and only the
+        # fallback stop, about log(rows) / eps^2 iterations away, could end
+        # the loop.  1 + eps / 4 rounds to 1 up to about 4.4e-16, so no
+        # length could grow, and 5e-324 / 4 is 0.  On the one edge of cost
+        # -1 log delta rounds to above 0 too, where a loop left to run would
+        # print the zero flow.  Neither is an infeasible flow, so not exit 1
         for path in (one_edge_path, i1_path):
             assert main(["solve", "-a", algorithm, "-e", epsilon, path]) == 2
             captured = capsys.readouterr()
@@ -384,7 +388,11 @@ class TestGkAcyclic:
         path = tmp_path / "cyc.bcmcf"
         path.write_text(text)
         assert main(["solve", "-a", "gk-acyclic", "-e", "0.5", str(path)]) == 2
-        assert "solve_gk" in capsys.readouterr().err
+        # the message names the library function and the flag that solve it
+        err = capsys.readouterr().err
+        assert "solve_gk" in err
+        assert "(-a gk)" in err
+        assert main(["solve", "-a", "gk", "-e", "0.5", str(path)]) == 0
 
 
 class TestParserReuse:

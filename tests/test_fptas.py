@@ -512,9 +512,9 @@ class TestSolveGk:
         assert sol.objective <= Fraction(1, 2) * -2  # fee-free optimum is -2
 
     def test_epsilon_validated(self, inst_two_parallel):
-        # up to 2^-51, about 4.4e-16, 1 + eps / 4 rounds to 1, so no length
-        # could grow, and eps / 4 of 5e-324 is 0; the check in the
-        # loop that both solvers share names epsilon
+        # below about 1e-9 the certified stop could never fire, and eps / 4
+        # of 5e-324 is 0; the check in the loop that both solvers share
+        # names epsilon
         for solver in (solve_gk, solve_gk_acyclic):
             for eps in (0.0, 1.0, -0.5, 2.0, math.nan, 1e-155, 1e-200, 5e-324):
                 with pytest.raises(ValueError, match=f"^epsilon {eps!r} "):
@@ -609,6 +609,47 @@ class TestSolveGk:
         assert 0 < len(found) < taken
         assert validate_flow(inst, sol.flow).ok
         assert sol.objective <= Fraction(3, 4) * solve_exact(inst).objective
+
+    @pytest.mark.parametrize("acyclic", [False, True])
+    def test_every_routed_column_goes_back_to_the_pool(self, acyclic, monkeypatch):
+        # the pool is the loop's one source of columns: each run pushes its
+        # descent's column, and each routing pushes the column it routed,
+        # exactly once, so the pushes count the iterations plus the runs
+        pushes: list[tuple[int, ...]] = []
+        runs = []
+        routed_columns = []
+        heappush, assemble = fptas_mod.heappush, fptas_mod._assemble_flow
+
+        def pushing(pool, entry):
+            pushes.append(entry[1])
+            heappush(pool, entry)
+
+        class Counting(fptas_mod.DualState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runs.append(self)
+
+        def capturing(inst, reduced, routed, scale):
+            routed_columns.extend(routed)
+            return assemble(inst, reduced, routed, scale)
+
+        monkeypatch.setattr(fptas_mod, "heappush", pushing)
+        monkeypatch.setattr(fptas_mod, "DualState", Counting)
+        monkeypatch.setattr(fptas_mod, "_assemble_flow", capturing)
+        solver = solve_gk_acyclic if acyclic else solve_gk
+        iterations = 0
+        for seed in range(6):
+            raw = generate_instance(10, 30, max_capacity=10, acyclic=acyclic, seed=1800 + seed)
+            inst = preprocess(raw)
+            pushes.clear()
+            runs.clear()
+            routed_columns.clear()
+            sol = solver(inst, 0.25)
+            assert validate_flow(inst, sol.flow).ok
+            assert len(pushes) == sol.iterations + len(runs)
+            assert set(routed_columns) <= set(pushes)
+            iterations += sol.iterations
+        assert iterations > 100
 
     def test_seed_search_runs_once_per_solve(self, monkeypatch):
         searches = []
@@ -885,12 +926,15 @@ def test_loop_bound_covers_the_optimum(eps, acyclic, monkeypatch):
 
 @pytest.mark.parametrize("acyclic", [False, True])
 def test_uncertified_fallback_reruns_at_a_quarter_of_eps(acyclic, monkeypatch):
-    # with an infinite margin the certified stop never fires, so the run at
-    # eps' = eps ends on the fallback stop, which proves nothing there: the
-    # loop must rerun from fresh lengths at eps / 4, whose fallback stop is
-    # proven, and count the iterations of both runs.  The first run's bound
-    # stays valid, so the loop returns the least bound of the two runs
-    monkeypatch.setattr(fptas_mod, "CERTIFICATE_MARGIN", math.inf)
+    # a margin of 1/3, eps / (1 - eps) at eps = 0.25, makes the certified
+    # stop need the routed value, scaled to feasibility, to reach the bound,
+    # which is at least the optimum, so the run at eps' = eps ends on the
+    # fallback stop, which proves nothing there: the loop must rerun from
+    # fresh lengths at eps / 4, whose fallback stop is proven, and count the
+    # iterations of both runs.  The first run's bound stays valid, so the
+    # loop returns the least bound of the two runs.  A larger margin is
+    # refused as an eps whose certified stop can never fire
+    monkeypatch.setattr(fptas_mod, "CERTIFICATE_MARGIN", 1 / 3)
     runs = []  # per run: its start log delta, its objective checks, its bounds
 
     class Quotients(float):
@@ -1081,11 +1125,7 @@ def test_refusals_are_decided_at_a_quarter_of_eps(acyclic, inst_two_parallel):
     # phase count of eps / 4 and are decided before it, so they refuse what
     # eps' = eps alone would carry.  One row and |cost| 2^509: the phase
     # count is 5 at 0.2 and 21 at 0.05, so 5 * 2^1018 is inside 2^1022 and
-    # 21 * 2^1018 is not.  1 + eps / 4 rounds to 1 for eps up to 2^-51,
-    # about 4.4e-16, and 1 + eps only up to 2^-53, so 4e-16 is refused at
-    # eps / 4 alone.  On one edge of cost -1, whose optimum is -1, log delta
-    # rounds to above 0 at 1e-16 and 1e-17, where a loop left to run would
-    # return the zero flow
+    # 21 * 2^1018 is not
     solver = solve_gk_acyclic if acyclic else solve_gk
     cases = [(-(2**509), 0.2, True), (-(2**509), 0.8, False), (-(2**508), 0.2, False)]
     for cost, eps, refused in cases:
@@ -1098,14 +1138,28 @@ def test_refusals_are_decided_at_a_quarter_of_eps(acyclic, inst_two_parallel):
             sol = solver(inst, eps)
             assert validate_flow(inst, sol.flow).ok
             assert cost <= sol.objective <= (1 - Fraction(eps)) * cost
+
+
+@pytest.mark.parametrize("acyclic", [False, True])
+def test_eps_whose_certified_stop_cannot_fire_is_refused(acyclic, inst_two_parallel):
+    # the routed value, scaled to feasibility, is at most the optimum, which
+    # is at most every bound, so once (1 - eps) * (1 + margin) passes 1 only
+    # the fallback stop could end a run, about log(rows) / eps^2 iterations
+    # away: 1e-10 and 5e-10 are refused before the first run.  So is every
+    # eps up to 2^-51, about 4.4e-16, where 1 + eps / 4 rounds to 1 and no
+    # length could grow; on one edge of cost -1, whose optimum is -1, log
+    # delta rounds to above 0 at 1e-16 and 1e-17, where a loop left to run
+    # would return the zero flow.  At 1e-9 the certified stop can still fire
+    solver = solve_gk_acyclic if acyclic else solve_gk
     one_edge = Instance(
         node_count=2, edges=(EdgeData(1, 2, 1, -1, 0),), source=1, sink=2, budget=0
     )
-    for eps in (1e-16, 1e-17, 4e-16, 2e-154):
+    for eps in (1e-10, 5e-10, 4e-16, 1e-16, 1e-17, 2e-154):
         for inst in (one_edge, inst_two_parallel):
             too_small = f"^epsilon {eps!r} is too small for float lengths"
             with pytest.raises(ValueError, match=too_small):
                 solver(inst, eps)
+    assert solver(one_edge, 1e-9).objective == -1
 
 
 class TestSolveGkAcyclic:
