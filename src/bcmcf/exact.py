@@ -1,38 +1,31 @@
-"""Exact solver: multiplier trichotomy test, one multiplier search, frontier.
+"""Exact solver: one chord search over multipliers, and the frontier.
 
 The budget-constrained optimum is a point of the lower-left (cost, fee)
-Pareto frontier on or below the budget line.  For a multiplier ``lam``,
-lexicographic min-cost-circulation solves under costs ``cost + lam * fee``
-(fee-minimal, then fee-maximal among optima unless the first decides)
-reveal whether ``lam`` is below, inside, or above the closed interval of
-optimal multipliers.  A chord search narrows a bracket until one probe lands
-inside that interval; the optimum is then a convex combination of that
-probe's two witness flows meeting the budget line.  All the solves of
-one search share one network-simplex :class:`~bcmcf.mcc.Basis`, so each
-starts from the optimal tree of the solve before it.  The frontier takes
-one solve and then walks its breakpoints on that basis, a parametric
-simplex in int cost and fee potentials.  The search and the frontier run
-on int (cost, fee) totals.  A :class:`Flow` is built only for the search's
-answer, once, from int values: a witness's, or the budget combination's
-int numerators over the int fee gap of its two witnesses.
+Pareto frontier on or below the budget line.  A probe at multiplier
+``lam`` is one min-cost-circulation solve under costs ``cost + lam * fee``
+that picks a fee-minimal optimum, an extreme point of the frontier.  The
+search keeps one point over the budget and one under it and probes their
+chord's multiplier (Aneja & Nair 1979).  A point of fee exactly the
+budget ends it, and so does a tie with the chord, which is then a
+frontier segment crossing the budget line; any other point replaces a
+corner.  All the solves of one search share one network-simplex
+:class:`~bcmcf.mcc.Basis`, so each starts from the optimal tree of the
+solve before it.  The frontier takes one solve and then walks its
+breakpoints on that basis, a parametric simplex in int cost and fee
+potentials.  The search and the frontier run on int (cost, fee) totals.
+A :class:`Flow` is built only for the search's answer, once, from int
+values: a witness's, or the budget combination's int numerators over the
+int fee gap of the two corners.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
 from .mcc import Basis, InternalSolverError, lambda_cost, min_cost_circulation
 from .model import Flow, Instance, Solution, instance_stats
-
-
-class VerdictKind(enum.Enum):
-    BELOW = "below"
-    INSIDE = "inside"
-    ABOVE = "above"
 
 
 class Witness(NamedTuple):
@@ -43,50 +36,17 @@ class Witness(NamedTuple):
     fee: int
 
 
-@dataclass(frozen=True)
-class CallbackVerdict:
-    """Trichotomy result for one multiplier, with its witness optima.
-
-    ``x_minfee``/``x_maxfee`` are optimal for cost + lam * fee with the
-    smallest/largest total fee among optima.  ``x_maxfee`` is None when no
-    verdict reads it: at lam = 0, or when fee(x_minfee) is not below the
-    budget.  For an INSIDE verdict with lam > 0 and ``x_maxfee`` set they
-    satisfy fee(x_minfee) < budget <= fee(x_maxfee).
-    """
-
-    kind: VerdictKind
-    x_minfee: Witness
-    x_maxfee: Witness | None
-
-
-def lambda_callback(basis: Basis, lam: Fraction) -> CallbackVerdict:
-    """Decide where ``lam`` sits relative to the optimal multiplier interval.
+def lambda_callback(basis: Basis, lam: Fraction) -> Witness:
+    """One multiplier probe: the fee-minimal optimum of cost + ``lam`` * fee.
 
     ``basis`` is a :class:`Basis` of the problem instance, and a negative
-    ``lam`` raises ``ValueError``.  Verdicts: BELOW when even the fee-minimal
-    optimum overshoots the budget, ABOVE when the fee-maximal optimum
-    undershoots it (only for lam > 0; at lam = 0 a slack budget means the
-    unconstrained optimum already wins, hence INSIDE), INSIDE otherwise.
-    The fee-maximal solve runs only when the fee-minimal one leaves the
-    verdict open, at lam > 0 with fee(x_minfee) below the budget; otherwise
-    a probe is one solve.
-
-    The solves run on ``basis``, typically left optimal by a nearby
-    multiplier's solves; the fee-maximal solve starts from the fee-minimal
-    optimum, which is already optimal in cost + lam * fee.  The basis moves
-    no verdict or (cost, fee) point.  Its one caller in the package is
-    ``solve_exact``.
+    ``lam`` raises ``ValueError``.  The solve runs on ``basis``, typically
+    left optimal by the probe before it; the basis moves no (cost, fee)
+    point, only which of several tied flows comes back.  Its one caller
+    in the package is ``solve_exact``.
     """
-    m, budget = basis.inst.edge_count, basis.inst.budget
-    cost, fee = min_cost_circulation(basis, lambda_cost(basis, lam, "min"))
-    x_min = Witness(basis.flow[:m], cost, fee)
-    if fee > budget:
-        return CallbackVerdict(VerdictKind.BELOW, x_min, None)
-    if lam == 0 or fee == budget:
-        return CallbackVerdict(VerdictKind.INSIDE, x_min, None)
-    cost, fee = min_cost_circulation(basis, lambda_cost(basis, lam, "max"))
-    kind = VerdictKind.ABOVE if fee < budget else VerdictKind.INSIDE
-    return CallbackVerdict(kind, x_min, Witness(basis.flow[:m], cost, fee))
+    cost, fee = min_cost_circulation(basis, lambda_cost(basis, lam))
+    return Witness(basis.flow[: basis.inst.edge_count], cost, fee)
 
 
 def budget_combination(inst: Instance, x1: Witness, x2: Witness) -> Flow:
@@ -146,67 +106,68 @@ def attach_lambda_intervals(witnesses: list[Witness]) -> list[FrontierPoint]:
 def solve_exact(inst: Instance) -> Solution:
     """Optimal budget-constrained min-cost flow, exactly.
 
-    Probes lam = 0 first (handles a slack budget outright), then lam = bbar,
-    the top of the multiplier grid k/(2*cbar^2), and, only if that verdicts
-    BELOW, a multiplier above every frontier slope.  One loop then shrinks
-    the BELOW/ABOVE bracket by probing the chord multiplier of the
-    bracket's two corner flows.  The first INSIDE probe ends the search and
-    its multiplier is returned, so when the optimal multiplier interval
-    holds more than one point the probe order picks the answer.
-    ``iterations`` counts every probe.  All solves share one simplex basis,
-    so each starts from the optimum of the solve before it, which moves no
-    verdict.  The bracket corners are int witnesses; only the INSIDE probe
-    builds a :class:`Flow`, of its fee-minimal witness or of the budget
-    combination of its two.
+    Each probe is one fee-minimal solve, ``lambda_callback``, decided by
+    its witness alone.  Probes lam = 0 first (a witness within the budget
+    there is the answer), then lam = bbar, the top of the multiplier grid
+    k/(2*cbar^2), and, only if that witness is still over the budget, a
+    multiplier above every frontier slope.  One loop then probes the chord
+    multiplier p/q of the over and under corners.  A witness of fee
+    exactly the budget ends the search, and so does a chord witness that
+    ties the chord (q * cost + p * fee equal to a corner's), with the
+    corners' budget combination; any other witness replaces the corner on
+    its side.  The last probe's multiplier is returned, so when the budget
+    is an extreme point's fee the probe order picks one in its interval.
+    ``iterations`` counts every probe.  All solves share one simplex
+    basis, so each starts from the optimum of the solve before it, which
+    moves no (cost, fee) point.  Only the answer builds a :class:`Flow`.
     """
     basis = Basis(inst)
     stats = instance_stats(inst)
-    x_over = x_under = None  # bracket corners: optima with fee above / below the budget
+    budget = inst.budget
+    x_over = x_under = None  # the corners: optima with fee above / below the budget
 
     def multipliers():
-        """The multipliers to probe, in order; reads the bracket the loop updates."""
+        """The multipliers to probe, in order; reads the corners the loop updates."""
         yield Fraction(0)
         if stats.bbar == 0 or stats.cbar == 0:
-            raise InternalSolverError("lam=0 verdict BELOW on an instance with empty grid")
+            raise InternalSolverError("lam=0 optimum over the budget on an instance with empty grid")
         yield Fraction(stats.bbar)
         if x_under is None:
             # the optimal interval lies beyond the grid
             yield stats.lambda_above_all_slopes()
             if x_under is None:
-                raise InternalSolverError("beyond-slope multiplier did not verdict ABOVE")
+                raise InternalSolverError("beyond-slope optimum over the budget")
         while True:
             yield edge_multiplier(x_under, x_over)
 
-    # Probe cap.  The opening takes at most 3 probes.  The chord lies
-    # strictly inside the bracket, and a BELOW (ABOVE) verdict there yields
-    # an optimum with fee strictly below x_over's (above x_under's):
-    # otherwise x_over (x_under) would be optimal at the chord, and with it
-    # the other corner, making the verdict INSIDE.  Fees are integers in
-    # 0..bbar, so the gap x_over.fee - x_under.fee, at most bbar and at least
-    # 2 around the integer budget, allows at most bbar - 2 chord probes that
-    # are not INSIDE; the next one is.
+    # Probe cap.  The opening takes at most 3 probes.  Each corner is
+    # optimal at the multiplier that found it, and the chord multiplier lies
+    # between the two.  A chord witness that does not tie the chord lies
+    # strictly below it, so its fee lies strictly between the corners'
+    # (Aneja & Nair 1979) and, unless it is the budget, it replaces one
+    # corner.  Fees are integers in 0..bbar, so the gap x_over.fee -
+    # x_under.fee, at most bbar and at least 2 around the integer budget,
+    # shrinks by at least 1 at each chord probe that does not end the
+    # search: at most bbar - 2 of them run, and the next one ends it.
     cap = stats.bbar + 2
     probes = 0
     for lam in multipliers():
         if probes == cap:
             raise InternalSolverError(f"multiplier search exceeded its cap of {cap} probes")
         probes += 1
-        verdict = lambda_callback(basis, lam)
-        if verdict.kind is VerdictKind.INSIDE:
-            # without a fee-maximal witness the fee-minimal optimum is
-            # feasible (fee <= budget) and is the answer
-            if verdict.x_maxfee is None:
-                flow = Flow.from_values(inst, verdict.x_minfee.values)
-            else:
-                flow = budget_combination(inst, verdict.x_minfee, verdict.x_maxfee)
-            return Solution(
-                flow=flow, objective=flow.cost, algorithm="exact", iterations=probes, lam=lam
-            )
-        # keep the optimum nearest the budget as the new corner
-        if verdict.kind is VerdictKind.BELOW:
-            x_over = verdict.x_minfee
+        x = lambda_callback(basis, lam)
+        p, q = lam.numerator, lam.denominator
+        if x.fee == budget or (lam == 0 and x.fee < budget):
+            flow = Flow.from_values(inst, x.values)
+        elif x_over and x_under and q * x.cost + p * x.fee == q * x_under.cost + p * x_under.fee:
+            flow = budget_combination(inst, x_under, x_over)
+        elif x.fee > budget:
+            x_over = x
+            continue
         else:
-            x_under = verdict.x_maxfee
+            x_under = x
+            continue
+        return Solution(flow=flow, objective=flow.cost, algorithm="exact", iterations=probes, lam=lam)
 
 
 def _next_breakpoint(
@@ -253,7 +214,7 @@ def enumerate_frontier(inst: Instance) -> list[FrontierPoint]:
     stats = instance_stats(inst)
     basis = Basis(inst)
     m = inst.edge_count
-    min_cost_circulation(basis, lambda_cost(basis, stats.lambda_above_all_slopes(), "min"))
+    min_cost_circulation(basis, lambda_cost(basis, stats.lambda_above_all_slopes()))
     flow, state, tails, heads, pred = basis.flow, basis.state, basis.tails, basis.heads, basis.pred
     pad = [0] * (len(flow) - m)
     costs, fees = basis.edge_costs + pad, basis.fees + pad
@@ -264,8 +225,9 @@ def enumerate_frontier(inst: Instance) -> list[FrontierPoint]:
     # arc of positive capacity, so 1 <= |r_b| <= bbar and |r_c| <= cbar: at
     # most cbar * bbar distinct ones, each p/q with p <= cbar, q <= bbar.
     # The pivots at one breakpoint are network-simplex pivots on a strongly
-    # feasible tree under w = lambda_cost(basis, p/q, "max"), where each
-    # entering arc has reduced cost -|r_b| < 0, so the argument of
+    # feasible tree under the packed costs w_e = (q * c_e + p * b_e) * K - b_e,
+    # whose fee tie-break favours the larger fee; each entering arc has
+    # reduced cost -|r_b| < 0 there, so the argument of
     # min_cost_circulation bounds them by (A + 1) * (D + 1) with
     # A = 2 * sum(u_e * |w_e|) and D = 2 * n^2 * max |w_e|.  Over the edges
     # of positive capacity both sums are below R = 2 * cbar * bbar * K + bbar.

@@ -3,7 +3,7 @@
 Costs, capacities, flows and potentials are plain Python ints.
 :func:`lambda_cost` packs a multiplier's scaled cost and a fee tie-break
 into one int per edge, so a single solve returns, among all minimum-cost
-flows, the one with the smallest or largest total usage fee.  A
+flows, one with the smallest total usage fee.  A
 :class:`Basis` is the simplex's spanning tree over one problem instance,
 with the sink merged into the source so that the instance's flows are
 its circulations, and the only handle the solves take on it; between
@@ -35,28 +35,25 @@ class InternalSolverError(RuntimeError):
     """A defensive iteration cap fired; indicates a solver bug, not bad input."""
 
 
-def lambda_cost(basis: Basis, lam: Fraction, fee_direction: str) -> list[int]:
+def lambda_cost(basis: Basis, lam: Fraction) -> list[int]:
     """Edge costs ``cost + lam * fee`` with the fee as tie-break, packed into ints.
 
-    ``fee_direction`` "min" prefers the smallest total fee among primary
-    optima, "max" the largest.  One cost per edge of ``basis``'s problem
-    instance.  The costs, fees and packing factor are the ones ``basis``
-    read from its instance.
+    A solve under these costs returns, among the optima of cost + lam *
+    fee, one of smallest total fee.  One cost per edge of ``basis``'s
+    problem instance.  The costs, fees and packing factor are the ones
+    ``basis`` read from its instance.
     """
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError(f"multiplier {lam} is negative")
-    if fee_direction not in ("min", "max"):
-        raise ValueError(f"fee_direction must be 'min' or 'max', got {fee_direction!r}")
     p, q = lam.numerator, lam.denominator
-    sign = 1 if fee_direction == "min" else -1
-    # For lam = p/q edge e costs (q*c_e + p*b_e)*K + sign*b_e with K > sum(b).
+    # For lam = p/q edge e costs (q*c_e + p*b_e)*K + b_e with K > sum(b).
     # A simple residual cycle holds at most one of the two arcs of each edge,
     # so its fee term is below K in absolute value; the only exception, an
     # edge's forward arc with its own backward arc, sums to 0.  A cycle's
     # packed sign is therefore its lexicographic (primary, fee) sign.
     k = basis.fee_scale
-    return [(q * c + p * b) * k + sign * b for c, b in zip(basis.edge_costs, basis.fees)]
+    return [(q * c + p * b) * k + b for c, b in zip(basis.edge_costs, basis.fees)]
 
 
 class Basis:

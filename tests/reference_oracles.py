@@ -13,14 +13,17 @@ Negative-cycle canceling on the residual graph, pseudo-polynomial but simple
 enough to trust, checks the network simplex of ``bcmcf.mcc``; the residual
 graph is also where the tests call ``find_negative_cycle``.  Dichotomic
 chord subdivision, solve by solve on that simplex, checks the parametric
-walk of ``enumerate_frontier``.
+walk of ``enumerate_frontier``.  The multiplier trichotomy, from a
+fee-minimal and a fee-maximal solve, says where a multiplier sits against
+the optimal multiplier interval that ``solve_exact``'s probes look for.
 """
 
 from __future__ import annotations
 
+import enum
 from fractions import Fraction
 from operator import attrgetter, le, neg, sub
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from bcmcf.exact import FrontierPoint, Witness, attach_lambda_intervals, edge_multiplier
 from bcmcf.mcc import (
@@ -173,7 +176,7 @@ def dichotomic_frontier(inst: Instance) -> list[FrontierPoint]:
     m = inst.edge_count
 
     def extreme(lam: Fraction) -> Witness:
-        cost, fee = min_cost_circulation(basis, lambda_cost(basis, lam, "min"))
+        cost, fee = min_cost_circulation(basis, lambda_cost(basis, lam))
         return Witness(basis.flow[:m], cost, fee)
 
     def expand(x_low: Witness, x_high: Witness) -> list[Witness]:
@@ -193,6 +196,60 @@ def dichotomic_frontier(inst: Instance) -> list[FrontierPoint]:
     else:
         extremes = [bottom, *expand(bottom, top), top]
     return attach_lambda_intervals(extremes)
+
+
+# ---------------------------------------------------------------------------
+# the multiplier trichotomy, the reference for the probes of solve_exact
+# ---------------------------------------------------------------------------
+
+
+class VerdictKind(enum.Enum):
+    BELOW = "below"
+    INSIDE = "inside"
+    ABOVE = "above"
+
+
+class Verdict(NamedTuple):
+    """Where a multiplier sits, with the fee-minimal and fee-maximal optima."""
+
+    kind: VerdictKind
+    x_minfee: Witness
+    x_maxfee: Witness
+
+
+def fee_maximal_cost(basis: Basis, lam: Fraction) -> list[int]:
+    """``lambda_cost`` with its fee tie-break turned round.
+
+    For lam = p/q edge e costs (q*c_e + p*b_e)*K - b_e, K the basis's
+    packing factor, so a solve returns, among the optima of cost + lam *
+    fee, one of largest total fee.
+    """
+    lam = Fraction(lam)
+    p, q, k = lam.numerator, lam.denominator, basis.fee_scale
+    return [(q * c + p * b) * k - b for c, b in zip(basis.edge_costs, basis.fees)]
+
+
+def trichotomy(inst: Instance, lam: Fraction) -> Verdict:
+    """Where ``lam`` sits relative to the closed interval of optimal multipliers.
+
+    BELOW when even the fee-minimal optimum of cost + lam * fee overshoots
+    the budget, ABOVE when the fee-maximal optimum undershoots it (only for
+    lam > 0; at lam = 0 a slack budget means the unconstrained optimum
+    already wins, hence INSIDE), INSIDE otherwise.  Two solves of
+    ``min_cost_circulation``, under ``lambda_cost`` and ``fee_maximal_cost``.
+    """
+    basis = Basis(inst)
+
+    def optimum(costs) -> Witness:
+        cost, fee = min_cost_circulation(basis, costs(basis, lam))
+        return Witness(basis.flow[: inst.edge_count], cost, fee)
+
+    low, high = optimum(lambda_cost), optimum(fee_maximal_cost)
+    if low.fee > inst.budget:
+        return Verdict(VerdictKind.BELOW, low, high)
+    if lam > 0 and high.fee < inst.budget:
+        return Verdict(VerdictKind.ABOVE, low, high)
+    return Verdict(VerdictKind.INSIDE, low, high)
 
 
 # ---------------------------------------------------------------------------

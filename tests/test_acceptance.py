@@ -28,8 +28,7 @@ from bcmcf import (
     validate_flow,
 )
 from bcmcf import fptas
-from bcmcf.exact import VerdictKind, edge_multiplier, lambda_callback
-from bcmcf.mcc import Basis
+from bcmcf.exact import edge_multiplier
 from bcmcf.model import Flow, Instance
 from bcmcf.oracle import iter_integral_values
 from conftest import (
@@ -40,7 +39,13 @@ from conftest import (
     scaled_flow,
     threshold_violation,
 )
-from reference_oracles import exhaustive_min_ratio_cycle, exhaustive_min_ratio_path, oracle_frontier
+from reference_oracles import (
+    VerdictKind,
+    exhaustive_min_ratio_cycle,
+    exhaustive_min_ratio_path,
+    oracle_frontier,
+    trichotomy,
+)
 
 
 def report(name: str, failures: list[str]) -> None:
@@ -161,7 +166,7 @@ def test_trichotomy_pattern(corpus):
         kinds = []
         for k in range(50):
             lam = Fraction(k) * top / 49
-            verdict = lambda_callback(Basis(inst), lam)
+            verdict = trichotomy(inst, lam)
             kinds.append(verdict.kind)
             if lam < lo:
                 expected = VerdictKind.BELOW

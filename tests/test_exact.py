@@ -1,4 +1,4 @@
-"""Tests for the trichotomy callback, exact solver, and frontier enumeration."""
+"""Tests for the multiplier probe, exact solver, and frontier enumeration."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bcmcf.exact as exact_mod
@@ -26,17 +26,17 @@ from bcmcf import (
     solve_gk_acyclic,
     validate_flow,
 )
-from bcmcf.exact import (
-    VerdictKind,
-    Witness,
-    budget_combination,
-    edge_multiplier,
-    lambda_callback,
-)
+from bcmcf.exact import Witness, budget_combination, edge_multiplier, lambda_callback
 from bcmcf.mcc import Basis, lambda_cost, min_cost_circulation
 from bcmcf.oracle import iter_integral_values
 from conftest import point_flow
-from reference_oracles import dichotomic_frontier, oracle_frontier
+from reference_oracles import (
+    VerdictKind,
+    dichotomic_frontier,
+    fee_maximal_cost,
+    oracle_frontier,
+    trichotomy,
+)
 
 
 def probe_cap(inst: Instance) -> int:
@@ -90,33 +90,33 @@ def optima_fee_range(inst: Instance, lam: Fraction) -> tuple[Fraction, Fraction]
 
 
 class TestLambdaCallback:
+    """The tests' reference trichotomy, and the probe as its fee-minimal solve."""
+
     @pytest.mark.parametrize(
         "lam,expected",
         [(1, VerdictKind.BELOW), (2, VerdictKind.INSIDE), (3, VerdictKind.ABOVE)],
     )
     def test_two_parallel_verdicts(self, inst_two_parallel, lam, expected):
-        verdict = lambda_callback(Basis(inst_two_parallel), Fraction(lam))
+        verdict = trichotomy(inst_two_parallel, Fraction(lam))
         assert verdict.kind is expected
-        # witness fees are exactly the extremes of the optimal face
+        # witness fees are exactly the extremes of the optimal face, and the
+        # probe's one solve gives the low end
         lo, hi = optima_fee_range(inst_two_parallel, Fraction(lam))
         assert verdict.x_minfee.fee == lo
-        # the fee-maximal solve runs only when the fee-minimal one leaves
-        # the verdict open (here lam > 0, so when fee(x_minfee) < budget)
-        if lo < inst_two_parallel.budget:
-            assert verdict.x_maxfee.fee == hi
-        else:
-            assert verdict.x_maxfee is None
+        assert verdict.x_maxfee.fee == hi
+        assert lambda_callback(Basis(inst_two_parallel), Fraction(lam)).fee == lo
 
     def test_inside_brackets_budget(self, inst_two_parallel):
-        verdict = lambda_callback(Basis(inst_two_parallel), Fraction(2))
+        verdict = trichotomy(inst_two_parallel, Fraction(2))
         assert verdict.x_minfee.fee <= inst_two_parallel.budget <= verdict.x_maxfee.fee
 
     def test_budget_slack_at_zero_is_inside(self, inst_two_parallel):
         slack = Instance(
             node_count=2, edges=inst_two_parallel.edges, source=1, sink=2, budget=100
         )
-        verdict = lambda_callback(Basis(slack), Fraction(0))
+        verdict = trichotomy(slack, Fraction(0))
         assert verdict.kind is VerdictKind.INSIDE
+        assert lambda_callback(Basis(slack), Fraction(0)).fee <= slack.budget
 
     def test_monotone_pattern_on_random_instances(self):
         for seed in range(15):
@@ -129,9 +129,13 @@ class TestLambdaCallback:
                 )
             )
             top = instance_stats(inst).lambda_above_all_slopes()
-            kinds = [
-                lambda_callback(Basis(inst), Fraction(k) * top / 11).kind for k in range(12)
-            ]
+            kinds = []
+            for k in range(12):
+                lam = Fraction(k) * top / 11
+                verdict = trichotomy(inst, lam)
+                kinds.append(verdict.kind)
+                probe = lambda_callback(Basis(inst), lam)
+                assert (probe.cost, probe.fee) == (verdict.x_minfee.cost, verdict.x_minfee.fee)
             order = {VerdictKind.BELOW: 0, VerdictKind.INSIDE: 1, VerdictKind.ABOVE: 2}
             ranks = [order[k] for k in kinds]
             assert ranks == sorted(ranks)
@@ -182,8 +186,8 @@ class TestSolveFlows:
         top = instance_stats(inst).lambda_above_all_slopes()
         low, high = Basis(inst), Basis(inst)
         totals = [
-            min_cost_circulation(low, lambda_cost(low, top, "min")),
-            min_cost_circulation(high, lambda_cost(high, Fraction(0), "max")),
+            min_cost_circulation(low, lambda_cost(low, top)),
+            min_cost_circulation(high, fee_maximal_cost(high, Fraction(0))),
         ]
         x_low, x_high = (Witness(b.flow[: inst.edge_count], *w) for b, w in zip((low, high), totals))
         flows = [Flow.from_values(inst, x.values) for x in (x_low, x_high)]
@@ -301,7 +305,8 @@ class TestSolveExact:
 
     def test_zero_budget_stops_at_grid_top(self):
         # the optimal multiplier interval [1/2, inf) holds bbar = 2, so the
-        # second opening probe is INSIDE and its multiplier is returned
+        # second opening probe's witness meets the budget and its multiplier
+        # is returned
         inst = Instance(
             node_count=2, edges=(EdgeData(1, 2, 1, -1, 2),), source=1, sink=2, budget=0
         )
@@ -310,20 +315,51 @@ class TestSolveExact:
         assert sol.lam == instance_stats(inst).bbar == 2
         assert sol.iterations == 2
 
+    def test_returned_multiplier_is_inside(self):
+        # by the tests' reference trichotomy; a probe whose witness meets
+        # the budget ends the search, and there the budget is an extreme
+        # point's fee and the optimal multiplier interval is wide
+        binding = at_point = 0
+        for seed in range(40):
+            inst = preprocess(
+                generate_instance(
+                    nodes=3 + seed % 6,
+                    edges=4 + seed % 13,
+                    max_capacity=1 + seed % 3,
+                    max_fee=1 + seed % 2,
+                    budget_mode=("tight", "tight", "zero")[seed % 3],
+                    seed=800 + seed,
+                )
+            )
+            sol = solve_exact(inst)
+            verdict = trichotomy(inst, sol.lam)
+            assert verdict.kind is VerdictKind.INSIDE
+            binding += sol.lam > 0
+            at_point += sol.lam > 0 and verdict.x_minfee.fee == inst.budget
+        assert binding >= 10 and at_point >= 10
+
     def test_probe_cap_raises(self, inst_two_parallel, monkeypatch):
-        # after the two real opening probes (BELOW at 0, ABOVE at bbar) every
-        # verdict repeats the first one, so the bracket never closes
+        # after the two real opening probes (fee 4 over the budget at 0, fee
+        # 0 under it at bbar) every probe returns the first witness, one unit
+        # cheaper each time: over the budget, never meeting it, and strictly
+        # below each chord, so the corners never close
         real = exact_mod.lambda_callback
-        verdicts = []
+        witnesses = []
 
         def stalled(basis, lam):
-            verdicts.append(real(basis, lam) if len(verdicts) < 2 else verdicts[0])
-            return verdicts[-1]
+            if len(witnesses) < 2:
+                witnesses.append(real(basis, lam))
+            else:
+                first = witnesses[0]
+                witnesses.append(first._replace(cost=first.cost - len(witnesses)))
+            return witnesses[-1]
 
         monkeypatch.setattr(exact_mod, "lambda_callback", stalled)
         with pytest.raises(InternalSolverError, match="cap"):
             solve_exact(inst_two_parallel)
-        assert len(verdicts) == probe_cap(inst_two_parallel)
+        budget = inst_two_parallel.budget
+        assert [w.fee > budget for w in witnesses] == [True, False] + [True] * (len(witnesses) - 2)
+        assert len(witnesses) == probe_cap(inst_two_parallel)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(small_instances())
@@ -494,12 +530,12 @@ class TestFrontierWalk:
 
 
 class TestSolveCounts:
-    def test_fee_maximal_solve_only_where_the_verdict_is_open(self, monkeypatch):
-        """``solve_exact`` makes one solve at each probe that lam = 0 or
-        fee(x_minfee) >= budget decides, and two at every other probe."""
+    def test_one_solve_per_probe(self, monkeypatch):
+        """Every probe of ``solve_exact`` is one fee-minimal solve, also
+        where its optimum lies under the budget at lam > 0."""
         real_solve, real_callback = exact_mod.min_cost_circulation, exact_mod.lambda_callback
         solves = 0
-        probes = []  # (lam, verdict, budget, solves of the probe)
+        probes = []  # (lam, the probe's witness is under the budget)
 
         def counting(basis, costs):
             nonlocal solves
@@ -507,15 +543,13 @@ class TestSolveCounts:
             return real_solve(basis, costs)
 
         def recording(basis, lam):
-            nonlocal solves
-            solves = 0
-            verdict = real_callback(basis, lam)
-            probes.append((lam, verdict, basis.inst.budget, solves))
-            return verdict
+            witness = real_callback(basis, lam)
+            probes.append((lam, witness.fee < basis.inst.budget))
+            return witness
 
         monkeypatch.setattr(exact_mod, "min_cost_circulation", counting)
         monkeypatch.setattr(exact_mod, "lambda_callback", recording)
-        at_zero = decided = open_ = 0
+        at_zero = under = 0
         for seed in range(60):
             inst = preprocess(
                 generate_instance(
@@ -527,18 +561,15 @@ class TestSolveCounts:
                 )
             )
             probes.clear()
+            solves = 0
             sol = solve_exact(inst)
-            assert len(probes) == sol.iterations
-            for lam, verdict, budget, count in probes:
-                one = lam == 0 or verdict.x_minfee.fee >= budget
-                assert count == (1 if one else 2)
-                assert (verdict.x_maxfee is None) == one
-                at_zero += lam == 0
-                decided += one and lam > 0
-                open_ += not one
-        # every solve opens at lam = 0; 20 later probes are decided by the
-        # fee-minimal solve and 25 take both
-        assert at_zero == 60 and decided >= 15 and open_ >= 15
+            assert solves == len(probes) == sol.iterations
+            at_zero += sum(lam == 0 for lam, _ in probes)
+            under += sum(lam > 0 and low for lam, low in probes)
+        # 105 probes: every search opens at lam = 0, and 25 later probes
+        # find an optimum under the budget, where the trichotomy would need
+        # a fee-maximal solve as well
+        assert at_zero == 60 and under >= 15
 
 
 class TestIntChords:
@@ -641,6 +672,10 @@ def mid_instances(draw) -> Instance:
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(mid_instances())
+# budgets at an extreme point's fee, where the optimal multiplier interval
+# is wide: lam 7/2 in [5/2, 4], and lam 2 in [1, 4]
+@example(preprocess(generate_instance(8, 18, max_capacity=1, max_fee=1, seed=90867)))
+@example(preprocess(generate_instance(5, 10, max_capacity=1, max_fee=1, seed=92145)))
 def test_frontier_agrees_with_solve_exact(inst):
     """The two exact routines check each other where enumeration cannot."""
     points = enumerate_frontier(inst)
@@ -656,18 +691,20 @@ def test_frontier_agrees_with_solve_exact(inst):
         )
         assert (report.cost, report.fee) == (flow.cost, flow.fee) == (p.cost, p.fee)
 
+    # the optimal multiplier interval: an extreme point's own where the
+    # budget is its fee, 0 past the last fee, else the segment's multiplier
     budget = inst.budget
+    at = [(p.lambda_low, p.lambda_high) for p in points if p.fee == budget]
     if budget >= points[-1].fee:
         expected = points[-1].cost
+        lo, hi = at[0] if at else (0, 0)
     else:
         a, b = next((a, b) for a, b in zip(points, points[1:]) if a.fee <= budget < b.fee)
         expected = a.cost + Fraction((b.cost - a.cost) * (budget - a.fee), b.fee - a.fee)
+        lo, hi = at[0] if at else (edge_multiplier(a, b),) * 2
     sol = solve_exact(inst)
     assert sol.objective == expected
-    assert any(
-        p.lambda_low <= sol.lam and (p.lambda_high is None or sol.lam <= p.lambda_high)
-        for p in points
-    )
+    assert lo <= sol.lam and (hi is None or sol.lam <= hi)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -797,10 +834,10 @@ class TestSinkToSourceValue:
         assert oracle_optimum(backwards).objective == -1
 
     def test_callback_witness(self, backwards):
-        verdict = lambda_callback(Basis(backwards), Fraction(0))
-        assert verdict.kind is VerdictKind.INSIDE
-        assert verdict.x_minfee.cost == -1
-        assert verdict.x_maxfee is None  # lam = 0 decides with one solve
+        witness = lambda_callback(Basis(backwards), Fraction(0))
+        assert trichotomy(backwards, Fraction(0)).kind is VerdictKind.INSIDE
+        assert witness.cost == -1
+        assert witness.fee <= backwards.budget  # lam = 0 ends the search
 
     def test_solve_exact(self, backwards):
         sol = solve_exact(backwards)

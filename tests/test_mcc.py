@@ -24,8 +24,13 @@ from reference_oracles import (
     ResidualGraph,
     canceling_circulation,
     circulation_form,
+    fee_maximal_cost,
     iter_simple_cycles,
 )
+
+# the packed costs of each fee tie-break: the package's fee-minimal
+# ``lambda_cost`` and the tests' fee-maximal reference
+PACKED_COSTS = {"min": lambda_cost, "max": fee_maximal_cost}
 
 
 def lex_optimum_by_enumeration(
@@ -71,7 +76,7 @@ def solve_flow(basis: Basis, costs: list[int]) -> Flow:
 
 def solve_at(inst: Instance, lam: Fraction, fee_direction: str) -> Flow:
     basis = Basis(inst)
-    return solve_flow(basis, lambda_cost(basis, lam, fee_direction))
+    return solve_flow(basis, PACKED_COSTS[fee_direction](basis, lam))
 
 
 def search(rg: ResidualGraph):
@@ -253,7 +258,7 @@ class TestFindNegativeCycle:
 
     def test_graph_holds_ints_only(self, inst_two_parallel):
         circ = circulation_form(inst_two_parallel)
-        costs = lambda_cost(Basis(inst_two_parallel), Fraction(1, 3), "max")
+        costs = fee_maximal_cost(Basis(inst_two_parallel), Fraction(1, 3))
         rg = ResidualGraph(circ, [*costs, 0, 0])
         assert all(type(v) is int for v in rg.costs + rg.caps)
 
@@ -268,21 +273,23 @@ class TestLambdaCost:
     # the packing factor is sum(fee) + 1 = 3
 
     def test_direct_formula(self, inst_two_parallel):
-        costs = lambda_cost(Basis(inst_two_parallel), Fraction(2), "min")
+        costs = lambda_cost(Basis(inst_two_parallel), Fraction(2))
         assert costs == [(-4 + 2 * 2) * 3 + 2, -1 * 3]
 
     def test_zero_multiplier_identity(self, inst_two_parallel):
-        costs = lambda_cost(Basis(inst_two_parallel), Fraction(0), "min")
+        costs = lambda_cost(Basis(inst_two_parallel), Fraction(0))
         assert costs == [-4 * 3 + 2, -1 * 3]
 
     def test_small_rational_multiplier(self, inst_two_parallel):
         # lam = 1/200 scales the primary by the denominator: 200 * (-399/100)
-        costs = lambda_cost(Basis(inst_two_parallel), Fraction(1, 200), "min")
+        costs = lambda_cost(Basis(inst_two_parallel), Fraction(1, 200))
         assert costs == [-798 * 3 + 2, -200 * 3]
 
     def test_max_direction_negates_secondary(self, inst_two_parallel):
-        low = lambda_cost(Basis(inst_two_parallel), Fraction(1), "min")
-        high = lambda_cost(Basis(inst_two_parallel), Fraction(1), "max")
+        # the tests' fee-maximal costs differ from lambda_cost only in the
+        # sign of the fee tie-break
+        low = lambda_cost(Basis(inst_two_parallel), Fraction(1))
+        high = fee_maximal_cost(Basis(inst_two_parallel), Fraction(1))
         assert low[0] - high[0] == 2 * 2
         assert low[1] == high[1]
 
@@ -290,18 +297,14 @@ class TestLambdaCost:
         # one cost per problem edge; the basis's artificial arcs 2 and 3
         # keep cost 0 through a solve
         basis = Basis(inst_two_parallel)
-        costs = lambda_cost(basis, Fraction(3), "min")
+        costs = lambda_cost(basis, Fraction(3))
         assert len(costs) == inst_two_parallel.edge_count
         min_cost_circulation(basis, costs)
         assert basis.costs[:4] == [*costs, 0, 0]
 
     def test_negative_multiplier_rejected(self, inst_two_parallel):
         with pytest.raises(ValueError):
-            lambda_cost(Basis(inst_two_parallel), Fraction(-1), "min")
-
-    def test_bad_direction_rejected(self, inst_two_parallel):
-        with pytest.raises(ValueError):
-            lambda_cost(Basis(inst_two_parallel), Fraction(1), "sideways")
+            lambda_cost(Basis(inst_two_parallel), Fraction(-1))
 
     def test_fee_never_outweighs_a_primary_unit(self):
         # one edge of cost -1 whose fee is the whole fee volume: at lam = 0 the
@@ -348,13 +351,13 @@ class TestMinCostCirculation:
         # a solve returns int totals; its values become Fractions only in
         # the Flow built from them
         basis = Basis(inst_two_parallel)
-        assert min_cost_circulation(basis, lambda_cost(basis, Fraction(2), "max")) == (-10, 4)
+        assert min_cost_circulation(basis, fee_maximal_cost(basis, Fraction(2))) == (-10, 4)
         flow = solve_at(inst_two_parallel, Fraction(2), "max")
         assert all(type(v) is Fraction for v in flow.values)
 
     def test_basis_holds_ints_only(self, inst_two_parallel):
         basis = Basis(inst_two_parallel)
-        min_cost_circulation(basis, lambda_cost(basis, Fraction(1, 3), "max"))
+        min_cost_circulation(basis, fee_maximal_cost(basis, Fraction(1, 3)))
         assert basis.pivots > 0
         state = basis.flow + basis.potentials + basis.costs
         assert all(type(v) is int for v in state)
@@ -367,7 +370,7 @@ class TestMinCostCirculation:
 
     def test_no_negative_cycle_remains(self, inst_two_hop):
         basis = Basis(inst_two_hop)
-        costs = lambda_cost(basis, Fraction(0), "min")
+        costs = lambda_cost(basis, Fraction(0))
         min_cost_circulation(basis, costs)
         # the optimum, closed on the reference's own network, leaves its
         # residual graph without a negative cycle
@@ -415,7 +418,7 @@ class TestIterationCap:
         calls = []
         monkeypatch.setattr(Basis, "pivot", lambda self, arc: calls.append(arc))
         basis = Basis(inst_two_parallel)
-        costs = lambda_cost(basis, Fraction(0), "min")
+        costs = lambda_cost(basis, Fraction(0))
         with pytest.raises(InternalSolverError, match="cap"):
             min_cost_circulation(basis, costs)
         assert len(calls) == pivot_cap(inst_two_parallel, costs, [0, 0])
@@ -428,13 +431,13 @@ class TestWarmStart:
     def test_any_start_reaches_the_cold_optimum(self, case):
         """A basis left by any earlier solve reaches the fresh basis's (cost, fee)."""
         inst, lam, other_lam, fee_direction = case
-        costs = lambda_cost(Basis(inst), lam, fee_direction)
+        costs = PACKED_COSTS[fee_direction](Basis(inst), lam)
         cold, _ = solve_counting(Basis(inst), costs)
         other_direction = "max" if fee_direction == "min" else "min"
         for prior in ((), ((other_lam, fee_direction),), ((lam, other_direction),)):
             basis = Basis(inst)
             for prior_lam, prior_direction in prior:
-                min_cost_circulation(basis, lambda_cost(basis, prior_lam, prior_direction))
+                min_cost_circulation(basis, PACKED_COSTS[prior_direction](basis, prior_lam))
             start = list(basis.flow[: inst.edge_count])
             warm, pivots = solve_counting(basis, costs)
             assert (warm.cost, warm.fee) == (cold.cost, cold.fee)
@@ -489,7 +492,7 @@ class TestAgainstCanceling:
         circ = circulation_form(inst)
         basis = Basis(inst)
         for lam, fee_direction in solves:
-            costs = lambda_cost(basis, lam, fee_direction)
+            costs = PACKED_COSTS[fee_direction](basis, lam)
             flow = solve_flow(basis, costs)
             closed_costs, closed = [*costs, 0, 0], closed_flow(inst, flow.values)
             reference = canceling_circulation(circ, closed_costs)
