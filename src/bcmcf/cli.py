@@ -11,7 +11,8 @@ exit prints nothing.
 
 The argument parser is built once per process, on the first call of
 :func:`main`, and reused: parsing keeps no state between calls, and argparse
-looks up ``sys.stdout`` and ``sys.stderr`` only when it prints.
+looks up ``sys.stdout`` and ``sys.stderr`` only when it prints.  A known
+command's own parser reads its arguments; the full parser answers the rest.
 """
 
 from __future__ import annotations
@@ -169,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Budget-constrained minimum cost flow solvers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its parser, read by main
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--output", "-o", default=None, help="output file (default stdout)")
@@ -212,7 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+    if command is None or rest:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

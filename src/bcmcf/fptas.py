@@ -311,12 +311,12 @@ def _gk_loop(
     ceil(log(rho / alpha_0) / log1p(eps')) raises happen, counted on true
     lengths.
 
-    Between tests an iteration touches only columns' edges: each recompute
-    sums a pooled column's length, one pass prices the column taken, which
-    gives its gain, length, fee and least capacity, and one loop routes it.
-    Routings are counted per column: a routed value is ``scale`` times the
-    column's exact amount times its count, an int: each amount is an int
-    capacity or a float budget / fee.
+    Between tests an iteration touches only columns' edges: a recompute sums
+    a pooled column's length, which also serves its routing; one pass prices
+    a column a test finds, and its pool entry keeps its gain, fee, amount and
+    routing count; one loop routes a column.  A routed value is ``scale``
+    times the column's exact amount times its count, an int: each amount is
+    an int capacity or a float budget / fee.
 
     Weak duality: lengths divided by a lower bound on the minimum column
     ratio are dual feasible, so the optimum is at most (dual
@@ -379,8 +379,8 @@ def _gk_loop(
         mu = dual.budget_length
         return [y + b * mu + lam * c for y, b, c in zip(dual.lengths, float_fees, costs)]
 
-    def priced(column: Sequence[int]) -> tuple[int, float, int, int]:
-        """The column's int gain, stored length, int fee and least capacity, in one pass."""
+    def priced(column: Sequence[int]) -> tuple[float, tuple]:
+        """A found column's stored length and its pool entry, unrouted, in one pass."""
         lengths = dual.lengths
         mu = dual.budget_length
         gain, length, fee, least = 0, 0.0, 0, math.inf
@@ -396,22 +396,25 @@ def _gk_loop(
                 f"threshold test returned a column with gain {gain}: "
                 "float cancellation in its weights"
             )
-        return gain, length, fee, least
+        # the reduction leaves no fee when the budget is 0
+        amount = min(least, budget / fee) if fee > 0 else least
+        return length, (length / gain, tuple(column), gain, fee, amount, 0)
 
-    def reoffered(threshold: float) -> tuple[int, ...] | None:
-        """A pooled column whose ratio, recomputed, is below ``threshold``, or None."""
+    def below(threshold: float) -> tuple[float, tuple] | None:
+        """The pool's column below ``threshold``, else a test's, as ``priced`` gives it, or None."""
         lengths = dual.lengths
         mu = dual.budget_length
         while pool and pool[0][0] < threshold:
-            _, column, gain = pool[0]
+            entry = pool[0]
             length = 0.0
-            for i in column:
+            for i in entry[1]:
                 length += lengths[i] + float_fees[i] * mu
-            if length / gain < threshold:
+            if length / entry[2] < threshold:
                 heappop(pool)
-                return column
-            heapreplace(pool, (length / gain, column, gain))
-        return None
+                return length, entry
+            heapreplace(pool, (length / entry[2], *entry[1:]))
+        found = test(weights(threshold))
+        return None if found is None else priced(found)
 
     iterations = 0
     least_bound = math.inf
@@ -426,18 +429,16 @@ def _gk_loop(
         )
         dual.objective(capacities, budget)  # the running total starts exact
 
-        column = seed
-        gain, length, _, _ = priced(column)
+        _, top = priced(seed)
         mu = dual.budget_length
         floor = min(y + b * mu for y, b in zip(dual.lengths, float_fees))
         floor /= -sum(c for c in costs if c < 0)
-        for _ in range(math.ceil(math.log(length / gain / floor) / math.log1p(eps_prime)) + 1):
-            alpha = length / gain / grow
+        for _ in range(math.ceil(math.log(top[0] / floor) / math.log1p(eps_prime)) + 1):
+            alpha = top[0] / grow
             found = test(weights(alpha))
             if found is None:
                 break
-            column = found
-            gain, length, _, _ = priced(column)
+            _, top = priced(found)
         else:
             raise InternalSolverError("ratio descent exceeded its proven step bound")
         bound = dual.objective(capacities, budget) / alpha
@@ -445,12 +446,11 @@ def _gk_loop(
         rho = sum(1.0 / u for u in capacities) + (sum(fees) / budget if budget else 0.0)
         raises_left = math.ceil((math.log(rho / alpha) - dual.log_shift) / math.log1p(eps_prime))
 
-        counts: dict[tuple[int, ...], int] = {}
-        amounts: dict[tuple[int, ...], int | float] = {}
-        # this run's columns, keyed by a ratio each once had: a lower bound
-        # until fresh lengths start a new run
-        pool: list[tuple[float, tuple[int, ...], int]] = []
-        heappush(pool, (length / gain, tuple(column), gain))
+        # this run's columns, keyed by a ratio each once had (a lower bound
+        # until fresh lengths start a new run), each with its int gain, int
+        # fee and amount, and how often this run has routed it
+        pool: list[tuple[float, tuple[int, ...], int, int, float, int]] = []
+        heappush(pool, top)
         loads = [0.0] * m
         fee_load = 0.0
         worst = 0.0  # max over rows of load / capacity
@@ -464,8 +464,8 @@ def _gk_loop(
                 factor = dual.renormalize(capacities, budget)
                 alpha /= factor
                 # one positive factor keeps the heap's order
-                pool = [(key / factor, column, gain) for key, column, gain in pool]
-            while (column := reoffered(grow * alpha) or test(weights(grow * alpha))) is None:
+                pool = [(entry[0] / factor, *entry[1:]) for entry in pool]
+            while (taken := below(grow * alpha)) is None:
                 raises_left -= 1
                 if raises_left < 0:
                     raise InternalSolverError("alpha rose past its proven bound")
@@ -473,12 +473,7 @@ def _gk_loop(
                 # stored lengths: log_shift cancels out of the ratio
                 bound = min(bound, dual.objective(capacities, budget) / alpha)
                 stop = target * bound * (1.0 + CERTIFICATE_MARGIN)
-            column = tuple(column)
-            gain, length, cycle_fee, amount = priced(column)
-            if cycle_fee > 0:  # the reduction leaves no fee when the budget is 0
-                amount = min(amount, budget / cycle_fee)
-            amounts[column] = amount
-            counts[column] = counts.get(column, 0) + 1
+            length, (_, column, gain, cycle_fee, amount, count) = taken
             step = eps_prime * amount
             profit += amount * gain
             # sum of u * (growth of y) over the column's rows, budget row included
@@ -496,15 +491,18 @@ def _gk_loop(
                 if load > worst:
                     worst = load
                 dual.budget_length *= 1.0 + step * cycle_fee / budget
-            heappush(pool, (length / gain, column, gain))
+            heappush(pool, (length / gain, column, gain, cycle_fee, amount, count + 1))
             if profit >= stop * worst:
                 break  # the certified stop
         else:
             least_bound = min(least_bound, bound)  # still valid after the rerun
             continue  # the fallback stop, proven at eps / 4 alone: rerun there once
         break
-    ints, scale = _scaled_ints(list(amounts.values()))
-    routed = {column: p * counts[column] for column, p in zip(amounts, ints)}
+    routed: dict[tuple[int, ...], int] = {}
+    entries = [entry for entry in pool if entry[5]]  # the descent's column may be unrouted
+    ints, scale = _scaled_ints([entry[4] for entry in entries])
+    for (_, column, _, _, _, count), p in zip(entries, ints):
+        routed[column] = routed.get(column, 0) + p * count  # a column pooled twice adds up
     return routed, scale, iterations, min(least_bound, bound)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from operator import attrgetter, mul
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class InstanceError(ValueError):
@@ -29,21 +29,30 @@ class ParseError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeData:
-    """A directed edge with capacity, per-unit cost, and per-unit usage fee."""
-
+class _Edge(NamedTuple):
     tail: int
     head: int
     capacity: int
     cost: int
     fee: int
 
-    def __post_init__(self) -> None:
-        if self.capacity < 0:
-            raise InstanceError(f"negative capacity {self.capacity}")
-        if self.fee < 0:
-            raise InstanceError(f"negative fee {self.fee}")
+
+class EdgeData(_Edge):
+    """A directed edge with capacity, per-unit cost, and per-unit usage fee;
+    every way to build one, ``_replace`` too, refuses a negative capacity or fee."""
+
+    __slots__ = ()
+
+    def __new__(cls, tail: int, head: int, capacity: int, cost: int, fee: int) -> EdgeData:
+        if capacity < 0:
+            raise InstanceError(f"negative capacity {capacity}")
+        if fee < 0:
+            raise InstanceError(f"negative fee {fee}")
+        return tuple.__new__(cls, (tail, head, capacity, cost, fee))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> EdgeData:
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)

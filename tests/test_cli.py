@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import errno
 import os
 import subprocess
@@ -393,6 +394,69 @@ class TestGkAcyclic:
         assert "solve_gk" in err
         assert "(-a gk)" in err
         assert main(["solve", "-a", "gk", "-e", "0.5", str(path)]) == 0
+
+
+TOP_USAGE = "usage: bcmcf [-h] {solve,frontier,validate,gen} ...\n"
+SOLVE_USAGE = (
+    "usage: bcmcf solve [-h] [--algorithm {exact,gk,gk-acyclic,oracle}]\n"
+    "                   [--epsilon EPSILON] [--output OUTPUT]\n"
+    "                   instance\n"
+)
+COMMANDS = "'solve', 'frontier', 'validate', 'gen'"
+
+
+class TestOneParse:
+    @pytest.mark.parametrize("options", [["-a", "exact"], ["-a", "gk", "-e", "0.5"]], ids=["exact", "gk"])
+    def test_a_command_is_parsed_once(self, i1_path, options, monkeypatch, capsys):
+        # the command's own parser reads its arguments; the full parser,
+        # which would hand them to it a second time, does not run
+        parsers = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            parsers.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        assert main(["solve", i1_path, *options]) == 0
+        assert parsers == ["bcmcf solve"]
+        assert parse_solution(capsys.readouterr().out).algorithm == options[1]
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            ([], TOP_USAGE + "bcmcf: error: the following arguments are required: command\n"),
+            (
+                ["nope"],
+                TOP_USAGE
+                + f"bcmcf: error: argument command: invalid choice: 'nope' (choose from {COMMANDS})\n",
+            ),
+            (
+                ["sol", "x"],
+                TOP_USAGE
+                + f"bcmcf: error: argument command: invalid choice: 'sol' (choose from {COMMANDS})\n",
+            ),
+            (
+                ["solve"],
+                SOLVE_USAGE + "bcmcf solve: error: the following arguments are required: instance\n",
+            ),
+            # arguments the command does not take: the full parser's message
+            (["solve", "PATH", "--bogus"], TOP_USAGE + "bcmcf: error: unrecognized arguments: --bogus\n"),
+            (
+                ["solve", "PATH", "-a", "bad"],
+                SOLVE_USAGE
+                + "bcmcf solve: error: argument --algorithm/-a: invalid choice: 'bad' "
+                "(choose from 'exact', 'gk', 'gk-acyclic', 'oracle')\n",
+            ),
+        ],
+        ids=["no-command", "unknown", "prefix", "no-instance", "bogus", "bad-algorithm"],
+    )
+    def test_usage_errors_answer_as_one_full_parse(self, i1_path, argv, err, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+        with pytest.raises(SystemExit) as exc:
+            main([i1_path if arg == "PATH" else arg for arg in argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", err)
 
 
 class TestParserReuse:

@@ -287,7 +287,7 @@ class TestSolveExact:
             assert base.objective == oracle_optimum(inst).objective
             big = replace(
                 inst,
-                edges=tuple(replace(e, capacity=e.capacity * scale) for e in inst.edges),
+                edges=tuple(e._replace(capacity=e.capacity * scale) for e in inst.edges),
                 budget=inst.budget * scale,
             )
             sol = solve_exact(big)
@@ -758,12 +758,12 @@ def test_answers_invariant_under_permutation_and_scaling(inst, data, k):
     )
     assert [(p.cost, p.fee) for p in enumerate_frontier(permuted)] == points
 
-    costly = replace(inst, edges=tuple(replace(e, cost=k * e.cost) for e in inst.edges))
+    costly = replace(inst, edges=tuple(e._replace(cost=k * e.cost) for e in inst.edges))
     assert solve_exact(costly).objective == k * sol.objective
     assert [(p.cost, p.fee) for p in enumerate_frontier(costly)] == [(k * c, b) for c, b in points]
 
     feeful = replace(
-        inst, edges=tuple(replace(e, fee=k * e.fee) for e in inst.edges), budget=k * inst.budget
+        inst, edges=tuple(e._replace(fee=k * e.fee) for e in inst.edges), budget=k * inst.budget
     )
     assert solve_exact(feeful).objective == sol.objective
     assert [(p.cost, p.fee) for p in enumerate_frontier(feeful)] == [(c, k * b) for c, b in points]

@@ -1029,7 +1029,7 @@ def test_guarantee_at_extreme_magnitudes(budget_mode, acyclic):
             seed=3000 + seed,
         )
         edges = tuple(
-            dataclasses.replace(e, fee=0) if i % 3 == 0 else e for i, e in enumerate(raw.edges)
+            e._replace(fee=0) if i % 3 == 0 else e for i, e in enumerate(raw.edges)
         )
         inst = preprocess(dataclasses.replace(raw, edges=edges))
         points = enumerate_frontier(inst) if budget_mode == "tight" else []
@@ -1059,7 +1059,7 @@ def times_ten_to(inst: Instance, k: int, kinds=("capacity", "cost", "budget")) -
     """
     f = 10**k
     edges = tuple(
-        dataclasses.replace(e, **{kind: getattr(e, kind) * f for kind in kinds if kind != "budget"})
+        e._replace(**{kind: getattr(e, kind) * f for kind in kinds if kind != "budget"})
         for e in inst.edges
     )
     return dataclasses.replace(inst, edges=edges, budget=inst.budget * (f if "budget" in kinds else 1))

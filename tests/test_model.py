@@ -170,6 +170,26 @@ class TestInstanceInvariants:
         with pytest.raises(InstanceError):
             EdgeData(1, 2, 1, 0, -1)
 
+    @pytest.mark.parametrize("field", ["capacity", "fee"])
+    def test_replace_validates_as_the_constructor_does(self, field):
+        edge = EdgeData(1, 2, 1, -1, 1)
+        with pytest.raises(InstanceError) as built:
+            EdgeData(**{**edge._asdict(), field: -1})
+        with pytest.raises(InstanceError) as replaced:
+            edge._replace(**{field: -1})
+        assert str(replaced.value) == str(built.value) == f"negative {field} -1"
+        assert getattr(edge._replace(**{field: 0}), field) == 0
+
+    def test_edge_is_an_immutable_record(self):
+        edge = EdgeData(tail=1, head=2, capacity=3, cost=-4, fee=5)
+        assert edge == EdgeData(1, 2, 3, -4, 5)
+        assert repr(edge) == "EdgeData(tail=1, head=2, capacity=3, cost=-4, fee=5)"
+        with pytest.raises(AttributeError):
+            edge.capacity = 0
+        with pytest.raises(AttributeError):
+            edge.weight = 0  # no field may be added either
+        assert edge.capacity == 3
+
     @pytest.mark.parametrize(
         ("bad_head", "bad_tail"),
         [(4, 0), (0, 4), (4, -1)],
